@@ -23,8 +23,8 @@ from .spectra import (DEFAULT_K_MAX, CoefficientVector, EigenSystem,
                       green_kernel, green_model, heat_model, model_from_json,
                       model_from_json_str, model_to_json, nystrom_decompose,
                       poisson_model, tabulated_model)
-from .truncation import (BoundCheck, Lemma1Report, TruncationReport,
-                         WeakConvergencePoint, generalized_k0, k0,
+from .truncation import (BoundCheck, Lemma1Report, NoiseLevel,
+                         TruncationReport, WeakConvergencePoint, generalized_k0, k0,
                          k0_closed_form, lemma1_check, truncated_solution,
                          weak_convergence_probe)
 from .metric import (CapacityBounds, FitDiagnostics, GrowthEstimate,
@@ -59,7 +59,7 @@ __all__ = [
     "export_spectrum_csv", "model_to_json", "model_from_json",
     "model_from_json_str",
     # truncation
-    "k0", "k0_closed_form", "generalized_k0", "TruncationReport",
+    "NoiseLevel", "k0", "k0_closed_form", "generalized_k0", "TruncationReport",
     "truncated_solution", "BoundCheck", "Lemma1Report", "lemma1_check",
     "WeakConvergencePoint", "weak_convergence_probe",
     # metric

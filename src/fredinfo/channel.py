@@ -542,11 +542,15 @@ def total_information(channel: GaussianChannel) -> TotalInformation:
     """
     if channel.epsilon <= 0.0:
         raise ValidationError("total information requires epsilon > 0")
-    part = partition_IN(channel)
+    return _information_sum(channel, partition_IN(channel).I)
+
+
+def _information_sum(channel: GaussianChannel, labels: Sequence[int]) -> TotalInformation:
+    """Exact and leading-order information summed over the given components."""
     lam, rho, nu = channel.arrays()
     exact = 0.0
     approx = 0.0
-    for k in part.I:
+    for k in labels:
         ratio = lam[k - 1] * rho[k - 1] / (channel.epsilon * nu[k - 1])
         _, J = _info_from_ratio(ratio)
         exact += J
@@ -629,19 +633,11 @@ def extremal_comparison(model: SpectrumModel, epsilon: float, case: str,
         chan = GaussianChannel(model, inverse_spectrum_rule(model),
                                constant_rule(1.0), eps, k_max=km)
         cap = min(cut, chan.k_max)
-        lam, rho, nu = chan.arrays()
-        exact = 0.0
-        approx = 0.0
-        for j in range(cap):
-            k_label = int(chan.ordering[j])
-            ratio = lam[k_label - 1] * rho[k_label - 1] / (eps * nu[k_label - 1])
-            _, J = _info_from_ratio(ratio)
-            exact += J
-            approx += math.log(ratio)
+        info = _information_sum(chan, chan.ordering[:cap])
         reference = cut * math.log(1.0 / eps)
         return ExtremalComparison(
             case="beta", epsilon=eps, k0=cut, k_I=cap,
-            exact_nats=exact, approx_nats=approx,
+            exact_nats=info.exact_nats, approx_nats=info.approx_nats,
             reference_nats=reference, trace_class=False,
             note="flat signal-to-noise: every component is informative, sum "
                  "capped at k0 components; prior is not trace class, so "

@@ -24,29 +24,19 @@ import os
 import sys
 
 from . import __version__
-from .channel import (GaussianChannel, component_information,
-                      constant_rule, extremal_comparison, gaussian_rule,
-                      geometric_rule, inverse_spectrum_rule, k_alpha,
-                      mse_closed_form, partition_IN, power_rule,
-                      total_information)
+from .channel import (_RULE_FACTORIES, GaussianChannel, component_information,
+                      extremal_comparison, inverse_spectrum_rule, k_alpha,
+                      mse_closed_form, partition_IN, total_information)
 from .errors import NumericError, ValidationError
-from .harness import (ExperimentConfig, convergence_sweep,
+from .harness import (ExperimentConfig, _fmt, convergence_sweep,
                       reproduce_summary_table, summary_table_csv)
-from .metric import capacity_interval, greedy_packing_count, growth_orders
+from .metric import (capacity_interval, greedy_packing_count, growth_orders,
+                     max_message_length_log2)
 from .spectra import (CoefficientVector, SpectrumModel, export_spectrum_csv,
-                      green_model, heat_model, model_from_json, poisson_model,
-                      tabulated_model)
-from .truncation import k0, k0_closed_form, truncated_solution
+                      model_from_json)
+from .truncation import NoiseLevel, k0, k0_closed_form, truncated_solution
 
 __all__ = ["main", "build_parser"]
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +65,33 @@ def parse_epsilon(text: str) -> tuple[float | None, float | None]:
     return eps, None
 
 
+def _floats(text: str, what: str) -> list[float]:
+    """Comma-separated numbers; a malformed entry is a ValidationError."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{what} takes comma-separated numbers, got {text!r}") from None
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def parse_model(spec: str | None, json_path: str | None) -> SpectrumModel:
+    """Model syntax ``kind:key=value,...`` (e.g. ``poisson:a=0.5,b=1``).
+
+    The parameters are read exactly as a model JSON object would be, so
+    integral values (``k_max=32``) stay integers and anything the family
+    does not take is rejected.
+    """
     if (spec is None) == (json_path is None):
         raise ValidationError("give exactly one of --model or --model-json")
     if json_path is not None:
-        with open(json_path) as fh:
-            return model_from_json(json.load(fh))
+        return model_from_json(_read_json(json_path))
     kind, _, rest = spec.partition(":")
     params = {}
     if rest:
@@ -89,29 +100,15 @@ def parse_model(spec: str | None, json_path: str | None) -> SpectrumModel:
             if not sep:
                 raise ValidationError(f"bad model parameter {item!r} (use key=value)")
             try:
-                params[key.strip()] = float(val)
+                num = float(val)
             except ValueError:
                 raise ValidationError(f"bad numeric value in {item!r}")
-    try:
-        if kind == "poisson":
-            return poisson_model(params.pop("a"), params.pop("b"),
-                                 **{k: int(v) for k, v in params.items()})
-        if kind == "heat":
-            return heat_model(params.pop("D"), params.pop("a"), params.pop("b"),
-                              **{k: int(v) for k, v in params.items()})
-        if kind == "green":
-            return green_model(**{k: int(v) for k, v in params.items()})
-    except KeyError as exc:
-        raise ValidationError(f"model {kind!r} is missing parameter {exc.args[0]!r}")
-    except TypeError as exc:
-        raise ValidationError(f"bad parameters for model {kind!r}: {exc}")
-    raise ValidationError(
-        f"unknown model kind {kind!r}: expected poisson, heat or green "
-        "(use --model-json for tabulated spectra)")
-
-
-_RULE_ARITY = {"constant": ("c",), "geometric": ("c", "q"), "power": ("c", "p"),
-               "gaussian": ("c", "s")}
+            params[key.strip()] = int(num) if num.is_integer() else num
+    model = model_from_json({"kind": kind, **params})
+    unknown = params.keys() - model.to_json().keys()
+    if unknown:
+        raise ValidationError(f"model {kind!r} takes no parameter {sorted(unknown)}")
+    return model
 
 
 def parse_rule(spec: str, model: SpectrumModel):
@@ -124,29 +121,21 @@ def parse_rule(spec: str, model: SpectrumModel):
             except ValueError:
                 raise ValidationError(f"bad delta0 in {spec!r}")
         return inverse_spectrum_rule(model)
-    if kind not in _RULE_ARITY:
+    if kind not in _RULE_FACTORIES:
         raise ValidationError(
             f"unknown variance rule {kind!r}: expected one of "
-            f"{sorted(_RULE_ARITY)} or inverse_spectrum")
-    names = _RULE_ARITY[kind]
-    parts = rest.split(",") if rest else []
-    if len(parts) != len(names):
+            f"{sorted(_RULE_FACTORIES)} or inverse_spectrum")
+    factory, names = _RULE_FACTORIES[kind]
+    vals = _floats(rest, f"rule {kind!r}") if rest else []
+    if len(vals) != len(names):
         raise ValidationError(
             f"rule {kind!r} takes {len(names)} parameter(s) "
-            f"{names}, got {len(parts)}")
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError:
-        raise ValidationError(f"bad numeric value in rule {spec!r}")
-    factory = {"constant": constant_rule, "geometric": geometric_rule,
-               "power": power_rule, "gaussian": gaussian_rule}[kind]
+            f"{names}, got {len(vals)}")
     return factory(*vals)
 
 
 def _load_vector(path: str, model: SpectrumModel) -> CoefficientVector:
-    with open(path) as fh:
-        obj = json.load(fh)
-    vec = CoefficientVector.from_json(obj)
+    vec = CoefficientVector.from_json(_read_json(path))
     if vec.model != model:
         raise ValidationError(f"vector in {path} was written for a different model")
     return vec
@@ -169,6 +158,8 @@ def _emit_json(obj) -> None:
 
 def _cmd_eigens(args) -> int:
     model = parse_model(args.model, args.model_json)
+    if args.k_hi < 1:
+        raise ValidationError(f"k_hi must be >= 1, got {args.k_hi}")
     if args.format == "csv":
         _emit(export_spectrum_csv(model, args.k_hi))
         return 0
@@ -183,11 +174,11 @@ def _cmd_eigens(args) -> int:
 
 def _cmd_truncate(args) -> int:
     model = parse_model(args.model, args.model_json)
-    eps, log2_inv = parse_epsilon(args.epsilon)
+    level = NoiseLevel.of(*parse_epsilon(args.epsilon))
     if args.data is None:
-        cut = k0(model, eps, log2_inv_eps=log2_inv)
+        cut = k0(model, level)
         try:
-            closed = k0_closed_form(model, eps, log2_inv_eps=log2_inv)
+            closed = k0_closed_form(model, level)
         except ValidationError:
             closed = None  # tabulated spectra have no closed form
         if args.format == "csv":
@@ -197,12 +188,7 @@ def _cmd_truncate(args) -> int:
             _emit_json({"epsilon": args.epsilon, "k0": cut,
                         "k0_closed_form": closed})
         return 0
-    if eps is None:
-        eps = 2.0 ** (-log2_inv)
-        if not eps > 0.0:
-            raise ValidationError(
-                "this exponent is below float range; truncating data needs a "
-                "representable epsilon")
+    eps = level.require_epsilon("truncating data")
     data = _load_vector(args.data, model)
     reference = _load_vector(args.reference, model) if args.reference else None
     report = truncated_solution(model, data, eps, reference)
@@ -218,11 +204,10 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    from .metric import max_message_length_log2
     model = parse_model(args.model, args.model_json)
-    eps, log2_inv = parse_epsilon(args.epsilon)
-    bounds = capacity_interval(model, eps, log2_inv_eps=log2_inv, sided=args.sided)
-    logl = max_message_length_log2(model, eps, log2_inv_eps=log2_inv, sided=args.sided)
+    level = NoiseLevel.of(*parse_epsilon(args.epsilon))
+    bounds = capacity_interval(model, level, sided=args.sided)
+    logl = max_message_length_log2(model, level, sided=args.sided)
     if args.format == "csv":
         _emit("epsilon,k0,k0_quarter,lower_bits,upper_bits,logL_max\n"
               f"{args.epsilon},{bounds.k0_eps},{bounds.k0_eps_over_4},"
@@ -238,10 +223,8 @@ def _cmd_metric_info(args) -> int:
     if args.packing_axes is not None:
         if args.epsilon is None or args.step is None:
             raise ValidationError("--packing-axes needs --epsilon and --step")
-        axes = [float(a) for a in args.packing_axes.split(",")]
-        eps, log2_inv = parse_epsilon(args.epsilon)
-        if eps is None:
-            raise ValidationError("packing counts need a representable epsilon")
+        axes = _floats(args.packing_axes, "--packing-axes")
+        eps = NoiseLevel.of(*parse_epsilon(args.epsilon)).require_epsilon("packing counts")
         count = greedy_packing_count(axes, eps, float(args.step))
         if args.format == "csv":
             _emit("epsilon,grid_step,count\n"
@@ -252,11 +235,9 @@ def _cmd_metric_info(args) -> int:
         return 0
     model = parse_model(args.model, args.model_json)
     if args.grid_eps is not None:
-        grid = [float(v) for v in args.grid_eps.split(",")]
-        est = growth_orders(model, grid)
+        est = growth_orders(model, _floats(args.grid_eps, "--grid-eps"))
     elif args.grid_log2 is not None:
-        grid = [float(v) for v in args.grid_log2.split(",")]
-        est = growth_orders(model, log2_inv_eps=grid)
+        est = growth_orders(model, log2_inv_eps=_floats(args.grid_log2, "--grid-log2"))
     else:
         raise ValidationError("give one of --grid-eps, --grid-log2 or --packing-axes")
     if args.format == "csv":
@@ -270,11 +251,7 @@ def _cmd_metric_info(args) -> int:
 
 def _cmd_prob_info(args) -> int:
     model = parse_model(args.model, args.model_json)
-    eps, log2_inv = parse_epsilon(args.epsilon)
-    if eps is None:
-        eps = 2.0 ** (-log2_inv)
-    if not eps > 0.0:
-        raise ValidationError("channel information needs a representable epsilon > 0")
+    eps = NoiseLevel.of(*parse_epsilon(args.epsilon)).require_epsilon("channel information")
 
     if args.extremal is not None:
         cmp = extremal_comparison(model, eps, args.extremal, k_max=args.k_max)
@@ -317,8 +294,7 @@ def _cmd_prob_info(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        config = ExperimentConfig.from_json(json.load(fh))
+    config = ExperimentConfig.from_json(_read_json(args.config))
     env_seed = os.environ.get("FREDINFO_SEED")
     if env_seed is not None:
         try:

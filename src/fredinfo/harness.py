@@ -30,7 +30,7 @@ from .channel import (GaussianChannel, VarianceRule, mse_closed_form, k_alpha,
 from .errors import ValidationError
 from .spectra import (CoefficientVector, SpectrumModel, model_from_json,
                       model_to_json)
-from .truncation import k0
+from .truncation import NoiseLevel, _noise_grid, k0
 
 __all__ = [
     "TrialStream",
@@ -193,27 +193,14 @@ class ExperimentConfig:
     sided: str = "one_sided"
 
     def __post_init__(self):
-        if (self.epsilon_grid is None) == (self.log2_inv_eps_grid is None):
-            raise ValidationError(
-                "config needs exactly one of epsilon_grid or log2_inv_eps_grid")
+        levels = _noise_grid(self.epsilon_grid, self.log2_inv_eps_grid,
+                             ("epsilon_grid", "log2_inv_eps_grid"))
+        if not levels:
+            raise ValidationError("the noise grid is empty")
         if self.epsilon_grid is not None:
-            grid = tuple(float(e) for e in self.epsilon_grid)
-            if not grid:
-                raise ValidationError("epsilon_grid is empty")
-            if any(not (e > 0) or not math.isfinite(e) for e in grid):
-                raise ValidationError("epsilon_grid values must be positive and finite")
-            if any(b >= a for a, b in zip(grid, grid[1:])):
-                raise ValidationError("epsilon_grid must decrease strictly")
-            self.epsilon_grid = grid
+            self.epsilon_grid = tuple(level.given for level in levels)
         else:
-            grid = tuple(float(v) for v in self.log2_inv_eps_grid)
-            if not grid:
-                raise ValidationError("log2_inv_eps_grid is empty")
-            if any(not math.isfinite(v) for v in grid):
-                raise ValidationError("log2_inv_eps_grid values must be finite")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValidationError("log2_inv_eps_grid must increase strictly")
-            self.log2_inv_eps_grid = grid
+            self.log2_inv_eps_grid = tuple(level.log2_inv_eps for level in levels)
         if (self.rho is None) != (self.nu is None):
             raise ValidationError("rho and nu must be given together")
         if self.trials < 0:
@@ -307,29 +294,21 @@ class ExperimentResult:
         return csv_path, meta_path
 
 
-def _sweep_row(config: ExperimentConfig, epsilon: float | None,
-               log2_inv: float | None) -> dict:
+def _sweep_row(config: ExperimentConfig, level: NoiseLevel) -> dict:
     model = config.model
-    row: dict = {}
-    kwargs = {"epsilon": epsilon} if epsilon is not None else {"log2_inv_eps": log2_inv}
-    if epsilon is not None:
-        row["epsilon"] = epsilon
-    else:
-        rep = 2.0 ** (-log2_inv) if abs(log2_inv) <= 1022 else 0.0
-        row["epsilon"] = rep if rep > 0.0 else f"pow2:{-log2_inv:g}"
-    row["k0"] = k0(model, **kwargs)
-    row["lower_bits"] = metric.entropy_lower_bound(model, sided=config.sided, **kwargs)
+    sided = config.sided
+    eps = level.epsilon
+    row: dict = {"epsilon": eps if eps is not None else f"pow2:{-level.log2_inv_eps:g}"}
+    row["k0"] = level.cutoff(model)
+    row["lower_bits"] = metric.entropy_lower_bound(model, level, sided=sided)
     try:
-        row["upper_bits"] = metric.entropy_upper_bound(model, sided=config.sided, **kwargs)
+        row["upper_bits"] = metric.entropy_upper_bound(model, level, sided=sided)
     except ValidationError:
         row["upper_bits"] = None
-    row["logL_max"] = metric.max_message_length_log2(model, sided=config.sided, **kwargs)
+    row["logL_max"] = metric.max_message_length_log2(model, level, sided=sided)
 
-    eps_linear = epsilon if epsilon is not None else (
-        2.0 ** (-log2_inv) if abs(log2_inv) <= 1022 else None)
-    if config.rho is not None and eps_linear is not None and eps_linear > 0.0:
-        chan = GaussianChannel(model, config.rho, config.nu, eps_linear,
-                               k_max=config.k_max)
+    if config.rho is not None and eps is not None:
+        chan = GaussianChannel(model, config.rho, config.nu, eps, k_max=config.k_max)
         row["k_I"] = partition_IN(chan).k_I
         info = total_information(chan)
         row["exact_nats"] = info.exact_nats
@@ -352,13 +331,8 @@ def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
     decreases as the level drops.  Violations are recorded per row pair —
     the run always completes.
     """
-    rows = []
-    if config.epsilon_grid is not None:
-        for eps in config.epsilon_grid:
-            rows.append(_sweep_row(config, eps, None))
-    else:
-        for L in config.log2_inv_eps_grid:
-            rows.append(_sweep_row(config, None, L))
+    levels = _noise_grid(config.epsilon_grid, config.log2_inv_eps_grid)
+    rows = [_sweep_row(config, level) for level in levels]
 
     violations: list[str] = []
     for i in range(len(rows) - 1):
@@ -400,12 +374,6 @@ class SummaryRow:
     within_5pct: bool
 
 
-def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
-    A = np.vstack([x, np.ones_like(x)]).T
-    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(sol[0])
-
-
 def reproduce_summary_table() -> list[SummaryRow]:
     """Growth-order summary for the three reference spectra.
 
@@ -425,7 +393,7 @@ def reproduce_summary_table() -> list[SummaryRow]:
         est = metric.growth_orders(model, log2_inv_eps=exp_grid)
         Ls = np.asarray(exp_grid)
         logL = np.asarray([k0(model, log2_inv_eps=float(L)) * L for L in Ls])
-        slope = _fit_slope(np.log(Ls * math.log(2.0)), np.log(logL))
+        slope = metric._least_squares(np.log(Ls * math.log(2.0)), np.log(logL)).slope
         d_est = est.d_c_exp if est.d_c_exp is not None else est.d_c
         rows.append(SummaryRow(
             model=label, decay=decay, logL_exponent=slope,
@@ -437,7 +405,7 @@ def reproduce_summary_table() -> list[SummaryRow]:
     eps_grid = [10.0 ** (-p) for p in range(2, 11)]
     est = metric.growth_orders(green, eps_grid)
     cuts = np.asarray([k0(green, e) for e in eps_grid], dtype=float)
-    slope = _fit_slope(np.log(1.0 / np.asarray(eps_grid)), np.log(cuts))
+    slope = metric._least_squares(np.log(1.0 / np.asarray(eps_grid)), np.log(cuts)).slope
     d_est = est.d_c if est.d_c is not None else est.d_c_exp
     rows.append(SummaryRow(
         model="green", decay="power law: 1/(k^2 pi^2)",

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (NumericError, PreconditionError, UnsupportedError,
                      ValidationError)
 from .spectra import SpectrumModel
-from .truncation import _log2_inv, _resolve_eps, k0
+from .truncation import NoiseLevel, _noise_grid, k0
 
 __all__ = [
     "entropy_lower_bound",
@@ -51,7 +51,7 @@ def _check_sided(sided: str) -> None:
         raise ValidationError(f"sided must be one of {_SIDED}, got {sided!r}")
 
 
-def entropy_lower_bound(model: SpectrumModel, epsilon: float | None = None, *,
+def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
                         log2_inv_eps: float | None = None,
                         sided: str = "one_sided") -> float:
     """Volume lower bound on the eps-entropy, in bits.
@@ -62,9 +62,9 @@ def entropy_lower_bound(model: SpectrumModel, epsilon: float | None = None, *,
     center survives (``eps <= 1``).
     """
     _check_sided(sided)
-    mode, value = _resolve_eps(epsilon, log2_inv_eps)
-    L = _log2_inv(mode, value)
-    cut = k0(model, epsilon, log2_inv_eps=log2_inv_eps)
+    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    L = level.log2_inv_eps
+    cut = level.cutoff(model)
     if cut == 0:
         one = 0.0
     else:
@@ -77,7 +77,7 @@ def entropy_lower_bound(model: SpectrumModel, epsilon: float | None = None, *,
     return 2.0 * one + center
 
 
-def entropy_upper_bound(model: SpectrumModel, epsilon: float | None = None, *,
+def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
                         log2_inv_eps: float | None = None,
                         sided: str = "one_sided") -> float:
     """Lattice upper bound on the eps-entropy, in bits.
@@ -88,16 +88,9 @@ def entropy_upper_bound(model: SpectrumModel, epsilon: float | None = None, *,
     regime a validation error reports the bound as not applicable.
     """
     _check_sided(sided)
-    mode, value = _resolve_eps(epsilon, log2_inv_eps)
-    L = _log2_inv(mode, value)
-    if mode == "linear":
-        quarter_kwargs = {"epsilon": value / 4.0}
-        applicable = value < 4.0 * model.lambda_1
-    else:
-        quarter_kwargs = {"log2_inv_eps": value + 2.0}
-        applicable = -L < math.log2(4.0) + model.log2_eigenvalues(np.asarray([1]))[0]
-    cut_q = k0(model, **quarter_kwargs)
-    if cut_q < 1 or not applicable:
+    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    cut_q = level.quarter.cutoff(model)
+    if cut_q < 1 or not level.below_4_lambda_1(model):
         raise PreconditionError(
             "upper bound not applicable: requires eps < 4*lambda_1 and "
             "k0(eps/4) >= 1",
@@ -105,7 +98,7 @@ def entropy_upper_bound(model: SpectrumModel, epsilon: float | None = None, *,
     m = cut_q
     if sided == "total" and model.two_sided:
         m = 2 * cut_q + 1
-    return m * (L + _LOG2_6 + 0.5 * math.log2(m))
+    return m * (level.log2_inv_eps + _LOG2_6 + 0.5 * math.log2(m))
 
 
 @dataclass
@@ -132,7 +125,7 @@ class CapacityBounds:
         }
 
 
-def capacity_interval(model: SpectrumModel, epsilon: float | None = None, *,
+def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
                       log2_inv_eps: float | None = None,
                       sided: str = "one_sided") -> CapacityBounds:
     """Both entropy bounds plus the cutoffs they rest on.
@@ -140,33 +133,24 @@ def capacity_interval(model: SpectrumModel, epsilon: float | None = None, *,
     The lower bound never exceeds the upper one; counts are multiplicity
     weighted when ``sided="total"``.  When the upper bound's precondition
     fails, ``upper_bits`` is ``None`` rather than an error so sweeps can
-    cover coarse noise levels.
+    cover coarse noise levels.  Each of ``k0(eps)`` and ``k0(eps/4)`` is
+    scanned once (the level remembers its cutoffs).
     """
     _check_sided(sided)
-    mode, value = _resolve_eps(epsilon, log2_inv_eps)
-    L = _log2_inv(mode, value)
-    lower = entropy_lower_bound(model, epsilon, log2_inv_eps=log2_inv_eps, sided=sided)
+    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    L = level.log2_inv_eps
+    lower = entropy_lower_bound(model, level, sided=sided)
     try:
-        upper = entropy_upper_bound(model, epsilon, log2_inv_eps=log2_inv_eps,
-                                    sided=sided)
+        upper = entropy_upper_bound(model, level, sided=sided)
     except PreconditionError:
         upper = None
-    cut = k0(model, epsilon, log2_inv_eps=log2_inv_eps)
-    if mode == "linear":
-        cut_q = k0(model, value / 4.0)
-    else:
-        cut_q = k0(model, log2_inv_eps=value + 2.0)
+    cut = level.cutoff(model)
+    cut_q = level.quarter.cutoff(model)
     if sided == "total" and model.two_sided:
         cut = 2 * cut + (1 if L >= 0.0 else 0)
         cut_q = 2 * cut_q + (1 if L + 2.0 >= 0.0 else 0)
-    if mode == "linear":
-        eps_float = value
-    else:
-        eps_float = 2.0 ** (-value) if abs(value) <= 1022 else None
-        if eps_float == 0.0:
-            eps_float = None
     return CapacityBounds(
-        epsilon=eps_float,
+        epsilon=level.epsilon,
         log2_inv_eps=L,
         k0_eps=cut,
         k0_eps_over_4=cut_q,
@@ -176,7 +160,7 @@ def capacity_interval(model: SpectrumModel, epsilon: float | None = None, *,
     )
 
 
-def max_message_length_log2(model: SpectrumModel, epsilon: float | None = None, *,
+def max_message_length_log2(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
                             log2_inv_eps: float | None = None,
                             sided: str = "one_sided") -> float:
     """log2 of the longest reliably decodable message count.
@@ -185,12 +169,11 @@ def max_message_length_log2(model: SpectrumModel, epsilon: float | None = None, 
     exactly one bit.  Zero when nothing survives the cutoff.
     """
     _check_sided(sided)
-    mode, value = _resolve_eps(epsilon, log2_inv_eps)
-    L = _log2_inv(mode, value)
-    cut = k0(model, epsilon, log2_inv_eps=log2_inv_eps)
+    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    cut = level.cutoff(model)
     if cut == 0:
         return 0.0
-    bits = cut * L
+    bits = cut * level.log2_inv_eps
     if sided == "total" and model.two_sided:
         bits += 1.0
     return bits
@@ -259,23 +242,9 @@ def growth_orders(model: SpectrumModel, epsilons: Sequence[float] | None = None,
     exact.  Requires at least 8 points spanning at least 4 decades, all below
     ``lambda_1``.  Counting uses the enumerative cutoff.
     """
-    if (epsilons is None) == (log2_inv_eps is None):
-        raise ValidationError("give exactly one of epsilons or log2_inv_eps")
-    if epsilons is not None:
-        eps = [float(e) for e in epsilons]
-        if any(not (e > 0) or not math.isfinite(e) for e in eps):
-            raise ValidationError("epsilons must be positive finite floats")
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-            raise ValidationError("epsilons must decrease strictly")
-        Ls = np.asarray([-math.log2(e) for e in eps])
-        cuts = np.asarray([k0(model, e) for e in eps], dtype=float)
-    else:
-        Ls = np.asarray([float(v) for v in log2_inv_eps])
-        if not np.all(np.isfinite(Ls)):
-            raise ValidationError("log2_inv_eps must be finite")
-        if np.any(np.diff(Ls) <= 0):
-            raise ValidationError("log2_inv_eps must increase strictly")
-        cuts = np.asarray([k0(model, log2_inv_eps=float(L)) for L in Ls], dtype=float)
+    levels = _noise_grid(epsilons, log2_inv_eps)
+    Ls = np.asarray([level.log2_inv_eps for level in levels])
+    cuts = np.asarray([k0(model, level) for level in levels], dtype=float)
 
     if Ls.size < 8:
         raise ValidationError(f"need at least 8 grid points, got {Ls.size}")

@@ -596,11 +596,14 @@ def model_from_json(obj: dict) -> SpectrumModel:
                     expanded.extend([v] * int(m))
                 return tabulated_model(expanded, allow_ties=True, k_max=k_max)
             return tabulated_model(values, k_max=k_max)
+    except ValidationError:
+        raise
     except KeyError as exc:
-        raise ValidationError(f"model JSON missing field {exc}") from exc
-    except TypeError as exc:
+        raise ValidationError(f"model {kind!r} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model JSON: {exc}") from exc
-    raise ValidationError(f"unknown model kind {kind!r}")
+    raise ValidationError(
+        f"unknown model kind {kind!r}: expected poisson, heat, green or tabulated")
 
 
 def model_from_json_str(text: str) -> SpectrumModel:

@@ -9,14 +9,16 @@ below the noise level::
 
 ``k0`` is computed by enumeration of the decreasing spectrum — that scan is
 the ground truth the per-family closed forms are checked against.  Both
-accept the noise level either as a plain float or as ``log2(1/eps)`` so that
-levels far below the float underflow threshold stay usable.
+accept the noise level either as a plain float or as ``log2(1/eps)`` (one
+:class:`NoiseLevel` carries either form) so that levels far below the float
+underflow threshold stay usable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +27,7 @@ from .errors import InconclusiveError, PreconditionError, ValidationError
 from .spectra import CoefficientVector, SpectrumModel, forward_apply
 
 __all__ = [
+    "NoiseLevel",
     "k0",
     "k0_closed_form",
     "generalized_k0",
@@ -43,32 +46,122 @@ _SLACK = 1.0 + 1e-12
 _LN2 = math.log(2.0)
 
 
-def _resolve_eps(epsilon: float | None, log2_inv_eps: float | None):
-    """Normalize the two accepted noise-level forms.
+@dataclass(frozen=True)
+class NoiseLevel:
+    """One noise level ``eps``, given either as a float or as ``log2(1/eps)``.
 
-    Returns ``(mode, value)`` where mode is ``"linear"`` (value = eps > 0) or
-    ``"log2"`` (value = log2(1/eps), any finite float).  Exactly one of the
-    two arguments must be given.
+    ``log2_inv_eps`` is always the exact exponent; ``given`` holds the float
+    when the level was supplied as one.  Cutoffs compare eigenvalues in the
+    domain the level was given in (floats as floats, exponents in log2), so
+    boundary ties resolve exactly as the caller wrote the level.  Each level
+    remembers the cutoffs it has scanned (:meth:`cutoff`), so quantities that
+    share a level share its scans.
     """
-    if (epsilon is None) == (log2_inv_eps is None):
-        raise ValidationError("give exactly one of epsilon or log2_inv_eps")
-    if epsilon is not None:
-        eps = float(epsilon)
-        if not (eps > 0.0) or not math.isfinite(eps):
-            raise ValidationError(f"epsilon must be a positive finite float, got {epsilon!r}")
-        return "linear", eps
-    L = float(log2_inv_eps)
-    if not math.isfinite(L):
-        raise ValidationError(f"log2_inv_eps must be finite, got {log2_inv_eps!r}")
-    return "log2", L
+
+    log2_inv_eps: float
+    given: float | None = None
+    _cuts: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        L, eps = self.log2_inv_eps, self.given
+        if eps is not None:
+            if not (eps > 0.0) or not math.isfinite(eps):
+                raise ValidationError(f"epsilon must be a positive finite float, got {eps!r}")
+            if L != -math.log2(eps):
+                raise ValidationError(
+                    f"log2_inv_eps {L!r} does not match epsilon {eps!r}")
+        elif not math.isfinite(L):
+            raise ValidationError(f"log2_inv_eps must be finite, got {L!r}")
+
+    @classmethod
+    def of(cls, epsilon: float | NoiseLevel | None = None,
+           log2_inv_eps: float | None = None) -> NoiseLevel:
+        """Normalize the public ``epsilon=None, *, log2_inv_eps=None`` pair.
+
+        ``epsilon`` may be a float or already a :class:`NoiseLevel`; exactly
+        one of the two arguments must be given.
+        """
+        if (epsilon is None) == (log2_inv_eps is None):
+            raise ValidationError("give exactly one of epsilon or log2_inv_eps")
+        if isinstance(epsilon, NoiseLevel):
+            return epsilon
+        if epsilon is not None:
+            eps = float(epsilon)
+            return cls(-math.log2(eps) if eps > 0.0 else math.nan, eps)
+        return cls(float(log2_inv_eps))
+
+    @property
+    def epsilon(self) -> float | None:
+        """``eps`` as a float, or None outside float range.
+
+        A level given as a float returns it; an exponent ``L`` becomes
+        ``2**-L`` when ``|L| <= 1022`` (a normal float) and None beyond.
+        """
+        if self.given is not None:
+            return self.given
+        L = self.log2_inv_eps
+        return 2.0 ** -L if abs(L) <= 1022 else None
+
+    def require_epsilon(self, what: str) -> float:
+        """:attr:`epsilon`, raising ValidationError when there is no float."""
+        eps = self.epsilon
+        if eps is None:
+            raise ValidationError(
+                f"{what} needs a representable epsilon: 2**{-self.log2_inv_eps:g} "
+                "is outside float range (|log2(1/eps)| <= 1022)")
+        return eps
+
+    @cached_property
+    def quarter(self) -> NoiseLevel:
+        """The level ``eps/4``, in the same form (one object per level)."""
+        if self.given is not None:
+            return NoiseLevel.of(self.given / 4.0)
+        return NoiseLevel(self.log2_inv_eps + 2.0)
+
+    def cutoff(self, model: SpectrumModel) -> int:
+        """``k0(model, self)``, scanned on the first call for each model."""
+        for known, cut in self._cuts:
+            if known is model:
+                return cut
+        cut = k0(model, self)
+        self._cuts.append((model, cut))
+        return cut
+
+    def kept(self, model: SpectrumModel, ks: np.ndarray) -> np.ndarray:
+        """Mask of ``lambda_k >= eps`` over the indices ``ks``."""
+        if self.given is not None:
+            return model.eigenvalues(ks) >= self.given
+        return model.log2_eigenvalues(ks) >= -self.log2_inv_eps
+
+    def below_4_lambda_1(self, model: SpectrumModel) -> bool:
+        """``eps < 4 lambda_1``: the lattice upper bound's applicability test."""
+        if self.given is not None:
+            return self.given < 4.0 * model.lambda_1
+        return -self.log2_inv_eps < 2.0 + model.log2_eigenvalues(np.asarray([1]))[0]
 
 
-def _log2_inv(mode: str, value: float) -> float:
-    """log2(1/eps) for either input mode."""
-    return -math.log2(value) if mode == "linear" else value
+def _noise_grid(epsilons: Sequence[float] | None, log2_inv_eps: Sequence[float] | None,
+                names: tuple[str, str] = ("epsilons", "log2_inv_eps")) -> list[NoiseLevel]:
+    """Levels of a grid given as decreasing floats or as increasing exponents.
+
+    Exactly one of the two sequences must be given; ``names`` label them in
+    error messages.
+    """
+    floats, exps = names
+    if (epsilons is None) == (log2_inv_eps is None):
+        raise ValidationError(f"give exactly one of {floats} or {exps}")
+    if epsilons is not None:
+        levels = [NoiseLevel.of(e) for e in epsilons]
+        if any(b.given >= a.given for a, b in zip(levels, levels[1:])):
+            raise ValidationError(f"{floats} must decrease strictly")
+    else:
+        levels = [NoiseLevel.of(log2_inv_eps=L) for L in log2_inv_eps]
+        if any(b.log2_inv_eps <= a.log2_inv_eps for a, b in zip(levels, levels[1:])):
+            raise ValidationError(f"{exps} must increase strictly")
+    return levels
 
 
-def k0(model: SpectrumModel, epsilon: float | None = None, *,
+def k0(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
        log2_inv_eps: float | None = None) -> int:
     """Cutoff index: largest k with ``lambda_k >= eps`` (0 if none).
 
@@ -83,7 +176,7 @@ def k0(model: SpectrumModel, epsilon: float | None = None, *,
     InconclusiveError
         The cutoff exceeds the enumeration safety cap (2**22).
     """
-    mode, value = _resolve_eps(epsilon, log2_inv_eps)
+    level = NoiseLevel.of(epsilon, log2_inv_eps)
     length = model.spectrum_length
     hard_cap = length if length is not None else _SCAN_CAP
 
@@ -93,10 +186,7 @@ def k0(model: SpectrumModel, epsilon: float | None = None, *,
     while start <= hard_cap:
         stop = min(start + block - 1, hard_cap)
         ks = np.arange(start, stop + 1)
-        if mode == "linear":
-            ok = model.eigenvalues(ks) >= value
-        else:
-            ok = model.log2_eigenvalues(ks) >= -value
+        ok = level.kept(model, ks)
         if not ok.all():
             first_bad = int(np.argmin(ok))  # spectrum decreasing -> first failure is final
             return start + first_bad - 1
@@ -110,7 +200,7 @@ def k0(model: SpectrumModel, epsilon: float | None = None, *,
         "small for this spectrum's decay")
 
 
-def k0_closed_form(model: SpectrumModel, epsilon: float | None = None, *,
+def k0_closed_form(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
                    log2_inv_eps: float | None = None) -> int:
     """Printed closed-form cutoff for the three analytic families.
 
@@ -123,8 +213,8 @@ def k0_closed_form(model: SpectrumModel, epsilon: float | None = None, *,
     Must equal :func:`k0` except possibly at exact boundary ties, which the
     floor resolves toward inclusion.
     """
-    mode, value = _resolve_eps(epsilon, log2_inv_eps)
-    L2 = _log2_inv(mode, value)  # log2(1/eps)
+    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    L2 = level.log2_inv_eps
     if model.kind == "poisson":
         a, b = model.params["a"], model.params["b"]
         x = L2 / math.log2(b / a)
@@ -136,8 +226,8 @@ def k0_closed_form(model: SpectrumModel, epsilon: float | None = None, *,
             return 0
         return math.floor(math.sqrt(t))
     if model.kind == "green":
-        if mode == "linear":
-            return max(0, math.floor(1.0 / (math.pi * math.sqrt(value))))
+        if level.given is not None:
+            return max(0, math.floor(1.0 / (math.pi * math.sqrt(level.given))))
         if L2 > 2000.0:
             raise InconclusiveError(
                 "green closed-form cutoff overflows floats at this exponent")
@@ -155,7 +245,7 @@ def generalized_k0(model: SpectrumModel,
     end — otherwise the answer cannot be certified and an
     :class:`InconclusiveError` is raised rather than silently truncating.
     """
-    _, eps = _resolve_eps(epsilon, None)
+    eps = NoiseLevel.of(epsilon).require_epsilon("generalized_k0")
     limit = model.k_max
     if model.spectrum_length is not None:
         limit = min(limit, model.spectrum_length)
@@ -212,15 +302,6 @@ class TruncationReport:
         return obj
 
 
-def _retained_mask(model: SpectrumModel, vec: CoefficientVector, eps: float) -> np.ndarray:
-    """Boolean mask of the entries kept by the cutoff, per |k|.
-
-    The center mode of two-sided models is governed by ``lambda_0 = 1``.
-    """
-    lam = vec.eigenvalue_profile()
-    return lam >= eps
-
-
 def truncated_solution(model: SpectrumModel, data: CoefficientVector,
                        epsilon: float,
                        reference: CoefficientVector | None = None) -> TruncationReport:
@@ -232,13 +313,12 @@ def truncated_solution(model: SpectrumModel, data: CoefficientVector,
     inverted).  When ``reference`` is supplied the report carries the
     distance diagnostics used by the error bounds.
     """
-    _, eps = _resolve_eps(epsilon, None)
+    eps = NoiseLevel.of(epsilon).require_epsilon("truncated_solution")
     if data.model != model:
         raise ValidationError("truncated_solution: data uses a different model")
     cut = k0(model, eps)
-    mask = _retained_mask(model, data, eps)
-    lam = data.eigenvalue_profile()
-    entries = np.where(mask, data.entries / lam, np.zeros_like(data.entries))
+    lam = data.eigenvalue_profile()  # center mode of two-sided models: lambda_0 = 1
+    entries = np.where(lam >= eps, data.entries / lam, np.zeros_like(data.entries))
     f_star = CoefficientVector(model, entries)
     report = TruncationReport(epsilon=eps, k0=min(cut, data.K), f_star=f_star)
     if reference is not None:
@@ -304,7 +384,7 @@ def lemma1_check(model: SpectrumModel, f: CoefficientVector,
         ||f - f*||       <= sqrt(2)
         ||A (f - f*)||^2 + eps^2 ||f - f*||^2  <= 4 eps^2
     """
-    _, eps = _resolve_eps(epsilon, None)
+    eps = NoiseLevel.of(epsilon).require_epsilon("lemma1_check")
     if f.model != model or data.model != model:
         raise ValidationError("lemma1_check: vectors use a different model")
     f.require_same_basis(data, "lemma1_check")

@@ -1,0 +1,81 @@
+"""Inputs that must end in exit code 2 with a one-line error, never a traceback."""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from fredinfo import CoefficientVector, green_model
+from fredinfo.cli import main
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    # the exponent overflows a float
+    ("prob-info", "--model", "green", "--epsilon", "pow2:2000", "--extremal", "alpha"),
+    # the exponent is subnormal: once printed inf for the information sums
+    ("prob-info", "--model", "green:k_max=8", "--epsilon", "pow2:-1050",
+     "--rho", "constant:1", "--nu", "constant:1"),
+], ids=["overflow", "subnormal"])
+def test_prob_info_outside_float_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "representable" in err and "float range" in err
+
+
+def test_truncate_data_with_subnormal_exponent_exits_2(capsys, tmp_path):
+    model = green_model(k_max=4)
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(CoefficientVector(model, np.ones(4)).to_json()))
+    code, _, err = run(capsys, "truncate", "--model", "green:k_max=4",
+                       "--epsilon", "pow2:-1050", "--data", str(data_path))
+    assert code == 2 and "float range" in err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--packing-axes", ("--packing-axes", "a,b", "--epsilon", "0.4", "--step", "0.1")),
+    ("--grid-eps", ("--model", "green", "--grid-eps", "x")),
+    ("--grid-log2", ("--model", "green", "--grid-log2", "x")),
+], ids=["packing-axes", "grid-eps", "grid-log2"])
+def test_malformed_number_list_exits_2(capsys, flag, argv):
+    code, _, err = run(capsys, "metric-info", *argv)
+    assert code == 2 and flag in err
+
+
+def test_tabulated_model_json_with_text_value_exits_2(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "tabulated", "values": [0.5, "x"]}))
+    code, _, err = run(capsys, "eigens", "--model-json", str(path), "--k-hi", "1")
+    assert code == 2 and "malformed model JSON" in err
+
+
+def test_invalid_json_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("{not json")
+    code, _, err = run(capsys, "eigens", "--model-json", str(path), "--k-hi", "1")
+    assert code == 2 and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_eigens_k_hi_zero_exits_2(capsys, fmt):
+    code, out, err = run(capsys, "eigens", "--model", "green", "--k-hi", "0",
+                         "--format", fmt)
+    assert code == 2 and out == "" and "k_hi" in err
+
+
+def test_fractional_k_max_exits_2(capsys):
+    code, out, err = run(capsys, "capacity", "--model", "poisson:a=0.5,b=1,k_max=2.5",
+                         "--epsilon", "0.1")
+    assert code == 2 and out == "" and "k_max" in err
+
+
+def test_unknown_model_parameter_exits_2(capsys):
+    code, _, err = run(capsys, "capacity", "--model", "green:foo=1", "--epsilon", "0.1")
+    assert code == 2 and "foo" in err
