@@ -20,16 +20,17 @@ Internal units are nats; conversion to bits happens at reporting boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .errors import UnsupportedError, ValidationError
+from .errors import InconclusiveError, UnsupportedError, ValidationError
 from .metric import entropy_lower_bound
-from .spectra import CoefficientVector, SpectrumModel
-from .truncation import k0
+from .spectra import (CoefficientVector, SpectrumModel, _lookup, model_from_json,
+                      model_to_json)
+from .truncation import _SCAN_CAP, k0
 
 __all__ = [
     "VarianceRule",
@@ -76,7 +77,7 @@ class VarianceRule:
     * ``power``: ``c k^-p`` (p > 0) — Hurwitz zeta; summable when ``2p > 1``.
     * ``gaussian``: ``c exp(-s k^2)`` (s > 0) — super-geometric partial sums
       (the first omitted term already bounds the remainder below float
-      resolution at the summation depth used).
+      resolution at the summation depth used; refused past 2**22 terms).
     * ``inverse_spectrum``: ``(1 + delta0/k) / lambda_k`` for a model —
       grows, never summable.
     * ``custom``: explicit per-k values; summable only with a declared tail.
@@ -91,44 +92,13 @@ class VarianceRule:
         return float(self.values(np.asarray([k]))[0])
 
     def values(self, ks: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.int64)
-        kind = self.kind
-        if kind == "constant":
-            return np.full(ks.shape, self.params["c"], dtype=float)
-        if kind == "geometric":
-            return self.params["c"] * self.params["q"] ** ks.astype(float)
-        if kind == "power":
-            if np.any(ks < 1):
-                raise ValidationError("power rule is defined for k >= 1")
-            return self.params["c"] * ks.astype(float) ** (-self.params["p"])
-        if kind == "gaussian":
-            return self.params["c"] * np.exp(-self.params["s"] * ks.astype(float) ** 2)
-        if kind == "inverse_spectrum":
-            if np.any(ks < 1):
-                raise ValidationError("inverse_spectrum rule is defined for k >= 1")
-            model: SpectrumModel = self.params["model"]
-            delta = self.params["delta0"] / ks.astype(float)
-            return (1.0 + delta) / model.eigenvalues(ks)
-        if kind == "custom":
-            vals = self.params["values"]
-            if np.any(ks < 1) or np.any(ks > len(vals)):
-                raise ValidationError(
-                    f"custom rule holds {len(vals)} values, index out of range")
-            return np.asarray(vals, dtype=float)[ks - 1]
-        raise ValidationError(f"unknown variance rule kind {kind!r}")
+        return RULES[self.kind].values(self.params, np.asarray(ks, dtype=np.int64))
 
     # -- second-moment sums ---------------------------------------------------
 
     @property
     def is_trace_class(self) -> bool:
-        kind = self.kind
-        if kind == "geometric" or kind == "gaussian":
-            return True
-        if kind == "power":
-            return 2.0 * self.params["p"] > 1.0
-        if kind == "custom":
-            return self.params["tail_sum_sq"] is not None
-        return False
+        return RULES[self.kind].trace_class(self.params)
 
     def sum_sq_total(self) -> float:
         """``sum_{k>=1} sigma_k^2`` (the prior energy Gamma, when finite)."""
@@ -141,34 +111,7 @@ class VarianceRule:
         if not self.is_trace_class:
             raise UnsupportedError(
                 f"{self.kind} rule is not trace class; tail sums diverge")
-        kind = self.kind
-        if kind == "geometric":
-            c, q = self.params["c"], self.params["q"]
-            q2 = q * q
-            return c * c * q2 ** (m + 1) / (1.0 - q2)
-        if kind == "power":
-            c, p = self.params["c"], self.params["p"]
-            return c * c * float(_hurwitz_zeta(2.0 * p, m + 1))
-        if kind == "gaussian":
-            c, s = self.params["c"], self.params["s"]
-            total = 0.0
-            k = m + 1
-            while True:
-                term = math.exp(-2.0 * s * k * k)
-                total += term
-                if term < 1e-320 or term < 1e-18 * total:
-                    break
-                k += 1
-            return c * c * total
-        # custom
-        vals = np.asarray(self.params["values"], dtype=float)
-        tail = float(self.params["tail_sum_sq"])
-        if m >= len(vals):
-            if m > len(vals):
-                raise ValidationError(
-                    "custom rule cannot start a tail beyond its declared values")
-            return tail
-        return float(np.sum(vals[m:] ** 2)) + tail
+        return RULES[self.kind].sum_sq_tail(self.params, m)
 
 
 def _positive(name: str, v: float) -> float:
@@ -215,44 +158,103 @@ def custom_rule(values: Sequence[float], tail_sum_sq: float | None = None) -> Va
     return VarianceRule("custom", {"values": vals, "tail_sum_sq": tail_sum_sq})
 
 
-_RULE_FACTORIES = {
-    "constant": (constant_rule, ("c",)),
-    "geometric": (geometric_rule, ("c", "q")),
-    "power": (power_rule, ("c", "p")),
-    "gaussian": (gaussian_rule, ("c", "s")),
+@dataclass(frozen=True)
+class _Rule:
+    """One variance rule.  The formulas take the rule's ``params``, then
+    int64 indices (``values``) or the tail start ``m`` (``sum_sq_tail``)."""
+
+    names: tuple[str, ...]                  # parameters, in factory order
+    values: Callable[[dict, np.ndarray], np.ndarray]
+    build: Callable[..., VarianceRule] | None = None  # the factory, from names' values
+    trace_class: Callable[[dict], bool] = lambda p: False
+    sum_sq_tail: Callable[[dict, int], float] | None = None  # sum_{k>m} sigma_k^2
+    read: Callable[[dict], VarianceRule] | None = None  # JSON form, when not
+    write: Callable[[dict], dict] | None = None         # just the names' values
+
+
+def _k1(ks: np.ndarray, kind: str) -> np.ndarray:
+    """The indices as floats, checked to start at 1."""
+    if np.any(ks < 1):
+        raise ValidationError(f"{kind} rule is defined for k >= 1")
+    return ks.astype(float)
+
+
+def _custom_tail(p: dict, m: int) -> float:
+    vals = np.asarray(p["values"], dtype=float)
+    if m > len(vals):
+        raise ValidationError("custom rule cannot start a tail beyond its declared values")
+    return float(np.sum(vals[m:] ** 2)) + float(p["tail_sum_sq"])
+
+
+def _gaussian_tail(p: dict, m: int) -> float:
+    """Terms until one drops below 1e-18 of the sum: about ``s**-1/2`` of them."""
+    s = p["s"]
+    total = 0.0
+    for k in range(m + 1, m + 1 + _SCAN_CAP):
+        term = math.exp(-2.0 * s * k * k)
+        total += term
+        if term < 1e-320 or term < 1e-18 * total:
+            return p["c"] * p["c"] * total
+    raise InconclusiveError(f"gaussian tail sum needs more than {_SCAN_CAP} terms at s={s!r}")
+
+
+# One entry per variance rule (see VarianceRule).  Entries reach the factories
+# and the model JSON functions through module globals, at call time.
+RULES: dict[str, _Rule] = {
+    "constant": _Rule(
+        ("c",), lambda p, k: np.full(k.shape, p["c"], dtype=float),
+        build=lambda c: constant_rule(c)),
+    "geometric": _Rule(
+        ("c", "q"), lambda p, k: p["c"] * p["q"] ** k.astype(float),
+        build=lambda c, q: geometric_rule(c, q), trace_class=lambda p: True,
+        sum_sq_tail=lambda p, m: (p["c"] * p["c"] * (p["q"] * p["q"]) ** (m + 1)
+                                  / (1.0 - p["q"] * p["q"]))),
+    "power": _Rule(
+        ("c", "p"), lambda p, k: p["c"] * _k1(k, "power") ** (-p["p"]),
+        build=lambda c, p: power_rule(c, p), trace_class=lambda p: 2.0 * p["p"] > 1.0,
+        sum_sq_tail=lambda p, m: p["c"] * p["c"] * float(_hurwitz_zeta(2.0 * p["p"], m + 1))),
+    "gaussian": _Rule(
+        ("c", "s"), lambda p, k: p["c"] * np.exp(-p["s"] * k.astype(float) ** 2),
+        build=lambda c, s: gaussian_rule(c, s), trace_class=lambda p: True,
+        sum_sq_tail=_gaussian_tail),
+    "inverse_spectrum": _Rule(
+        ("delta0",),
+        lambda p, k: (1.0 + p["delta0"] / _k1(k, "inverse_spectrum")) / p["model"].eigenvalues(k),
+        read=lambda o: inverse_spectrum_rule(model_from_json(o["model"]), o.get("delta0", 1e-9)),
+        write=lambda p: {"delta0": p["delta0"], "model": model_to_json(p["model"])}),
+    "custom": _Rule(
+        ("values", "tail_sum_sq"),
+        lambda p, k: _lookup(p["values"], k, "custom rule"),
+        trace_class=lambda p: p["tail_sum_sq"] is not None, sum_sq_tail=_custom_tail,
+        read=lambda o: custom_rule(o["values"], o.get("tail_sum_sq")),
+        write=lambda p: {"values": list(p["values"]), "tail_sum_sq": p["tail_sum_sq"]}),
 }
 
 
 def rule_to_json(rule: VarianceRule) -> dict:
-    if rule.kind == "inverse_spectrum":
-        from .spectra import model_to_json
-        return {"kind": rule.kind, "delta0": rule.params["delta0"],
-                "model": model_to_json(rule.params["model"])}
-    if rule.kind == "custom":
-        return {"kind": "custom", "values": list(rule.params["values"]),
-                "tail_sum_sq": rule.params["tail_sum_sq"]}
-    obj = {"kind": rule.kind}
-    obj.update(rule.params)
-    return obj
+    entry = RULES[rule.kind]
+    fields = (entry.write(rule.params) if entry.write
+              else {name: rule.params[name] for name in entry.names})
+    return {"kind": rule.kind, **fields}
 
 
 def rule_from_json(obj: dict) -> VarianceRule:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("variance rule JSON must carry a 'kind'")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in RULES:
+        raise ValidationError(f"unknown variance rule kind {kind!r}")
+    entry = RULES[kind]
     try:
-        if kind in _RULE_FACTORIES:
-            factory, names = _RULE_FACTORIES[kind]
-            return factory(*[obj[name] for name in names])
-        if kind == "custom":
-            return custom_rule(obj["values"], obj.get("tail_sum_sq"))
-        if kind == "inverse_spectrum":
-            from .spectra import model_from_json
-            return inverse_spectrum_rule(model_from_json(obj["model"]),
-                                         obj.get("delta0", 1e-9))
+        if entry.read:
+            return entry.read(obj)
+        return entry.build(*[obj[name] for name in entry.names])
+    except ValidationError:
+        raise
     except KeyError as exc:
-        raise ValidationError(f"variance rule JSON missing field {exc}") from exc
-    raise ValidationError(f"unknown variance rule kind {kind!r}")
+        raise ValidationError(f"variance rule {kind!r} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed variance rule {kind!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +308,10 @@ class GaussianChannel:
             raise ValidationError(
                 "signal-to-noise ratios lambda_k rho_k / nu_k must be pairwise "
                 "distinct; tie detected")
+        with np.errstate(divide="ignore", over="ignore"):
+            if eps > 0.0 and not np.all(np.isfinite(lam * rho / (eps * nu))):
+                raise ValidationError(f"epsilon={eps!r} is too small for the channel: "
+                                      "lambda_k rho_k / (eps nu_k) overflows")
         object.__setattr__(self, "_lam", lam)
         object.__setattr__(self, "_rho", rho)
         object.__setattr__(self, "_nu", nu)
@@ -345,8 +351,7 @@ class ComponentInfo:
     in_I: bool
 
     def to_json(self) -> dict:
-        return {"k": self.k, "r_squared": self.r_squared,
-                "J_nats": self.J_nats, "in_I": self.in_I}
+        return asdict(self)
 
 
 def _info_from_ratio(ratio: float) -> tuple[float, float]:
@@ -578,17 +583,7 @@ class ExtremalComparison:
     note: str
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "epsilon": self.epsilon,
-            "k0": self.k0,
-            "k_I": self.k_I,
-            "exact_nats": self.exact_nats,
-            "approx_nats": self.approx_nats,
-            "reference_nats": self.reference_nats,
-            "trace_class": self.trace_class,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def extremal_comparison(model: SpectrumModel, epsilon: float, case: str,

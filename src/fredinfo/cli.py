@@ -24,16 +24,16 @@ import os
 import sys
 
 from . import __version__
-from .channel import (_RULE_FACTORIES, GaussianChannel, component_information,
-                      extremal_comparison, inverse_spectrum_rule, k_alpha,
-                      mse_closed_form, partition_IN, total_information)
+from .channel import (RULES, GaussianChannel, component_information,
+                      extremal_comparison, k_alpha, mse_closed_form, partition_IN,
+                      rule_from_json, total_information)
 from .errors import NumericError, ValidationError
 from .harness import (ExperimentConfig, _fmt, convergence_sweep,
                       reproduce_summary_table, summary_table_csv)
 from .metric import (capacity_interval, greedy_packing_count, growth_orders,
                      max_message_length_log2)
-from .spectra import (CoefficientVector, SpectrumModel, export_spectrum_csv,
-                      model_from_json)
+from .spectra import (FAMILIES, CoefficientVector, SpectrumModel,
+                      export_spectrum_csv, model_from_json)
 from .truncation import NoiseLevel, k0, k0_closed_form, truncated_solution
 
 __all__ = ["main", "build_parser"]
@@ -112,26 +112,21 @@ def parse_model(spec: str | None, json_path: str | None) -> SpectrumModel:
 
 
 def parse_rule(spec: str, model: SpectrumModel):
-    """Variance-rule syntax ``kind:v1[,v2]`` (e.g. ``geometric:1,0.5``)."""
+    """Variance-rule syntax ``kind:v1[,v2]`` (e.g. ``geometric:1,0.5``).
+
+    The numbers fill the rule's parameters in order, and the rule is read as
+    its JSON form with the model alongside (``inverse_spectrum`` uses it).
+    """
     kind, _, rest = spec.partition(":")
-    if kind == "inverse_spectrum":
-        if rest:
-            try:
-                return inverse_spectrum_rule(model, float(rest))
-            except ValueError:
-                raise ValidationError(f"bad delta0 in {spec!r}")
-        return inverse_spectrum_rule(model)
-    if kind not in _RULE_FACTORIES:
+    if kind not in RULES:
         raise ValidationError(
-            f"unknown variance rule {kind!r}: expected one of "
-            f"{sorted(_RULE_FACTORIES)} or inverse_spectrum")
-    factory, names = _RULE_FACTORIES[kind]
+            f"unknown variance rule {kind!r}: expected one of {sorted(RULES)}")
+    names = RULES[kind].names
     vals = _floats(rest, f"rule {kind!r}") if rest else []
-    if len(vals) != len(names):
+    if len(vals) > len(names):
         raise ValidationError(
-            f"rule {kind!r} takes {len(names)} parameter(s) "
-            f"{names}, got {len(vals)}")
-    return factory(*vals)
+            f"rule {kind!r} takes {len(names)} parameter(s) {names}, got {len(vals)}")
+    return rule_from_json({"kind": kind, "model": model.to_json(), **dict(zip(names, vals))})
 
 
 def _load_vector(path: str, model: SpectrumModel) -> CoefficientVector:
@@ -328,7 +323,10 @@ def _cmd_table(args) -> int:
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", help="poisson:a=A,b=B | heat:D=D,a=A,b=B | green")
+    specs = (f"{kind}:{','.join(f'{name}=...' for name in family.names)}".rstrip(":")
+             for kind, family in FAMILIES.items())
+    p.add_argument("--model", help=" | ".join(specs)
+                   + " (optional k_max=N; list values need --model-json)")
     p.add_argument("--model-json", help="path to a model JSON file (any kind)")
 
 

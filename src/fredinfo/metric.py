@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -114,15 +114,7 @@ class CapacityBounds:
     sided: str
 
     def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "log2_inv_eps": self.log2_inv_eps,
-            "k0_eps": self.k0_eps,
-            "k0_eps_over_4": self.k0_eps_over_4,
-            "lower_bits": self.lower_bits,
-            "upper_bits": self.upper_bits,
-            "sided": self.sided,
-        }
+        return asdict(self)
 
 
 def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
@@ -213,16 +205,7 @@ class GrowthEstimate:
     mu_fit: FitDiagnostics
 
     def to_json(self) -> dict:
-        return {
-            "lambda_hat": self.lambda_hat,
-            "mu_hat": self.mu_hat,
-            "rho_hat": self.rho_hat,
-            "sigma_hat": self.sigma_hat,
-            "d_c": self.d_c,
-            "d_c_exp": self.d_c_exp,
-            "lambda_fit": vars(self.lambda_fit),
-            "mu_fit": vars(self.mu_fit),
-        }
+        return asdict(self)
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray) -> FitDiagnostics:

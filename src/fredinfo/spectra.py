@@ -3,7 +3,7 @@
 A :class:`SpectrumModel` describes a strictly decreasing eigenvalue sequence
 ``lambda_1 > lambda_2 > ...`` in ``(0, 1]`` together with (where available) the
 orthonormal eigenbasis on the operator's natural domain.  Four kinds are
-supported:
+supported, each one entry of :data:`FAMILIES`:
 
 ``poisson``
     ``lambda_k = (a/b)^|k|`` with ``0 < a < b``; Fourier basis
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, UnsupportedError, ValidationError
+from .errors import InconclusiveError, NumericError, UnsupportedError, ValidationError
 
 __all__ = [
     "DEFAULT_K_MAX",
@@ -61,6 +61,7 @@ DEFAULT_K_MAX = 256
 
 _LOG2_PI = math.log2(math.pi)
 _LOG2_E = math.log2(math.e)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, eq=True)
@@ -75,7 +76,7 @@ class SpectrumModel:
     Attributes
     ----------
     kind : str
-        One of ``poisson``, ``heat``, ``green``, ``tabulated``.
+        A key of :data:`FAMILIES`: ``poisson``, ``heat``, ``green``, ``tabulated``.
     params : dict
         Family parameters (see module docstring).
     k_max : int
@@ -86,12 +87,15 @@ class SpectrumModel:
     params: dict
     k_max: int = DEFAULT_K_MAX
 
+    def __hash__(self) -> int:
+        return hash((self.kind, frozenset(self.params.items()), self.k_max))
+
     # -- index bookkeeping -------------------------------------------------
 
     @property
     def index_scheme(self) -> str:
         """``"two_sided"`` for the Fourier families, else ``"one_sided"``."""
-        return "two_sided" if self.kind in ("poisson", "heat") else "one_sided"
+        return "two_sided" if FAMILIES[self.kind].two_sided else "one_sided"
 
     @property
     def two_sided(self) -> bool:
@@ -110,9 +114,8 @@ class SpectrumModel:
             self._check_index(k)
             return 2
         self._check_index(k)
-        if self.kind == "tabulated":
-            return int(self.params["multiplicities"][k - 1])
-        return 1
+        groups = FAMILIES[self.kind].groups
+        return 1 if groups is None else int(groups(self.params)[k - 1])
 
     def _check_index(self, k: int) -> None:
         if not isinstance(k, (int, np.integer)):
@@ -122,16 +125,16 @@ class SpectrumModel:
         if k < 1:
             raise ValidationError(
                 f"one-sided model {self.kind!r} has indices k >= 1, got {k}")
-        if self.kind == "tabulated" and k > self.spectrum_length:
+        length = self.spectrum_length
+        if length is not None and k > length:
             raise ValidationError(
-                f"tabulated spectrum has {self.spectrum_length} values, got k={k}")
+                f"{self.kind} spectrum has {length} values, got k={k}")
 
     @property
     def spectrum_length(self) -> int | None:
         """Number of available one-sided indices (None when unbounded)."""
-        if self.kind == "tabulated":
-            return len(self.params["values"])
-        return None
+        groups = FAMILIES[self.kind].groups
+        return None if groups is None else len(groups(self.params))
 
     # -- eigenvalues --------------------------------------------------------
 
@@ -150,19 +153,7 @@ class SpectrumModel:
 
     def eigenvalues(self, ks: np.ndarray) -> np.ndarray:
         """Vectorized eigenvalues for an array of one-sided indices >= 1."""
-        ks = np.asarray(ks, dtype=np.int64)
-        if self.kind == "poisson":
-            a, b = self.params["a"], self.params["b"]
-            return (a / b) ** ks.astype(float)
-        if self.kind == "heat":
-            D, a, b = self.params["D"], self.params["a"], self.params["b"]
-            return np.exp(-D * (a - b) * ks.astype(float) ** 2)
-        if self.kind == "green":
-            return 1.0 / (ks.astype(float) ** 2 * math.pi ** 2)
-        values = self.params["values"]
-        if ks.size and (ks.min() < 1 or ks.max() > len(values)):
-            raise ValidationError("tabulated index out of range")
-        return np.asarray(values, dtype=float)[ks - 1]
+        return FAMILIES[self.kind].eigenvalues(self.params, np.asarray(ks, dtype=np.int64))
 
     def log2_eigenvalues(self, ks: np.ndarray) -> np.ndarray:
         """``log2(lambda_k)`` evaluated directly in the log domain.
@@ -170,16 +161,7 @@ class SpectrumModel:
         Exact for arbitrarily small eigenvalues; never forms ``lambda_k``
         itself, so no underflow occurs.
         """
-        ks = np.asarray(ks, dtype=np.int64)
-        if self.kind == "poisson":
-            a, b = self.params["a"], self.params["b"]
-            return -ks.astype(float) * math.log2(b / a)
-        if self.kind == "heat":
-            D, a, b = self.params["D"], self.params["a"], self.params["b"]
-            return -D * (a - b) * ks.astype(float) ** 2 * _LOG2_E
-        if self.kind == "green":
-            return -2.0 * np.log2(ks.astype(float)) - 2.0 * _LOG2_PI
-        return np.log2(self.eigenvalues(ks))
+        return FAMILIES[self.kind].log2_eigenvalues(self.params, np.asarray(ks, dtype=np.int64))
 
     @property
     def lambda_1(self) -> float:
@@ -190,11 +172,10 @@ class SpectrumModel:
     @property
     def domain(self) -> tuple[float, float]:
         """Support of the eigenfunctions."""
-        if self.kind == "tabulated":
-            raise UnsupportedError("tabulated models carry no eigenbasis")
-        if self.two_sided:
-            return (-math.pi, math.pi)
-        return (0.0, 1.0)
+        domain = FAMILIES[self.kind].domain
+        if domain is None:
+            raise UnsupportedError(f"{self.kind} models carry no eigenbasis")
+        return domain
 
     def eigenfunction_value(self, k: int, x: float) -> complex | float:
         """Value of the eigenfunction ``psi_k`` at a point of the domain.
@@ -228,15 +209,10 @@ class SpectrumModel:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        obj = {"kind": self.kind, "k_max": self.k_max}
-        obj.update({key: val for key, val in self.params.items()
-                    if key != "multiplicities"})
-        if self.kind == "tabulated":
-            obj["values"] = list(self.params["values"])
-            mults = self.params["multiplicities"]
-            if any(m != 1 for m in mults):
-                obj["multiplicities"] = list(mults)
-        return obj
+        family = FAMILIES[self.kind]
+        fields = (family.write(self.params) if family.write
+                  else {name: self.params[name] for name in family.names})
+        return {"kind": self.kind, "k_max": self.k_max, **fields}
 
 
 def poisson_model(a: float, b: float, k_max: int = DEFAULT_K_MAX) -> SpectrumModel:
@@ -308,6 +284,84 @@ def tabulated_model(values: Sequence[float], allow_ties: bool = False,
 def _check_k_max(k_max: int) -> None:
     if not isinstance(k_max, (int, np.integer)) or k_max < 1:
         raise ValidationError(f"k_max must be a positive integer, got {k_max!r}")
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One spectral family.  The formulas take the model's ``params``, then
+    int64 indices or a noise level's ``(log2_inv_eps, given)``."""
+
+    names: tuple[str, ...]                  # parameters, in factory order
+    eigenvalues: Callable[[dict, np.ndarray], np.ndarray]
+    log2_eigenvalues: Callable[[dict, np.ndarray], np.ndarray]
+    build: Callable[..., SpectrumModel] | None = None  # the factory, from names' values, k_max
+    two_sided: bool = False
+    domain: tuple[float, float] | None = (0.0, 1.0)  # None: no eigenbasis
+    k0_closed_form: Callable[[dict, float, float | None], int] | None = None
+    groups: Callable[[dict], Sequence[int]] | None = None  # group sizes of a finite table
+    read: Callable[[dict, int], SpectrumModel] | None = None  # JSON form, when not
+    write: Callable[[dict], dict] | None = None               # just the names' values
+
+
+def _green_k0(p: dict, log2_inv_eps: float, given: float | None) -> int:
+    if given is not None:
+        return max(0, math.floor(1.0 / (math.pi * math.sqrt(given))))
+    if log2_inv_eps > 2000.0:
+        raise InconclusiveError("green closed-form cutoff overflows floats at this exponent")
+    return max(0, math.floor(2.0 ** (log2_inv_eps / 2.0) / math.pi))
+
+
+def _lookup(values: Sequence[float], ks: np.ndarray, what: str) -> np.ndarray:
+    """``values[k - 1]`` at the indices ``ks`` of a finite table."""
+    if ks.size and (ks.min() < 1 or ks.max() > len(values)):
+        raise ValidationError(f"{what} holds {len(values)} values, index out of range")
+    return np.asarray(values, dtype=float)[ks - 1]
+
+
+def _read_table(obj: dict, k_max: int) -> SpectrumModel:
+    values, mults = obj["values"], obj.get("multiplicities")
+    if mults is not None:
+        values = [v for v, m in zip(values, mults) for _ in range(int(m))]
+    return tabulated_model(values, allow_ties=mults is not None, k_max=k_max)
+
+
+def _write_table(p: dict) -> dict:
+    obj = {"values": list(p["values"])}
+    if any(m != 1 for m in p["multiplicities"]):
+        obj["multiplicities"] = list(p["multiplicities"])
+    return obj
+
+
+# One entry per spectral family (see the module docstring).  Entries reach the
+# factories through module globals, at call time.
+FAMILIES: dict[str, _Family] = {
+    "poisson": _Family(
+        ("a", "b"), build=lambda a, b, k_max: poisson_model(a, b, k_max),
+        eigenvalues=lambda p, k: (p["a"] / p["b"]) ** k.astype(float),
+        log2_eigenvalues=lambda p, k: -k.astype(float) * math.log2(p["b"] / p["a"]),
+        two_sided=True, domain=(-math.pi, math.pi),
+        k0_closed_form=lambda p, L, given: max(0, math.floor(L / math.log2(p["b"] / p["a"])))),
+    "heat": _Family(
+        ("D", "a", "b"), build=lambda D, a, b, k_max: heat_model(D, a, b, k_max),
+        eigenvalues=lambda p, k: np.exp(-p["D"] * (p["a"] - p["b"]) * k.astype(float) ** 2),
+        log2_eigenvalues=lambda p, k: (-p["D"] * (p["a"] - p["b"]) * k.astype(float) ** 2
+                                       * _LOG2_E),
+        two_sided=True, domain=(-math.pi, math.pi),
+        # natural log: the base-2 reading of the printed formula overcounts
+        k0_closed_form=lambda p, L, given: math.floor(
+            math.sqrt(max(0.0, L * _LN2 / (p["D"] * (p["a"] - p["b"])))))),
+    "green": _Family(
+        (), build=lambda k_max: green_model(k_max),
+        eigenvalues=lambda p, k: 1.0 / (k.astype(float) ** 2 * math.pi ** 2),
+        log2_eigenvalues=lambda p, k: -2.0 * np.log2(k.astype(float)) - 2.0 * _LOG2_PI,
+        k0_closed_form=_green_k0),
+    "tabulated": _Family(
+        ("values",),
+        eigenvalues=lambda p, k: _lookup(p["values"], k, "tabulated spectrum"),
+        log2_eigenvalues=lambda p, k: np.log2(_lookup(p["values"], k, "tabulated spectrum")),
+        domain=None, groups=lambda p: p["multiplicities"],
+        read=_read_table, write=_write_table),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -579,31 +633,20 @@ def model_from_json(obj: dict) -> SpectrumModel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("model JSON must be an object with a 'kind' field")
     kind = obj["kind"]
-    k_max = obj.get("k_max", DEFAULT_K_MAX)
+    if not isinstance(kind, str) or kind not in FAMILIES:
+        raise ValidationError(
+            f"unknown model kind {kind!r}: expected one of {', '.join(FAMILIES)}")
+    family, k_max = FAMILIES[kind], obj.get("k_max", DEFAULT_K_MAX)
     try:
-        if kind == "poisson":
-            return poisson_model(obj["a"], obj["b"], k_max)
-        if kind == "heat":
-            return heat_model(obj["D"], obj["a"], obj["b"], k_max)
-        if kind == "green":
-            return green_model(k_max)
-        if kind == "tabulated":
-            values = obj["values"]
-            mults = obj.get("multiplicities")
-            if mults is not None:
-                expanded: list[float] = []
-                for v, m in zip(values, mults):
-                    expanded.extend([v] * int(m))
-                return tabulated_model(expanded, allow_ties=True, k_max=k_max)
-            return tabulated_model(values, k_max=k_max)
+        if family.read:
+            return family.read(obj, k_max)
+        return family.build(*[obj[name] for name in family.names], k_max)
     except ValidationError:
         raise
     except KeyError as exc:
         raise ValidationError(f"model {kind!r} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model JSON: {exc}") from exc
-    raise ValidationError(
-        f"unknown model kind {kind!r}: expected poisson, heat, green or tabulated")
 
 
 def model_from_json_str(text: str) -> SpectrumModel:

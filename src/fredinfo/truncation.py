@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InconclusiveError, PreconditionError, ValidationError
-from .spectra import CoefficientVector, SpectrumModel, forward_apply
+from .spectra import FAMILIES, CoefficientVector, SpectrumModel, forward_apply
 
 __all__ = [
     "NoiseLevel",
@@ -43,8 +43,6 @@ __all__ = [
 _SCAN_CAP = 1 << 22
 _SLACK = 1.0 + 1e-12
 
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class NoiseLevel:
@@ -60,7 +58,7 @@ class NoiseLevel:
 
     log2_inv_eps: float
     given: float | None = None
-    _cuts: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L, eps = self.log2_inv_eps, self.given
@@ -113,18 +111,17 @@ class NoiseLevel:
 
     @cached_property
     def quarter(self) -> NoiseLevel:
-        """The level ``eps/4``, in the same form (one object per level)."""
-        if self.given is not None:
+        """The level ``eps/4`` (one object per level): a float when exact, else
+        (a subnormal ``eps``) the exponent ``log2(1/eps) + 2``."""
+        if self.given is not None and (self.given / 4.0) * 4.0 == self.given:
             return NoiseLevel.of(self.given / 4.0)
         return NoiseLevel(self.log2_inv_eps + 2.0)
 
     def cutoff(self, model: SpectrumModel) -> int:
-        """``k0(model, self)``, scanned on the first call for each model."""
-        for known, cut in self._cuts:
-            if known is model:
-                return cut
-        cut = k0(model, self)
-        self._cuts.append((model, cut))
+        """``k0(model, self)``, scanned once per model (equal models share it)."""
+        cut = self._cuts.get(model)
+        if cut is None:
+            cut = self._cuts[model] = k0(model, self)
         return cut
 
     def kept(self, model: SpectrumModel, ks: np.ndarray) -> np.ndarray:
@@ -214,25 +211,10 @@ def k0_closed_form(model: SpectrumModel, epsilon: float | NoiseLevel | None = No
     floor resolves toward inclusion.
     """
     level = NoiseLevel.of(epsilon, log2_inv_eps)
-    L2 = level.log2_inv_eps
-    if model.kind == "poisson":
-        a, b = model.params["a"], model.params["b"]
-        x = L2 / math.log2(b / a)
-        return max(0, math.floor(x))
-    if model.kind == "heat":
-        D, a, b = model.params["D"], model.params["a"], model.params["b"]
-        t = L2 * _LN2 / (D * (a - b))  # ln(1/eps) / (D (a-b))
-        if t < 0.0:
-            return 0
-        return math.floor(math.sqrt(t))
-    if model.kind == "green":
-        if level.given is not None:
-            return max(0, math.floor(1.0 / (math.pi * math.sqrt(level.given))))
-        if L2 > 2000.0:
-            raise InconclusiveError(
-                "green closed-form cutoff overflows floats at this exponent")
-        return max(0, math.floor(2.0 ** (L2 / 2.0) / math.pi))
-    raise ValidationError(f"no closed-form cutoff for kind {model.kind!r}")
+    closed = FAMILIES[model.kind].k0_closed_form
+    if closed is None:
+        raise ValidationError(f"no closed-form cutoff for kind {model.kind!r}")
+    return closed(model.params, level.log2_inv_eps, level.given)
 
 
 def generalized_k0(model: SpectrumModel,
@@ -293,12 +275,8 @@ class TruncationReport:
     combined: float | None = None
 
     def to_json(self) -> dict:
-        obj = {"epsilon": self.epsilon, "k0": self.k0,
-               "f_star": self.f_star.to_json()}
-        if self.residual_y is not None:
-            obj["residual_y"] = self.residual_y
-            obj["distance_x"] = self.distance_x
-            obj["combined"] = self.combined
+        obj = {key: val for key, val in vars(self).items() if val is not None}
+        obj["f_star"] = self.f_star.to_json()
         return obj
 
 
