@@ -24,9 +24,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
-from .errors import InconclusiveError, UnsupportedError, ValidationError
+from .errors import InconclusiveError, PreconditionError, UnsupportedError, ValidationError
 from .metric import entropy_lower_bound
 from .spectra import (CoefficientVector, SpectrumModel, _lookup, model_from_json,
                       model_to_json)
@@ -186,6 +185,11 @@ def _custom_tail(p: dict, m: int) -> float:
     return float(np.sum(vals[m:] ** 2)) + float(p["tail_sum_sq"])
 
 
+def _power_tail(p: dict, m: int) -> float:
+    from scipy.special import zeta  # here, not at the top: most of `import fredinfo`
+    return p["c"] * p["c"] * float(zeta(2.0 * p["p"], m + 1))
+
+
 def _gaussian_tail(p: dict, m: int) -> float:
     """Terms until one drops below 1e-18 of the sum: about ``s**-1/2`` of them."""
     s = p["s"]
@@ -212,7 +216,7 @@ RULES: dict[str, _Rule] = {
     "power": _Rule(
         ("c", "p"), lambda p, k: p["c"] * _k1(k, "power") ** (-p["p"]),
         build=lambda c, p: power_rule(c, p), trace_class=lambda p: 2.0 * p["p"] > 1.0,
-        sum_sq_tail=lambda p, m: p["c"] * p["c"] * float(_hurwitz_zeta(2.0 * p["p"], m + 1))),
+        sum_sq_tail=_power_tail),
     "gaussian": _Rule(
         ("c", "s"), lambda p, k: p["c"] * np.exp(-p["s"] * k.astype(float) ** 2),
         build=lambda c, s: gaussian_rule(c, s), trace_class=lambda p: True,
@@ -276,6 +280,9 @@ class GaussianChannel:
     nu: VarianceRule
     epsilon: float
     k_max: int | None = None
+    # decided once here, read by every consumer (k = 1..k_max)
+    snr: np.ndarray = field(init=False, repr=False, compare=False)  # lam rho / (eps nu)
+    informative: np.ndarray = field(init=False, repr=False, compare=False)  # I: lam rho >= eps nu
 
     def __post_init__(self):
         eps = float(self.epsilon)
@@ -308,10 +315,13 @@ class GaussianChannel:
             raise ValidationError(
                 "signal-to-noise ratios lambda_k rho_k / nu_k must be pairwise "
                 "distinct; tie detected")
-        with np.errstate(divide="ignore", over="ignore"):
-            if eps > 0.0 and not np.all(np.isfinite(lam * rho / (eps * nu))):
-                raise ValidationError(f"epsilon={eps!r} is too small for the channel: "
-                                      "lambda_k rho_k / (eps nu_k) overflows")
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            snr = lam * rho / (eps * nu)
+        if eps > 0.0 and not np.all(np.isfinite(snr)):
+            raise PreconditionError(f"epsilon={eps!r} is too small for the channel: "
+                                    "lambda_k rho_k / (eps nu_k) overflows", epsilon=eps)
+        object.__setattr__(self, "snr", snr)  # not finite at eps = 0
+        object.__setattr__(self, "informative", lam * rho >= eps * nu)
         object.__setattr__(self, "_lam", lam)
         object.__setattr__(self, "_rho", rho)
         object.__setattr__(self, "_nu", nu)
@@ -329,11 +339,10 @@ class GaussianChannel:
         """Component labels sorted by strictly decreasing lambda rho / nu."""
         return self._order  # type: ignore[attr-defined]
 
-    def _component(self, k: int) -> tuple[float, float, float]:
+    def _index(self, k: int) -> int:
         if not 1 <= k <= self.k_max:
             raise ValidationError(f"component index must lie in 1..{self.k_max}")
-        lam, rho, nu = self.arrays()
-        return float(lam[k - 1]), float(rho[k - 1]), float(nu[k - 1])
+        return k - 1
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +385,9 @@ def component_information(channel: GaussianChannel, k: int) -> ComponentInfo:
     """
     if channel.epsilon <= 0.0:
         raise ValidationError("component information requires epsilon > 0")
-    lam, rho, nu = channel._component(k)
-    signal = lam * rho
-    noise = channel.epsilon * nu
-    r2, J = _info_from_ratio(signal / noise)
-    return ComponentInfo(k=k, r_squared=r2, J_nats=J, in_I=signal >= noise)
+    i = channel._index(k)
+    r2, J = _info_from_ratio(float(channel.snr[i]))
+    return ComponentInfo(k=k, r_squared=r2, J_nats=J, in_I=bool(channel.informative[i]))
 
 
 @dataclass
@@ -404,12 +411,10 @@ def partition_IN(channel: GaussianChannel) -> Partition:
     ``eps = 0`` every component is informative and ``k_I = k_max`` stands in
     for infinity.
     """
-    lam, rho, nu = channel.arrays()
-    member = lam * rho >= channel.epsilon * nu
+    member = channel.informative
     order = channel.ordering
-    member_sorted = member[order - 1]
     k_I = int(np.sum(member))
-    if k_I and not bool(member_sorted[:k_I].all()):
+    if k_I and not bool(member[order - 1][:k_I].all()):
         # impossible for a threshold rule on the sorted ratios
         raise ValidationError("informative set is not an initial segment of the ordering")
     I = tuple(int(k) for k in np.flatnonzero(member) + 1)
@@ -432,15 +437,11 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
             f"data reaches index {data.K} beyond the channel's k_max={channel.k_max}")
     ks = np.abs(data.indices)
     lam = data.eigenvalue_profile()
-    rho = np.empty(ks.shape, dtype=float)
-    nu = np.empty(ks.shape, dtype=float)
     pos = ks >= 1
-    rho[pos] = channel.rho.values(ks[pos])
-    nu[pos] = channel.nu.values(ks[pos])
-    if np.any(~pos):  # center mode of a two-sided vector
-        rho[~pos] = channel.rho.value(0)
-        nu[~pos] = channel.nu.value(0)
-    member = lam * rho >= channel.epsilon * nu
+    member = np.zeros(ks.shape, dtype=bool)
+    member[pos] = channel.informative[ks[pos] - 1]
+    if np.any(~pos):  # center mode of a two-sided vector: the rules at 0, lambda_0 = 1
+        member[~pos] = lam[~pos] * channel.rho.value(0) >= channel.epsilon * channel.nu.value(0)
     entries = np.where(member, data.entries / lam, np.zeros_like(data.entries))
     return CoefficientVector(channel.model, entries)
 
@@ -463,7 +464,8 @@ def posterior_density_params(channel: GaussianChannel, k: int,
     ``g_k`` gives ``N(g_k / lambda_k, (eps nu_k / lambda_k)^2)``.  The
     conditional variance is the smaller of the two exactly on I.
     """
-    lam, rho, nu = channel._component(k)
+    i = channel._index(k)
+    lam, rho, nu = (float(a[i]) for a in channel.arrays())
     return PosteriorParams(
         mean1=0.0,
         var1=rho * rho,
@@ -492,15 +494,10 @@ def mse_closed_form(channel: GaussianChannel) -> float:
     amplification.  Requires a trace-class prior.
     """
     _require_trace_class(channel, "mse_closed_form")
-    part = partition_IN(channel)
     lam, rho, nu = channel.arrays()
-    dropped = float(np.sum(rho[np.asarray(part.N, dtype=int) - 1] ** 2)) if part.N else 0.0
-    dropped += channel.rho.sum_sq_tail(channel.k_max)
-    if part.I:
-        idx = np.asarray(part.I, dtype=int) - 1
-        inverted = float(np.sum((channel.epsilon * nu[idx] / lam[idx]) ** 2))
-    else:
-        inverted = 0.0
+    member = channel.informative
+    dropped = float(np.sum(rho[~member] ** 2)) + channel.rho.sum_sq_tail(channel.k_max)
+    inverted = float(np.sum((channel.epsilon * nu[member] / lam[member]) ** 2))
     return dropped + inverted
 
 
@@ -547,16 +544,14 @@ def total_information(channel: GaussianChannel) -> TotalInformation:
     """
     if channel.epsilon <= 0.0:
         raise ValidationError("total information requires epsilon > 0")
-    return _information_sum(channel, partition_IN(channel).I)
+    return _information_sum(channel, np.flatnonzero(channel.informative) + 1)
 
 
 def _information_sum(channel: GaussianChannel, labels: Sequence[int]) -> TotalInformation:
     """Exact and leading-order information summed over the given components."""
-    lam, rho, nu = channel.arrays()
     exact = 0.0
     approx = 0.0
-    for k in labels:
-        ratio = lam[k - 1] * rho[k - 1] / (channel.epsilon * nu[k - 1])
+    for ratio in channel.snr[np.asarray(labels, dtype=int) - 1]:
         _, J = _info_from_ratio(ratio)
         exact += J
         approx += math.log(ratio)

@@ -142,6 +142,11 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
+def _emit_row(columns: str, *values) -> None:
+    """A CSV header and one row of values, each written by ``_fmt``."""
+    _emit(f"{columns}\n{','.join(_fmt(v) for v in values)}\n")
+
+
 def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -177,8 +182,7 @@ def _cmd_truncate(args) -> int:
         except ValidationError:
             closed = None  # tabulated spectra have no closed form
         if args.format == "csv":
-            _emit("epsilon,k0,k0_closed_form\n"
-                  f"{args.epsilon},{cut},{_fmt(closed)}\n")
+            _emit_row("epsilon,k0,k0_closed_form", args.epsilon, cut, closed)
         else:
             _emit_json({"epsilon": args.epsilon, "k0": cut,
                         "k0_closed_form": closed})
@@ -204,9 +208,9 @@ def _cmd_capacity(args) -> int:
     bounds = capacity_interval(model, level, sided=args.sided)
     logl = max_message_length_log2(model, level, sided=args.sided)
     if args.format == "csv":
-        _emit("epsilon,k0,k0_quarter,lower_bits,upper_bits,logL_max\n"
-              f"{args.epsilon},{bounds.k0_eps},{bounds.k0_eps_over_4},"
-              f"{_fmt(bounds.lower_bits)},{_fmt(bounds.upper_bits)},{_fmt(logl)}\n")
+        _emit_row("epsilon,k0,k0_quarter,lower_bits,upper_bits,logL_max", args.epsilon,
+                  bounds.k0_eps, bounds.k0_eps_over_4, bounds.lower_bits,
+                  bounds.upper_bits, logl)
     else:
         obj = bounds.to_json()
         obj["logL_max"] = logl
@@ -222,8 +226,7 @@ def _cmd_metric_info(args) -> int:
         eps = NoiseLevel.of(*parse_epsilon(args.epsilon)).require_epsilon("packing counts")
         count = greedy_packing_count(axes, eps, float(args.step))
         if args.format == "csv":
-            _emit("epsilon,grid_step,count\n"
-                  f"{eps:.17g},{float(args.step):.17g},{count}\n")
+            _emit_row("epsilon,grid_step,count", eps, float(args.step), count)
         else:
             _emit_json({"semi_axes": axes, "epsilon": eps,
                         "grid_step": float(args.step), "count": count})
@@ -236,9 +239,8 @@ def _cmd_metric_info(args) -> int:
     else:
         raise ValidationError("give one of --grid-eps, --grid-log2 or --packing-axes")
     if args.format == "csv":
-        _emit("lambda_hat,mu_hat,rho_hat,sigma_hat,d_c,d_c_exp\n"
-              f"{est.lambda_hat:.17g},{est.mu_hat:.17g},{est.rho_hat:.17g},"
-              f"{est.sigma_hat:.17g},{_fmt(est.d_c)},{_fmt(est.d_c_exp)}\n")
+        _emit_row("lambda_hat,mu_hat,rho_hat,sigma_hat,d_c,d_c_exp", est.lambda_hat,
+                  est.mu_hat, est.rho_hat, est.sigma_hat, est.d_c, est.d_c_exp)
     else:
         _emit_json(est.to_json())
     return 0
@@ -251,10 +253,9 @@ def _cmd_prob_info(args) -> int:
     if args.extremal is not None:
         cmp = extremal_comparison(model, eps, args.extremal, k_max=args.k_max)
         if args.format == "csv":
-            _emit("case,epsilon,k0,k_I,exact_nats,approx_nats,reference_nats\n"
-                  f"{cmp.case},{cmp.epsilon:.17g},{cmp.k0},{cmp.k_I},"
-                  f"{cmp.exact_nats:.17g},{cmp.approx_nats:.17g},"
-                  f"{cmp.reference_nats:.17g}\n")
+            _emit_row("case,epsilon,k0,k_I,exact_nats,approx_nats,reference_nats",
+                      cmp.case, cmp.epsilon, cmp.k0, cmp.k_I, cmp.exact_nats,
+                      cmp.approx_nats, cmp.reference_nats)
         else:
             _emit_json(cmp.to_json())
         return 0
@@ -277,10 +278,8 @@ def _cmd_prob_info(args) -> int:
         "approx_nats": info.approx_nats,
     }
     if args.format == "csv":
-        _emit("epsilon,k_I,k_alpha,mse,exact_nats,approx_nats\n"
-              f"{eps:.17g},{part.k_I},{_fmt(summary['k_alpha'])},"
-              f"{_fmt(summary['mse'])},{info.exact_nats:.17g},"
-              f"{info.approx_nats:.17g}\n")
+        _emit_row("epsilon,k_I,k_alpha,mse,exact_nats,approx_nats", eps, part.k_I,
+                  summary["k_alpha"], summary["mse"], info.exact_nats, info.approx_nats)
     else:
         summary["components"] = [component_information(chan, int(k)).to_json()
                                  for k in range(1, chan.k_max + 1)]

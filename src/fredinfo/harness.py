@@ -27,7 +27,7 @@ from . import metric
 from .channel import (GaussianChannel, VarianceRule, mse_closed_form, k_alpha,
                       partition_IN, rule_from_json, rule_to_json,
                       total_information)
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 from .spectra import (CoefficientVector, SpectrumModel, model_from_json,
                       model_to_json)
 from .truncation import NoiseLevel, _noise_grid, k0
@@ -150,15 +150,15 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
     if not channel.rho.is_trace_class:
         raise ValidationError("monte_carlo_mse requires a trace-class prior")
     lam, rho, nu = channel.arrays()
-    member = lam * rho >= channel.epsilon * nu
     tail = channel.rho.sum_sq_tail(channel.k_max)
     stats = np.empty(trials)
     for t in range(trials):
-        xi = rho * _component_normals(seed, t, channel.k_max, role=0)
+        stream = TrialStream(seed, t)
+        xi = rho * stream.prior_normals(channel.k_max)
         eta = lam * xi
         if channel.epsilon > 0.0:
-            eta = eta + channel.epsilon * nu * _component_normals(seed, t, channel.k_max, role=1)
-        est = np.where(member, eta / lam, 0.0)
+            eta = eta + channel.epsilon * nu * stream.noise_normals(channel.k_max)
+        est = np.where(channel.informative, eta / lam, 0.0)
         diff = xi - est
         stats[t] = diff @ diff + tail
     mean = float(np.mean(stats))
@@ -308,7 +308,10 @@ def _sweep_row(config: ExperimentConfig, level: NoiseLevel) -> dict:
     row["logL_max"] = metric.max_message_length_log2(model, level, sided=sided)
 
     if config.rho is not None and eps is not None:
-        chan = GaussianChannel(model, config.rho, config.nu, eps, k_max=config.k_max)
+        try:
+            chan = GaussianChannel(model, config.rho, config.nu, eps, k_max=config.k_max)
+        except PreconditionError:
+            return row  # lambda_k rho_k / (eps nu_k) overflows: channel columns blank
         row["k_I"] = partition_IN(chan).k_I
         info = total_information(chan)
         row["exact_nats"] = info.exact_nats

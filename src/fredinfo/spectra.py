@@ -299,7 +299,7 @@ class _Family:
     domain: tuple[float, float] | None = (0.0, 1.0)  # None: no eigenbasis
     k0_closed_form: Callable[[dict, float, float | None], int] | None = None
     groups: Callable[[dict], Sequence[int]] | None = None  # group sizes of a finite table
-    read: Callable[[dict, int], SpectrumModel] | None = None  # JSON form, when not
+    read: Callable[[dict], SpectrumModel] | None = None       # JSON form, when not
     write: Callable[[dict], dict] | None = None               # just the names' values
 
 
@@ -318,11 +318,12 @@ def _lookup(values: Sequence[float], ks: np.ndarray, what: str) -> np.ndarray:
     return np.asarray(values, dtype=float)[ks - 1]
 
 
-def _read_table(obj: dict, k_max: int) -> SpectrumModel:
+def _read_table(obj: dict) -> SpectrumModel:
+    """Without a ``k_max`` the table's length is the default, as in the factory."""
     values, mults = obj["values"], obj.get("multiplicities")
     if mults is not None:
         values = [v for v, m in zip(values, mults) for _ in range(int(m))]
-    return tabulated_model(values, allow_ties=mults is not None, k_max=k_max)
+    return tabulated_model(values, allow_ties=mults is not None, k_max=obj.get("k_max"))
 
 
 def _write_table(p: dict) -> dict:
@@ -639,7 +640,7 @@ def model_from_json(obj: dict) -> SpectrumModel:
     family, k_max = FAMILIES[kind], obj.get("k_max", DEFAULT_K_MAX)
     try:
         if family.read:
-            return family.read(obj, k_max)
+            return family.read(obj)
         return family.build(*[obj[name] for name in family.names], k_max)
     except ValidationError:
         raise

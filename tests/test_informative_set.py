@@ -1,0 +1,181 @@
+"""The informative set decided once per channel, and the inputs it mends.
+
+``GaussianChannel`` holds each component's signal-to-noise ratio and its
+membership in ``I``; the partition, the information sums, the closed-form and
+Monte-Carlo risk and the posterior estimate all read them.  Also covered: a
+tabulated model JSON without ``k_max``, sweep rows at a float level where the
+ratio overflows and the lazy ``scipy.special`` import.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import fredinfo
+from fredinfo import (CoefficientVector, ExperimentConfig, GaussianChannel, TrialStream,
+                      component_information, constant_rule, convergence_sweep,
+                      geometric_rule, model_from_json, monte_carlo_mse, mse_closed_form,
+                      partition_IN, poisson_model, posterior_estimate, power_rule,
+                      ValidationError)
+from fredinfo.cli import main
+
+TABLE = {"kind": "tabulated", "values": [0.5, 0.25, 0.125]}
+CONSTANT = {"kind": "constant", "c": 1.0}
+# lambda_k rho_k / (eps nu_k) overflows at the second level (2**-k / 2**-1074)
+OVERFLOW_SWEEP = {"model": {"kind": "poisson", "a": 0.5, "b": 1.0, "k_max": 8},
+                  "epsilon_grid": [1e-300, 5e-324], "rho": CONSTANT, "nu": CONSTANT}
+CHANNEL_COLUMNS = ("k_I", "exact_nats", "approx_nats")
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _channel(eps=0.05):
+    return GaussianChannel(poisson_model(0.5, 1.0, k_max=12), geometric_rule(1.0, 0.7),
+                           constant_rule(1.0), eps)
+
+
+# ---------------------------------------------------------------------------
+# The channel's own arrays
+# ---------------------------------------------------------------------------
+
+
+def test_channel_holds_snr_and_membership():
+    chan = _channel()
+    lam, rho, nu = chan.arrays()
+    np.testing.assert_array_equal(chan.snr, lam * rho / (0.05 * nu))
+    np.testing.assert_array_equal(chan.informative, lam * rho >= 0.05 * nu)
+    assert partition_IN(chan).I == tuple(np.flatnonzero(chan.informative) + 1)
+
+
+def test_channel_arrays_stay_out_of_equality_and_repr():
+    a, b = _channel(), _channel()
+    assert a == b
+    assert "snr" not in repr(a) and "informative" not in repr(a)
+
+
+def test_mse_closed_form_matches_the_partition_formula():
+    chan = _channel()
+    lam, rho, nu = chan.arrays()
+    part = partition_IN(chan)
+    dropped = sum(rho[k - 1] ** 2 for k in part.N) + chan.rho.sum_sq_tail(chan.k_max)
+    inverted = sum((chan.epsilon * nu[k - 1] / lam[k - 1]) ** 2 for k in part.I)
+    assert mse_closed_form(chan) == pytest.approx(dropped + inverted, rel=1e-14)
+
+
+def test_monte_carlo_mse_scores_the_trial_streams():
+    chan = _channel()
+    lam, rho, nu = chan.arrays()
+    keep = np.array([component_information(chan, k).in_I for k in range(1, 13)])
+    tail = chan.rho.sum_sq_tail(chan.k_max)
+    stats = []
+    for t in range(5):
+        stream = TrialStream(7, t)
+        xi = rho * stream.prior_normals(12)
+        eta = lam * xi + chan.epsilon * nu * stream.noise_normals(12)
+        err = xi - np.where(keep, eta / lam, 0.0)
+        stats.append(float(err @ err) + tail)
+    mc = monte_carlo_mse(chan, 5, 7)
+    assert mc.mean == pytest.approx(np.mean(stats), rel=1e-14)
+    assert mc.stderr == pytest.approx(np.std(stats, ddof=1) / math.sqrt(5), rel=1e-12)
+
+
+def test_posterior_estimate_uses_the_rules_at_zero_for_the_center_mode():
+    model = poisson_model(0.5, 1.0, k_max=6)
+    data = CoefficientVector(model, np.arange(1.0, 14.0))        # indices -6..6
+    # rho_0 = 0.15 < eps * nu_0 = 0.2: the center is dropped, although k = 1 is kept
+    chan = GaussianChannel(model, constant_rule(0.15), geometric_rule(1.0, 0.1), 0.2)
+    assert chan.informative[0]
+    est = posterior_estimate(chan, data).entries
+    assert est[6] == 0.0 and est[5] == 6.0 / 0.5 and est[7] == 8.0 / 0.5
+    chan = GaussianChannel(model, constant_rule(0.5), geometric_rule(1.0, 0.1), 0.2)
+    assert posterior_estimate(chan, data).entries[6] == 7.0
+    # a rule undefined at 0 cannot judge the center mode
+    chan = GaussianChannel(model, power_rule(1.0, 1.0), constant_rule(1.0), 0.2)
+    with pytest.raises(ValidationError, match="k >= 1"):
+        posterior_estimate(chan, data)
+
+
+# ---------------------------------------------------------------------------
+# Tabulated model JSON without k_max
+# ---------------------------------------------------------------------------
+
+
+def test_tabulated_json_without_k_max_takes_the_table_length():
+    assert model_from_json(TABLE).k_max == 3
+    assert model_from_json({**TABLE, "k_max": 2}).k_max == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_prob_info_on_a_tabulated_json_without_k_max_exits_0(capsys, tmp_path, fmt):
+    path = _write(tmp_path, "model.json", TABLE)
+    code = main(["prob-info", "--model-json", path, "--epsilon", "0.1",
+                 "--rho", "constant:1", "--nu", "constant:1", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["k_max"] == 3 and json.loads(out)["k_I"] == 3
+
+
+# ---------------------------------------------------------------------------
+# Sweep rows at a level where the signal-to-noise ratio overflows
+# ---------------------------------------------------------------------------
+
+
+def test_sweep_blanks_the_channel_columns_where_the_ratio_overflows():
+    rows = convergence_sweep(ExperimentConfig.from_json(OVERFLOW_SWEEP)).rows
+    assert all(rows[0].get(col) is not None for col in CHANNEL_COLUMNS)
+    assert all(rows[1].get(col) is None for col in CHANNEL_COLUMNS)
+    assert rows[1]["k0"] >= rows[0]["k0"] and rows[1]["lower_bits"] is not None
+
+
+def test_simulate_with_an_overflowing_level_exits_0(capsys, tmp_path):
+    path = _write(tmp_path, "config.json", OVERFLOW_SWEEP)
+    assert main(["simulate", "--config", path]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert last[0] == "4.9406564584124654e-324"
+    assert last[2] == last[3] == last[4] == last[-1] == last[-2] == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_prob_info_at_an_overflowing_level_still_exits_2(capsys, fmt):
+    code = main(["prob-info", "--model", "poisson:a=0.5,b=1,k_max=8", "--epsilon", "5e-324",
+                 "--rho", "constant:1", "--nu", "constant:1", "--format", fmt])
+    assert code == 2 and "too small for the channel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    # lambda_1 rho_1 = lambda_2 rho_2 = 0.5: the informative count is ambiguous
+    ({**OVERFLOW_SWEEP, "model": {"kind": "poisson", "a": 0.5, "b": 1.0, "k_max": 2},
+      "rho": {"kind": "custom", "values": [1.0, 2.0], "tail_sum_sq": 0.0}}, "tie"),
+    # exp(-k^2) underflows to zero before k = 40
+    ({**OVERFLOW_SWEEP, "model": {"kind": "heat", "D": 1.0, "a": 2.0, "b": 1.0,
+                                  "k_max": 40}}, "underflows"),
+], ids=["tie", "underflow"])
+def test_simulate_with_a_tie_or_an_underflowed_eigenvalue_still_exits_2(
+        capsys, tmp_path, config, message):
+    path = _write(tmp_path, "config.json", config)
+    assert main(["simulate", "--config", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Lazy scipy import
+# ---------------------------------------------------------------------------
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # a fresh interpreter importing this same package
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fredinfo.__file__))}
+    code = "import sys, fredinfo; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
