@@ -1,11 +1,13 @@
 """Simulation harness: seeded draws, Monte-Carlo risk, sweeps and tables.
 
-Randomness comes from counter-based Philox streams keyed per
-``(seed, trial, component, role)`` — role 0 draws the prior coefficient,
-role 1 the observation noise.  Keying by trial and component means trial
-counts or component counts can change without reshuffling any earlier draw,
-and runs are bit-reproducible across platforms (normals use numpy's
-ziggurat over the Philox bit stream).  Aggregation uses numpy's pairwise
+Randomness comes from counter-based Philox streams, one per
+``(seed, trial, role)`` — role 0 draws the prior coefficients, role 1 the
+observation noise.  Each stream is consumed in order, component 1 first, so
+asking for more components extends a trial's draws and never reshuffles them;
+keying by trial means trial counts can change without touching any earlier
+trial.  Runs are bit-reproducible across platforms (normals use numpy's
+ziggurat over the Philox bit stream).  ``STREAM_SCHEME`` names this layout and
+is recorded in every sweep's metadata.  Aggregation uses numpy's pairwise
 summation in a fixed order, so repeated runs of the same config are
 byte-identical apart from timestamps, which live only in the metadata
 sidecar, never in the CSV body.
@@ -14,6 +16,7 @@ sidecar, never in the CSV body.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import hashlib
 import io
 import json
@@ -45,24 +48,23 @@ __all__ = [
     "reproduce_summary_table",
     "summary_table_csv",
     "SWEEP_COLUMNS",
+    "STREAM_SCHEME",
 ]
 
 _KEY_SALT = 0x9E3779B97F4A7C15  # fixed odd constant, documented for reproducibility
 
+# Names the draw layout below; bump it whenever the normals for a key change.
+STREAM_SCHEME = "philox4x64/trial-role/2"
 
-def _component_generator(seed: int, trial: int, k: int, role: int) -> np.random.Generator:
+
+def _stream(seed: int, trial: int, role: int) -> np.random.Generator:
     key = np.asarray([seed & 0xFFFFFFFFFFFFFFFF,
                       ((seed >> 64) ^ _KEY_SALT) & 0xFFFFFFFFFFFFFFFF],
                      dtype=np.uint64)
-    counter = np.asarray([role, 0, trial, k], dtype=np.uint64)
+    # Philox advances counter word 0 first, so it stays 0 here: a stream may
+    # draw up to 2^66 words before it reaches the next (role, trial) start.
+    counter = np.asarray([0, role, trial, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
-
-
-def _component_normals(seed: int, trial: int, k_max: int, role: int) -> np.ndarray:
-    out = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        out[k - 1] = _component_generator(seed, trial, k, role).standard_normal()
-    return out
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,10 @@ class TrialStream:
             raise ValidationError("seed and trial must be non-negative integers")
 
     def prior_normals(self, k_max: int) -> np.ndarray:
-        return _component_normals(self.seed, self.trial, k_max, role=0)
+        return _stream(self.seed, self.trial, 0).standard_normal(k_max)
 
     def noise_normals(self, k_max: int) -> np.ndarray:
-        return _component_normals(self.seed, self.trial, k_max, role=1)
+        return _stream(self.seed, self.trial, 1).standard_normal(k_max)
 
 
 def _embed(model: SpectrumModel, one_sided: np.ndarray) -> CoefficientVector:
@@ -137,6 +139,25 @@ class MonteCarloResult:
     tail_sum_sq: float
 
 
+@functools.lru_cache(maxsize=1)
+def _trial_block(seed: int, trials: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prior and noise normals of trials ``0 .. trials-1``, one row per trial.
+
+    The normals do not depend on the noise level, so every row of a sweep
+    scores against the one block remembered here.  Both arrays are read-only
+    because every caller shares them.
+    """
+    prior = np.empty((trials, k_max))
+    noise = np.empty((trials, k_max))
+    for t in range(trials):
+        stream = TrialStream(seed, t)
+        prior[t] = stream.prior_normals(k_max)
+        noise[t] = stream.noise_normals(k_max)
+    prior.flags.writeable = False
+    noise.flags.writeable = False
+    return prior, noise
+
+
 def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCarloResult:
     """Empirical risk of the informative-set estimator.
 
@@ -151,16 +172,15 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
         raise ValidationError("monte_carlo_mse requires a trace-class prior")
     lam, rho, nu = channel.arrays()
     tail = channel.rho.sum_sq_tail(channel.k_max)
-    stats = np.empty(trials)
-    for t in range(trials):
-        stream = TrialStream(seed, t)
-        xi = rho * stream.prior_normals(channel.k_max)
-        eta = lam * xi
-        if channel.epsilon > 0.0:
-            eta = eta + channel.epsilon * nu * stream.noise_normals(channel.k_max)
-        est = np.where(channel.informative, eta / lam, 0.0)
-        diff = xi - est
-        stats[t] = diff @ diff + tail
+    prior, noise = _trial_block(seed, trials, channel.k_max)
+    xi = rho * prior
+    eta = lam * xi
+    if channel.epsilon > 0.0:
+        eta = eta + channel.epsilon * nu * noise
+    diff = xi - np.where(channel.informative, eta / lam, 0.0)
+    # one dot product per trial keeps each statistic bit-identical to that
+    # trial scored alone
+    stats = np.fromiter((d @ d + tail for d in diff), dtype=float, count=trials)
     mean = float(np.mean(stats))
     stderr = float(np.std(stats, ddof=1) / math.sqrt(trials)) if trials >= 2 else None
     return MonteCarloResult(mean=mean, stderr=stderr, trials=trials, tail_sum_sq=tail)
@@ -355,6 +375,7 @@ def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
         "config_hash": config.config_hash(),
         "seed": config.seed,
         "trials": config.trials,
+        "stream_scheme": STREAM_SCHEME,
         "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "violations": violations,
     }
