@@ -21,8 +21,8 @@ from .errors import (FredinfoError, InconclusiveError, NumericError,
 from .spectra import (DEFAULT_K_MAX, CoefficientVector, EigenSystem,
                       SpectrumModel, export_spectrum_csv, forward_apply,
                       green_kernel, green_model, heat_model, model_from_json,
-                      model_from_json_str, model_to_json, nystrom_decompose,
-                      poisson_model, tabulated_model)
+                      model_to_json, nystrom_decompose, poisson_model,
+                      tabulated_model)
 from .truncation import (BoundCheck, Lemma1Report, NoiseLevel,
                          TruncationReport, WeakConvergencePoint, generalized_k0, k0,
                          k0_closed_form, lemma1_check, truncated_solution,
@@ -57,7 +57,6 @@ __all__ = [
     "poisson_model", "heat_model", "green_model", "tabulated_model",
     "forward_apply", "nystrom_decompose", "green_kernel",
     "export_spectrum_csv", "model_to_json", "model_from_json",
-    "model_from_json_str",
     # truncation
     "NoiseLevel", "k0", "k0_closed_form", "generalized_k0", "TruncationReport",
     "truncated_solution", "BoundCheck", "Lemma1Report", "lemma1_check",

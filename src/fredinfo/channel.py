@@ -25,11 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InconclusiveError, PreconditionError, UnsupportedError, ValidationError
+from .errors import InconclusiveError, UnsupportedError, ValidationError
 from .metric import entropy_lower_bound
 from .spectra import (CoefficientVector, SpectrumModel, _lookup, model_from_json,
                       model_to_json)
-from .truncation import _SCAN_CAP, k0
+from .truncation import _SCAN_CAP, NoiseLevel, k0
 
 __all__ = [
     "VarianceRule",
@@ -55,7 +55,9 @@ __all__ = [
     "extremal_comparison",
 ]
 
-_HALF_LN2 = 0.5 * math.log(2.0)
+_LN2 = math.log(2.0)
+_BLOCK_CAP = 1 << 20  # terms per block of the gaussian tail sum
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +94,10 @@ class VarianceRule:
 
     def values(self, ks: np.ndarray) -> np.ndarray:
         return RULES[self.kind].values(self.params, np.asarray(ks, dtype=np.int64))
+
+    def log2_values(self, ks: np.ndarray) -> np.ndarray:
+        """``log2(sigma_k)``, finite where the values underflow or overflow."""
+        return RULES[self.kind].log2_values(self.params, np.asarray(ks, dtype=np.int64))
 
     # -- second-moment sums ---------------------------------------------------
 
@@ -159,11 +165,12 @@ def custom_rule(values: Sequence[float], tail_sum_sq: float | None = None) -> Va
 
 @dataclass(frozen=True)
 class _Rule:
-    """One variance rule.  The formulas take the rule's ``params``, then
-    int64 indices (``values``) or the tail start ``m`` (``sum_sq_tail``)."""
+    """One variance rule.  The formulas take the rule's ``params``, then int64
+    indices (``values``, ``log2_values``) or the tail start ``m`` (``sum_sq_tail``)."""
 
     names: tuple[str, ...]                  # parameters, in factory order
     values: Callable[[dict, np.ndarray], np.ndarray]
+    log2_values: Callable[[dict, np.ndarray], np.ndarray]
     build: Callable[..., VarianceRule] | None = None  # the factory, from names' values
     trace_class: Callable[[dict], bool] = lambda p: False
     sum_sq_tail: Callable[[dict, int], float] | None = None  # sum_{k>m} sigma_k^2
@@ -191,14 +198,20 @@ def _power_tail(p: dict, m: int) -> float:
 
 
 def _gaussian_tail(p: dict, m: int) -> float:
-    """Terms until one drops below 1e-18 of the sum: about ``s**-1/2`` of them."""
+    """Terms in order until one drops below 1e-18 of the sum: about ``s**-1/2``
+    of them, summed in blocks of about that many."""
     s = p["s"]
     total = 0.0
-    for k in range(m + 1, m + 1 + _SCAN_CAP):
-        term = math.exp(-2.0 * s * k * k)
-        total += term
-        if term < 1e-320 or term < 1e-18 * total:
-            return p["c"] * p["c"] * total
+    end = m + 1 + _SCAN_CAP
+    block = int(min(max(1.0, math.sqrt(21.0 / s)), _BLOCK_CAP))
+    for start in range(m + 1, end, block):
+        ks = np.arange(start, min(start + block, end), dtype=float)
+        terms = np.exp(-2.0 * s * ks * ks)
+        sums = np.cumsum(np.concatenate(([total], terms)))[1:]  # in order, from total
+        done = (terms < 1e-320) | (terms < 1e-18 * sums)
+        if done.any():
+            return p["c"] * p["c"] * float(sums[np.argmax(done)])
+        total = float(sums[-1])
     raise InconclusiveError(f"gaussian tail sum needs more than {_SCAN_CAP} terms at s={s!r}")
 
 
@@ -207,28 +220,35 @@ def _gaussian_tail(p: dict, m: int) -> float:
 RULES: dict[str, _Rule] = {
     "constant": _Rule(
         ("c",), lambda p, k: np.full(k.shape, p["c"], dtype=float),
+        lambda p, k: np.full(k.shape, math.log2(p["c"])),
         build=lambda c: constant_rule(c)),
     "geometric": _Rule(
         ("c", "q"), lambda p, k: p["c"] * p["q"] ** k.astype(float),
+        lambda p, k: math.log2(p["c"]) + k.astype(float) * math.log2(p["q"]),
         build=lambda c, q: geometric_rule(c, q), trace_class=lambda p: True,
         sum_sq_tail=lambda p, m: (p["c"] * p["c"] * (p["q"] * p["q"]) ** (m + 1)
                                   / (1.0 - p["q"] * p["q"]))),
     "power": _Rule(
         ("c", "p"), lambda p, k: p["c"] * _k1(k, "power") ** (-p["p"]),
+        lambda p, k: math.log2(p["c"]) - p["p"] * np.log2(_k1(k, "power")),
         build=lambda c, p: power_rule(c, p), trace_class=lambda p: 2.0 * p["p"] > 1.0,
         sum_sq_tail=_power_tail),
     "gaussian": _Rule(
         ("c", "s"), lambda p, k: p["c"] * np.exp(-p["s"] * k.astype(float) ** 2),
+        lambda p, k: math.log2(p["c"]) - p["s"] * k.astype(float) ** 2 / _LN2,
         build=lambda c, s: gaussian_rule(c, s), trace_class=lambda p: True,
         sum_sq_tail=_gaussian_tail),
     "inverse_spectrum": _Rule(
         ("delta0",),
         lambda p, k: (1.0 + p["delta0"] / _k1(k, "inverse_spectrum")) / p["model"].eigenvalues(k),
+        lambda p, k: (np.log1p(p["delta0"] / _k1(k, "inverse_spectrum")) / _LN2
+                      - p["model"].log2_eigenvalues(k)),
         read=lambda o: inverse_spectrum_rule(model_from_json(o["model"]), o.get("delta0", 1e-9)),
         write=lambda p: {"delta0": p["delta0"], "model": model_to_json(p["model"])}),
     "custom": _Rule(
         ("values", "tail_sum_sq"),
         lambda p, k: _lookup(p["values"], k, "custom rule"),
+        lambda p, k: np.log2(_lookup(p["values"], k, "custom rule")),
         trace_class=lambda p: p["tail_sum_sq"] is not None, sum_sq_tail=_custom_tail,
         read=lambda o: custom_rule(o["values"], o.get("tail_sum_sq")),
         write=lambda p: {"values": list(p["values"]), "tail_sum_sq": p["tail_sum_sq"]}),
@@ -270,24 +290,32 @@ def rule_from_json(obj: dict) -> VarianceRule:
 class GaussianChannel:
     """Prior, noise and spectrum bundled over components ``k = 1..k_max``.
 
-    Construction validates positivity of all sigmas and pairwise
-    distinctness of the signal-to-noise ratios ``lambda_k rho_k / nu_k``
-    (ties would make the informative count ambiguous).
+    The level is a float (0 is noise-free) or a :class:`NoiseLevel`.  Every
+    reported value is read from ``log2_snr = log2 lambda_k + log2 rho_k -
+    log2 nu_k + log2(1/eps)``, formed in the log domain so that it stays
+    finite far below float range and where ``lambda_k`` underflows.
+    ``epsilon`` keeps the float (None if the level has none) for Monte-Carlo
+    draws.  The order of decreasing ``lambda_k rho_k / nu_k`` (ties are
+    rejected) and membership in I compare the float products when the level
+    has a float and they are normal floats, else the log2 array.
     """
 
     model: SpectrumModel
     rho: VarianceRule
     nu: VarianceRule
-    epsilon: float
+    epsilon: float | NoiseLevel | None
     k_max: int | None = None
+    level: NoiseLevel | None = field(init=False, repr=False)  # None at eps = 0
     # decided once here, read by every consumer (k = 1..k_max)
-    snr: np.ndarray = field(init=False, repr=False, compare=False)  # lam rho / (eps nu)
-    informative: np.ndarray = field(init=False, repr=False, compare=False)  # I: lam rho >= eps nu
+    log2_snr: np.ndarray = field(init=False, repr=False, compare=False)
+    informative: np.ndarray = field(init=False, repr=False, compare=False)  # I
 
     def __post_init__(self):
-        eps = float(self.epsilon)
-        if eps < 0 or not math.isfinite(eps):
-            raise ValidationError(f"epsilon must be >= 0 and finite, got {self.epsilon!r}")
+        level = self.epsilon
+        if not isinstance(level, NoiseLevel):  # a float: 0, or a validated level
+            level = None if float(level) == 0.0 else NoiseLevel.of(level)
+        eps = level.epsilon if level is not None else 0.0
+        object.__setattr__(self, "level", level)
         object.__setattr__(self, "epsilon", eps)
         km = self.model.k_max if self.k_max is None else int(self.k_max)
         if km < 1:
@@ -299,40 +327,34 @@ class GaussianChannel:
         object.__setattr__(self, "k_max", km)
 
         ks = np.arange(1, km + 1)
-        lam = self.model.eigenvalues(ks)
-        if np.any(lam <= 0.0):
-            first = int(ks[lam <= 0.0][0])
-            raise ValidationError(
-                f"lambda_{first} underflows to zero; lower k_max below {first} "
-                "(the channel needs representable eigenvalues)")
-        rho = self.rho.values(ks)
-        nu = self.nu.values(ks)
-        for name, arr in (("rho", rho), ("nu", nu)):
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-                raise ValidationError(f"{name}_k must be positive and finite on 1..k_max")
-        ratios = lam * rho / nu
-        if np.unique(ratios).size != ratios.size:
+        log2_rho = self.rho.log2_values(ks)
+        log2_ratio = self.model.log2_eigenvalues(ks) + log2_rho - self.nu.log2_values(ks)
+        if not np.all(np.isfinite(log2_ratio)):
+            raise ValidationError("log2(lambda_k rho_k / nu_k) must be finite on 1..k_max")
+        log2_snr = log2_ratio + (level.log2_inv_eps if level is not None else math.inf)
+        lam, rho, nu = self.model.eigenvalues(ks), self.rho.values(ks), self.nu.values(ks)
+        with np.errstate(all="ignore"):
+            signal = lam * rho
+            ratios = signal / nu
+            if eps is not None and np.all((np.minimum(signal, ratios) >= _TINY)
+                                          & (np.maximum(signal, ratios) <= _HUGE)):
+                keys, informative = ratios, signal >= eps * nu
+            else:
+                keys, informative = log2_ratio, log2_snr >= 0.0
+        if np.unique(keys).size != keys.size:
             raise ValidationError(
                 "signal-to-noise ratios lambda_k rho_k / nu_k must be pairwise "
                 "distinct; tie detected")
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            snr = lam * rho / (eps * nu)
-        if eps > 0.0 and not np.all(np.isfinite(snr)):
-            raise PreconditionError(f"epsilon={eps!r} is too small for the channel: "
-                                    "lambda_k rho_k / (eps nu_k) overflows", epsilon=eps)
-        object.__setattr__(self, "snr", snr)  # not finite at eps = 0
-        object.__setattr__(self, "informative", lam * rho >= eps * nu)
-        object.__setattr__(self, "_lam", lam)
-        object.__setattr__(self, "_rho", rho)
-        object.__setattr__(self, "_nu", nu)
-        object.__setattr__(self, "_ratios", ratios)
-        # stable descending sort of the ratios = the rearranged component order
-        order = np.argsort(-ratios, kind="stable")
-        object.__setattr__(self, "_order", order + 1)  # 1-based component labels
+        object.__setattr__(self, "log2_snr", log2_snr)
+        object.__setattr__(self, "informative", informative)
+        object.__setattr__(self, "_log2_rho", log2_rho)
+        object.__setattr__(self, "_arrays", (lam, rho, nu))
+        # stable descending sort of the keys = the rearranged order (1-based labels)
+        object.__setattr__(self, "_order", np.argsort(-keys, kind="stable") + 1)
 
     # cached arrays (populated in __post_init__)
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._lam, self._rho, self._nu  # type: ignore[attr-defined]
+        return self._arrays  # type: ignore[attr-defined]
 
     @property
     def ordering(self) -> np.ndarray:
@@ -343,6 +365,17 @@ class GaussianChannel:
         if not 1 <= k <= self.k_max:
             raise ValidationError(f"component index must lie in 1..{self.k_max}")
         return k - 1
+
+    def _inverted_risk(self) -> np.ndarray:
+        """``(eps nu_k / lambda_k)^2 = rho_k^2 2^(-2 log2_snr)``: at most ``rho_k^2`` on I."""
+        with np.errstate(over="ignore"):
+            return np.exp2(2.0 * (self._log2_rho - self.log2_snr))  # type: ignore[attr-defined]
+
+    def _information(self) -> np.ndarray:
+        """``J_k = (1/2) ln(1 + 2^(2t))`` at ``t = log2_snr``, formed as
+        ``max(t, 0) ln 2 + (1/2) log1p(2^(-2|t|))`` so nothing overflows."""
+        t = self.log2_snr
+        return np.maximum(t, 0.0) * _LN2 + 0.5 * np.log1p(np.exp2(-2.0 * np.abs(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +396,6 @@ class ComponentInfo:
         return asdict(self)
 
 
-def _info_from_ratio(ratio: float) -> tuple[float, float]:
-    """(r^2, J) computed stably from the SNR ``ratio = lam rho / (eps nu)``."""
-    if ratio <= 1.0:
-        r2 = ratio * ratio / (1.0 + ratio * ratio)
-        J = 0.5 * math.log1p(ratio * ratio)
-    else:
-        u = 1.0 / ratio
-        r2 = 1.0 / (1.0 + u * u)
-        J = math.log(ratio) + 0.5 * math.log1p(u * u)
-    return min(r2, float(np.nextafter(1.0, 0.0))), J
-
-
 def component_information(channel: GaussianChannel, k: int) -> ComponentInfo:
     """Squared correlation and Shannon information of component ``k`` (nats).
 
@@ -383,10 +404,11 @@ def component_information(channel: GaussianChannel, k: int) -> ComponentInfo:
     Membership in I means ``lam rho >= eps nu``, equivalently ``J_k >= (1/2) ln 2``
     (the boundary carries exactly half a ln 2).
     """
-    if channel.epsilon <= 0.0:
+    if channel.level is None:
         raise ValidationError("component information requires epsilon > 0")
     i = channel._index(k)
-    r2, J = _info_from_ratio(float(channel.snr[i]))
+    J = float(channel._information()[i])
+    r2 = min(-math.expm1(-2.0 * J), float(np.nextafter(1.0, 0.0)))  # r^2 = 1 - e^(-2J)
     return ComponentInfo(k=k, r_squared=r2, J_nats=J, in_I=bool(channel.informative[i]))
 
 
@@ -441,7 +463,11 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
     member = np.zeros(ks.shape, dtype=bool)
     member[pos] = channel.informative[ks[pos] - 1]
     if np.any(~pos):  # center mode of a two-sided vector: the rules at 0, lambda_0 = 1
-        member[~pos] = lam[~pos] * channel.rho.value(0) >= channel.epsilon * channel.nu.value(0)
+        if channel.epsilon is not None:  # compared like the other components
+            member[~pos] = channel.rho.value(0) >= channel.epsilon * channel.nu.value(0)
+        else:
+            gain = channel.rho.log2_values([0]) - channel.nu.log2_values([0])
+            member[~pos] = gain[0] + channel.level.log2_inv_eps >= 0.0
     entries = np.where(member, data.entries / lam, np.zeros_like(data.entries))
     return CoefficientVector(channel.model, entries)
 
@@ -465,12 +491,12 @@ def posterior_density_params(channel: GaussianChannel, k: int,
     conditional variance is the smaller of the two exactly on I.
     """
     i = channel._index(k)
-    lam, rho, nu = (float(a[i]) for a in channel.arrays())
+    lam, rho, _ = (float(a[i]) for a in channel.arrays())
     return PosteriorParams(
         mean1=0.0,
         var1=rho * rho,
         mean2=float(g_k) / lam,
-        var2=(channel.epsilon * nu / lam) ** 2,
+        var2=float(channel._inverted_risk()[i]),
     )
 
 
@@ -494,10 +520,10 @@ def mse_closed_form(channel: GaussianChannel) -> float:
     amplification.  Requires a trace-class prior.
     """
     _require_trace_class(channel, "mse_closed_form")
-    lam, rho, nu = channel.arrays()
+    _, rho, _ = channel.arrays()
     member = channel.informative
     dropped = float(np.sum(rho[~member] ** 2)) + channel.rho.sum_sq_tail(channel.k_max)
-    inverted = float(np.sum((channel.epsilon * nu[member] / lam[member]) ** 2))
+    inverted = float(np.sum(channel._inverted_risk()[member]))
     return dropped + inverted
 
 
@@ -512,9 +538,9 @@ def k_alpha(channel: GaussianChannel) -> int:
     """
     _require_trace_class(channel, "k_alpha")
     gamma = channel.rho.sum_sq_total()
-    lam, rho, nu = channel.arrays()
+    _, rho, _ = channel.arrays()
     order = channel.ordering - 1
-    terms = rho[order] ** 2 + (channel.epsilon * nu[order] / lam[order]) ** 2
+    terms = rho[order] ** 2 + channel._inverted_risk()[order]
     prefix = np.cumsum(terms)
     ok = prefix <= gamma * (1.0 + 1e-12)
     return int(np.sum(ok)) if ok.any() else 0
@@ -542,20 +568,17 @@ def total_information(channel: GaussianChannel) -> TotalInformation:
     non-negative on I and ``0 <= exact - approx <= k_I (1/2) ln 2``.
     Empty I gives (0, 0).
     """
-    if channel.epsilon <= 0.0:
+    if channel.level is None:
         raise ValidationError("total information requires epsilon > 0")
     return _information_sum(channel, np.flatnonzero(channel.informative) + 1)
 
 
 def _information_sum(channel: GaussianChannel, labels: Sequence[int]) -> TotalInformation:
-    """Exact and leading-order information summed over the given components."""
-    exact = 0.0
-    approx = 0.0
-    for ratio in channel.snr[np.asarray(labels, dtype=int) - 1]:
-        _, J = _info_from_ratio(ratio)
-        exact += J
-        approx += math.log(ratio)
-    return TotalInformation(exact_nats=exact, approx_nats=approx)
+    """Exact and leading-order information, summed over the components in order."""
+    i = np.asarray(labels, dtype=int) - 1
+    exact = np.cumsum(np.concatenate(([0.0], channel._information()[i])))[-1]
+    approx = np.cumsum(np.concatenate(([0.0], channel.log2_snr[i] * _LN2)))[-1]
+    return TotalInformation(exact_nats=float(exact), approx_nats=float(approx))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +604,7 @@ class ExtremalComparison:
         return asdict(self)
 
 
-def extremal_comparison(model: SpectrumModel, epsilon: float, case: str,
+def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case: str,
                         k_max: int | None = None) -> ExtremalComparison:
     """The two extremal prior/noise matchings.
 
@@ -595,9 +618,7 @@ def extremal_comparison(model: SpectrumModel, epsilon: float, case: str,
     leading-order information is ``k0 ln(1/eps)``.  The prior is not trace
     class, so risk and budget counts are disabled for this case.
     """
-    eps = float(epsilon)
-    if not (0.0 < eps) or not math.isfinite(eps):
-        raise ValidationError("extremal comparison requires epsilon > 0")
+    eps = NoiseLevel.of(epsilon).require_epsilon("the extremal comparison")
     km = model.k_max if k_max is None else int(k_max)
     cut = k0(model, eps)
     # the comparison only ever sums the first k0 components, so the channel

@@ -248,10 +248,10 @@ def _cmd_metric_info(args) -> int:
 
 def _cmd_prob_info(args) -> int:
     model = parse_model(args.model, args.model_json)
-    eps = NoiseLevel.of(*parse_epsilon(args.epsilon)).require_epsilon("channel information")
+    level = NoiseLevel.of(*parse_epsilon(args.epsilon))
 
     if args.extremal is not None:
-        cmp = extremal_comparison(model, eps, args.extremal, k_max=args.k_max)
+        cmp = extremal_comparison(model, level, args.extremal, k_max=args.k_max)
         if args.format == "csv":
             _emit_row("case,epsilon,k0,k_I,exact_nats,approx_nats,reference_nats",
                       cmp.case, cmp.epsilon, cmp.k0, cmp.k_I, cmp.exact_nats,
@@ -264,12 +264,12 @@ def _cmd_prob_info(args) -> int:
         raise ValidationError("prob-info needs --rho and --nu (or --extremal)")
     rho = parse_rule(args.rho, model)
     nu = parse_rule(args.nu, model)
-    chan = GaussianChannel(model, rho, nu, eps, k_max=args.k_max)
+    chan = GaussianChannel(model, rho, nu, level, k_max=args.k_max)
     part = partition_IN(chan)
     info = total_information(chan)
     trace = rho.is_trace_class
     summary = {
-        "epsilon": eps,
+        "epsilon": level.reported,
         "k_max": chan.k_max,
         "k_I": part.k_I,
         "k_alpha": k_alpha(chan) if trace else None,
@@ -278,7 +278,7 @@ def _cmd_prob_info(args) -> int:
         "approx_nats": info.approx_nats,
     }
     if args.format == "csv":
-        _emit_row("epsilon,k_I,k_alpha,mse,exact_nats,approx_nats", eps, part.k_I,
+        _emit_row("epsilon,k_I,k_alpha,mse,exact_nats,approx_nats", level.reported, part.k_I,
                   summary["k_alpha"], summary["mse"], info.exact_nats, info.approx_nats)
     else:
         summary["components"] = [component_information(chan, int(k)).to_json()

@@ -30,7 +30,7 @@ from . import metric
 from .channel import (GaussianChannel, VarianceRule, mse_closed_form, k_alpha,
                       partition_IN, rule_from_json, rule_to_json,
                       total_information)
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .spectra import (CoefficientVector, SpectrumModel, model_from_json,
                       model_to_json)
 from .truncation import NoiseLevel, _noise_grid, k0
@@ -121,13 +121,14 @@ def simulate_channel(channel: GaussianChannel, xi: CoefficientVector,
     """
     if xi.model != channel.model:
         raise ValidationError("simulate_channel: xi uses a different model")
+    eps = channel.level.require_epsilon("simulate_channel") if channel.level is not None else 0.0
     lam, _, nu = channel.arrays()
     xi_comp = _extract(channel, xi)
     if xi_comp.size != channel.k_max:
         raise ValidationError("xi must cover exactly the channel components")
     eta = lam * xi_comp
-    if channel.epsilon > 0.0:
-        eta = eta + channel.epsilon * nu * stream.noise_normals(channel.k_max)
+    if eps > 0.0:
+        eta = eta + eps * nu * stream.noise_normals(channel.k_max)
     return _embed(channel.model, eta)
 
 
@@ -170,14 +171,14 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if not channel.rho.is_trace_class:
         raise ValidationError("monte_carlo_mse requires a trace-class prior")
+    eps = channel.level.require_epsilon("monte_carlo_mse") if channel.level is not None else 0.0
     lam, rho, nu = channel.arrays()
     tail = channel.rho.sum_sq_tail(channel.k_max)
     prior, noise = _trial_block(seed, trials, channel.k_max)
     xi = rho * prior
-    eta = lam * xi
-    if channel.epsilon > 0.0:
-        eta = eta + channel.epsilon * nu * noise
-    diff = xi - np.where(channel.informative, eta / lam, 0.0)
+    eta = lam * xi + eps * nu * noise
+    # divide only on I: lambda_k may underflow to 0 on N
+    diff = xi - np.divide(eta, lam, out=np.zeros_like(eta), where=channel.informative)
     # one dot product per trial keeps each statistic bit-identical to that
     # trial scored alone
     stats = np.fromiter((d @ d + tail for d in diff), dtype=float, count=trials)
@@ -317,9 +318,7 @@ class ExperimentResult:
 def _sweep_row(config: ExperimentConfig, level: NoiseLevel) -> dict:
     model = config.model
     sided = config.sided
-    eps = level.epsilon
-    row: dict = {"epsilon": eps if eps is not None else f"pow2:{-level.log2_inv_eps:g}"}
-    row["k0"] = level.cutoff(model)
+    row: dict = {"epsilon": level.reported, "k0": level.cutoff(model)}
     row["lower_bits"] = metric.entropy_lower_bound(model, level, sided=sided)
     try:
         row["upper_bits"] = metric.entropy_upper_bound(model, level, sided=sided)
@@ -327,11 +326,8 @@ def _sweep_row(config: ExperimentConfig, level: NoiseLevel) -> dict:
         row["upper_bits"] = None
     row["logL_max"] = metric.max_message_length_log2(model, level, sided=sided)
 
-    if config.rho is not None and eps is not None:
-        try:
-            chan = GaussianChannel(model, config.rho, config.nu, eps, k_max=config.k_max)
-        except PreconditionError:
-            return row  # lambda_k rho_k / (eps nu_k) overflows: channel columns blank
+    if config.rho is not None:
+        chan = GaussianChannel(model, config.rho, config.nu, level, k_max=config.k_max)
         row["k_I"] = partition_IN(chan).k_I
         info = total_information(chan)
         row["exact_nats"] = info.exact_nats
@@ -339,7 +335,7 @@ def _sweep_row(config: ExperimentConfig, level: NoiseLevel) -> dict:
         if config.rho.is_trace_class:
             row["k_alpha"] = k_alpha(chan)
             row["mse_closed"] = mse_closed_form(chan)
-            if config.trials >= 1:
+            if config.trials >= 1 and chan.epsilon is not None:  # the draws need a float
                 mc = monte_carlo_mse(chan, config.trials, config.seed)
                 row["mse_mc_mean"] = mc.mean
                 row["mse_mc_stderr"] = mc.stderr

@@ -31,7 +31,6 @@ work stays exact far below the smallest positive float.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -649,10 +648,3 @@ def model_from_json(obj: dict) -> SpectrumModel:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model JSON: {exc}") from exc
 
-
-def model_from_json_str(text: str) -> SpectrumModel:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from exc
-    return model_from_json(obj)

@@ -100,6 +100,11 @@ class NoiseLevel:
         L = self.log2_inv_eps
         return 2.0 ** -L if abs(L) <= 1022 else None
 
+    @property
+    def reported(self) -> float | str:
+        """The level as output reports it: :attr:`epsilon`, else ``pow2:-N``."""
+        return self.epsilon if self.epsilon is not None else f"pow2:{-self.log2_inv_eps:g}"
+
     def require_epsilon(self, what: str) -> float:
         """:attr:`epsilon`, raising ValidationError when there is no float."""
         eps = self.epsilon

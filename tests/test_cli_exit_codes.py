@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,17 +18,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    # the exponent overflows a float
-    ("prob-info", "--model", "green", "--epsilon", "pow2:2000", "--extremal", "alpha"),
-    # the exponent is subnormal: once printed inf for the information sums
-    ("prob-info", "--model", "green:k_max=8", "--epsilon", "pow2:-1050",
-     "--rho", "constant:1", "--nu", "constant:1"),
+@pytest.mark.parametrize("argv, want", [
+    # the exponent overflows a float, which the extremal comparison needs
+    (("prob-info", "--model", "green", "--epsilon", "pow2:2000", "--extremal", "alpha"), 2),
+    # the exponent is subnormal: the log-domain channel answers it (exit 0)
+    (("prob-info", "--model", "green:k_max=8", "--epsilon", "pow2:-1050",
+      "--rho", "constant:1", "--nu", "constant:1"), 0),
 ], ids=["overflow", "subnormal"])
-def test_prob_info_outside_float_range_exits_2(capsys, argv):
+def test_prob_info_outside_float_range_exits_2(capsys, argv, want):
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert "representable" in err and "float range" in err
+    assert code == want
+    if want == 2:
+        assert out == "" and "representable" in err and "float range" in err
+        return
+    summary = json.loads(out)
+    assert summary["epsilon"] == "pow2:-1050" and summary["k_I"] == 8
+    # log2 snr_k = 1050 - 2 log2(k pi), far above 0: J_k = ln(snr_k) to the last bit
+    nats = sum((1050.0 - 2.0 * math.log2(k * math.pi)) * math.log(2.0) for k in range(1, 9))
+    assert summary["exact_nats"] == pytest.approx(nats, rel=1e-13)
+    assert summary["approx_nats"] == pytest.approx(nats, rel=1e-13)
 
 
 def test_truncate_data_with_subnormal_exponent_exits_2(capsys, tmp_path):

@@ -11,6 +11,7 @@ ends in exit code 0, 2 or 3.
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,7 @@ PROFILE = settings.get_profile("fredinfo")
 
 CAPPED_GAUSSIAN = ["prob-info", "--model", "green", "--epsilon", "0.1",
                    "--rho", "gaussian:1,1e-300", "--nu", "constant:1", "--k-max", "4"]
-# eps * nu_k underflows to 0: the signal-to-noise ratio is not a float
+# eps * nu_k underflows to 0: the signal-to-noise ratio is not a float, its log2 is
 SUBNORMAL_CHANNEL = ["prob-info", "--model", "green", "--epsilon", "5e-324",
                      "--rho", "constant:0.5", "--nu", "constant:0.5", "--format", "json"]
 
@@ -131,8 +132,19 @@ def test_gaussian_tail_past_the_cap_exits_3(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_channel_refuses_an_overflowing_signal_to_noise_ratio(capsys, fmt):
-    assert main(SUBNORMAL_CHANNEL[:-1] + [fmt]) == 2
-    assert "too small for the channel" in capsys.readouterr().err
+    # the float ratio overflows, its log2 does not: the channel answers (exit 0)
+    assert main(SUBNORMAL_CHANNEL[:-1] + [fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        summary = json.loads(out)
+    else:
+        header, row = out.splitlines()
+        summary = {key: float(val) if val else None
+                   for key, val in zip(header.split(","), row.split(","))}
+    assert summary["epsilon"] == 5e-324 and summary["k_I"] == 256
+    # log2 snr_k = 1074 - 2 log2(k pi) on every component
+    nats = sum((1074.0 - 2.0 * math.log2(k * math.pi)) * math.log(2.0) for k in range(1, 257))
+    assert summary["exact_nats"] == pytest.approx(nats, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -331,12 +331,16 @@ def test_sweep_exponent_grid_below_float_range():
     res = convergence_sweep(cfg)
     first, second = res.rows
     assert first["epsilon"] == 2.0 ** -16 and first["k_I"] >= 1
-    # 2^-1030 is not a normal float: metric columns still fill, channel ones stay empty
+    # 2^-1030 is not a normal float: the metric and the channel columns both fill
     assert second["epsilon"] == "pow2:-1030"
     assert second["k0"] == 1030
-    assert second.get("k_I") is None
+    # log2 snr_k = 1035 - 5k: all 32 components informative, risk = the prior tail
+    assert second["k_I"] == 32 and second["k_alpha"] == 32
+    assert second["mse_closed"] == pytest.approx(cfg.rho.sum_sq_tail(32), rel=1e-14)
+    assert second["approx_nats"] == pytest.approx(
+        sum(1035 - 5 * k for k in range(1, 33)) * math.log(2.0), rel=1e-14)
     lines = res.to_csv().splitlines()
-    assert lines[2].startswith("pow2:-1030,1030,")
+    assert lines[2].startswith("pow2:-1030,1030,32,32,")
 
 
 def test_sweep_total_sided_uses_total_counts():

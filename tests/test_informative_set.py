@@ -1,10 +1,10 @@
 """The informative set decided once per channel, and the inputs it mends.
 
-``GaussianChannel`` holds each component's signal-to-noise ratio and its
+``GaussianChannel`` holds each component's log2 signal-to-noise ratio and its
 membership in ``I``; the partition, the information sums, the closed-form and
 Monte-Carlo risk and the posterior estimate all read them.  Also covered: a
 tabulated model JSON without ``k_max``, sweep rows at a float level where the
-ratio overflows and the lazy ``scipy.special`` import.
+float ratio overflows and the lazy ``scipy.special`` import.
 """
 
 import json
@@ -26,7 +26,7 @@ from fredinfo.cli import main
 
 TABLE = {"kind": "tabulated", "values": [0.5, 0.25, 0.125]}
 CONSTANT = {"kind": "constant", "c": 1.0}
-# lambda_k rho_k / (eps nu_k) overflows at the second level (2**-k / 2**-1074)
+# lambda_k rho_k / (eps nu_k) overflows a float at the second level (2**-k / 2**-1074)
 OVERFLOW_SWEEP = {"model": {"kind": "poisson", "a": 0.5, "b": 1.0, "k_max": 8},
                   "epsilon_grid": [1e-300, 5e-324], "rho": CONSTANT, "nu": CONSTANT}
 CHANNEL_COLUMNS = ("k_I", "exact_nats", "approx_nats")
@@ -51,7 +51,7 @@ def _channel(eps=0.05):
 def test_channel_holds_snr_and_membership():
     chan = _channel()
     lam, rho, nu = chan.arrays()
-    np.testing.assert_array_equal(chan.snr, lam * rho / (0.05 * nu))
+    np.testing.assert_allclose(np.exp2(chan.log2_snr), lam * rho / (0.05 * nu), rtol=1e-14)
     np.testing.assert_array_equal(chan.informative, lam * rho >= 0.05 * nu)
     assert partition_IN(chan).I == tuple(np.flatnonzero(chan.informative) + 1)
 
@@ -131,9 +131,12 @@ def test_prob_info_on_a_tabulated_json_without_k_max_exits_0(capsys, tmp_path, f
 
 
 def test_sweep_blanks_the_channel_columns_where_the_ratio_overflows():
+    # the columns fill: the log2 ratio 1074 - k is finite
     rows = convergence_sweep(ExperimentConfig.from_json(OVERFLOW_SWEEP)).rows
-    assert all(rows[0].get(col) is not None for col in CHANNEL_COLUMNS)
-    assert all(rows[1].get(col) is None for col in CHANNEL_COLUMNS)
+    assert all(row.get(col) is not None for row in rows for col in CHANNEL_COLUMNS)
+    assert rows[1]["k_I"] == 8
+    nats = sum(1074 - k for k in range(1, 9)) * math.log(2.0)
+    assert rows[1]["exact_nats"] == pytest.approx(nats, rel=1e-15)
     assert rows[1]["k0"] >= rows[0]["k0"] and rows[1]["lower_bits"] is not None
 
 
@@ -142,29 +145,46 @@ def test_simulate_with_an_overflowing_level_exits_0(capsys, tmp_path):
     assert main(["simulate", "--config", path]) == 0
     last = capsys.readouterr().out.splitlines()[-1].split(",")
     assert last[0] == "4.9406564584124654e-324"
-    assert last[2] == last[3] == last[4] == last[-1] == last[-2] == ""
+    # k_I and the information fill; k_alpha and the risk need a trace-class prior
+    assert last[2] == "8" and last[3] == last[4] == ""
+    assert float(last[-2]) == float(last[-1]) > 0.0
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_prob_info_at_an_overflowing_level_still_exits_2(capsys, fmt):
+    # prob-info answers like the sweep row above (exit 0)
     code = main(["prob-info", "--model", "poisson:a=0.5,b=1,k_max=8", "--epsilon", "5e-324",
                  "--rho", "constant:1", "--nu", "constant:1", "--format", fmt])
-    assert code == 2 and "too small for the channel" in capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert code == 0
+    nats = sum(1074 - k for k in range(1, 9)) * math.log(2.0)
+    if fmt == "json":
+        summary = json.loads(out)
+        assert summary["k_I"] == 8 and summary["exact_nats"] == pytest.approx(nats, rel=1e-15)
+    else:
+        assert out.splitlines()[1].startswith("4.9406564584124654e-324,8,,,")
 
 
 @pytest.mark.parametrize("config, message", [
     # lambda_1 rho_1 = lambda_2 rho_2 = 0.5: the informative count is ambiguous
     ({**OVERFLOW_SWEEP, "model": {"kind": "poisson", "a": 0.5, "b": 1.0, "k_max": 2},
       "rho": {"kind": "custom", "values": [1.0, 2.0], "tail_sum_sq": 0.0}}, "tie"),
-    # exp(-k^2) underflows to zero before k = 40
+    # exp(-k^2) underflows to zero before k = 40; its log2 does not, and the
+    # sweep answers (exit 0) with k_I = k0 (rho = nu = 1)
     ({**OVERFLOW_SWEEP, "model": {"kind": "heat", "D": 1.0, "a": 2.0, "b": 1.0,
-                                  "k_max": 40}}, "underflows"),
+                                  "k_max": 40}}, None),
 ], ids=["tie", "underflow"])
 def test_simulate_with_a_tie_or_an_underflowed_eigenvalue_still_exits_2(
         capsys, tmp_path, config, message):
     path = _write(tmp_path, "config.json", config)
-    assert main(["simulate", "--config", path]) == 2
-    assert message in capsys.readouterr().err
+    code = main(["simulate", "--config", path])
+    captured = capsys.readouterr()
+    if message is not None:
+        assert code == 2 and message in captured.err
+        return
+    assert code == 0 and captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert [(row[1], row[2]) for row in rows] == [("26", "26"), ("27", "27")]
 
 
 # ---------------------------------------------------------------------------
