@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_BLOCK_CAP = 1 << 20  # terms per block of the gaussian tail sum
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
@@ -198,20 +197,14 @@ def _power_tail(p: dict, m: int) -> float:
 
 
 def _gaussian_tail(p: dict, m: int) -> float:
-    """Terms in order until one drops below 1e-18 of the sum: about ``s**-1/2``
-    of them, summed in blocks of about that many."""
+    """Terms until one drops below 1e-18 of the sum: about ``s**-1/2`` of them."""
     s = p["s"]
     total = 0.0
-    end = m + 1 + _SCAN_CAP
-    block = int(min(max(1.0, math.sqrt(21.0 / s)), _BLOCK_CAP))
-    for start in range(m + 1, end, block):
-        ks = np.arange(start, min(start + block, end), dtype=float)
-        terms = np.exp(-2.0 * s * ks * ks)
-        sums = np.cumsum(np.concatenate(([total], terms)))[1:]  # in order, from total
-        done = (terms < 1e-320) | (terms < 1e-18 * sums)
-        if done.any():
-            return p["c"] * p["c"] * float(sums[np.argmax(done)])
-        total = float(sums[-1])
+    for k in range(m + 1, m + 1 + _SCAN_CAP):
+        term = math.exp(-2.0 * s * k * k)
+        total += term
+        if term < 1e-320 or term < 1e-18 * total:
+            return p["c"] * p["c"] * total
     raise InconclusiveError(f"gaussian tail sum needs more than {_SCAN_CAP} terms at s={s!r}")
 
 
@@ -291,13 +284,12 @@ class GaussianChannel:
     """Prior, noise and spectrum bundled over components ``k = 1..k_max``.
 
     The level is a float (0 is noise-free) or a :class:`NoiseLevel`.  Every
-    reported value is read from ``log2_snr = log2 lambda_k + log2 rho_k -
-    log2 nu_k + log2(1/eps)``, formed in the log domain so that it stays
-    finite far below float range and where ``lambda_k`` underflows.
-    ``epsilon`` keeps the float (None if the level has none) for Monte-Carlo
-    draws.  The order of decreasing ``lambda_k rho_k / nu_k`` (ties are
-    rejected) and membership in I compare the float products when the level
-    has a float and they are normal floats, else the log2 array.
+    reported value comes from ``log2_snr = log2 (lambda_k rho_k / (eps nu_k))``,
+    formed in the log domain, so it stays finite below float range and where
+    ``lambda_k`` underflows.  A component whose factors, product and ratio are
+    normal floats is ordered (by decreasing ``lambda_k rho_k / nu_k``, ties
+    rejected) and, at a float level, placed in I on those floats; any other
+    on its log2 values.  :meth:`floats` serves the float consumers.
     """
 
     model: SpectrumModel
@@ -309,6 +301,9 @@ class GaussianChannel:
     # decided once here, read by every consumer (k = 1..k_max)
     log2_snr: np.ndarray = field(init=False, repr=False, compare=False)
     informative: np.ndarray = field(init=False, repr=False, compare=False)  # I
+    J_nats: np.ndarray = field(init=False, repr=False, compare=False)
+    inverted_risk: np.ndarray = field(init=False, repr=False, compare=False)
+    float_refusal: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         level = self.epsilon
@@ -329,32 +324,59 @@ class GaussianChannel:
         ks = np.arange(1, km + 1)
         log2_rho = self.rho.log2_values(ks)
         log2_ratio = self.model.log2_eigenvalues(ks) + log2_rho - self.nu.log2_values(ks)
-        if not np.all(np.isfinite(log2_ratio)):
+        if not np.isfinite(log2_ratio).all():
             raise ValidationError("log2(lambda_k rho_k / nu_k) must be finite on 1..k_max")
-        log2_snr = log2_ratio + (level.log2_inv_eps if level is not None else math.inf)
+        t = log2_ratio + (level.log2_inv_eps if level is not None else math.inf)
         lam, rho, nu = self.model.eigenvalues(ks), self.rho.values(ks), self.nu.values(ks)
         with np.errstate(all="ignore"):
             signal = lam * rho
             ratios = signal / nu
-            if eps is not None and np.all((np.minimum(signal, ratios) >= _TINY)
-                                          & (np.maximum(signal, ratios) <= _HUGE)):
-                keys, informative = ratios, signal >= eps * nu
+            factors = np.concatenate((lam, rho, nu, signal, ratios))
+            normal = ((factors >= _TINY) & (factors <= _HUGE)).reshape(5, km).all(axis=0)
+            # J_k = (1/2) ln(1 + 2^(2t)) = max(t, 0) ln 2 + (1/2) log1p(2^(-2|t|))
+            J = np.maximum(t, 0.0) * _LN2 + 0.5 * np.log1p(np.exp2(-2.0 * np.abs(t)))
+            # (eps nu_k / lambda_k)^2 = rho_k^2 2^(-2t): at most rho_k^2 on I
+            inverted = np.exp2(2.0 * (log2_rho - t))
+            # a component whose floats are all normal is ordered by its float
+            # ratio and, at a float level, placed in I by comparing floats, as
+            # the level was given; any other is keyed by 2^(log2 ratio), ranked
+            # by log2 ratio where that key is not a normal float either, and
+            # placed by log2_snr >= 0
+            all_normal = normal.all()
+            if all_normal:
+                keys, ranks = ratios, np.zeros(km)
+                informative = signal >= eps * nu if eps is not None else t >= 0.0
             else:
-                keys, informative = log2_ratio, log2_snr >= 0.0
-        if np.unique(keys).size != keys.size:
+                keys = np.where(normal, ratios, np.exp2(log2_ratio))
+                ranks = np.where((keys >= _TINY) & (keys <= _HUGE), 0.0, log2_ratio)
+                informative = t >= 0.0
+                if eps is not None:
+                    informative = np.where(normal, signal >= eps * nu, informative)
+        order = np.lexsort((-ranks, -keys))  # stable: the rearranged order
+        key, rank = keys[order], ranks[order]
+        if ((key[1:] == key[:-1]) & (rank[1:] == rank[:-1])).any():
             raise ValidationError(
                 "signal-to-noise ratios lambda_k rho_k / nu_k must be pairwise "
                 "distinct; tie detected")
-        object.__setattr__(self, "log2_snr", log2_snr)
+        object.__setattr__(self, "log2_snr", t)
         object.__setattr__(self, "informative", informative)
-        object.__setattr__(self, "_log2_rho", log2_rho)
+        object.__setattr__(self, "J_nats", J)
+        object.__setattr__(self, "inverted_risk", inverted)
+        object.__setattr__(self, "float_refusal",
+                           _float_refusal(eps, all_normal, lam, rho, nu, informative))
         object.__setattr__(self, "_arrays", (lam, rho, nu))
-        # stable descending sort of the keys = the rearranged order (1-based labels)
-        object.__setattr__(self, "_order", np.argsort(-keys, kind="stable") + 1)
+        object.__setattr__(self, "_order", order + 1)  # 1-based component labels
 
     # cached arrays (populated in __post_init__)
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._arrays  # type: ignore[attr-defined]
+
+    def floats(self, what: str) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """``(eps, lambda, rho, nu)`` as floats, for Monte-Carlo draws and the
+        inversion ``eta_k / lambda_k``; ValidationError per :attr:`float_refusal`."""
+        if self.float_refusal is not None:
+            raise ValidationError(f"{what} {self.float_refusal}")
+        return (self.epsilon, *self.arrays())
 
     @property
     def ordering(self) -> np.ndarray:
@@ -366,16 +388,20 @@ class GaussianChannel:
             raise ValidationError(f"component index must lie in 1..{self.k_max}")
         return k - 1
 
-    def _inverted_risk(self) -> np.ndarray:
-        """``(eps nu_k / lambda_k)^2 = rho_k^2 2^(-2 log2_snr)``: at most ``rho_k^2`` on I."""
-        with np.errstate(over="ignore"):
-            return np.exp2(2.0 * (self._log2_rho - self.log2_snr))  # type: ignore[attr-defined]
 
-    def _information(self) -> np.ndarray:
-        """``J_k = (1/2) ln(1 + 2^(2t))`` at ``t = log2_snr``, formed as
-        ``max(t, 0) ln 2 + (1/2) log1p(2^(-2|t|))`` so nothing overflows."""
-        t = self.log2_snr
-        return np.maximum(t, 0.0) * _LN2 + 0.5 * np.log1p(np.exp2(-2.0 * np.abs(t)))
+def _float_refusal(eps: float | None, all_normal: bool, lam: np.ndarray, rho: np.ndarray,
+                   nu: np.ndarray, informative: np.ndarray) -> str | None:
+    """Why draws and ``eta_k / lambda_k`` cannot be formed in floats (None: they can)."""
+    if eps is None:
+        return "needs a float epsilon; the level lies outside float range"
+    if all_normal:  # every lambda_k, rho_k and nu_k is a positive finite float
+        return None
+    if not (np.isfinite(rho).all() and np.isfinite(nu).all()):
+        return "needs rho_k and nu_k to be finite floats on 1..k_max"
+    if (lam[informative] == 0.0).any():
+        first = int(np.flatnonzero(informative & (lam == 0.0))[0]) + 1
+        return f"needs lambda_k > 0 on I; lambda_{first} underflows to zero"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +433,7 @@ def component_information(channel: GaussianChannel, k: int) -> ComponentInfo:
     if channel.level is None:
         raise ValidationError("component information requires epsilon > 0")
     i = channel._index(k)
-    J = float(channel._information()[i])
+    J = float(channel.J_nats[i])
     r2 = min(-math.expm1(-2.0 * J), float(np.nextafter(1.0, 0.0)))  # r^2 = 1 - e^(-2J)
     return ComponentInfo(k=k, r_squared=r2, J_nats=J, in_I=bool(channel.informative[i]))
 
@@ -457,18 +483,16 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
     if data.K > channel.k_max:
         raise ValidationError(
             f"data reaches index {data.K} beyond the channel's k_max={channel.k_max}")
+    eps, *_ = channel.floats("posterior_estimate")
     ks = np.abs(data.indices)
     lam = data.eigenvalue_profile()
     pos = ks >= 1
     member = np.zeros(ks.shape, dtype=bool)
     member[pos] = channel.informative[ks[pos] - 1]
     if np.any(~pos):  # center mode of a two-sided vector: the rules at 0, lambda_0 = 1
-        if channel.epsilon is not None:  # compared like the other components
-            member[~pos] = channel.rho.value(0) >= channel.epsilon * channel.nu.value(0)
-        else:
-            gain = channel.rho.log2_values([0]) - channel.nu.log2_values([0])
-            member[~pos] = gain[0] + channel.level.log2_inv_eps >= 0.0
-    entries = np.where(member, data.entries / lam, np.zeros_like(data.entries))
+        member[~pos] = lam[~pos] * channel.rho.value(0) >= eps * channel.nu.value(0)
+    # divide only on I: lambda_k may underflow to 0 on N
+    entries = np.divide(data.entries, lam, out=np.zeros_like(data.entries), where=member)
     return CoefficientVector(channel.model, entries)
 
 
@@ -491,12 +515,15 @@ def posterior_density_params(channel: GaussianChannel, k: int,
     conditional variance is the smaller of the two exactly on I.
     """
     i = channel._index(k)
-    lam, rho, _ = (float(a[i]) for a in channel.arrays())
+    _, lams, rhos, _ = channel.floats("posterior_density_params")
+    lam, rho = float(lams[i]), float(rhos[i])
+    if lam == 0.0:
+        raise ValidationError(f"posterior_density_params: lambda_{k} underflows to zero")
     return PosteriorParams(
         mean1=0.0,
         var1=rho * rho,
         mean2=float(g_k) / lam,
-        var2=float(channel._inverted_risk()[i]),
+        var2=float(channel.inverted_risk[i]),
     )
 
 
@@ -523,7 +550,7 @@ def mse_closed_form(channel: GaussianChannel) -> float:
     _, rho, _ = channel.arrays()
     member = channel.informative
     dropped = float(np.sum(rho[~member] ** 2)) + channel.rho.sum_sq_tail(channel.k_max)
-    inverted = float(np.sum(channel._inverted_risk()[member]))
+    inverted = float(np.sum(channel.inverted_risk[member]))
     return dropped + inverted
 
 
@@ -540,7 +567,7 @@ def k_alpha(channel: GaussianChannel) -> int:
     gamma = channel.rho.sum_sq_total()
     _, rho, _ = channel.arrays()
     order = channel.ordering - 1
-    terms = rho[order] ** 2 + channel._inverted_risk()[order]
+    terms = rho[order] ** 2 + channel.inverted_risk[order]
     prefix = np.cumsum(terms)
     ok = prefix <= gamma * (1.0 + 1e-12)
     return int(np.sum(ok)) if ok.any() else 0
@@ -576,7 +603,7 @@ def total_information(channel: GaussianChannel) -> TotalInformation:
 def _information_sum(channel: GaussianChannel, labels: Sequence[int]) -> TotalInformation:
     """Exact and leading-order information, summed over the components in order."""
     i = np.asarray(labels, dtype=int) - 1
-    exact = np.cumsum(np.concatenate(([0.0], channel._information()[i])))[-1]
+    exact = np.cumsum(np.concatenate(([0.0], channel.J_nats[i])))[-1]
     approx = np.cumsum(np.concatenate(([0.0], channel.log2_snr[i] * _LN2)))[-1]
     return TotalInformation(exact_nats=float(exact), approx_nats=float(approx))
 

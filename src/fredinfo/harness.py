@@ -121,8 +121,7 @@ def simulate_channel(channel: GaussianChannel, xi: CoefficientVector,
     """
     if xi.model != channel.model:
         raise ValidationError("simulate_channel: xi uses a different model")
-    eps = channel.level.require_epsilon("simulate_channel") if channel.level is not None else 0.0
-    lam, _, nu = channel.arrays()
+    eps, lam, _, nu = channel.floats("simulate_channel")
     xi_comp = _extract(channel, xi)
     if xi_comp.size != channel.k_max:
         raise ValidationError("xi must cover exactly the channel components")
@@ -171,8 +170,7 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if not channel.rho.is_trace_class:
         raise ValidationError("monte_carlo_mse requires a trace-class prior")
-    eps = channel.level.require_epsilon("monte_carlo_mse") if channel.level is not None else 0.0
-    lam, rho, nu = channel.arrays()
+    eps, lam, rho, nu = channel.floats("monte_carlo_mse")
     tail = channel.rho.sum_sq_tail(channel.k_max)
     prior, noise = _trial_block(seed, trials, channel.k_max)
     xi = rho * prior
@@ -335,7 +333,7 @@ def _sweep_row(config: ExperimentConfig, level: NoiseLevel) -> dict:
         if config.rho.is_trace_class:
             row["k_alpha"] = k_alpha(chan)
             row["mse_closed"] = mse_closed_form(chan)
-            if config.trials >= 1 and chan.epsilon is not None:  # the draws need a float
+            if config.trials >= 1 and chan.float_refusal is None:  # draws need floats
                 mc = monte_carlo_mse(chan, config.trials, config.seed)
                 row["mse_mc_mean"] = mc.mean
                 row["mse_mc_stderr"] = mc.stderr

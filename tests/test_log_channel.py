@@ -9,8 +9,10 @@ a boundary tie between rational factors stays a tie.  The cases are three
 inputs that float products cannot answer (a tie among underflowed products,
 an underflowed eigenvalue, a level below float range) and levels ``2^-L``
 with ``|L|`` up to 4096.  Also covered: a boundary tie that only the float
-comparison resolves as given, and the Monte-Carlo refusal at a level with no
-float.
+comparison resolves as given, also with a subnormal component beside it; the
+refusals of the float consumers (Monte-Carlo draws, ``eta_k / lambda_k``) at a
+level with no float and where ``lambda_k`` underflows on I; and the sweep rows
+that leave only the Monte-Carlo columns blank.
 """
 
 import json
@@ -24,7 +26,8 @@ import pytest
 from fredinfo import (ExperimentConfig, GaussianChannel, NoiseLevel, ValidationError,
                       constant_rule, convergence_sweep, geometric_rule, green_model,
                       heat_model, monte_carlo_mse, mse_closed_form, partition_IN,
-                      poisson_model, power_rule, simulate_channel, synthesize_solution,
+                      poisson_model, posterior_density_params, posterior_estimate,
+                      power_rule, simulate_channel, synthesize_solution,
                       tabulated_model, total_information, TrialStream)
 from fredinfo.cli import main
 
@@ -167,6 +170,15 @@ def test_boundary_tie_is_decided_on_the_floats(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["k_I"] == 2
 
 
+def test_a_subnormal_component_leaves_the_others_decided_on_the_floats():
+    # the same boundary with a fourth value whose product is subnormal: only
+    # that component is decided on log2, so components 1..3 keep their answers
+    chan = GaussianChannel(tabulated_model([0.5, 0.08209, 0.01, 1e-310]),
+                           constant_rule(1.0), constant_rule(1.0), 0.08209)
+    part = partition_IN(chan)
+    assert (part.k_I, part.ordering) == (2, (1, 2, 3, 4))
+
+
 def test_flat_ratios_are_ordered_on_the_floats(capsys):
     # rho_k = (1 + 1e-9/k) / lambda_k: the ratios 1 + 1e-9/k are distinct
     # floats, but their log2 sums -k + (k + 1.4e-9/k) collapse into ties
@@ -176,7 +188,7 @@ def test_flat_ratios_are_ordered_on_the_floats(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo draws need a float level
+# Monte-Carlo draws and inversions need floats
 # ---------------------------------------------------------------------------
 
 
@@ -190,6 +202,45 @@ def test_monte_carlo_refuses_a_level_with_no_float():
     xi = synthesize_solution(chan, stream)
     with pytest.raises(ValidationError, match="float range"):
         simulate_channel(chan, xi, stream)
+
+
+def test_float_consumers_refuse_an_eigenvalue_that_underflows_on_I():
+    # noise-free: every component is informative, and lambda_28 = e^-784 is 0
+    chan = GaussianChannel(heat_model(1.0, 2.0, 1.0, k_max=40), geometric_rule(1.0, 0.5),
+                           constant_rule(1.0), 0.0)
+    assert chan.float_refusal == "needs lambda_k > 0 on I; lambda_28 underflows to zero"
+    assert mse_closed_form(chan) == pytest.approx(geometric_rule(1.0, 0.5).sum_sq_tail(40))
+    stream = TrialStream(0, 0)
+    xi = synthesize_solution(chan, stream)
+    for call in (lambda: monte_carlo_mse(chan, 2, 1), lambda: simulate_channel(chan, xi, stream),
+                 lambda: posterior_estimate(chan, xi),
+                 lambda: posterior_density_params(chan, 1, 0.5)):
+        with pytest.raises(ValidationError, match="lambda_28 underflows"):
+            call()
+
+
+def test_posterior_density_refuses_an_underflowed_eigenvalue_on_N():
+    chan = GaussianChannel(heat_model(1.0, 2.0, 1.0, k_max=40), geometric_rule(1.0, 0.5),
+                           constant_rule(1.0), 0.01)
+    assert chan.float_refusal is None and not chan.informative[29]
+    with pytest.raises(ValidationError, match="lambda_30 underflows"):
+        posterior_density_params(chan, 30, 0.5)
+
+
+def test_simulate_blanks_the_monte_carlo_columns_where_lambda_underflows_on_I(
+        capsys, tmp_path):
+    # rho_k = 1e150 puts components 28..32 in I although lambda_k is 0 in float
+    config = {"model": {"kind": "heat", "D": 1.0, "a": 2.0, "b": 1.0, "k_max": 40},
+              "epsilon_grid": [1e-300],
+              "rho": {"kind": "custom", "values": [1e150] * 40, "tail_sum_sq": 0.0},
+              "nu": {"kind": "constant", "c": 1.0}, "trials": 3, "seed": 0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path)]) == 0
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["k_I"] == "32" and cells["mse_mc_mean"] == cells["mse_mc_stderr"] == ""
+    assert float(cells["mse_closed"]) == pytest.approx(8e300, rel=1e-10)
 
 
 def test_sweep_below_float_range_blanks_only_the_monte_carlo_columns():
