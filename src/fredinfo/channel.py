@@ -306,9 +306,7 @@ class GaussianChannel:
     float_refusal: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        level = self.epsilon
-        if not isinstance(level, NoiseLevel):  # a float: 0, or a validated level
-            level = None if float(level) == 0.0 else NoiseLevel.of(level)
+        level = None if self.epsilon == 0.0 else NoiseLevel.of(self.epsilon)  # 0: noise-free
         eps = level.epsilon if level is not None else 0.0
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "epsilon", eps)
@@ -568,7 +566,8 @@ def k_alpha(channel: GaussianChannel) -> int:
     _, rho, _ = channel.arrays()
     order = channel.ordering - 1
     terms = rho[order] ** 2 + channel.inverted_risk[order]
-    prefix = np.cumsum(terms)
+    with np.errstate(over="ignore"):  # a prefix past the float range is past gamma too
+        prefix = np.cumsum(terms)
     ok = prefix <= gamma * (1.0 + 1e-12)
     return int(np.sum(ok)) if ok.any() else 0
 

@@ -28,11 +28,11 @@ from .channel import (RULES, GaussianChannel, component_information,
                       extremal_comparison, k_alpha, mse_closed_form, partition_IN,
                       rule_from_json, total_information)
 from .errors import NumericError, ValidationError
-from .harness import (ExperimentConfig, _fmt, convergence_sweep,
-                      reproduce_summary_table, summary_table_csv)
+from .harness import (ExperimentConfig, convergence_sweep, reproduce_summary_table,
+                      summary_table_csv)
 from .metric import (capacity_interval, greedy_packing_count, growth_orders,
                      max_message_length_log2)
-from .spectra import (FAMILIES, CoefficientVector, SpectrumModel,
+from .spectra import (FAMILIES, CoefficientVector, SpectrumModel, csv_text,
                       export_spectrum_csv, model_from_json)
 from .truncation import NoiseLevel, k0, k0_closed_form, truncated_solution
 
@@ -44,11 +44,11 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 
 
-def parse_epsilon(text: str) -> tuple[float | None, float | None]:
-    """Return ``(epsilon, log2_inv_eps)`` with exactly one set.
+def parse_epsilon(text: str) -> NoiseLevel:
+    """The noise level ``text`` names: a decimal, or ``pow2:-N`` for ``2**-N``.
 
-    ``pow2:-N`` means ``2**-N`` and is carried as the exponent ``N`` so the
-    log-domain paths never form the (possibly underflowing) float.
+    ``pow2:-N`` becomes ``NoiseLevel(N)``, so the log-domain paths never form
+    the (possibly underflowing) float.
     """
     text = text.strip()
     if text.startswith("pow2:"):
@@ -56,13 +56,13 @@ def parse_epsilon(text: str) -> tuple[float | None, float | None]:
             exp = float(text[5:])
         except ValueError:
             raise ValidationError(f"bad pow2 exponent in {text!r}")
-        return None, -exp
+        return NoiseLevel(-exp)
     try:
         eps = float(text)
     except ValueError:
         raise ValidationError(
             f"bad epsilon {text!r}: use a decimal or pow2:<exponent>")
-    return eps, None
+    return NoiseLevel.of(eps)
 
 
 def _floats(text: str, what: str) -> list[float]:
@@ -143,8 +143,8 @@ def _emit(text: str) -> None:
 
 
 def _emit_row(columns: str, *values) -> None:
-    """A CSV header and one row of values, each written by ``_fmt``."""
-    _emit(f"{columns}\n{','.join(_fmt(v) for v in values)}\n")
+    """A CSV header (comma-separated names) and one row of values."""
+    _emit(csv_text(columns.split(","), [values]))
 
 
 def _emit_json(obj) -> None:
@@ -174,7 +174,7 @@ def _cmd_eigens(args) -> int:
 
 def _cmd_truncate(args) -> int:
     model = parse_model(args.model, args.model_json)
-    level = NoiseLevel.of(*parse_epsilon(args.epsilon))
+    level = parse_epsilon(args.epsilon)
     if args.data is None:
         cut = k0(model, level)
         try:
@@ -192,11 +192,9 @@ def _cmd_truncate(args) -> int:
     reference = _load_vector(args.reference, model) if args.reference else None
     report = truncated_solution(model, data, eps, reference)
     if args.format == "csv":
-        lines = ["k,real,imag"]
-        for k, z in zip(report.f_star.indices, report.f_star.entries):
-            z = complex(z)
-            lines.append(f"{k},{z.real:.17g},{z.imag:.17g}")
-        _emit("\n".join(lines) + "\n")
+        entries = map(complex, report.f_star.entries)
+        _emit(csv_text(("k", "real", "imag"),
+                       ((k, z.real, z.imag) for k, z in zip(report.f_star.indices, entries))))
     else:
         _emit_json(report.to_json())
     return 0
@@ -204,7 +202,7 @@ def _cmd_truncate(args) -> int:
 
 def _cmd_capacity(args) -> int:
     model = parse_model(args.model, args.model_json)
-    level = NoiseLevel.of(*parse_epsilon(args.epsilon))
+    level = parse_epsilon(args.epsilon)
     bounds = capacity_interval(model, level, sided=args.sided)
     logl = max_message_length_log2(model, level, sided=args.sided)
     if args.format == "csv":
@@ -223,7 +221,7 @@ def _cmd_metric_info(args) -> int:
         if args.epsilon is None or args.step is None:
             raise ValidationError("--packing-axes needs --epsilon and --step")
         axes = _floats(args.packing_axes, "--packing-axes")
-        eps = NoiseLevel.of(*parse_epsilon(args.epsilon)).require_epsilon("packing counts")
+        eps = parse_epsilon(args.epsilon).require_epsilon("packing counts")
         count = greedy_packing_count(axes, eps, float(args.step))
         if args.format == "csv":
             _emit_row("epsilon,grid_step,count", eps, float(args.step), count)
@@ -235,7 +233,8 @@ def _cmd_metric_info(args) -> int:
     if args.grid_eps is not None:
         est = growth_orders(model, _floats(args.grid_eps, "--grid-eps"))
     elif args.grid_log2 is not None:
-        est = growth_orders(model, log2_inv_eps=_floats(args.grid_log2, "--grid-log2"))
+        exps = _floats(args.grid_log2, "--grid-log2")
+        est = growth_orders(model, [NoiseLevel(L) for L in exps])
     else:
         raise ValidationError("give one of --grid-eps, --grid-log2 or --packing-axes")
     if args.format == "csv":
@@ -248,7 +247,7 @@ def _cmd_metric_info(args) -> int:
 
 def _cmd_prob_info(args) -> int:
     model = parse_model(args.model, args.model_json)
-    level = NoiseLevel.of(*parse_epsilon(args.epsilon))
+    level = parse_epsilon(args.epsilon)
 
     if args.extremal is not None:
         cmp = extremal_comparison(model, level, args.extremal, k_max=args.k_max)

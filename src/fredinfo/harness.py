@@ -18,10 +18,9 @@ from __future__ import annotations
 import datetime as _dt
 import functools
 import hashlib
-import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +30,8 @@ from .channel import (GaussianChannel, VarianceRule, mse_closed_form, k_alpha,
                       partition_IN, rule_from_json, rule_to_json,
                       total_information)
 from .errors import ValidationError
-from .spectra import (CoefficientVector, SpectrumModel, model_from_json,
-                      model_to_json)
+from .spectra import (CoefficientVector, SpectrumModel, csv_text,
+                      model_from_json, model_to_json)
 from .truncation import NoiseLevel, _noise_grid, k0
 
 __all__ = [
@@ -174,7 +173,8 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
     tail = channel.rho.sum_sq_tail(channel.k_max)
     prior, noise = _trial_block(seed, trials, channel.k_max)
     xi = rho * prior
-    eta = lam * xi + eps * nu * noise
+    with np.errstate(over="ignore"):  # eps nu_k may overflow on N, where eta is unused
+        eta = lam * xi + eps * nu * noise
     # divide only on I: lambda_k may underflow to 0 on N
     diff = xi - np.divide(eta, lam, out=np.zeros_like(eta), where=channel.informative)
     # one dot product per trial keeps each statistic bit-identical to that
@@ -210,16 +210,21 @@ class ExperimentConfig:
     seed: int = 0
     k_max: int | None = None
     sided: str = "one_sided"
+    # the grid's levels, built once from whichever grid field is present
+    levels: list[NoiseLevel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        levels = _noise_grid(self.epsilon_grid, self.log2_inv_eps_grid,
-                             ("epsilon_grid", "log2_inv_eps_grid"))
-        if not levels:
-            raise ValidationError("the noise grid is empty")
+        if (self.epsilon_grid is None) == (self.log2_inv_eps_grid is None):
+            raise ValidationError("give exactly one of epsilon_grid or log2_inv_eps_grid")
         if self.epsilon_grid is not None:
-            self.epsilon_grid = tuple(level.given for level in levels)
+            self.levels = _noise_grid(self.epsilon_grid, "epsilon_grid")
+            self.epsilon_grid = tuple(level.given for level in self.levels)
         else:
-            self.log2_inv_eps_grid = tuple(level.log2_inv_eps for level in levels)
+            self.levels = _noise_grid([NoiseLevel(L) for L in self.log2_inv_eps_grid],
+                                      "log2_inv_eps_grid")
+            self.log2_inv_eps_grid = tuple(level.log2_inv_eps for level in self.levels)
+        if not self.levels:
+            raise ValidationError("the noise grid is empty")
         if (self.rho is None) != (self.nu is None):
             raise ValidationError("rho and nu must be given together")
         if self.trials < 0:
@@ -281,14 +286,6 @@ SWEEP_COLUMNS = ("epsilon", "k0", "k_I", "k_alpha", "mse_closed",
                  "logL_max", "exact_nats", "approx_nats")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 @dataclass
 class ExperimentResult:
     rows: list[dict]
@@ -296,11 +293,8 @@ class ExperimentResult:
     metadata: dict
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in self.rows:
-            out.write(",".join(_fmt(row.get(col)) for col in SWEEP_COLUMNS) + "\n")
-        return out.getvalue()
+        return csv_text(SWEEP_COLUMNS, ([row.get(col) for col in SWEEP_COLUMNS]
+                                        for row in self.rows))
 
     def write(self, base_path: str) -> tuple[str, str]:
         csv_path = base_path + ".csv"
@@ -348,8 +342,7 @@ def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
     decreases as the level drops.  Violations are recorded per row pair —
     the run always completes.
     """
-    levels = _noise_grid(config.epsilon_grid, config.log2_inv_eps_grid)
-    rows = [_sweep_row(config, level) for level in levels]
+    rows = [_sweep_row(config, level) for level in config.levels]
 
     violations: list[str] = []
     for i in range(len(rows) - 1):
@@ -408,9 +401,9 @@ def reproduce_summary_table() -> list[SummaryRow]:
     for model, label, decay, target_exp, d_target in (
             (poisson_model(0.5, 1.0), "poisson", "geometric: (a/b)^|k|", 2.0, 2.0 ** 0.5),
             (heat_model(1.0, 2.0, 1.0), "heat", "gaussian: exp(-D k^2 (a-b))", 1.5, 2.0 ** (2.0 / 3.0))):
-        est = metric.growth_orders(model, log2_inv_eps=exp_grid)
+        est = metric.growth_orders(model, [NoiseLevel(L) for L in exp_grid])
         Ls = np.asarray(exp_grid)
-        logL = np.asarray([k0(model, log2_inv_eps=float(L)) * L for L in Ls])
+        logL = np.asarray([k0(model, NoiseLevel(L)) * L for L in Ls])
         slope = metric._least_squares(np.log(Ls * math.log(2.0)), np.log(logL)).slope
         d_est = est.d_c_exp if est.d_c_exp is not None else est.d_c
         rows.append(SummaryRow(
@@ -434,11 +427,5 @@ def reproduce_summary_table() -> list[SummaryRow]:
 
 
 def summary_table_csv(rows: Sequence[SummaryRow]) -> str:
-    out = io.StringIO()
-    out.write("model,decay,logL_exponent,logL_exponent_target,"
-              "d_c_estimate,d_c_target,within_5pct\n")
-    for r in rows:
-        out.write(f"{r.model},{r.decay},{r.logL_exponent:.17g},"
-                  f"{r.logL_exponent_target:.17g},{r.d_c_estimate:.17g},"
-                  f"{r.d_c_target:.17g},{r.within_5pct}\n")
-    return out.getvalue()
+    names = [f.name for f in fields(SummaryRow)]
+    return csv_text(names, ([getattr(r, name) for name in names] for r in rows))

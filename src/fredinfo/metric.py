@@ -2,8 +2,9 @@
 
 All bit counts use base-2 logarithms and are evaluated purely in the log
 domain (eigenvalues enter as ``log2 lambda_k``), so noise levels down to
-``2**-4096`` — supplied as exponents via ``log2_inv_eps`` — produce finite
-answers without ever forming an underflowing float.
+``2**-4096`` — passed as ``NoiseLevel(4096)``, which carries the exponent
+``log2(1/eps)`` — produce finite answers without ever forming an
+underflowing float.  Every level argument takes a float or a ``NoiseLevel``.
 
 For a noise level ``eps`` the recoverable-information interval is::
 
@@ -51,8 +52,7 @@ def _check_sided(sided: str) -> None:
         raise ValidationError(f"sided must be one of {_SIDED}, got {sided!r}")
 
 
-def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
-                        log2_inv_eps: float | None = None,
+def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
                         sided: str = "one_sided") -> float:
     """Volume lower bound on the eps-entropy, in bits.
 
@@ -62,7 +62,7 @@ def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel | None
     center survives (``eps <= 1``).
     """
     _check_sided(sided)
-    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    level = NoiseLevel.of(epsilon)
     L = level.log2_inv_eps
     cut = level.cutoff(model)
     if cut == 0:
@@ -77,8 +77,7 @@ def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel | None
     return 2.0 * one + center
 
 
-def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
-                        log2_inv_eps: float | None = None,
+def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
                         sided: str = "one_sided") -> float:
     """Lattice upper bound on the eps-entropy, in bits.
 
@@ -88,7 +87,7 @@ def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel | None
     regime a validation error reports the bound as not applicable.
     """
     _check_sided(sided)
-    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    level = NoiseLevel.of(epsilon)
     cut_q = level.quarter.cutoff(model)
     if cut_q < 1 or not level.below_4_lambda_1(model):
         raise PreconditionError(
@@ -117,8 +116,7 @@ class CapacityBounds:
         return asdict(self)
 
 
-def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
-                      log2_inv_eps: float | None = None,
+def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel, *,
                       sided: str = "one_sided") -> CapacityBounds:
     """Both entropy bounds plus the cutoffs they rest on.
 
@@ -129,7 +127,7 @@ def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel | None =
     scanned once (the level remembers its cutoffs).
     """
     _check_sided(sided)
-    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    level = NoiseLevel.of(epsilon)
     L = level.log2_inv_eps
     lower = entropy_lower_bound(model, level, sided=sided)
     try:
@@ -152,8 +150,7 @@ def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel | None =
     )
 
 
-def max_message_length_log2(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
-                            log2_inv_eps: float | None = None,
+def max_message_length_log2(model: SpectrumModel, epsilon: float | NoiseLevel, *,
                             sided: str = "one_sided") -> float:
     """log2 of the longest reliably decodable message count.
 
@@ -161,7 +158,7 @@ def max_message_length_log2(model: SpectrumModel, epsilon: float | NoiseLevel | 
     exactly one bit.  Zero when nothing survives the cutoff.
     """
     _check_sided(sided)
-    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    level = NoiseLevel.of(epsilon)
     cut = level.cutoff(model)
     if cut == 0:
         return 0.0
@@ -216,16 +213,15 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> FitDiagnostics:
                           float(np.sqrt(np.mean(resid ** 2))))
 
 
-def growth_orders(model: SpectrumModel, epsilons: Sequence[float] | None = None, *,
-                  log2_inv_eps: Sequence[float] | None = None) -> GrowthEstimate:
+def growth_orders(model: SpectrumModel, epsilons: Sequence[float | NoiseLevel]) -> GrowthEstimate:
     """Fit the cutoff's growth orders on a decreasing log-spaced noise grid.
 
-    The grid may be given as plain floats or as exponents ``log2(1/eps)``
-    (``log2_inv_eps``, increasing), which keeps levels down to ``2**-4096``
-    exact.  Requires at least 8 points spanning at least 4 decades, all below
+    Each level is a plain float or a :class:`NoiseLevel`; exponent levels
+    (``NoiseLevel(L)`` for ``2**-L``) keep levels down to ``2**-4096`` exact.
+    Requires at least 8 points spanning at least 4 decades, all below
     ``lambda_1``.  Counting uses the enumerative cutoff.
     """
-    levels = _noise_grid(epsilons, log2_inv_eps)
+    levels = _noise_grid(epsilons, "the growth-order grid")
     Ls = np.asarray([level.log2_inv_eps for level in levels])
     cuts = np.asarray([k0(model, level) for level in levels], dtype=float)
 

@@ -30,10 +30,9 @@ work stays exact far below the smallest positive float.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +50,7 @@ __all__ = [
     "EigenSystem",
     "nystrom_decompose",
     "green_kernel",
+    "csv_text",
     "export_spectrum_csv",
     "model_to_json",
     "model_from_json",
@@ -302,12 +302,12 @@ class _Family:
     write: Callable[[dict], dict] | None = None               # just the names' values
 
 
-def _green_k0(p: dict, log2_inv_eps: float, given: float | None) -> int:
+def _green_k0(p: dict, L: float, given: float | None) -> int:
     if given is not None:
         return max(0, math.floor(1.0 / (math.pi * math.sqrt(given))))
-    if log2_inv_eps > 2000.0:
+    if L > 2000.0:
         raise InconclusiveError("green closed-form cutoff overflows floats at this exponent")
-    return max(0, math.floor(2.0 ** (log2_inv_eps / 2.0) / math.pi))
+    return max(0, math.floor(2.0 ** (L / 2.0) / math.pi))
 
 
 def _lookup(values: Sequence[float], ks: np.ndarray, what: str) -> np.ndarray:
@@ -608,6 +608,21 @@ def green_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV header line and one line per row: a None field is blank and a float
+    keeps 17 significant digits."""
+    lines = [",".join(map(_fmt, row)) for row in (columns, *rows)]
+    return "\n".join(lines) + "\n"
+
+
 def export_spectrum_csv(model: SpectrumModel, k_hi: int) -> str:
     """CSV of the spectrum prefix with columns ``k,lambda,multiplicity``."""
     if k_hi < 1:
@@ -615,17 +630,13 @@ def export_spectrum_csv(model: SpectrumModel, k_hi: int) -> str:
     length = model.spectrum_length
     if length is not None and k_hi > length:
         raise ValidationError(f"spectrum holds {length} values, asked for {k_hi}")
-    out = io.StringIO()
-    out.write("k,lambda,multiplicity\n")
     ks = np.arange(1, k_hi + 1)
-    lams = model.eigenvalues(ks)
-    for k, lam in zip(ks, lams):
-        out.write(f"{k},{lam:.17g},{model.multiplicity(int(k))}\n")
-    return out.getvalue()
+    return csv_text(("k", "lambda", "multiplicity"),
+                    ((k, lam, model.multiplicity(int(k)))
+                     for k, lam in zip(ks, model.eigenvalues(ks))))
 
 
-def model_to_json(model: SpectrumModel) -> dict:
-    return model.to_json()
+model_to_json = SpectrumModel.to_json
 
 
 def model_from_json(obj: dict) -> SpectrumModel:

@@ -9,8 +9,8 @@ below the noise level::
 
 ``k0`` is computed by enumeration of the decreasing spectrum — that scan is
 the ground truth the per-family closed forms are checked against.  Both
-accept the noise level either as a plain float or as ``log2(1/eps)`` (one
-:class:`NoiseLevel` carries either form) so that levels far below the float
+take the noise level as a plain float or as a :class:`NoiseLevel`, which can
+carry the exponent ``log2(1/eps)`` instead, so that levels far below the float
 underflow threshold stay usable.
 """
 
@@ -61,7 +61,8 @@ class NoiseLevel:
     _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        L, eps = self.log2_inv_eps, self.given
+        L, eps = float(self.log2_inv_eps), self.given
+        object.__setattr__(self, "log2_inv_eps", L)  # NoiseLevel(4096) reads as 4096.0
         if eps is not None:
             if not (eps > 0.0) or not math.isfinite(eps):
                 raise ValidationError(f"epsilon must be a positive finite float, got {eps!r}")
@@ -72,21 +73,13 @@ class NoiseLevel:
             raise ValidationError(f"log2_inv_eps must be finite, got {L!r}")
 
     @classmethod
-    def of(cls, epsilon: float | NoiseLevel | None = None,
-           log2_inv_eps: float | None = None) -> NoiseLevel:
-        """Normalize the public ``epsilon=None, *, log2_inv_eps=None`` pair.
-
-        ``epsilon`` may be a float or already a :class:`NoiseLevel`; exactly
-        one of the two arguments must be given.
-        """
-        if (epsilon is None) == (log2_inv_eps is None):
-            raise ValidationError("give exactly one of epsilon or log2_inv_eps")
+    def of(cls, epsilon: float | NoiseLevel) -> NoiseLevel:
+        """The public ``epsilon`` argument as a level: a :class:`NoiseLevel`
+        is returned unchanged, a float is validated and wrapped."""
         if isinstance(epsilon, NoiseLevel):
             return epsilon
-        if epsilon is not None:
-            eps = float(epsilon)
-            return cls(-math.log2(eps) if eps > 0.0 else math.nan, eps)
-        return cls(float(log2_inv_eps))
+        eps = float(epsilon)
+        return cls(-math.log2(eps) if eps > 0.0 else math.nan, eps)
 
     @property
     def epsilon(self) -> float | None:
@@ -142,29 +135,21 @@ class NoiseLevel:
         return -self.log2_inv_eps < 2.0 + model.log2_eigenvalues(np.asarray([1]))[0]
 
 
-def _noise_grid(epsilons: Sequence[float] | None, log2_inv_eps: Sequence[float] | None,
-                names: tuple[str, str] = ("epsilons", "log2_inv_eps")) -> list[NoiseLevel]:
-    """Levels of a grid given as decreasing floats or as increasing exponents.
-
-    Exactly one of the two sequences must be given; ``names`` label them in
-    error messages.
-    """
-    floats, exps = names
-    if (epsilons is None) == (log2_inv_eps is None):
-        raise ValidationError(f"give exactly one of {floats} or {exps}")
-    if epsilons is not None:
-        levels = [NoiseLevel.of(e) for e in epsilons]
-        if any(b.given >= a.given for a, b in zip(levels, levels[1:])):
-            raise ValidationError(f"{floats} must decrease strictly")
+def _noise_grid(grid: Sequence[float | NoiseLevel], what: str) -> list[NoiseLevel]:
+    """The levels of the grid ``what``, which must decrease strictly: compared as
+    floats when every level was given as one (neighbouring floats can share a
+    ``log2``), else as exponents."""
+    levels = [NoiseLevel.of(e) for e in grid]
+    if all(level.given is not None for level in levels):
+        keys = [-level.given for level in levels]
     else:
-        levels = [NoiseLevel.of(log2_inv_eps=L) for L in log2_inv_eps]
-        if any(b.log2_inv_eps <= a.log2_inv_eps for a, b in zip(levels, levels[1:])):
-            raise ValidationError(f"{exps} must increase strictly")
+        keys = [level.log2_inv_eps for level in levels]
+    if any(b <= a for a, b in zip(keys, keys[1:])):
+        raise ValidationError(f"the noise levels of {what} must decrease strictly")
     return levels
 
 
-def k0(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
-       log2_inv_eps: float | None = None) -> int:
+def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
     """Cutoff index: largest k with ``lambda_k >= eps`` (0 if none).
 
     Enumerative ground truth: scans the decreasing spectrum in vectorized
@@ -178,7 +163,7 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
     InconclusiveError
         The cutoff exceeds the enumeration safety cap (2**22).
     """
-    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    level = NoiseLevel.of(epsilon)
     length = model.spectrum_length
     hard_cap = length if length is not None else _SCAN_CAP
 
@@ -202,8 +187,7 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
         "small for this spectrum's decay")
 
 
-def k0_closed_form(model: SpectrumModel, epsilon: float | NoiseLevel | None = None, *,
-                   log2_inv_eps: float | None = None) -> int:
+def k0_closed_form(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
     """Printed closed-form cutoff for the three analytic families.
 
     * poisson: ``floor(log(1/eps) / log(b/a))`` — any log base (a ratio).
@@ -215,7 +199,7 @@ def k0_closed_form(model: SpectrumModel, epsilon: float | NoiseLevel | None = No
     Must equal :func:`k0` except possibly at exact boundary ties, which the
     floor resolves toward inclusion.
     """
-    level = NoiseLevel.of(epsilon, log2_inv_eps)
+    level = NoiseLevel.of(epsilon)
     closed = FAMILIES[model.kind].k0_closed_form
     if closed is None:
         raise ValidationError(f"no closed-form cutoff for kind {model.kind!r}")
@@ -434,11 +418,8 @@ def weak_convergence_probe(model: SpectrumModel, f: CoefficientVector,
         raise ValidationError("need one data vector per epsilon")
     if len(epsilons) < 2:
         raise ValidationError("need at least two grid points")
-    eps_arr = [float(e) for e in epsilons]
-    if any(not (e > 0) for e in eps_arr):
-        raise ValidationError("epsilons must be positive")
-    if any(e2 >= e1 for e1, e2 in zip(eps_arr, eps_arr[1:])):
-        raise ValidationError("epsilons must decrease strictly")
+    eps_arr = [level.require_epsilon("weak_convergence_probe")
+               for level in _noise_grid(epsilons, "epsilons")]
     if v.norm() > _SLACK:
         raise ValidationError(f"test vector norm {v.norm():.6g} exceeds 1")
 

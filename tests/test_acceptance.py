@@ -18,6 +18,7 @@ import pytest
 from fredinfo import (
     CoefficientVector,
     GaussianChannel,
+    NoiseLevel,
     component_information,
     constant_rule,
     entropy_lower_bound,
@@ -165,7 +166,7 @@ def test_criterion_05_growth_orders_within_five_percent():
     results = []
     for model, target in ((poisson_model(0.5, 1.0), 2.0 ** 0.5),
                           (heat_model(1.0, 2.0, 1.0), 2.0 ** (2.0 / 3.0))):
-        est = growth_orders(model, log2_inv_eps=exp_grid)
+        est = growth_orders(model, [NoiseLevel(L) for L in exp_grid])
         assert est.d_c is None
         assert abs(est.d_c_exp - target) <= 0.05 * target
         results.append((model.kind, est.d_c_exp, target))

@@ -324,6 +324,10 @@ def test_k_alpha_edge_cases():
     assert k_alpha(worked_channel(eps=0.0)) == 24
     # huge eps: even the first component overshoots
     assert k_alpha(worked_channel(eps=8.0)) == 0
+    # inverted risk terms near the float maximum: the prefix sum overflows
+    huge = GaussianChannel(green_model(k_max=40), geometric_rule(1.0, 0.5),
+                           constant_rule(1e150), 1.0)
+    assert k_alpha(huge) == 0
 
 
 def test_k_alpha_non_increasing_in_eps():

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from fredinfo import (CoefficientVector, __version__, model_to_json,
+from fredinfo import (CoefficientVector, NoiseLevel, __version__, model_to_json,
                       tabulated_model)
 from fredinfo.cli import main, parse_epsilon, parse_model, parse_rule
 from fredinfo.harness import SWEEP_COLUMNS
@@ -33,9 +33,9 @@ def write_worked_model(tmp_path, n=24):
 
 
 def test_parse_epsilon_forms():
-    assert parse_epsilon("1e-3") == (1e-3, None)
-    assert parse_epsilon("pow2:-64") == (None, 64.0)
-    assert parse_epsilon(" pow2:-4096 ") == (None, 4096.0)
+    assert parse_epsilon("1e-3") == NoiseLevel.of(1e-3)
+    assert parse_epsilon("pow2:-64") == NoiseLevel(64.0)
+    assert parse_epsilon(" pow2:-4096 ") == NoiseLevel(4096.0)
     with pytest.raises(Exception):
         parse_epsilon("pow2:x")
     with pytest.raises(Exception):

@@ -94,13 +94,13 @@ def test_equal_models_share_one_scan(monkeypatch, make):
 def test_subnormal_float_matches_its_exponent():
     model = poisson_model(0.5, 1.0)
     by_float = capacity_interval(model, 5e-324)
-    by_exp = capacity_interval(model, log2_inv_eps=1074.0)
+    by_exp = capacity_interval(model, NoiseLevel(1074.0))
     fields = ("k0_eps", "k0_eps_over_4", "lower_bits", "upper_bits")
     assert [getattr(by_float, f) for f in fields] == [getattr(by_exp, f) for f in fields]
     assert (by_float.k0_eps, by_float.k0_eps_over_4) == (1074, 1076)
     assert by_float.upper_bits is not None
     assert (max_message_length_log2(model, 5e-324)
-            == max_message_length_log2(model, log2_inv_eps=1074.0))
+            == max_message_length_log2(model, NoiseLevel(1074.0)))
     assert NoiseLevel.of(5e-324).quarter == NoiseLevel(1076.0)
     assert NoiseLevel.of(0.1).quarter == NoiseLevel.of(0.1 / 4.0)  # normal floats unchanged
 
@@ -117,7 +117,7 @@ def test_capacity_command_at_the_smallest_subnormal(capsys):
 def test_sweep_fills_upper_bits_at_a_subnormal_level():
     model = poisson_model(0.5, 1.0)
     rows = convergence_sweep(ExperimentConfig(model=model, epsilon_grid=[1e-300, 5e-324])).rows
-    assert rows[-1]["upper_bits"] == capacity_interval(model, log2_inv_eps=1074.0).upper_bits
+    assert rows[-1]["upper_bits"] == capacity_interval(model, NoiseLevel(1074.0)).upper_bits
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,20 @@ def test_monte_carlo_noise_free_risk_is_pure_tail():
     assert mc.stderr == 0.0
 
 
+def test_monte_carlo_scores_prior_when_noise_overflows():
+    # eps nu_k = 1e310 overflows on every component; none is informative, so
+    # each trial scores its prior draw alone, and nothing warns
+    chan = GaussianChannel(poisson_model(0.5, 1.0, k_max=8), geometric_rule(1.0, 0.5),
+                           constant_rule(1e300), 1e10)
+    assert not chan.informative.any()
+    _, rho, _ = chan.arrays()
+    stats = []
+    for t in range(3):
+        xi = rho * TrialStream(seed=1, trial=t).prior_normals(8)
+        stats.append(xi @ xi + chan.rho.sum_sq_tail(8))
+    assert monte_carlo_mse(chan, trials=3, seed=1).mean == float(np.mean(np.asarray(stats)))
+
+
 def test_monte_carlo_single_trial_has_no_stderr():
     mc = monte_carlo_mse(worked_channel(), trials=1, seed=0)
     assert mc.stderr is None and mc.trials == 1
@@ -234,6 +248,9 @@ def test_config_rejects_bad_exponent_grids():
         make_config(epsilon_grid=None, log2_inv_eps_grid=(4.0, 4.0))
     with pytest.raises(ValidationError):
         make_config(epsilon_grid=None, log2_inv_eps_grid=())
+    # neighbouring floats can share a log2, so a float grid compares as floats
+    tiny = (1e-300, math.nextafter(1e-300, 0.0))
+    assert make_config(epsilon_grid=tiny).epsilon_grid == tiny
 
 
 def test_config_channel_fields_come_together():

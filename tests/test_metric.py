@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fredinfo import (
+    NoiseLevel,
     NumericError,
     PreconditionError,
     UnsupportedError,
@@ -118,16 +119,16 @@ def test_exponent_domain_bounds_match_linear():
     for L in (4.0, 10.5, 40.0):
         eps = 2.0 ** (-L)
         assert entropy_lower_bound(m, eps) == pytest.approx(
-            entropy_lower_bound(m, log2_inv_eps=L), rel=1e-12)
+            entropy_lower_bound(m, NoiseLevel(L)), rel=1e-12)
         assert entropy_upper_bound(m, eps) == pytest.approx(
-            entropy_upper_bound(m, log2_inv_eps=L), rel=1e-12)
+            entropy_upper_bound(m, NoiseLevel(L)), rel=1e-12)
 
 
 def test_bounds_finite_at_extreme_exponents():
     """Levels near 2^-4096 stay finite and ordered in the log domain."""
     for model in (poisson_model(0.5, 1.0), heat_model(1.0, 2.0, 1.0)):
-        lower = entropy_lower_bound(model, log2_inv_eps=4096.0)
-        upper = entropy_upper_bound(model, log2_inv_eps=4096.0)
+        lower = entropy_lower_bound(model, NoiseLevel(4096.0))
+        upper = entropy_upper_bound(model, NoiseLevel(4096.0))
         assert math.isfinite(lower) and math.isfinite(upper)
         assert 0.0 < lower <= upper
 
@@ -136,10 +137,10 @@ def test_leading_terms_bracket_the_budget():
     # the sharp regime: lower ~ (1/2) k0 L and upper ~ k0 L for the geometric family
     m = poisson_model(0.5, 1.0)
     L = 1024.0
-    cut = k0(m, log2_inv_eps=L)
+    cut = k0(m, NoiseLevel(L))
     budget = cut * L
-    assert entropy_lower_bound(m, log2_inv_eps=L) / budget == pytest.approx(0.5, abs=0.01)
-    assert entropy_upper_bound(m, log2_inv_eps=L) / budget == pytest.approx(1.0, abs=0.1)
+    assert entropy_lower_bound(m, NoiseLevel(L)) / budget == pytest.approx(0.5, abs=0.01)
+    assert entropy_upper_bound(m, NoiseLevel(L)) / budget == pytest.approx(1.0, abs=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +170,10 @@ def test_capacity_interval_total_counts_axes():
 
 def test_capacity_interval_exponent_domain():
     m = poisson_model(0.5, 1.0)
-    b = capacity_interval(m, log2_inv_eps=64.0)
+    b = capacity_interval(m, NoiseLevel(64.0))
     assert b.epsilon == pytest.approx(2.0 ** -64)
     assert b.k0_eps == 64
-    deep = capacity_interval(m, log2_inv_eps=2000.0)
+    deep = capacity_interval(m, NoiseLevel(2000.0))
     assert deep.epsilon is None  # below float range
     assert deep.k0_eps == 2000
 
@@ -207,7 +208,7 @@ EXP_GRID = [2.0 ** j for j in range(4, 13)]  # log2(1/eps) = 16 .. 4096
 
 
 def test_growth_orders_poisson():
-    est = growth_orders(poisson_model(0.5, 1.0), log2_inv_eps=EXP_GRID)
+    est = growth_orders(poisson_model(0.5, 1.0), [NoiseLevel(L) for L in EXP_GRID])
     assert est.rho_hat < 0.05
     assert est.d_c is None
     assert est.d_c_exp == pytest.approx(2.0 ** 0.5, rel=1e-3)
@@ -215,14 +216,16 @@ def test_growth_orders_poisson():
 
 
 def test_growth_orders_heat():
-    est = growth_orders(heat_model(1.0, 2.0, 1.0), log2_inv_eps=EXP_GRID)
+    est = growth_orders(heat_model(1.0, 2.0, 1.0), [NoiseLevel(L) for L in EXP_GRID])
     assert est.rho_hat < 0.05
     assert est.d_c_exp == pytest.approx(2.0 ** (2.0 / 3.0), rel=0.02)
     assert est.sigma_hat == pytest.approx(1.5, rel=0.02)
 
 
 def test_growth_orders_green():
-    est = growth_orders(green_model(), [10.0 ** (-p) for p in range(2, 11)])
+    grid = [10.0 ** (-p) for p in range(2, 11)]
+    est = growth_orders(green_model(), grid)
+    assert est == growth_orders(green_model(), [NoiseLevel.of(e) for e in grid])
     assert est.rho_hat >= 0.05
     assert est.d_c_exp is None
     assert est.d_c == pytest.approx(2.0, rel=0.01)
@@ -236,11 +239,9 @@ def test_growth_orders_validation():
     with pytest.raises(ValidationError):
         growth_orders(m, list(np.geomspace(0.4, 0.1, 9)))    # span too small
     with pytest.raises(ValidationError):
-        growth_orders(m, log2_inv_eps=[16, 8, 32, 64, 128, 256, 512, 1024])
+        growth_orders(m, [NoiseLevel(L) for L in [16, 8, 32, 64, 128, 256, 512, 1024]])
     with pytest.raises(ValidationError):
         growth_orders(m, list(np.geomspace(2.0, 1e-4, 9)))   # above lambda_1
-    with pytest.raises(ValidationError):
-        growth_orders(m, [0.1] * 9, log2_inv_eps=EXP_GRID)   # both grids
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ def test_constructor_rejects_invalid_levels(args):
 
 
 def test_constructor_accepts_consistent_levels():
-    assert NoiseLevel(3.0) == NoiseLevel.of(log2_inv_eps=3.0)
+    assert NoiseLevel(3.0) == NoiseLevel.of(NoiseLevel(3.0))
     assert NoiseLevel(-math.log2(0.1), 0.1) == NoiseLevel.of(0.1)
     assert NoiseLevel(3.0).epsilon == 0.125
     assert NoiseLevel(1023.0).epsilon is None
@@ -39,7 +39,7 @@ def k0_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("level", [NoiseLevel.of(1e-6), NoiseLevel.of(log2_inv_eps=2000.0)],
+@pytest.mark.parametrize("level", [NoiseLevel.of(1e-6), NoiseLevel(2000.0)],
                          ids=["float", "exponent"])
 def test_capacity_and_message_length_share_two_scans(k0_calls, level):
     model = poisson_model(0.5, 1.0)

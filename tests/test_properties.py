@@ -35,7 +35,7 @@ def models(draw):
 def levels(draw, model):
     top = _TOP[model.kind]
     if draw(st.booleans()):
-        return NoiseLevel.of(log2_inv_eps=draw(st.floats(-8.0, top)))
+        return NoiseLevel(draw(st.floats(-8.0, top)))
     return NoiseLevel.of(2.0 ** -draw(st.floats(-3.0, min(top, 1000.0))))
 
 
@@ -53,7 +53,7 @@ def test_capacity_interval_matches_standalone_calls(data, sided):
     if level.given is not None:
         cut_q = k0(model, level.given / 4.0)
     else:
-        cut_q = k0(model, log2_inv_eps=L + 2.0)
+        cut_q = k0(model, NoiseLevel(L + 2.0))
     if sided == "total" and model.two_sided:
         cut, cut_q = 2 * cut + (L >= 0.0), 2 * cut_q + (L + 2.0 >= 0.0)
     try:
@@ -72,4 +72,4 @@ def test_capacity_interval_matches_standalone_calls(data, sided):
 @given(models(), st.integers(-3, 1022))
 def test_dyadic_float_and_exponent_give_the_same_cutoff(model, n):
     n = min(n, int(_TOP[model.kind]))
-    assert k0(model, 2.0 ** -n) == k0(model, log2_inv_eps=n)
+    assert k0(model, 2.0 ** -n) == k0(model, NoiseLevel(n))

@@ -8,6 +8,7 @@ import pytest
 from fredinfo import (
     CoefficientVector,
     InconclusiveError,
+    NoiseLevel,
     PreconditionError,
     ValidationError,
     forward_apply,
@@ -53,10 +54,10 @@ def test_k0_examples(model, eps, expected):
 def test_k0_exponent_domain_consistency():
     m = poisson_model(0.5, 1.0)
     for L in (0.5, 3.0, 17.25, 52.0):
-        assert k0(m, 2.0 ** (-L)) == k0(m, log2_inv_eps=L)
+        assert k0(m, 2.0 ** (-L)) == k0(m, NoiseLevel(L))
     # far below float range: only the exponent form answers
-    assert k0(m, log2_inv_eps=4096.0) == 4096
-    assert k0(heat_model(1.0, 2.0, 1.0), log2_inv_eps=4096.0) == int(
+    assert k0(m, NoiseLevel(4096.0)) == 4096
+    assert k0(heat_model(1.0, 2.0, 1.0), NoiseLevel(4096.0)) == int(
         math.sqrt(4096.0 * math.log(2.0)))
 
 
@@ -66,16 +67,12 @@ def test_k0_rejects_bad_noise_levels():
         k0(m, -0.5)
     with pytest.raises(ValidationError):
         k0(m, 0.0)
-    with pytest.raises(ValidationError):
-        k0(m, 0.1, log2_inv_eps=3.0)
-    with pytest.raises(ValidationError):
-        k0(m)
 
 
 def test_k0_scan_cap_is_inconclusive():
     # green needs ~2^511 components at this level; the scan refuses to guess
     with pytest.raises(InconclusiveError):
-        k0(green_model(), log2_inv_eps=1024.0)
+        k0(green_model(), NoiseLevel(1024.0))
 
 
 @pytest.mark.parametrize("model", [
