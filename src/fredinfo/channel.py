@@ -57,6 +57,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_RHO_SQUARED = "needs rho_k^2 to be a finite float on 1..k_max"
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +393,13 @@ def _float_refusal(eps: float | None, all_normal: bool, lam: np.ndarray, rho: np
     """Why draws and ``eta_k / lambda_k`` cannot be formed in floats (None: they can)."""
     if eps is None:
         return "needs a float epsilon; the level lies outside float range"
+    with np.errstate(over="ignore"):
+        if not np.isfinite(rho * rho).all():
+            return _RHO_SQUARED
     if all_normal:  # every lambda_k, rho_k and nu_k is a positive finite float
         return None
-    if not (np.isfinite(rho).all() and np.isfinite(nu).all()):
-        return "needs rho_k and nu_k to be finite floats on 1..k_max"
+    if not np.isfinite(nu).all():
+        return "needs nu_k to be a finite float on 1..k_max"
     if (lam[informative] == 0.0).any():
         first = int(np.flatnonzero(informative & (lam == 0.0))[0]) + 1
         return f"needs lambda_k > 0 on I; lambda_{first} underflows to zero"
@@ -530,11 +534,19 @@ def posterior_density_params(channel: GaussianChannel, k: int,
 # ---------------------------------------------------------------------------
 
 
-def _require_trace_class(channel: GaussianChannel, what: str) -> None:
+def _prior_energies(channel: GaussianChannel, what: str) -> np.ndarray:
+    """``rho_k^2`` on ``1..k_max`` for the risk sums: the prior must be trace
+    class and every square a finite float."""
     if not channel.rho.is_trace_class:
         raise UnsupportedError(
             f"{what} requires a trace-class prior (sum rho_k^2 < inf); "
             f"the {channel.rho.kind} rule is not")
+    _, rho, _ = channel.arrays()
+    with np.errstate(over="ignore"):
+        energies = rho * rho
+    if not np.isfinite(energies).all():
+        raise ValidationError(f"{what} {_RHO_SQUARED}")
+    return energies
 
 
 def mse_closed_form(channel: GaussianChannel) -> float:
@@ -544,12 +556,15 @@ def mse_closed_form(channel: GaussianChannel) -> float:
     — dropped components cost their prior energy, inverted ones their noise
     amplification.  Requires a trace-class prior.
     """
-    _require_trace_class(channel, "mse_closed_form")
-    _, rho, _ = channel.arrays()
+    energies = _prior_energies(channel, "mse_closed_form")
     member = channel.informative
-    dropped = float(np.sum(rho[~member] ** 2)) + channel.rho.sum_sq_tail(channel.k_max)
-    inverted = float(np.sum(channel.inverted_risk[member]))
-    return dropped + inverted
+    with np.errstate(over="ignore"):
+        dropped = float(np.sum(energies[~member])) + channel.rho.sum_sq_tail(channel.k_max)
+        inverted = float(np.sum(channel.inverted_risk[member]))
+    risk = dropped + inverted
+    if not math.isfinite(risk):
+        raise ValidationError("mse_closed_form: the risk overflows floats")
+    return risk
 
 
 def k_alpha(channel: GaussianChannel) -> int:
@@ -561,11 +576,13 @@ def k_alpha(channel: GaussianChannel) -> int:
     first component overshoots, ``k_max`` when no prefix does (the ``eps = 0``
     surrogate for infinity).
     """
-    _require_trace_class(channel, "k_alpha")
-    gamma = channel.rho.sum_sq_total()
-    _, rho, _ = channel.arrays()
+    energies = _prior_energies(channel, "k_alpha")
+    with np.errstate(over="ignore"):
+        gamma = channel.rho.sum_sq_total()
+    if not math.isfinite(gamma):
+        raise ValidationError("k_alpha needs the prior energy sum rho_k^2 to be a finite float")
     order = channel.ordering - 1
-    terms = rho[order] ** 2 + channel.inverted_risk[order]
+    terms = energies[order] + channel.inverted_risk[order]
     with np.errstate(over="ignore"):  # a prefix past the float range is past gamma too
         prefix = np.cumsum(terms)
     ok = prefix <= gamma * (1.0 + 1e-12)

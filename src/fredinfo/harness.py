@@ -32,7 +32,7 @@ from .channel import (GaussianChannel, VarianceRule, mse_closed_form, k_alpha,
 from .errors import ValidationError
 from .spectra import (CoefficientVector, SpectrumModel, csv_text,
                       model_from_json, model_to_json)
-from .truncation import NoiseLevel, _noise_grid, k0
+from .truncation import NoiseLevel, _noise_grid
 
 __all__ = [
     "TrialStream",
@@ -401,9 +401,10 @@ def reproduce_summary_table() -> list[SummaryRow]:
     for model, label, decay, target_exp, d_target in (
             (poisson_model(0.5, 1.0), "poisson", "geometric: (a/b)^|k|", 2.0, 2.0 ** 0.5),
             (heat_model(1.0, 2.0, 1.0), "heat", "gaussian: exp(-D k^2 (a-b))", 1.5, 2.0 ** (2.0 / 3.0))):
-        est = metric.growth_orders(model, [NoiseLevel(L) for L in exp_grid])
+        levels = [NoiseLevel(L) for L in exp_grid]
+        est = metric.growth_orders(model, levels)
         Ls = np.asarray(exp_grid)
-        logL = np.asarray([k0(model, NoiseLevel(L)) * L for L in Ls])
+        logL = np.asarray([level.cutoff(model) * level.log2_inv_eps for level in levels])
         slope = metric._least_squares(np.log(Ls * math.log(2.0)), np.log(logL)).slope
         d_est = est.d_c_exp if est.d_c_exp is not None else est.d_c
         rows.append(SummaryRow(
@@ -414,8 +415,9 @@ def reproduce_summary_table() -> list[SummaryRow]:
 
     green = green_model()
     eps_grid = [10.0 ** (-p) for p in range(2, 11)]
-    est = metric.growth_orders(green, eps_grid)
-    cuts = np.asarray([k0(green, e) for e in eps_grid], dtype=float)
+    levels = [NoiseLevel.of(e) for e in eps_grid]
+    est = metric.growth_orders(green, levels)
+    cuts = np.asarray([level.cutoff(green) for level in levels], dtype=float)
     slope = metric._least_squares(np.log(1.0 / np.asarray(eps_grid)), np.log(cuts)).slope
     d_est = est.d_c if est.d_c is not None else est.d_c_exp
     rows.append(SummaryRow(

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (NumericError, PreconditionError, UnsupportedError,
                      ValidationError)
 from .spectra import SpectrumModel
-from .truncation import NoiseLevel, _noise_grid, k0
+from .truncation import NoiseLevel, _noise_grid
 
 __all__ = [
     "entropy_lower_bound",
@@ -124,7 +124,7 @@ def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     weighted when ``sided="total"``.  When the upper bound's precondition
     fails, ``upper_bits`` is ``None`` rather than an error so sweeps can
     cover coarse noise levels.  Each of ``k0(eps)`` and ``k0(eps/4)`` is
-    scanned once (the level remembers its cutoffs).
+    computed once (the level remembers its cutoffs).
     """
     _check_sided(sided)
     level = NoiseLevel.of(epsilon)
@@ -219,11 +219,12 @@ def growth_orders(model: SpectrumModel, epsilons: Sequence[float | NoiseLevel]) 
     Each level is a plain float or a :class:`NoiseLevel`; exponent levels
     (``NoiseLevel(L)`` for ``2**-L``) keep levels down to ``2**-4096`` exact.
     Requires at least 8 points spanning at least 4 decades, all below
-    ``lambda_1``.  Counting uses the enumerative cutoff.
+    ``lambda_1``.  Each level's cutoff is read through :meth:`NoiseLevel.cutoff`,
+    so a caller passing the same levels shares their cutoffs.
     """
     levels = _noise_grid(epsilons, "the growth-order grid")
     Ls = np.asarray([level.log2_inv_eps for level in levels])
-    cuts = np.asarray([k0(model, level) for level in levels], dtype=float)
+    cuts = np.asarray([level.cutoff(model) for level in levels], dtype=float)
 
     if Ls.size < 8:
         raise ValidationError(f"need at least 8 grid points, got {Ls.size}")

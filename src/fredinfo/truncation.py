@@ -7,10 +7,12 @@ below the noise level::
     k0(eps) = max { k : lambda_k >= eps }          (boundary included)
     f*      = sum_{k <= k0} (g_k / lambda_k) psi_k
 
-``k0`` is computed by enumeration of the decreasing spectrum — that scan is
-the ground truth the per-family closed forms are checked against.  Both
-take the noise level as a plain float or as a :class:`NoiseLevel`, which can
-carry the exponent ``log2(1/eps)`` instead, so that levels far below the float
+``k0`` reads the family's closed-form cutoff and certifies it at two points
+(``lambda_g >= eps > lambda_{g+1}``); where there is no closed form or the
+certificate fails it scans the decreasing spectrum (``_k0_scan``), which also
+stays the enumerative oracle the closed forms are tested against.  Both take
+the noise level as a plain float or as a :class:`NoiseLevel`, which can carry
+the exponent ``log2(1/eps)`` instead, so that levels far below the float
 underflow threshold stay usable.
 """
 
@@ -52,8 +54,8 @@ class NoiseLevel:
     when the level was supplied as one.  Cutoffs compare eigenvalues in the
     domain the level was given in (floats as floats, exponents in log2), so
     boundary ties resolve exactly as the caller wrote the level.  Each level
-    remembers the cutoffs it has scanned (:meth:`cutoff`), so quantities that
-    share a level share its scans.
+    remembers the cutoffs it has computed (:meth:`cutoff`), so quantities that
+    share a level share its cutoffs.
     """
 
     log2_inv_eps: float
@@ -116,7 +118,7 @@ class NoiseLevel:
         return NoiseLevel(self.log2_inv_eps + 2.0)
 
     def cutoff(self, model: SpectrumModel) -> int:
-        """``k0(model, self)``, scanned once per model (equal models share it)."""
+        """``k0(model, self)``, computed once per model (equal models share it)."""
         cut = self._cuts.get(model)
         if cut is None:
             cut = self._cuts[model] = k0(model, self)
@@ -152,11 +154,13 @@ def _noise_grid(grid: Sequence[float | NoiseLevel], what: str) -> list[NoiseLeve
 def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
     """Cutoff index: largest k with ``lambda_k >= eps`` (0 if none).
 
-    Enumerative ground truth: scans the decreasing spectrum in vectorized
-    blocks, comparing in the same domain the noise level was supplied in
-    (floats compare as floats, exponents compare in log2).  For tabulated
-    models the scan stops at the end of the table, so a level below every
-    value counts the whole finite spectrum.
+    The family's closed form ``g`` is accepted when ``lambda_g >= eps`` (or
+    ``g = 0``) and ``lambda_{g+1} < eps``, both compared in the domain the
+    level was supplied in (floats as floats, exponents in log2), exactly as
+    the scan compares; on a non-increasing spectrum that is the scan's answer.
+    Families without a closed form (``tabulated``), a closed form that
+    raises, and a failed certificate (exact ties, rounding at huge
+    exponents) fall back to the enumerative scan :func:`_k0_scan`.
 
     Raises
     ------
@@ -164,6 +168,29 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
         The cutoff exceeds the enumeration safety cap (2**22).
     """
     level = NoiseLevel.of(epsilon)
+    closed = FAMILIES[model.kind].k0_closed_form
+    if closed is None:
+        return _k0_scan(model, level)
+    try:
+        g = closed(model.params, level.log2_inv_eps, level.given)
+    except (InconclusiveError, ArithmeticError):  # green past L = 2000, a ratio b/a of 1.0
+        return _k0_scan(model, level)
+    if g < _SCAN_CAP:
+        ok = level.kept(model, np.arange(max(g, 1), g + 2))  # [g, g+1], or [1] at g = 0
+        if (g == 0 or ok[0]) and not ok[-1]:
+            return g
+    elif level.kept(model, np.asarray([_SCAN_CAP]))[0]:  # the scan would reach its cap
+        raise _cap_error()
+    return _k0_scan(model, level)
+
+
+def _k0_scan(model: SpectrumModel, level: NoiseLevel) -> int:
+    """Enumerative cutoff: scans the decreasing spectrum in doubling blocks.
+
+    The oracle :func:`k0` falls back to.  For tabulated models the scan
+    stops at the end of the table, so a level below every value counts the
+    whole finite spectrum.
+    """
     length = model.spectrum_length
     hard_cap = length if length is not None else _SCAN_CAP
 
@@ -182,7 +209,11 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
         block *= 2
     if length is not None:
         return count
-    raise InconclusiveError(
+    raise _cap_error()
+
+
+def _cap_error() -> InconclusiveError:
+    return InconclusiveError(
         f"k0 exceeds the enumeration cap {_SCAN_CAP}; the noise level is too "
         "small for this spectrum's decay")
 
@@ -196,8 +227,9 @@ def k0_closed_form(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
       agrees with enumeration (a base-2 reading overcounts).
     * green: ``floor(1 / (pi sqrt(eps)))``.
 
-    Must equal :func:`k0` except possibly at exact boundary ties, which the
-    floor resolves toward inclusion.
+    May differ from the enumerated cutoff at exact boundary ties, which the
+    floor resolves toward inclusion, and by rounding at huge exponents;
+    :func:`k0` certifies it against the spectrum before using it.
     """
     level = NoiseLevel.of(epsilon)
     closed = FAMILIES[model.kind].k0_closed_form

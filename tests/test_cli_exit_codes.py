@@ -39,6 +39,16 @@ def test_prob_info_outside_float_range_exits_2(capsys, argv, want):
     assert summary["approx_nats"] == pytest.approx(nats, rel=1e-13)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_prob_info_prior_whose_square_overflows_exits_2(capsys, fmt):
+    # rho_1 = 5e299: its square, the risk and the prior energy are not floats
+    code, out, err = run(capsys, "prob-info", "--model", "poisson:a=0.5,b=1,k_max=8",
+                         "--epsilon", "1e-3", "--rho", "geometric:1e300,0.5",
+                         "--nu", "constant:1", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: k_alpha needs rho_k^2 to be a finite float on 1..k_max\n"
+
+
 def test_truncate_data_with_subnormal_exponent_exits_2(capsys, tmp_path):
     model = green_model(k_max=4)
     data_path = tmp_path / "data.json"

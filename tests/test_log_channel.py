@@ -11,7 +11,8 @@ an underflowed eigenvalue, a level below float range) and levels ``2^-L``
 with ``|L|`` up to 4096.  Also covered: a boundary tie that only the float
 comparison resolves as given, also with a subnormal component beside it; the
 refusals of the float consumers (Monte-Carlo draws, ``eta_k / lambda_k``) at a
-level with no float and where ``lambda_k`` underflows on I; and the sweep rows
+level with no float and where ``lambda_k`` underflows on I; the refusal of a
+prior whose ``rho_k^2`` or prior energy is not a float; and the sweep rows
 that leave only the Monte-Carlo columns blank.
 """
 
@@ -25,7 +26,7 @@ import pytest
 
 from fredinfo import (ExperimentConfig, GaussianChannel, NoiseLevel, ValidationError,
                       constant_rule, convergence_sweep, geometric_rule, green_model,
-                      heat_model, monte_carlo_mse, mse_closed_form, partition_IN,
+                      heat_model, k_alpha, monte_carlo_mse, mse_closed_form, partition_IN,
                       poisson_model, posterior_density_params, posterior_estimate,
                       power_rule, simulate_channel, synthesize_solution,
                       tabulated_model, total_information, TrialStream)
@@ -225,6 +226,28 @@ def test_posterior_density_refuses_an_underflowed_eigenvalue_on_N():
     assert chan.float_refusal is None and not chan.informative[29]
     with pytest.raises(ValidationError, match="lambda_30 underflows"):
         posterior_density_params(chan, 30, 0.5)
+
+
+def test_a_prior_whose_square_overflows_is_refused():
+    # rho_1 = 5e299: the channel is decided in log2, but rho_1^2 is not a float
+    chan = GaussianChannel(poisson_model(0.5, 1.0, k_max=8), geometric_rule(1e300, 0.5),
+                           constant_rule(1.0), 1e-3)
+    assert partition_IN(chan).k_I == 8
+    assert chan.float_refusal == "needs rho_k^2 to be a finite float on 1..k_max"
+    for call, what in ((mse_closed_form, "mse_closed_form"), (k_alpha, "k_alpha"),
+                       (lambda c: monte_carlo_mse(c, 3, 1), "monte_carlo_mse")):
+        with pytest.raises(ValidationError, match=f"{what} needs rho_k\\^2"):
+            call(chan)
+
+
+def test_a_prior_energy_that_overflows_is_refused():
+    # every rho_k^2 is about 1e308, but their sums are not floats
+    chan = GaussianChannel(poisson_model(0.5, 1.0, k_max=8), geometric_rule(1e154, 0.999),
+                           constant_rule(1.0), 1e-3)
+    with pytest.raises(ValidationError, match="prior energy"):
+        k_alpha(chan)
+    with pytest.raises(ValidationError, match="risk overflows"):
+        mse_closed_form(chan)
 
 
 def test_simulate_blanks_the_monte_carlo_columns_where_lambda_underflows_on_I(
