@@ -57,7 +57,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
-_RHO_SQUARED = "needs rho_k^2 to be a finite float on 1..k_max"
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +392,10 @@ def _float_refusal(eps: float | None, all_normal: bool, lam: np.ndarray, rho: np
     """Why draws and ``eta_k / lambda_k`` cannot be formed in floats (None: they can)."""
     if eps is None:
         return "needs a float epsilon; the level lies outside float range"
-    with np.errstate(over="ignore"):
-        if not np.isfinite(rho * rho).all():
-            return _RHO_SQUARED
     if all_normal:  # every lambda_k, rho_k and nu_k is a positive finite float
         return None
-    if not np.isfinite(nu).all():
-        return "needs nu_k to be a finite float on 1..k_max"
+    if not (np.isfinite(rho).all() and np.isfinite(nu).all()):
+        return "needs rho_k and nu_k to be finite floats on 1..k_max"
     if (lam[informative] == 0.0).any():
         first = int(np.flatnonzero(informative & (lam == 0.0))[0]) + 1
         return f"needs lambda_k > 0 on I; lambda_{first} underflows to zero"
@@ -521,9 +517,12 @@ def posterior_density_params(channel: GaussianChannel, k: int,
     lam, rho = float(lams[i]), float(rhos[i])
     if lam == 0.0:
         raise ValidationError(f"posterior_density_params: lambda_{k} underflows to zero")
+    var1 = rho * rho
+    if not math.isfinite(var1):
+        raise ValidationError(f"posterior_density_params: rho_{k}^2 overflows floats")
     return PosteriorParams(
         mean1=0.0,
-        var1=rho * rho,
+        var1=var1,
         mean2=float(g_k) / lam,
         var2=float(channel.inverted_risk[i]),
     )
@@ -545,7 +544,7 @@ def _prior_energies(channel: GaussianChannel, what: str) -> np.ndarray:
     with np.errstate(over="ignore"):
         energies = rho * rho
     if not np.isfinite(energies).all():
-        raise ValidationError(f"{what} {_RHO_SQUARED}")
+        raise ValidationError(f"{what} needs rho_k^2 to be a finite float on 1..k_max")
     return energies
 
 

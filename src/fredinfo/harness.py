@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from . import metric
-from .channel import (GaussianChannel, VarianceRule, mse_closed_form, k_alpha,
-                      partition_IN, rule_from_json, rule_to_json,
+from .channel import (GaussianChannel, VarianceRule, _prior_energies, mse_closed_form,
+                      k_alpha, partition_IN, rule_from_json, rule_to_json,
                       total_information)
 from .errors import ValidationError
 from .spectra import (CoefficientVector, SpectrumModel, csv_text,
@@ -167,8 +167,7 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    if not channel.rho.is_trace_class:
-        raise ValidationError("monte_carlo_mse requires a trace-class prior")
+    _prior_energies(channel, "monte_carlo_mse")
     eps, lam, rho, nu = channel.floats("monte_carlo_mse")
     tail = channel.rho.sum_sq_tail(channel.k_max)
     prior, noise = _trial_block(seed, trials, channel.k_max)
@@ -180,6 +179,8 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
     # one dot product per trial keeps each statistic bit-identical to that
     # trial scored alone
     stats = np.fromiter((d @ d + tail for d in diff), dtype=float, count=trials)
+    if not np.isfinite(stats).all():
+        raise ValidationError("monte_carlo_mse: the squared error overflows floats")
     mean = float(np.mean(stats))
     stderr = float(np.std(stats, ddof=1) / math.sqrt(trials)) if trials >= 2 else None
     return MonteCarloResult(mean=mean, stderr=stderr, trials=trials, tail_sum_sq=tail)

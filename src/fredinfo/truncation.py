@@ -159,8 +159,8 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
     level was supplied in (floats as floats, exponents in log2), exactly as
     the scan compares; on a non-increasing spectrum that is the scan's answer.
     Families without a closed form (``tabulated``), a closed form that
-    raises, and a failed certificate (exact ties, rounding at huge
-    exponents) fall back to the enumerative scan :func:`_k0_scan`.
+    raises or reaches the cap, and a failed certificate (exact ties, rounding
+    at huge exponents) fall back to the enumerative scan :func:`_k0_scan`.
 
     Raises
     ------
@@ -179,8 +179,6 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
         ok = level.kept(model, np.arange(max(g, 1), g + 2))  # [g, g+1], or [1] at g = 0
         if (g == 0 or ok[0]) and not ok[-1]:
             return g
-    elif level.kept(model, np.asarray([_SCAN_CAP]))[0]:  # the scan would reach its cap
-        raise _cap_error()
     return _k0_scan(model, level)
 
 
@@ -209,11 +207,7 @@ def _k0_scan(model: SpectrumModel, level: NoiseLevel) -> int:
         block *= 2
     if length is not None:
         return count
-    raise _cap_error()
-
-
-def _cap_error() -> InconclusiveError:
-    return InconclusiveError(
+    raise InconclusiveError(
         f"k0 exceeds the enumeration cap {_SCAN_CAP}; the noise level is too "
         "small for this spectrum's decay")
 

@@ -2,8 +2,9 @@
 
 ``k0`` accepts a family's closed form only when two eigenvalues certify it and
 falls back to ``_k0_scan`` otherwise, so on every model and level the two must
-agree, including their refusals at the enumeration cap.  The profile is
-derandomized, so every run checks the same cases.
+agree, including their refusals at the enumeration cap.  Tabulated models
+have no closed form and go straight to the scan, so they are not drawn here.
+The profile is derandomized, so every run checks the same cases.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredinfo import (InconclusiveError, NoiseLevel, green_model, heat_model, k0,
-                      poisson_model, spectra, tabulated_model, truncation)
+                      poisson_model, spectra, truncation)
 from fredinfo.truncation import _SCAN_CAP, _k0_scan
 
 PROFILE = settings.get_profile("fredinfo")
@@ -67,30 +68,13 @@ def test_certificate_matches_scan_on_dyadic_ties(b, n, as_float):
     _agree(model, level)
 
 
-@PROFILE
-@given(st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=40, unique=True),
-       st.data())
-def test_certificate_matches_scan_on_tables(values, data):
-    values = sorted(values, reverse=True)
-    model = tabulated_model(values)
-    # the table's own values are ties; the others fall between or outside them
-    eps = data.draw(st.sampled_from(values) | st.floats(1e-310, 2.0).filter(lambda e: e > 0))
-    _agree(model, NoiseLevel.of(eps))
-    _agree(model, NoiseLevel.of(eps).quarter)
-
-
-def _no_scan(model, level):
-    raise AssertionError("the certified cutoff should not scan")
-
-
-def test_certified_cap_refuses_without_scanning(monkeypatch):
-    monkeypatch.setattr(truncation, "_k0_scan", _no_scan)
+def test_cutoff_at_the_cap_refuses_and_below_it_answers():
     # green needs ~2^511 components at this level; its closed form says so
     with pytest.raises(InconclusiveError, match="enumeration cap"):
         k0(green_model(), NoiseLevel(1024.0))
     with pytest.raises(InconclusiveError, match="enumeration cap"):
         k0(poisson_model(0.5, 1.0), NoiseLevel(float(_SCAN_CAP)))
-    # one below the cap is certified and answered (the import is the real scan)
+    # one below the cap is certified and answered
     level = NoiseLevel(float(_SCAN_CAP - 1))
     assert k0(poisson_model(0.5, 1.0), level) == _k0_scan(poisson_model(0.5, 1.0), level) \
         == _SCAN_CAP - 1

@@ -12,7 +12,8 @@ with ``|L|`` up to 4096.  Also covered: a boundary tie that only the float
 comparison resolves as given, also with a subnormal component beside it; the
 refusals of the float consumers (Monte-Carlo draws, ``eta_k / lambda_k``) at a
 level with no float and where ``lambda_k`` underflows on I; the refusal of a
-prior whose ``rho_k^2`` or prior energy is not a float; and the sweep rows
+prior whose ``rho_k^2`` or prior energy is not a float by the consumers that
+form them, and its acceptance by those that do not; and the sweep rows
 that leave only the Monte-Carlo columns blank.
 """
 
@@ -233,11 +234,24 @@ def test_a_prior_whose_square_overflows_is_refused():
     chan = GaussianChannel(poisson_model(0.5, 1.0, k_max=8), geometric_rule(1e300, 0.5),
                            constant_rule(1.0), 1e-3)
     assert partition_IN(chan).k_I == 8
-    assert chan.float_refusal == "needs rho_k^2 to be a finite float on 1..k_max"
     for call, what in ((mse_closed_form, "mse_closed_form"), (k_alpha, "k_alpha"),
                        (lambda c: monte_carlo_mse(c, 3, 1), "monte_carlo_mse")):
         with pytest.raises(ValidationError, match=f"{what} needs rho_k\\^2"):
             call(chan)
+    with pytest.raises(ValidationError, match="rho_1\\^2 overflows"):
+        posterior_density_params(chan, 1, 0.5)
+
+
+def test_draws_and_inversion_accept_a_prior_whose_square_overflows():
+    # rho_k = 1e200: every factor is a normal float and neither consumer squares rho_k
+    chan = GaussianChannel(poisson_model(0.5, 1.0, k_max=8), constant_rule(1e200),
+                           constant_rule(1.0), 1e-3)
+    assert chan.float_refusal is None
+    stream = TrialStream(1, 0)
+    xi = synthesize_solution(chan, stream)
+    estimate = posterior_estimate(chan, simulate_channel(chan, xi, stream))
+    assert np.isfinite(estimate.entries).all()
+    assert estimate.entries == pytest.approx(xi.entries, rel=1e-12)
 
 
 def test_a_prior_energy_that_overflows_is_refused():
@@ -248,6 +262,8 @@ def test_a_prior_energy_that_overflows_is_refused():
         k_alpha(chan)
     with pytest.raises(ValidationError, match="risk overflows"):
         mse_closed_form(chan)
+    with pytest.raises(ValidationError, match="squared error overflows"):
+        monte_carlo_mse(chan, 3, 1)
 
 
 def test_simulate_blanks_the_monte_carlo_columns_where_lambda_underflows_on_I(
