@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InconclusiveError, UnsupportedError, ValidationError
 from .metric import entropy_lower_bound
-from .spectra import (CoefficientVector, SpectrumModel, _lookup, model_from_json,
-                      model_to_json)
+from .spectra import (CoefficientVector, SpectrumModel, _lookup, entry_from_json,
+                      entry_to_json, model_from_json, model_to_json)
 from .truncation import _SCAN_CAP, NoiseLevel, k0
 
 __all__ = [
@@ -208,28 +208,27 @@ def _gaussian_tail(p: dict, m: int) -> float:
     raise InconclusiveError(f"gaussian tail sum needs more than {_SCAN_CAP} terms at s={s!r}")
 
 
-# One entry per variance rule (see VarianceRule).  Entries reach the factories
-# and the model JSON functions through module globals, at call time.
+# One entry per variance rule (see VarianceRule).
 RULES: dict[str, _Rule] = {
     "constant": _Rule(
         ("c",), lambda p, k: np.full(k.shape, p["c"], dtype=float),
         lambda p, k: np.full(k.shape, math.log2(p["c"])),
-        build=lambda c: constant_rule(c)),
+        build=constant_rule),
     "geometric": _Rule(
         ("c", "q"), lambda p, k: p["c"] * p["q"] ** k.astype(float),
         lambda p, k: math.log2(p["c"]) + k.astype(float) * math.log2(p["q"]),
-        build=lambda c, q: geometric_rule(c, q), trace_class=lambda p: True,
+        build=geometric_rule, trace_class=lambda p: True,
         sum_sq_tail=lambda p, m: (p["c"] * p["c"] * (p["q"] * p["q"]) ** (m + 1)
                                   / (1.0 - p["q"] * p["q"]))),
     "power": _Rule(
         ("c", "p"), lambda p, k: p["c"] * _k1(k, "power") ** (-p["p"]),
         lambda p, k: math.log2(p["c"]) - p["p"] * np.log2(_k1(k, "power")),
-        build=lambda c, p: power_rule(c, p), trace_class=lambda p: 2.0 * p["p"] > 1.0,
+        build=power_rule, trace_class=lambda p: 2.0 * p["p"] > 1.0,
         sum_sq_tail=_power_tail),
     "gaussian": _Rule(
         ("c", "s"), lambda p, k: p["c"] * np.exp(-p["s"] * k.astype(float) ** 2),
         lambda p, k: math.log2(p["c"]) - p["s"] * k.astype(float) ** 2 / _LN2,
-        build=lambda c, s: gaussian_rule(c, s), trace_class=lambda p: True,
+        build=gaussian_rule, trace_class=lambda p: True,
         sum_sq_tail=_gaussian_tail),
     "inverse_spectrum": _Rule(
         ("delta0",),
@@ -249,29 +248,11 @@ RULES: dict[str, _Rule] = {
 
 
 def rule_to_json(rule: VarianceRule) -> dict:
-    entry = RULES[rule.kind]
-    fields = (entry.write(rule.params) if entry.write
-              else {name: rule.params[name] for name in entry.names})
-    return {"kind": rule.kind, **fields}
+    return entry_to_json(RULES, rule.kind, rule.params)
 
 
 def rule_from_json(obj: dict) -> VarianceRule:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError("variance rule JSON must carry a 'kind'")
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in RULES:
-        raise ValidationError(f"unknown variance rule kind {kind!r}")
-    entry = RULES[kind]
-    try:
-        if entry.read:
-            return entry.read(obj)
-        return entry.build(*[obj[name] for name in entry.names])
-    except ValidationError:
-        raise
-    except KeyError as exc:
-        raise ValidationError(f"variance rule {kind!r} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed variance rule {kind!r}: {exc}") from exc
+    return entry_from_json(RULES, obj, "variance rule JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -670,30 +651,25 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
     if case == "alpha":
         chan = GaussianChannel(model, constant_rule(1.0), constant_rule(1.0),
                                eps, k_max=km)
-        part = partition_IN(chan)
+        k_I = partition_IN(chan).k_I
         info = total_information(chan)
         reference = entropy_lower_bound(model, eps) * math.log(2.0)
-        return ExtremalComparison(
-            case="alpha", epsilon=eps, k0=cut, k_I=part.k_I,
-            exact_nats=info.exact_nats, approx_nats=info.approx_nats,
-            reference_nats=reference, trace_class=False,
-            note="matched prior/noise: k_I equals the spectral cutoff and the "
-                 "leading-order information equals the metric lower bound in nats")
-
-    if case == "beta":
+        note = ("matched prior/noise: k_I equals the spectral cutoff and the "
+                "leading-order information equals the metric lower bound in nats")
+    elif case == "beta":
         if eps >= 1.0:
             raise ValidationError("case beta needs epsilon < 1")
         chan = GaussianChannel(model, inverse_spectrum_rule(model),
                                constant_rule(1.0), eps, k_max=km)
-        cap = min(cut, chan.k_max)
-        info = _information_sum(chan, chan.ordering[:cap])
+        k_I = min(cut, chan.k_max)
+        info = _information_sum(chan, chan.ordering[:k_I])
         reference = cut * math.log(1.0 / eps)
-        return ExtremalComparison(
-            case="beta", epsilon=eps, k0=cut, k_I=cap,
-            exact_nats=info.exact_nats, approx_nats=info.approx_nats,
-            reference_nats=reference, trace_class=False,
-            note="flat signal-to-noise: every component is informative, sum "
-                 "capped at k0 components; prior is not trace class, so "
-                 "mse/k_alpha are disabled")
-
-    raise ValidationError(f"case must be 'alpha' or 'beta', got {case!r}")
+        note = ("flat signal-to-noise: every component is informative, sum "
+                "capped at k0 components; prior is not trace class, so "
+                "mse/k_alpha are disabled")
+    else:
+        raise ValidationError(f"case must be 'alpha' or 'beta', got {case!r}")
+    return ExtremalComparison(
+        case=case, epsilon=eps, k0=cut, k_I=k_I,
+        exact_nats=info.exact_nats, approx_nats=info.approx_nats,
+        reference_nats=reference, trace_class=False, note=note)

@@ -30,7 +30,7 @@ from .channel import (GaussianChannel, VarianceRule, _prior_energies, mse_closed
                       k_alpha, partition_IN, rule_from_json, rule_to_json,
                       total_information)
 from .errors import ValidationError
-from .spectra import (CoefficientVector, SpectrumModel, csv_text,
+from .spectra import (CoefficientVector, SpectrumModel, csv_text, decoding,
                       model_from_json, model_to_json)
 from .truncation import NoiseLevel, _noise_grid
 
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _KEY_SALT = 0x9E3779B97F4A7C15  # fixed odd constant, documented for reproducibility
+_SEED_LIMIT = 1 << 128  # the Philox key holds 128 bits, so larger seeds would alias
 
 # Names the draw layout below; bump it whenever the normals for a key change.
 STREAM_SCHEME = "philox4x64/trial-role/2"
@@ -74,8 +75,8 @@ class TrialStream:
     trial: int
 
     def __post_init__(self):
-        if self.seed < 0 or self.trial < 0:
-            raise ValidationError("seed and trial must be non-negative integers")
+        if not 0 <= self.seed < _SEED_LIMIT or self.trial < 0:
+            raise ValidationError("seed must lie in [0, 2**128) and trial must be >= 0")
 
     def prior_normals(self, k_max: int) -> np.ndarray:
         return _stream(self.seed, self.trial, 0).standard_normal(k_max)
@@ -232,8 +233,8 @@ class ExperimentConfig:
             raise ValidationError("trials must be >= 0")
         if self.trials and self.rho is None:
             raise ValidationError("trials > 0 needs a channel (rho and nu)")
-        if self.seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise ValidationError("seed must be an integer in [0, 2**128)")
         if self.sided not in ("one_sided", "total"):
             raise ValidationError(f"bad sided value {self.sided!r}")
 
@@ -257,9 +258,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict) or "model" not in obj:
-            raise ValidationError("config JSON must be an object with a 'model'")
-        try:
+        if not isinstance(obj, dict):
+            raise ValidationError("config JSON must be an object")
+        with decoding("config JSON"):
             return cls(
                 model=model_from_json(obj["model"]),
                 epsilon_grid=tuple(obj["epsilon_grid"]) if "epsilon_grid" in obj else None,
@@ -272,8 +273,6 @@ class ExperimentConfig:
                 k_max=int(obj["k_max"]) if "k_max" in obj else None,
                 sided=obj.get("sided", "one_sided"),
             )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed config JSON: {exc}") from exc
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -310,14 +309,10 @@ class ExperimentResult:
 
 def _sweep_row(config: ExperimentConfig, level: NoiseLevel) -> dict:
     model = config.model
-    sided = config.sided
-    row: dict = {"epsilon": level.reported, "k0": level.cutoff(model)}
-    row["lower_bits"] = metric.entropy_lower_bound(model, level, sided=sided)
-    try:
-        row["upper_bits"] = metric.entropy_upper_bound(model, level, sided=sided)
-    except ValidationError:
-        row["upper_bits"] = None
-    row["logL_max"] = metric.max_message_length_log2(model, level, sided=sided)
+    bounds = metric.capacity_interval(model, level, sided=config.sided)
+    row: dict = {"epsilon": level.reported, "k0": level.cutoff(model),
+                 "lower_bits": bounds.lower_bits, "upper_bits": bounds.upper_bits,
+                 "logL_max": metric.max_message_length_log2(model, level, sided=config.sided)}
 
     if config.rho is not None:
         chan = GaussianChannel(model, config.rho, config.nu, level, k_max=config.k_max)
@@ -396,36 +391,29 @@ def reproduce_summary_table() -> list[SummaryRow]:
     """
     from .spectra import green_model, heat_model, poisson_model
 
+    exp_levels = [NoiseLevel(2.0 ** j) for j in range(4, 13)]  # log2(1/eps): 16 .. 4096
+    eps_levels = [NoiseLevel.of(10.0 ** (-p)) for p in range(2, 11)]
     rows: list[SummaryRow] = []
-    exp_grid = [2.0 ** j for j in range(4, 13)]  # log2(1/eps): 16 .. 4096
-
-    for model, label, decay, target_exp, d_target in (
-            (poisson_model(0.5, 1.0), "poisson", "geometric: (a/b)^|k|", 2.0, 2.0 ** 0.5),
-            (heat_model(1.0, 2.0, 1.0), "heat", "gaussian: exp(-D k^2 (a-b))", 1.5, 2.0 ** (2.0 / 3.0))):
-        levels = [NoiseLevel(L) for L in exp_grid]
+    for model, label, decay, levels, target_exp, d_target in (
+            (poisson_model(0.5, 1.0), "poisson", "geometric: (a/b)^|k|", exp_levels,
+             2.0, 2.0 ** 0.5),
+            (heat_model(1.0, 2.0, 1.0), "heat", "gaussian: exp(-D k^2 (a-b))", exp_levels,
+             1.5, 2.0 ** (2.0 / 3.0)),
+            (green_model(), "green", "power law: 1/(k^2 pi^2)", eps_levels, 0.5, 2.0)):
         est = metric.growth_orders(model, levels)
-        Ls = np.asarray(exp_grid)
-        logL = np.asarray([level.cutoff(model) * level.log2_inv_eps for level in levels])
-        slope = metric._least_squares(np.log(Ls * math.log(2.0)), np.log(logL)).slope
-        d_est = est.d_c_exp if est.d_c_exp is not None else est.d_c
+        cuts = np.asarray([level.cutoff(model) for level in levels], dtype=float)
+        if est.d_c is None:  # exponential order: log L = k0 log2(1/eps) against ln(1/eps)
+            Ls = np.asarray([level.log2_inv_eps for level in levels])
+            slope = metric._least_squares(np.log(Ls * math.log(2.0)), np.log(cuts * Ls)).slope
+        else:  # power order: k0 against 1/eps
+            eps = np.asarray([level.epsilon for level in levels])
+            slope = metric._least_squares(np.log(1.0 / eps), np.log(cuts)).slope
+        d_est = est.d_c if est.d_c is not None else est.d_c_exp
         rows.append(SummaryRow(
             model=label, decay=decay, logL_exponent=slope,
             logL_exponent_target=target_exp, d_c_estimate=float(d_est),
             d_c_target=d_target,
             within_5pct=abs(d_est - d_target) <= 0.05 * d_target))
-
-    green = green_model()
-    eps_grid = [10.0 ** (-p) for p in range(2, 11)]
-    levels = [NoiseLevel.of(e) for e in eps_grid]
-    est = metric.growth_orders(green, levels)
-    cuts = np.asarray([level.cutoff(green) for level in levels], dtype=float)
-    slope = metric._least_squares(np.log(1.0 / np.asarray(eps_grid)), np.log(cuts)).slope
-    d_est = est.d_c if est.d_c is not None else est.d_c_exp
-    rows.append(SummaryRow(
-        model="green", decay="power law: 1/(k^2 pi^2)",
-        logL_exponent=slope, logL_exponent_target=0.5,
-        d_c_estimate=float(d_est), d_c_target=2.0,
-        within_5pct=abs(d_est - 2.0) <= 0.05 * 2.0))
     return rows
 
 

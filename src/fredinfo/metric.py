@@ -296,16 +296,15 @@ def greedy_packing_count(semi_axes: Sequence[float], epsilon: float,
     if not live:
         return 1  # the ellipsoid degenerates to the single point 0
 
-    grids = []
-    total = 1
-    for a in live:
-        n = int(math.floor(2.0 * a / h + 1e-9)) + 1
-        grids.append(-a + h * np.arange(n))
-        total *= n
+    # points per axis, as floats: a ratio a/h past float range is inf here, and
+    # the cap is checked before any axis grid is built
+    sizes = [float(np.floor(2.0 * a / h + 1e-9)) + 1.0 for a in live]
+    total = math.prod(sizes)
     if total > _PACKING_CANDIDATE_CAP:
         raise NumericError(
-            f"packing grid has {total} candidates (cap {_PACKING_CANDIDATE_CAP}); "
+            f"packing grid has {total:.17g} candidates (cap {_PACKING_CANDIDATE_CAP}); "
             "coarsen grid_step or raise epsilon")
+    grids = [-a + h * np.arange(int(n)) for a, n in zip(live, sizes)]
 
     d = len(live)
     inv_axes2 = [1.0 / (a * a) for a in live]

@@ -30,6 +30,7 @@ work stays exact far below the smallest positive float.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -92,13 +93,9 @@ class SpectrumModel:
     # -- index bookkeeping -------------------------------------------------
 
     @property
-    def index_scheme(self) -> str:
-        """``"two_sided"`` for the Fourier families, else ``"one_sided"``."""
-        return "two_sided" if FAMILIES[self.kind].two_sided else "one_sided"
-
-    @property
     def two_sided(self) -> bool:
-        return self.index_scheme == "two_sided"
+        """True for the Fourier families, indexed by ``k`` in ``-K..K``."""
+        return FAMILIES[self.kind].two_sided
 
     def multiplicity(self, k: int) -> int:
         """Number of eigenfunctions sharing the eigenvalue at one-sided index k.
@@ -201,17 +198,10 @@ class SpectrumModel:
             return np.exp(-1j * np.outer(ks, xs))
         return math.sqrt(2.0) * np.sin(np.outer(ks, xs) * math.pi)
 
-    def quadrature_weight(self) -> float:
-        """Density of the orthonormality measure (1/(2 pi) on the circle)."""
-        return 1.0 / (2.0 * math.pi) if self.two_sided else 1.0
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        family = FAMILIES[self.kind]
-        fields = (family.write(self.params) if family.write
-                  else {name: self.params[name] for name in family.names})
-        return {"kind": self.kind, "k_max": self.k_max, **fields}
+        return entry_to_json(FAMILIES, self.kind, self.params, k_max=self.k_max)
 
 
 def poisson_model(a: float, b: float, k_max: int = DEFAULT_K_MAX) -> SpectrumModel:
@@ -293,7 +283,7 @@ class _Family:
     names: tuple[str, ...]                  # parameters, in factory order
     eigenvalues: Callable[[dict, np.ndarray], np.ndarray]
     log2_eigenvalues: Callable[[dict, np.ndarray], np.ndarray]
-    build: Callable[..., SpectrumModel] | None = None  # the factory, from names' values, k_max
+    build: Callable[..., SpectrumModel] | None = None  # the factory: names' values, k_max=
     two_sided: bool = False
     domain: tuple[float, float] | None = (0.0, 1.0)  # None: no eigenbasis
     k0_closed_form: Callable[[dict, float, float | None], int] | None = None
@@ -318,10 +308,13 @@ def _lookup(values: Sequence[float], ks: np.ndarray, what: str) -> np.ndarray:
 
 
 def _read_table(obj: dict) -> SpectrumModel:
-    """Without a ``k_max`` the table's length is the default, as in the factory."""
+    """Without a ``k_max`` the table's length is the default, as in the factory.
+    ``multiplicities``, when present, holds one integer >= 1 per value."""
     values, mults = obj["values"], obj.get("multiplicities")
     if mults is not None:
-        values = [v for v, m in zip(values, mults) for _ in range(int(m))]
+        if len(mults) != len(values) or not all(type(m) is int and m >= 1 for m in mults):
+            raise ValidationError("tabulated multiplicities must hold one integer >= 1 per value")
+        values = [v for v, m in zip(values, mults) for _ in range(m)]
     return tabulated_model(values, allow_ties=mults is not None, k_max=obj.get("k_max"))
 
 
@@ -332,17 +325,16 @@ def _write_table(p: dict) -> dict:
     return obj
 
 
-# One entry per spectral family (see the module docstring).  Entries reach the
-# factories through module globals, at call time.
+# One entry per spectral family (see the module docstring).
 FAMILIES: dict[str, _Family] = {
     "poisson": _Family(
-        ("a", "b"), build=lambda a, b, k_max: poisson_model(a, b, k_max),
+        ("a", "b"), build=poisson_model,
         eigenvalues=lambda p, k: (p["a"] / p["b"]) ** k.astype(float),
         log2_eigenvalues=lambda p, k: -k.astype(float) * math.log2(p["b"] / p["a"]),
         two_sided=True, domain=(-math.pi, math.pi),
         k0_closed_form=lambda p, L, given: max(0, math.floor(L / math.log2(p["b"] / p["a"])))),
     "heat": _Family(
-        ("D", "a", "b"), build=lambda D, a, b, k_max: heat_model(D, a, b, k_max),
+        ("D", "a", "b"), build=heat_model,
         eigenvalues=lambda p, k: np.exp(-p["D"] * (p["a"] - p["b"]) * k.astype(float) ** 2),
         log2_eigenvalues=lambda p, k: (-p["D"] * (p["a"] - p["b"]) * k.astype(float) ** 2
                                        * _LOG2_E),
@@ -351,7 +343,7 @@ FAMILIES: dict[str, _Family] = {
         k0_closed_form=lambda p, L, given: math.floor(
             math.sqrt(max(0.0, L * _LN2 / (p["D"] * (p["a"] - p["b"])))))),
     "green": _Family(
-        (), build=lambda k_max: green_model(k_max),
+        (), build=green_model,
         eigenvalues=lambda p, k: 1.0 / (k.astype(float) ** 2 * math.pi ** 2),
         log2_eigenvalues=lambda p, k: -2.0 * np.log2(k.astype(float)) - 2.0 * _LOG2_PI,
         k0_closed_form=_green_k0),
@@ -459,20 +451,14 @@ class CoefficientVector:
 
     @classmethod
     def from_json(cls, obj: dict, model: SpectrumModel | None = None) -> "CoefficientVector":
-        if not isinstance(obj, dict) or "entries" not in obj:
-            raise ValidationError("coefficient vector JSON must contain 'entries'")
-        if model is None:
-            if "model" not in obj:
-                raise ValidationError("coefficient vector JSON must embed a model")
-            model = model_from_json(obj["model"])
-        raw = obj["entries"]
-        try:
+        with decoding("coefficient vector JSON"):
+            if model is None:
+                model = model_from_json(obj["model"])
+            raw = obj["entries"]
             if obj.get("complex"):
                 entries = np.asarray([complex(re, im) for re, im in raw])
             else:
                 entries = np.asarray([float(v) for v in raw])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed coefficient entries: {exc}") from exc
         return cls(model, entries)
 
 
@@ -641,21 +627,46 @@ model_to_json = SpectrumModel.to_json
 
 def model_from_json(obj: dict) -> SpectrumModel:
     """Rebuild a model from its JSON form; malformed input raises ValidationError."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError("model JSON must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in FAMILIES:
-        raise ValidationError(
-            f"unknown model kind {kind!r}: expected one of {', '.join(FAMILIES)}")
-    family, k_max = FAMILIES[kind], obj.get("k_max", DEFAULT_K_MAX)
+    return entry_from_json(FAMILIES, obj, "model JSON", "k_max")
+
+
+@contextlib.contextmanager
+def decoding(what: str):
+    """Report a failure to decode the JSON form ``what`` as a ValidationError: a
+    missing field, a value of the wrong type or out of float range.  A
+    ValidationError raised inside passes through unchanged."""
     try:
-        if family.read:
-            return family.read(obj)
-        return family.build(*[obj[name] for name in family.names], k_max)
+        yield
     except ValidationError:
         raise
     except KeyError as exc:
-        raise ValidationError(f"model {kind!r} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed model JSON: {exc}") from exc
+        raise ValidationError(f"{what} is missing field {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def entry_to_json(table: dict, kind: str, params: dict, **extra) -> dict:
+    """JSON form of the ``kind`` entry of ``table`` (:data:`FAMILIES` or
+    ``channel.RULES``): its ``write`` form, else the values of its ``names``."""
+    entry = table[kind]
+    fields = entry.write(params) if entry.write else {name: params[name] for name in entry.names}
+    return {"kind": kind, **extra, **fields}
+
+
+def entry_from_json(table: dict, obj, what: str, *tail: str):
+    """Rebuild an entry of ``table`` from its JSON form ``obj`` through the
+    entry's ``read``, else its factory ``build`` applied to the ``names``' values
+    and, by keyword, to those optional fields ``tail`` that ``obj`` holds."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValidationError(f"{what} must be an object with a 'kind' field")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ValidationError(
+            f"unknown kind {kind!r} in {what}: expected one of {', '.join(table)}")
+    entry = table[kind]
+    with decoding(what):
+        if entry.read:
+            return entry.read(obj)
+        return entry.build(*[obj[name] for name in entry.names],
+                           **{name: obj[name] for name in tail if name in obj})
 

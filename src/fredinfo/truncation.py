@@ -365,6 +365,18 @@ class Lemma1Report:
         return self.residual_y.holds and self.distance_x.holds and self.combined.holds
 
 
+def _data_misfit(model: SpectrumModel, f: CoefficientVector, data: CoefficientVector,
+                 eps: float) -> float:
+    """``||A f - data||``; the noisy-data precondition ``<= eps`` is enforced
+    (PreconditionError carrying the measured norms)."""
+    misfit = float(np.linalg.norm(forward_apply(model, f).entries - data.entries))
+    if misfit > eps * _SLACK:
+        raise PreconditionError(
+            f"data misfit ||Af - g|| = {misfit:.6g} exceeds eps = {eps:.6g}",
+            data_misfit=misfit, f_norm=f.norm())
+    return misfit
+
+
 def lemma1_check(model: SpectrumModel, f: CoefficientVector,
                  data: CoefficientVector, epsilon: float) -> Lemma1Report:
     """Verify the a-priori truncation bounds on one (f, data, eps) triple.
@@ -380,27 +392,17 @@ def lemma1_check(model: SpectrumModel, f: CoefficientVector,
     eps = NoiseLevel.of(epsilon).require_epsilon("lemma1_check")
     if f.model != model or data.model != model:
         raise ValidationError("lemma1_check: vectors use a different model")
-    f.require_same_basis(data, "lemma1_check")
     if f.K != data.K:
         raise ValidationError("lemma1_check: f and data must cover the same indices")
 
-    misfit = float(np.linalg.norm(forward_apply(model, f).entries - data.entries))
+    misfit = _data_misfit(model, f, data, eps)
     f_norm = f.norm()
-    if misfit > eps * _SLACK:
-        raise PreconditionError(
-            f"data misfit ||Af - g|| = {misfit:.6g} exceeds eps = {eps:.6g}",
-            data_misfit=misfit, f_norm=f_norm)
     if f_norm > _SLACK:
         raise PreconditionError(
             f"||f|| = {f_norm:.6g} exceeds 1", data_misfit=misfit, f_norm=f_norm)
 
-    f_star = truncated_solution(model, data, eps).f_star
-    diff = f.entries - f_star.entries
-    lam = f.eigenvalue_profile()
-    residual = float(np.linalg.norm(lam * diff))
-    distance = float(np.linalg.norm(diff))
-    combined = residual ** 2 + eps ** 2 * distance ** 2
-
+    report = truncated_solution(model, data, eps, reference=f)
+    residual, distance, combined = report.residual_y, report.distance_x, report.combined
     b_res = math.sqrt(2.0) * eps
     b_dist = math.sqrt(2.0)
     b_comb = 4.0 * eps ** 2
@@ -454,11 +456,7 @@ def weak_convergence_probe(model: SpectrumModel, f: CoefficientVector,
     for eps, data in zip(eps_arr, datas):
         if data.model != model or data.K != f.K:
             raise ValidationError("data vectors must match the model and index range of f")
-        misfit = float(np.linalg.norm(forward_apply(model, f).entries - data.entries))
-        if misfit > eps * _SLACK:
-            raise PreconditionError(
-                f"data misfit {misfit:.6g} exceeds eps = {eps:.6g} at a grid point",
-                data_misfit=misfit, f_norm=f.norm())
+        _data_misfit(model, f, data, eps)
         f_star = truncated_solution(model, data, eps).f_star
         diff = f.entries - f_star.entries
         value = abs(complex(np.vdot(v.entries, diff)))

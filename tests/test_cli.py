@@ -296,10 +296,15 @@ def test_metric_info_needs_some_mode(capsys):
     assert code == 2 and "--grid-eps" in err
 
 
-def test_metric_info_numeric_failure_exits_3(capsys):
+@pytest.mark.parametrize("axes, eps, step", [
+    ("100,100,100", "0.4", "0.1"),
+    ("1e300", "1e-300", "1e-301"),         # points per axis overflow floats
+    ("1e200,1e200", "1e-100", "2e-101"),   # too large for one axis array
+], ids=["cap", "axis-overflow", "axis-array"])
+def test_metric_info_numeric_failure_exits_3(capsys, axes, eps, step):
     # candidate grid too large for the packing scan
-    code, _, err = run(capsys, "metric-info", "--packing-axes", "100,100,100",
-                       "--epsilon", "0.4", "--step", "0.1")
+    code, _, err = run(capsys, "metric-info", "--packing-axes", axes,
+                       "--epsilon", eps, "--step", step)
     assert code == 3 and "numeric failure" in err
 
 

@@ -77,6 +77,8 @@ def test_stream_rejects_negative_ids():
         TrialStream(seed=-1, trial=0)
     with pytest.raises(ValidationError):
         TrialStream(seed=0, trial=-2)
+    with pytest.raises(ValidationError):  # the key holds 128 bits: 2**128 + 1 would draw as 1
+        TrialStream(seed=1 << 128, trial=0)
 
 
 def test_synthesize_matches_stream_draws():
@@ -291,6 +293,13 @@ def test_config_hash_tracks_content():
     {"model": {"kind": "nope"}, "epsilon_grid": [0.5]},
     {"model": {"kind": "poisson", "a": 0.5, "b": 1.0},
      "epsilon_grid": [0.5], "trials": "many"},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "seed": 2**128},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5],
+     "seed": float("inf")},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5],
+     "trials": float("inf")},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5],
+     "k_max": float("inf")},
 ])
 def test_config_from_json_rejects_malformed(obj):
     with pytest.raises(ValidationError):

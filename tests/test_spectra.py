@@ -357,6 +357,11 @@ def test_model_json_rejects_garbage():
         model_from_json({"kind": "poisson", "a": 0.5})  # missing b
     with pytest.raises(ValidationError):
         model_from_json("not a dict")
+    # multiplicities need one integer >= 1 per value
+    for values, mults in (([0.5, 0.25, 0.125], [2]), ([0.5, 0.25], [0, 1]),
+                          ([0.5, 0.25], [-1, 1]), ([0.5, 0.25], [1.7, 1])):
+        with pytest.raises(ValidationError):
+            model_from_json({"kind": "tabulated", "values": values, "multiplicities": mults})
 
 
 def test_vector_json_round_trip_real_and_complex():
