@@ -229,6 +229,13 @@ class ExperimentConfig:
             raise ValidationError("the noise grid is empty")
         if (self.rho is None) != (self.nu is None):
             raise ValidationError("rho and nu must be given together")
+        for name in ("trials", "seed", "k_max"):
+            value = getattr(self, name)
+            if name == "k_max" and value is None:
+                continue
+            # refused, not truncated: a float, bool or string is no count or seed
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"config {name} must be an integer, got {value!r}")
         if self.trials < 0:
             raise ValidationError("trials must be >= 0")
         if self.trials and self.rho is None:
@@ -268,9 +275,9 @@ class ExperimentConfig:
                                    if "log2_inv_eps_grid" in obj else None),
                 rho=rule_from_json(obj["rho"]) if "rho" in obj else None,
                 nu=rule_from_json(obj["nu"]) if "nu" in obj else None,
-                trials=int(obj.get("trials", 0)),
-                seed=int(obj.get("seed", 0)),
-                k_max=int(obj["k_max"]) if "k_max" in obj else None,
+                trials=obj.get("trials", 0),
+                seed=obj.get("seed", 0),
+                k_max=obj.get("k_max"),
                 sided=obj.get("sided", "one_sided"),
             )
 

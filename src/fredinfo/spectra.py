@@ -31,6 +31,8 @@ work stays exact far below the smallest positive float.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -240,6 +242,13 @@ def tabulated_model(values: Sequence[float], allow_ties: bool = False,
     index carrying a multiplicity — a bookkeeping extension that the
     strict-decrease theory does not cover, so it is off by default.
     """
+    return _grouped_table(values, itertools.repeat(1), allow_ties, k_max)
+
+
+def _grouped_table(values: Iterable[float], counts: Iterable[int], allow_ties: bool,
+                   k_max: int | None) -> SpectrumModel:
+    """The tabulated model holding ``values[i]`` ``counts[i]`` times; equal
+    neighbours merge into one index whose multiplicity is their total count."""
     vals = [float(v) for v in values]
     if not vals:
         raise ValidationError("tabulated model needs at least one value")
@@ -248,18 +257,18 @@ def tabulated_model(values: Sequence[float], allow_ties: bool = False,
             raise ValidationError(f"tabulated values must lie in (0, 1], got {v}")
     grouped: list[float] = []
     mults: list[int] = []
-    for v in vals:
+    for v, count in zip(vals, counts):
         if grouped and v == grouped[-1]:
             if not allow_ties:
                 raise ValidationError(
                     f"tabulated values must decrease strictly (tie at {v}); "
                     "pass allow_ties=True to group equal values")
-            mults[-1] += 1
+            mults[-1] += count
             continue
         if grouped and v > grouped[-1]:
             raise ValidationError("tabulated values must be decreasing")
         grouped.append(v)
-        mults.append(1)
+        mults.append(count)
     if k_max is None:
         k_max = len(grouped)
     _check_k_max(k_max)
@@ -314,8 +323,8 @@ def _read_table(obj: dict) -> SpectrumModel:
     if mults is not None:
         if len(mults) != len(values) or not all(type(m) is int and m >= 1 for m in mults):
             raise ValidationError("tabulated multiplicities must hold one integer >= 1 per value")
-        values = [v for v, m in zip(values, mults) for _ in range(m)]
-    return tabulated_model(values, allow_ties=mults is not None, k_max=obj.get("k_max"))
+        return _grouped_table(values, mults, True, obj.get("k_max"))
+    return tabulated_model(values, k_max=obj.get("k_max"))
 
 
 def _write_table(p: dict) -> dict:
@@ -482,22 +491,39 @@ def forward_apply(model: SpectrumModel, f: CoefficientVector) -> CoefficientVect
 class EigenSystem:
     """Discrete approximation of an integral operator's eigensystem.
 
+    Eigenvalues are sorted non-increasing and are non-negative (tiny negative
+    round-off is clamped to zero).  They come from ``np.linalg.eigvalsh`` of
+    the symmetrised matrix ``sym``, so they may differ in the last bits from
+    the eigenvalues that ``np.linalg.eigh`` reports for it.
+
     ``eigenvectors[:, j]`` holds the values of the j-th eigenfunction at
     ``nodes`` and is orthonormal in the quadrature inner product
-    ``sum_i w_i u_i v_i``.  Eigenvalues are sorted non-increasing and are
-    non-negative (tiny negative round-off is clamped to zero).
+    ``sum_i w_i u_i v_i``.  It is computed by one ``eigh`` of ``sym`` on
+    first access, so callers that read only eigenvalues never pay for it.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     rule: str
+    sym: np.ndarray = field(repr=False, compare=False)  # W^{1/2} K W^{1/2}
 
     def eigenvalue(self, k: int) -> float:
         if not 1 <= k <= self.eigenvalues.size:
             raise ValidationError(f"eigensystem holds {self.eigenvalues.size} modes")
         return float(self.eigenvalues[k - 1])
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        try:
+            vecs = np.linalg.eigh(self.sym)[1][:, ::-1]
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
+            raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
+        funcs = vecs / np.sqrt(self.weights)[:, None]
+        # deterministic sign: largest-magnitude node value is positive
+        peak = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])]
+        funcs[:, peak < 0] *= -1.0
+        return funcs
 
 
 def _quadrature_rule(n_nodes: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
@@ -520,15 +546,21 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       rule: str = "trapezoid") -> EigenSystem:
     """Numerically diagonalize a symmetric kernel on ``[0, 1]``.
 
-    The kernel matrix ``K_ij = kernel(x_i, x_j)`` is symmetrized with the
-    square-root-of-weights similarity transform ``W^{1/2} K W^{1/2}`` so a
-    symmetric eigensolver applies; eigenvector values at the nodes are then
-    recovered as ``u / sqrt(w)``, which makes them weight-orthonormal.
+    The kernel is evaluated once on the broadcast axes ``x[:, None]`` and
+    ``x[None, :]`` and broadcast to the matrix ``K_ij = kernel(x_i, x_j)``.
+    That is symmetrized with the square-root-of-weights similarity transform
+    ``W^{1/2} K W^{1/2}`` so a symmetric eigensolver applies.  Only the
+    eigenvalues are computed here, by ``np.linalg.eigvalsh``; they may differ
+    from ``np.linalg.eigh``'s in the last bits.  The eigenvectors come from
+    one ``eigh`` when :attr:`EigenSystem.eigenvectors` is first read, with
+    the node values recovered as ``u / sqrt(w)``, which makes them
+    weight-orthonormal.
 
     Parameters
     ----------
     kernel : callable
-        Symmetric, broadcastable ``kernel(x, y)``.
+        Symmetric, elementwise ``kernel(x, y)``; it may return the shape of
+        ``x`` or ``y`` alone when it depends on only one of them.
     n_nodes : int
         Number of quadrature nodes.
     rule : str
@@ -543,10 +575,10 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
         round-off (the supported operators are positive semi-definite).
     """
     nodes, weights = _quadrature_rule(n_nodes, rule)
-    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
-    Kmat = np.asarray(kernel(X, Y), dtype=float)
-    if Kmat.shape != (n_nodes, n_nodes):
+    Kmat = np.asarray(kernel(nodes[:, None], nodes[None, :]), dtype=float)
+    if Kmat.shape not in ((n_nodes, n_nodes), (n_nodes, 1), (1, n_nodes)):
         raise ValidationError("kernel did not broadcast to an (n, n) matrix")
+    Kmat = np.broadcast_to(Kmat, (n_nodes, n_nodes))
     if not np.all(np.isfinite(Kmat)):
         raise ValidationError("kernel produced non-finite values")
     scale = max(1.0, float(np.abs(Kmat).max()))
@@ -555,31 +587,19 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     sqrt_w = np.sqrt(weights)
     sym = (sqrt_w[:, None] * Kmat) * sqrt_w[None, :]
-    sym = 0.5 * (sym + sym.T)  # scrub round-off asymmetry before eigh
+    sym = 0.5 * (sym + sym.T)  # scrub round-off asymmetry before the eigensolver
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        vals = np.linalg.eigvalsh(sym)[::-1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
 
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    top = max(1.0, float(vals[0])) if vals.size else 1.0
+    top = max(1.0, float(vals[0]))
     psd_tol = 64.0 * n_nodes * np.finfo(float).eps * top
-    if vals.size and vals[-1] < -psd_tol:
+    if vals[-1] < -psd_tol:
         raise NumericError(
             f"operator has a negative eigenvalue {vals[-1]:.3e} beyond round-off; "
             "only positive semi-definite kernels are supported")
-    vals = np.maximum(vals, 0.0)
-
-    funcs = vecs / sqrt_w[:, None]
-    # deterministic sign: largest-magnitude node value is positive
-    for j in range(funcs.shape[1]):
-        i = int(np.argmax(np.abs(funcs[:, j])))
-        if funcs[i, j] < 0:
-            funcs[:, j] = -funcs[:, j]
-    return EigenSystem(vals, funcs, nodes, weights, rule)
+    return EigenSystem(np.maximum(vals, 0.0), nodes, weights, rule, sym)
 
 
 def green_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -300,10 +300,24 @@ def test_config_hash_tracks_content():
      "trials": float("inf")},
     {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5],
      "k_max": float("inf")},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "seed": 1.5},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "trials": 2.7,
+     "rho": {"kind": "geometric", "c": 1.0, "q": 0.5}, "nu": {"kind": "constant", "c": 1.0}},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "k_max": 3.9},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "k_max": 4.0},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "seed": True},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "seed": "7"},
 ])
 def test_config_from_json_rejects_malformed(obj):
     with pytest.raises(ValidationError):
         ExperimentConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("field", [{"seed": 1.5}, {"trials": 2.5}, {"k_max": 3.9},
+                                   {"seed": True}, {"trials": "2"}])
+def test_config_refuses_non_integer_counts(field):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        make_config(**field)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,89 @@ def test_nystrom_deterministic_sign():
         assert col[int(np.argmax(np.abs(col)))] > 0
 
 
+@pytest.mark.parametrize("n", [50, 400, 1000])
+def test_nystrom_green_trapezoid_matches_exact_discrete_spectrum(n):
+    """On the trapezoid grid with h = 1/(n-1) the Green kernel matrix is the
+    inverse of the Dirichlet second difference, so its eigenvalues are exactly
+    h^2 / (4 sin^2(j pi h / 2)) for j = 1..n-2, plus the two zero rows at the
+    end points."""
+    sys = nystrom_decompose(green_kernel, n_nodes=n, rule="trapezoid")
+    h = 1.0 / (n - 1)
+    j = np.arange(1, n - 1)
+    exact = np.concatenate([h * h / (4.0 * np.sin(j * math.pi * h / 2.0) ** 2), [0.0, 0.0]])
+    lam_1 = exact[0]
+    assert np.abs(sys.eigenvalues - exact).max() <= 64.0 * np.finfo(float).eps * lam_1
+    assert (np.abs(sys.eigenvalues[:8] - exact[:8]) / exact[:8]).max() <= 1e-13
+
+
+def _nystrom_by_eigh(kernel, n_nodes, rule="trapezoid"):
+    """The full-eigh path: meshgrid kernel matrix, eigh, per-column sign loop.
+    Returns the sorted eigenvalues (unclamped), the node values of the
+    eigenvectors and the symmetrised matrix."""
+    if rule == "trapezoid":
+        nodes = np.linspace(0.0, 1.0, n_nodes)
+        weights = np.full(n_nodes, nodes[1])
+        weights[[0, -1]] /= 2.0
+    else:
+        t, w = np.polynomial.legendre.leggauss(n_nodes)
+        nodes, weights = (t + 1.0) / 2.0, w / 2.0
+    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
+    Kmat = np.asarray(kernel(X, Y), dtype=float)
+    sqrt_w = np.sqrt(weights)
+    sym = (sqrt_w[:, None] * Kmat) * sqrt_w[None, :]
+    sym = 0.5 * (sym + sym.T)
+    vals, vecs = np.linalg.eigh(sym)
+    order = np.argsort(vals)[::-1]
+    funcs = vecs[:, order] / sqrt_w[:, None]
+    for j in range(funcs.shape[1]):
+        i = int(np.argmax(np.abs(funcs[:, j])))
+        if funcs[i, j] < 0:
+            funcs[:, j] = -funcs[:, j]
+    return vals[order], funcs, sym
+
+
+@pytest.mark.parametrize("n, rule", [(120, "trapezoid"), (400, "trapezoid"),
+                                     (200, "gauss_legendre")])
+def test_nystrom_eigenvalues_match_full_eigh(n, rule):
+    """Eigenvalues from eigvalsh agree with the full eigh of the same matrix,
+    and the lazily computed eigenvectors are that eigh's, column for column."""
+    sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
+    vals, funcs, sym = _nystrom_by_eigh(green_kernel, n, rule)
+    eps_lam = np.finfo(float).eps * vals[0]
+    np.testing.assert_array_equal(sys.sym, sym)
+    assert np.abs(sys.eigenvalues - np.maximum(vals, 0.0)).max() <= 8.0 * eps_lam
+    distinct = vals > 1e3 * eps_lam  # the trapezoid rule's two zero modes may come in any order
+    np.testing.assert_array_equal(sys.eigenvectors[:, distinct], funcs[:, distinct])
+
+
+@pytest.mark.parametrize("n", [150, 1000])
+def test_nystrom_lazy_eigenvectors_pair_with_eigenvalues(n):
+    sys = nystrom_decompose(green_kernel, n_nodes=n, rule="trapezoid")
+    U = sys.eigenvectors * np.sqrt(sys.weights)[:, None]  # Euclidean-orthonormal
+    residual = np.linalg.norm(sys.sym @ U - U * sys.eigenvalues[None, :], axis=0)
+    assert residual.max() <= 64.0 * np.finfo(float).eps * sys.eigenvalues[0]
+    gram = (sys.eigenvectors * sys.weights[:, None]).T @ sys.eigenvectors
+    np.testing.assert_allclose(gram, np.eye(n), atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [lambda x, y: np.ones_like(x),
+                                    lambda x, y: np.ones_like(y)])
+def test_nystrom_one_sided_kernel_broadcasts(kernel):
+    """A kernel returning only x's (or y's) shape gives the meshgrid system."""
+    sys = nystrom_decompose(kernel, n_nodes=60)
+    vals, funcs, sym = _nystrom_by_eigh(kernel, 60)
+    np.testing.assert_array_equal(sys.sym, sym)
+    assert np.abs(sys.eigenvalues - np.maximum(vals, 0.0)).max() <= 8.0 * np.finfo(float).eps
+    np.testing.assert_array_equal(sys.eigenvectors[:, 0], funcs[:, 0])
+    assert sys.eigenvalue(1) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_nystrom_rejects_kernel_of_wrong_shape():
+    for kernel in (lambda x, y: 1.0, lambda x, y: np.ones((3, 3)), lambda x, y: np.ones(60)):
+        with pytest.raises(ValidationError):
+            nystrom_decompose(kernel, n_nodes=60)
+
+
 # ---------------------------------------------------------------------------
 # Serialization and export
 # ---------------------------------------------------------------------------
@@ -362,6 +445,22 @@ def test_model_json_rejects_garbage():
                           ([0.5, 0.25], [-1, 1]), ([0.5, 0.25], [1.7, 1])):
         with pytest.raises(ValidationError):
             model_from_json({"kind": "tabulated", "values": values, "multiplicities": mults})
+
+
+def test_model_json_reads_huge_multiplicity_without_expanding():
+    obj = {"kind": "tabulated", "values": [0.5, 0.25], "multiplicities": [10 ** 9, 3]}
+    model = model_from_json(obj)
+    assert model.multiplicity(1) == 10 ** 9 and model.multiplicity(2) == 3
+    assert model.spectrum_length == 2
+    assert model_to_json(model) == {**obj, "k_max": 2}
+    assert model_from_json(json.loads(json.dumps(model_to_json(model)))) == model
+
+
+def test_model_json_multiplicities_merge_equal_neighbours():
+    # equal values in neighbouring entries group as tabulated_model groups ties
+    model = model_from_json({"kind": "tabulated", "values": [0.5, 0.5, 0.25],
+                             "multiplicities": [2, 1, 1]})
+    assert model == tabulated_model([0.5, 0.5, 0.5, 0.25], allow_ties=True)
 
 
 def test_vector_json_round_trip_real_and_complex():
