@@ -454,22 +454,23 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
 
     Informative components are inverted (``eta_k / lambda_k``), the rest are
     zeroed.  For two-sided basis models membership is applied per ``|k|``
-    with the variance rules evaluated at ``|k|`` (the center mode uses the
-    rules at 0 and ``lambda_0 = 1``).
+    with the variance rules evaluated at ``max(|k|, 1)``: the paper's
+    sequences have no ``rho_0`` or ``nu_0``, so the center mode is judged
+    with ``lambda_0 = 1`` and the rules at 1 (``rho_1 >= eps nu_1``).  As
+    ``lambda_0 >= lambda_1``, the center is in I whenever component 1 is.
     """
     if data.model != channel.model:
         raise ValidationError("posterior_estimate: data uses a different model")
     if data.K > channel.k_max:
         raise ValidationError(
             f"data reaches index {data.K} beyond the channel's k_max={channel.k_max}")
-    eps, *_ = channel.floats("posterior_estimate")
+    eps, _, rho, nu = channel.floats("posterior_estimate")
     ks = np.abs(data.indices)
     lam = data.eigenvalue_profile()
     pos = ks >= 1
     member = np.zeros(ks.shape, dtype=bool)
     member[pos] = channel.informative[ks[pos] - 1]
-    if np.any(~pos):  # center mode of a two-sided vector: the rules at 0, lambda_0 = 1
-        member[~pos] = lam[~pos] * channel.rho.value(0) >= eps * channel.nu.value(0)
+    member[~pos] = rho[0] >= eps * nu[0]  # center mode: lambda_0 = 1, the rules at 1
     # divide only on I: lambda_k may underflow to 0 on N
     entries = np.divide(data.entries, lam, out=np.zeros_like(data.entries), where=member)
     return CoefficientVector(channel.model, entries)

@@ -262,6 +262,31 @@ def growth_orders(model: SpectrumModel, epsilons: Sequence[float | NoiseLevel]) 
 # ---------------------------------------------------------------------------
 
 _PACKING_CANDIDATE_CAP = 50_000_000
+_PACKING_BLOCK = 1 << 16  # grid points per numpy step of the mask and the walk
+
+
+def _outside_mask(axes: Sequence[float], h: float, out: np.ndarray) -> None:
+    """Write the scan's outside test ``q > 1 + 1e-12`` for the grid of ``out``.
+
+    Grids ``-a + h * arange(n)``, terms ``g * g * (1/a^2)`` and their sum,
+    left to right, are the scan's, so the candidate set is bit-identical (a
+    NaN ``q`` counts as inside).  Axis 0 goes a block of rows at a time, so
+    no float64 array spans the grid.
+    """
+    d = len(axes)
+    inv_axes2 = [1.0 / (a * a) for a in axes]
+
+    def term(i: int, lo: int, hi: int) -> np.ndarray:
+        g = -axes[i] + h * np.arange(lo, hi)
+        return (g * g * inv_axes2[i]).reshape([-1 if j == i else 1 for j in range(d)])
+
+    rest = [term(i, 0, out.shape[i]) for i in range(1, d)]
+    rows = max(1, _PACKING_BLOCK * out.shape[0] // out.size)
+    for s in range(0, out.shape[0], rows):
+        q = term(0, s, min(s + rows, out.shape[0]))
+        for t in rest:
+            q = q + t
+        np.greater(q, 1.0 + 1e-12, out=out[s:s + rows])
 
 
 def greedy_packing_count(semi_axes: Sequence[float], epsilon: float,
@@ -271,11 +296,17 @@ def greedy_packing_count(semi_axes: Sequence[float], epsilon: float,
     Grid points inside the (closed) ellipsoid are scanned in lexicographic
     order; a point is kept when its distance to every kept point strictly
     exceeds ``eps``.  The scan order makes the count deterministic.  Only
-    dimensions up to 3 are supported (cost grows with the grid volume);
-    zero semi-axes drop their dimension.
+    dimensions up to 3 are supported; zero semi-axes drop their dimension.
 
     ``grid_step`` must not exceed ``eps / 4`` so the grid resolves the
-    packing scale.
+    packing scale.  The lattice offsets within ``eps`` form a fixed stencil:
+    a kept point blocks those within ``eps`` under any rounding at once, and
+    only the thin ring at distance ``eps`` within rounding is decided by the
+    float test ``sum (p_i - k_i)^2 <= eps^2``.  The cost grows with the
+    candidate count, not with per-point neighbour lookups; memory is one byte
+    per point of the grid padded by ``min(eps / grid_step + 2, n_i - 1)`` per
+    side.  A level whose square leaves float range is refused
+    (:class:`NumericError`): the float test cannot resolve ``eps`` there.
     """
     axes = [float(a) for a in semi_axes]
     if not axes:
@@ -304,38 +335,68 @@ def greedy_packing_count(semi_axes: Sequence[float], epsilon: float,
         raise NumericError(
             f"packing grid has {total:.17g} candidates (cap {_PACKING_CANDIDATE_CAP}); "
             "coarsen grid_step or raise epsilon")
-    grids = [-a + h * np.arange(int(n)) for a, n in zip(live, sizes)]
-
-    d = len(live)
-    inv_axes2 = [1.0 / (a * a) for a in live]
     eps2 = eps * eps
-    inv_eps = 1.0 / eps
-    kept_cells: dict[tuple, list] = {}
-    count = 0
-    neighbor_offsets = list(itertools.product((-1, 0, 1), repeat=d))
-    for p in itertools.product(*grids):
-        q = 0.0
-        for i in range(d):
-            q += p[i] * p[i] * inv_axes2[i]
-        if q > 1.0 + 1e-12:
+    # Rounding (1.5 ulp(a) per coordinate -a + h*i, a few ulps of eps^2 in the
+    # sum, 2^-1075 per step below the normal range) moves the float test by
+    # under 11 (a/eps + 1) 2^-52 eps^2 + 4 * 2^-1074.  Offsets with h^2 |o|^2
+    # outside eps^2 (1 +- margin), over five times that, get the exact answer.
+    margin = 2.0 ** -46 * (max(live) / eps + 1.0) + 2.0 ** -1068 / max(eps2, 2.0 ** -1074)
+    if not (eps2 < math.inf and margin < 0.25):
+        raise NumericError(
+            f"packing distances at epsilon={eps!r} leave float range (eps^2 = {eps2!r})")
+    n = [int(s) for s in sizes]
+    # the stencil's reach; offsets past the grid join no two points
+    pads = [int(min(k - 1.0, eps / h * (1.0 + margin) + 2.0)) for k in n]
+
+    # one byte per padded grid point: 0 a free candidate, 1 blocked (outside
+    # the ellipsoid, padding, or within eps of a kept point), 2 kept
+    state = np.ones([k + 2 * r for k, r in zip(n, pads)], dtype=np.uint8)
+    _outside_mask(live, h, state[tuple(slice(r, r + k) for r, k in zip(pads, n))])
+
+    # Offsets o with |o|^2 <= k_in are blocked, k_in < |o|^2 <= k_out (the
+    # ring) are left to the float test.  As flat steps through the padded
+    # grid (uint8 strides count points; the last is 1) the blocked ones form
+    # one run per prefix (o_0, .., o_{d-2}), set with one slice.
+    t = (eps / h) * (eps / h)
+    most = float(sum(r * r for r in pads))
+    k_in = math.ceil(min(t * (1.0 - margin), most + 1.0)) - 1
+    k_out = math.floor(min(t * (1.0 + margin), most))
+    runs, ring = [], []
+    for pre in itertools.product(*[range(-r, r + 1) for r in pads[:-1]]):
+        s = sum(o * o for o in pre)
+        if s > k_out:
             continue
-        cell = tuple(int(math.floor(c * inv_eps)) for c in p)
-        ok = True
-        for off in neighbor_offsets:
-            bucket = kept_cells.get(tuple(c + o for c, o in zip(cell, off)))
-            if not bucket:
-                continue
-            for kept in bucket:
-                dist2 = 0.0
-                for i in range(d):
-                    dd = p[i] - kept[i]
-                    dist2 += dd * dd
-                if dist2 <= eps2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            kept_cells.setdefault(cell, []).append(p)
-            count += 1
+        base = sum(o * b for o, b in zip(pre, state.strides))
+        w = min(math.isqrt(k_in - s), pads[-1]) if s <= k_in else -1
+        if w >= 0:
+            runs.append((base - w, base + w + 1, b"\x01" * (2 * w + 1)))
+        for o in range(w + 1, min(math.isqrt(k_out - s), pads[-1]) + 1):
+            ring.extend((base + v, (*pre, v)) for v in ((o, -o) if o else (0,)))
+
+    def within(p: int, o: tuple) -> bool:
+        # the scan's float test, on its coordinates -a + h*i, of p against p + o
+        dist2 = 0.0
+        for a, stride, size, pad, oi in zip(live, state.strides, state.shape, pads, o):
+            i = p // stride % size - pad
+            dd = (-a + h * i) - (-a + h * (i + oi))
+            dist2 += dd * dd
+        return dist2 <= eps2
+
+    # free candidates in C order, the scan's order, listed a block at a time;
+    # the byte test skips those blocked since by a point kept in the block
+    flat = state.reshape(-1)
+    count = 0
+    with memoryview(flat) as cell:
+        for start in range(0, flat.size, _PACKING_BLOCK):
+            for p in (np.flatnonzero(flat[start:start + _PACKING_BLOCK] == 0) + start).tolist():
+                if cell[p]:
+                    continue
+                for step, o in ring:
+                    if cell[p + step] == 2 and within(p, o):
+                        break
+                else:
+                    for lo, hi, ones in runs:
+                        cell[p + lo:p + hi] = ones
+                    cell[p] = 2
+                    count += 1
     return count

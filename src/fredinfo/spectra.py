@@ -440,11 +440,8 @@ class CoefficientVector:
         mat = self.model.eigenfunction_matrix(self.indices, xs)
         return self.entries @ mat
 
-    def same_basis(self, other: "CoefficientVector") -> bool:
-        return self.model == other.model
-
     def require_same_basis(self, other: "CoefficientVector", what: str) -> None:
-        if not self.same_basis(other):
+        if self.model != other.model:
             raise ValidationError(f"{what}: coefficient vectors use different bases")
 
     # -- serialization ------------------------------------------------------

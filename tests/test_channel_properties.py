@@ -71,13 +71,10 @@ def test_channel_invariants(model, rho, nu, neg_log10_eps):
     K = chan.k_max
     n = 2 * K + 1 if model.two_sided else K
     data = CoefficientVector(model, np.arange(1.0, n + 1.0))
-    try:
-        est = posterior_estimate(chan, data)
-    except ValidationError:
-        # only the two-sided center mode needs a rule at k = 0, which power lacks
-        assert model.two_sided and "power" in (rho.kind, nu.kind)
-        return
+    est = posterior_estimate(chan, data)
     dropped = set(part.N)
     for k, v in zip(data.indices, est.entries):
         if k != 0:
             assert (v == 0.0) == (abs(int(k)) in dropped)
+        elif 1 not in dropped:
+            assert v == K + 1.0  # lambda_0 = 1 >= lambda_1: the center follows component 1

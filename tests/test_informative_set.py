@@ -18,10 +18,10 @@ import pytest
 
 import fredinfo
 from fredinfo import (CoefficientVector, ExperimentConfig, GaussianChannel, TrialStream,
-                      component_information, constant_rule, convergence_sweep,
-                      geometric_rule, model_from_json, monte_carlo_mse, mse_closed_form,
-                      partition_IN, poisson_model, posterior_estimate, power_rule,
-                      ValidationError)
+                      component_information, constant_rule, convergence_sweep, custom_rule,
+                      gaussian_rule, geometric_rule, inverse_spectrum_rule, model_from_json,
+                      monte_carlo_mse, mse_closed_form, partition_IN, poisson_model,
+                      posterior_estimate, power_rule, ValidationError)
 from fredinfo.cli import main
 
 TABLE = {"kind": "tabulated", "values": [0.5, 0.25, 0.125]}
@@ -88,20 +88,44 @@ def test_monte_carlo_mse_scores_the_trial_streams():
     assert mc.stderr == pytest.approx(np.std(stats, ddof=1) / math.sqrt(5), rel=1e-12)
 
 
-def test_posterior_estimate_uses_the_rules_at_zero_for_the_center_mode():
+def test_posterior_estimate_judges_the_center_mode_with_the_rules_at_one():
     model = poisson_model(0.5, 1.0, k_max=6)
     data = CoefficientVector(model, np.arange(1.0, 14.0))        # indices -6..6
-    # rho_0 = 0.15 < eps * nu_0 = 0.2: the center is dropped, although k = 1 is kept
+    # rho_1 = 0.15 >= eps * nu_1 = 0.02: the center is kept with lambda_0 = 1
     chan = GaussianChannel(model, constant_rule(0.15), geometric_rule(1.0, 0.1), 0.2)
-    assert chan.informative[0]
     est = posterior_estimate(chan, data).entries
-    assert est[6] == 0.0 and est[5] == 6.0 / 0.5 and est[7] == 8.0 / 0.5
-    chan = GaussianChannel(model, constant_rule(0.5), geometric_rule(1.0, 0.1), 0.2)
-    assert posterior_estimate(chan, data).entries[6] == 7.0
-    # a rule undefined at 0 cannot judge the center mode
+    assert est[6] == 7.0 and est[5] == 6.0 / 0.5 and est[7] == 8.0 / 0.5
+    # rho_1 = 0.3 >= 0.2: the center is kept while component 1 (0.15 < 0.2) is not
+    chan = GaussianChannel(model, constant_rule(0.3), constant_rule(1.0), 0.2)
+    assert not chan.informative[0]
+    est = posterior_estimate(chan, data).entries
+    assert est[6] == 7.0 and not est[:6].any() and not est[7:].any()
+    # rho_1 = 0.15 < 0.2: nothing is kept
+    chan = GaussianChannel(model, constant_rule(0.15), constant_rule(1.0), 0.2)
+    assert not posterior_estimate(chan, data).entries.any()
+    # a rule undefined at 0 judges the center at 1: rho_1 = 1 >= 0.2
     chan = GaussianChannel(model, power_rule(1.0, 1.0), constant_rule(1.0), 0.2)
-    with pytest.raises(ValidationError, match="k >= 1"):
-        posterior_estimate(chan, data)
+    assert posterior_estimate(chan, data).entries[6] == 7.0
+
+
+@pytest.mark.parametrize("rule", ["constant", "geometric", "power", "gaussian",
+                                  "inverse_spectrum", "custom"])
+@pytest.mark.parametrize("eps", [1e-3, 0.05, 0.3, 0.6])
+def test_posterior_estimate_center_mode_answers_under_every_rule(rule, eps):
+    """No rule is evaluated at k = 0, and as lambda_0 = 1 >= lambda_1 the
+    center is in I whenever component 1 is, with rho and nu each the rule."""
+    model = poisson_model(0.5, 1.0, k_max=6)
+    data = CoefficientVector(model, np.arange(1.0, 14.0))
+    made = {"constant": constant_rule(0.7), "geometric": geometric_rule(1.3, 0.4),
+            "power": power_rule(1.0, 0.5), "gaussian": gaussian_rule(0.9, 0.05),
+            "inverse_spectrum": inverse_spectrum_rule(model),
+            "custom": custom_rule([0.9, 0.6, 0.45, 0.3, 0.25, 0.2])}[rule]
+    for rho, nu in ((made, constant_rule(1.0)), (constant_rule(1.0), made)):
+        chan = GaussianChannel(model, rho, nu, eps)
+        est = posterior_estimate(chan, data).entries
+        assert (est[6] == 7.0) == bool(rho.value(1) >= eps * nu.value(1))
+        if chan.informative[0]:
+            assert est[6] == 7.0
 
 
 # ---------------------------------------------------------------------------

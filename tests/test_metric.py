@@ -1,9 +1,13 @@
 """Entropy/capacity bounds, growth orders and the packing oracle."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredinfo import (
     NoiseLevel,
@@ -23,6 +27,7 @@ from fredinfo import (
     poisson_model,
     tabulated_model,
 )
+from fredinfo.metric import _outside_mask
 
 LOG2_6 = math.log2(6.0)
 
@@ -317,6 +322,137 @@ def test_packing_monotone_in_separation():
     counts = [greedy_packing_count([1.0, 0.5], eps, eps / 4.0)
               for eps in (0.8, 0.4, 0.2)]
     assert counts[0] <= counts[1] <= counts[2]
+
+
+def _greedy_packing_scan(semi_axes, epsilon, grid_step):
+    """The neighbour-dict scan the stencil walk replaced, kept as its oracle.
+
+    Every grid point is visited in lexicographic order, and its distance to
+    the kept points of the 3^d neighbouring eps-cells is tested in floats.
+    """
+    live = [float(a) for a in semi_axes if a > 0]
+    if not live:
+        return 1
+    eps, h = float(epsilon), float(grid_step)
+    sizes = [float(np.floor(2.0 * a / h + 1e-9)) + 1.0 for a in live]
+    grids = [-a + h * np.arange(int(n)) for a, n in zip(live, sizes)]
+
+    d = len(live)
+    inv_axes2 = [1.0 / (a * a) for a in live]
+    eps2 = eps * eps
+    inv_eps = 1.0 / eps
+    kept_cells: dict[tuple, list] = {}
+    count = 0
+    neighbor_offsets = list(itertools.product((-1, 0, 1), repeat=d))
+    for p in itertools.product(*grids):
+        q = 0.0
+        for i in range(d):
+            q += p[i] * p[i] * inv_axes2[i]
+        if q > 1.0 + 1e-12:
+            continue
+        cell = tuple(int(math.floor(c * inv_eps)) for c in p)
+        ok = True
+        for off in neighbor_offsets:
+            bucket = kept_cells.get(tuple(c + o for c, o in zip(cell, off)))
+            if not bucket:
+                continue
+            for kept in bucket:
+                dist2 = 0.0
+                for i in range(d):
+                    dd = p[i] - kept[i]
+                    dist2 += dd * dd
+                if dist2 <= eps2:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            kept_cells.setdefault(cell, []).append(p)
+            count += 1
+    return count
+
+
+_SCAN_POINTS = {1: 20_000, 2: 141, 3: 27}  # points per axis: at most ~20k candidates
+
+
+@st.composite
+def _tie_prone_packing(draw):
+    """Axes, eps and step where lattice offsets land exactly on distance eps.
+
+    The step is eps/4, eps/5, one ulp below eps/4, or a free fraction of
+    eps/4; an axis is a whole number of steps, a whole number of eps/2, or
+    free, so ties such as the offset (4, 0, 0) at eps/4 fall on the ring.
+    """
+    eps = draw(st.sampled_from([1.0, 0.1, 0.3, 1.0 / 3.0, 0.7, 2.0 ** -20, 1e6])
+               | st.floats(1e-3, 1e3))
+    h = draw(st.sampled_from([eps / 4.0, eps / 5.0, math.nextafter(eps / 4.0, 0.0)])
+             | st.floats(0.05, 1.0, exclude_max=True).map(lambda f: f * (eps / 4.0)))
+    d = draw(st.integers(1, 3))
+    top = (_SCAN_POINTS[d] - 1) // 2  # whole steps in a semi-axis
+    halves = int(2 * top * h / eps)     # whole eps/2 in a semi-axis
+    axes = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["step", "half_eps", "free"] if halves else ["step", "free"]))
+        if kind == "step":
+            axes.append(h * draw(st.integers(1, top)))
+        elif kind == "half_eps":
+            axes.append(eps / 2.0 * draw(st.integers(1, halves)))
+        else:
+            axes.append(h * top * draw(st.floats(0.01, 1.0)))
+    return axes, eps, h
+
+
+@settings(settings.get_profile("fredinfo"), max_examples=150)
+@given(_tie_prone_packing())
+def test_packing_stencil_matches_the_scan_on_tie_prone_grids(case):
+    axes, eps, h = case
+    assert greedy_packing_count(axes, eps, h) == _greedy_packing_scan(axes, eps, h)
+
+
+def test_packing_stencil_matches_the_scan_on_the_drawn_cases():
+    """The 20 criterion-06 draws (seed 60289) and the bracket test's draws."""
+    models = [poisson_model(0.5, 1.0), heat_model(1.0, 2.0, 1.0), green_model()]
+    for seed, draws in ((60289, 20), (2718, 6)):
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            axes, eps = _draw_packing_case(rng, models)
+            assert greedy_packing_count(axes, eps, eps / 4.0) == \
+                _greedy_packing_scan(axes, eps, eps / 4.0)
+
+
+def test_packing_mask_is_the_scans_inside_test():
+    axes, h = [1.0, 0.75, 0.5], 1.0 / 16.0
+    shape = [int(np.floor(2.0 * a / h + 1e-9)) + 1 for a in axes]
+    out = np.empty(shape, dtype=bool)
+    _outside_mask(axes, h, out)
+    grids = [-a + h * np.arange(n) for a, n in zip(axes, shape)]
+    inv = [1.0 / (a * a) for a in axes]
+    scan = [sum(c * c * inv[i] for i, c in enumerate(p)) > 1.0 + 1e-12
+            for p in itertools.product(*grids)]
+    np.testing.assert_array_equal(out.reshape(-1), scan)
+
+
+def test_packing_mask_memory_stays_near_one_byte_per_point():
+    """On a 256^3 grid the mask, one byte per point, is the only large array:
+    a full-grid float64 q would take eight bytes per point."""
+    axes, h = [1.0, 0.9, 0.8], 2.0 / 255.0
+    shape = (256, 256, 256)
+    cells = math.prod(shape)
+    tracemalloc.start()
+    try:
+        out = np.empty(shape, dtype=bool)
+        _outside_mask(axes, h, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cells + 8 * 256 * 256
+    assert 0 < np.count_nonzero(~out) < cells
+
+
+def test_packing_refuses_a_level_whose_square_leaves_float_range():
+    with pytest.raises(NumericError, match="float range"):
+        greedy_packing_count([1e200], 1e200, 2.5e199)
+    assert greedy_packing_count([1e150], 1e150, 2.5e149) == 2
 
 
 def test_tabulated_models_work_in_bounds():
