@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (NumericError, PreconditionError, UnsupportedError,
                      ValidationError)
-from .spectra import SpectrumModel
+from .spectra import FAMILIES, SpectrumModel
 from .truncation import NoiseLevel, _noise_grid
 
 __all__ = [
@@ -56,21 +56,20 @@ def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
                         sided: str = "one_sided") -> float:
     """Volume lower bound on the eps-entropy, in bits.
 
-    ``sum_{k=1}^{k0} log2(lambda_k / eps)``; zero when no eigenvalue reaches
-    the noise level (empty product).  The total variant of two-sided models
-    doubles the sum and adds the center-axis term ``log2(1/eps)`` when the
-    center survives (``eps <= 1``).
+    ``sum_{k=1}^{k0} log2(lambda_k / eps) = k0 log2(1/eps) + S(k0)``, O(1) in
+    ``k0``: the family's eigenvalue sum ``S(c) = sum_{k<=c} log2 lambda_k`` is
+    ``-r c(c+1)/2`` with ``r = log2(b/a)`` (poisson), ``-D(a-b) log2(e)
+    c(c+1)(2c+1)/6`` (heat), ``-2 c log2(pi) - 2 log2(c!)`` (green) or the
+    table's sum (tabulated); the per-term array sum is the test oracle.  Zero
+    when no eigenvalue reaches the noise level (empty product).  The total
+    variant of two-sided models doubles the sum and adds the center-axis term
+    ``log2(1/eps)`` when the center survives (``eps <= 1``).
     """
     _check_sided(sided)
     level = NoiseLevel.of(epsilon)
     L = level.log2_inv_eps
     cut = level.cutoff(model)
-    if cut == 0:
-        one = 0.0
-    else:
-        ks = np.arange(1, cut + 1)
-        terms = model.log2_eigenvalues(ks) + L
-        one = float(np.sum(np.maximum(terms, 0.0)))
+    one = max(0.0, cut * L + FAMILIES[model.kind].log2_sum(model.params, cut))
     if sided == "one_sided" or not model.two_sided:
         return one
     center = L if L >= 0.0 else 0.0  # lambda_0 = 1 survives iff eps <= 1
@@ -305,8 +304,8 @@ def greedy_packing_count(semi_axes: Sequence[float], epsilon: float,
     float test ``sum (p_i - k_i)^2 <= eps^2``.  The cost grows with the
     candidate count, not with per-point neighbour lookups; memory is one byte
     per point of the grid padded by ``min(eps / grid_step + 2, n_i - 1)`` per
-    side.  A level whose square leaves float range is refused
-    (:class:`NumericError`): the float test cannot resolve ``eps`` there.
+    side.  A level or a live semi-axis whose square leaves float range is
+    refused (:class:`NumericError`): the float tests cannot resolve it there.
     """
     axes = [float(a) for a in semi_axes]
     if not axes:
@@ -344,6 +343,9 @@ def greedy_packing_count(semi_axes: Sequence[float], epsilon: float,
     if not (eps2 < math.inf and margin < 0.25):
         raise NumericError(
             f"packing distances at epsilon={eps!r} leave float range (eps^2 = {eps2!r})")
+    for a in live:  # the mask divides by a^2, which must be a normal float
+        if not (2.0 ** -1022 <= a * a < math.inf):
+            raise NumericError(f"packing semi-axis {a!r} leaves float range (a^2 = {a * a!r})")
     n = [int(s) for s in sizes]
     # the stencil's reach; offsets past the grid join no two points
     pads = [int(min(k - 1.0, eps / h * (1.0 + margin) + 2.0)) for k in n]

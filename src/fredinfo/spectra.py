@@ -292,6 +292,7 @@ class _Family:
     names: tuple[str, ...]                  # parameters, in factory order
     eigenvalues: Callable[[dict, np.ndarray], np.ndarray]
     log2_eigenvalues: Callable[[dict, np.ndarray], np.ndarray]
+    log2_sum: Callable[[dict, int], float]  # sum_{k<=c} log2 lambda_k, closed form in c
     build: Callable[..., SpectrumModel] | None = None  # the factory: names' values, k_max=
     two_sided: bool = False
     domain: tuple[float, float] | None = (0.0, 1.0)  # None: no eigenbasis
@@ -340,6 +341,7 @@ FAMILIES: dict[str, _Family] = {
         ("a", "b"), build=poisson_model,
         eigenvalues=lambda p, k: (p["a"] / p["b"]) ** k.astype(float),
         log2_eigenvalues=lambda p, k: -k.astype(float) * math.log2(p["b"] / p["a"]),
+        log2_sum=lambda p, c: -(c * (c + 1) // 2) * math.log2(p["b"] / p["a"]),
         two_sided=True, domain=(-math.pi, math.pi),
         k0_closed_form=lambda p, L, given: max(0, math.floor(L / math.log2(p["b"] / p["a"])))),
     "heat": _Family(
@@ -347,6 +349,8 @@ FAMILIES: dict[str, _Family] = {
         eigenvalues=lambda p, k: np.exp(-p["D"] * (p["a"] - p["b"]) * k.astype(float) ** 2),
         log2_eigenvalues=lambda p, k: (-p["D"] * (p["a"] - p["b"]) * k.astype(float) ** 2
                                        * _LOG2_E),
+        log2_sum=lambda p, c: (-p["D"] * (p["a"] - p["b"]) * (c * (c + 1) * (2 * c + 1) // 6)
+                               * _LOG2_E),
         two_sided=True, domain=(-math.pi, math.pi),
         # natural log: the base-2 reading of the printed formula overcounts
         k0_closed_form=lambda p, L, given: math.floor(
@@ -355,11 +359,13 @@ FAMILIES: dict[str, _Family] = {
         (), build=green_model,
         eigenvalues=lambda p, k: 1.0 / (k.astype(float) ** 2 * math.pi ** 2),
         log2_eigenvalues=lambda p, k: -2.0 * np.log2(k.astype(float)) - 2.0 * _LOG2_PI,
+        log2_sum=lambda p, c: -2.0 * c * _LOG2_PI - 2.0 * math.lgamma(c + 1) / _LN2,
         k0_closed_form=_green_k0),
     "tabulated": _Family(
         ("values",),
         eigenvalues=lambda p, k: _lookup(p["values"], k, "tabulated spectrum"),
         log2_eigenvalues=lambda p, k: np.log2(_lookup(p["values"], k, "tabulated spectrum")),
+        log2_sum=lambda p, c: float(np.sum(np.log2(p["values"][:c]))),
         domain=None, groups=lambda p: p["multiplicities"],
         read=_read_table, write=_write_table),
 }

@@ -10,6 +10,7 @@ import pytest
 
 from fredinfo import (CoefficientVector, NoiseLevel, __version__, model_to_json,
                       tabulated_model)
+from fredinfo import cli
 from fredinfo.cli import main, parse_epsilon, parse_model, parse_rule
 from fredinfo.harness import SWEEP_COLUMNS
 
@@ -93,6 +94,40 @@ def test_model_and_model_json_are_exclusive(capsys, tmp_path):
     code, _, err = run(capsys, "eigens", "--model", "green",
                        "--model-json", path, "--k-hi", "3")
     assert code == 2 and "error:" in err
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    """Calls share one parser, and no option of one call leaks into the next:
+    each output equals that of a call with a parser of its own."""
+    model = ("--model", "poisson:a=0.5,b=1")
+    calls = [("capacity", *model, "--epsilon", "0.1", "--format", "csv"),
+             ("capacity", *model),                       # argparse error: no --epsilon
+             ("capacity", *model, "--epsilon", "0"),     # ValidationError
+             ("capacity", *model, "--epsilon", "0.1")]   # the default format, json
+
+    def outcomes(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    real_build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    fresh = outcomes(fresh=True)
+    cli._parser.cache_clear()
+    built.clear()
+    shared = outcomes(fresh=False)
+    assert shared == fresh
+    assert len(built) == 1 and cli._parser.cache_info().hits == len(calls) - 1
+    assert [out[0] for out in shared] == [0, ("exit", 2), 2, 0]
+    assert shared[0][1].startswith("epsilon,k0,")
+    assert json.loads(shared[3][1])["lower_bits"] == 3.965784284662087
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +318,9 @@ def test_metric_info_packing(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "epsilon,grid_step,count"
     assert int(lines[1].split(",")[2]) >= 2
+    code, out, _ = run(capsys, "metric-info", "--packing-axes", "1.0,1e-150",
+                       "--epsilon", "0.1", "--step", "0.025")
+    assert code == 0 and json.loads(out)["count"] == 1  # a^2 = 1e-300 is still normal
 
 
 def test_metric_info_packing_needs_step(capsys):
@@ -300,7 +338,9 @@ def test_metric_info_needs_some_mode(capsys):
     ("100,100,100", "0.4", "0.1"),
     ("1e300", "1e-300", "1e-301"),         # points per axis overflow floats
     ("1e200,1e200", "1e-100", "2e-101"),   # too large for one axis array
-], ids=["cap", "axis-overflow", "axis-array"])
+    ("1.0,1e-170", "0.1", "0.025"),        # a live axis whose square is 0
+    ("1.0,1e-160", "0.1", "0.025"),        # ... or subnormal
+], ids=["cap", "axis-overflow", "axis-array", "axis-square-zero", "axis-square-subnormal"])
 def test_metric_info_numeric_failure_exits_3(capsys, axes, eps, step):
     # candidate grid too large for the packing scan
     code, _, err = run(capsys, "metric-info", "--packing-axes", axes,

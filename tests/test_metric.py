@@ -53,6 +53,71 @@ def test_lower_bound_heat_oracle():
         5.0 * math.log2(math.e), rel=1e-12)
 
 
+def _lower_bound_by_sum(model, epsilon, *, sided="one_sided"):
+    """The per-term array sum the closed-form eigenvalue sums replaced, kept
+    as their oracle."""
+    level = NoiseLevel.of(epsilon)
+    L = level.log2_inv_eps
+    cut = level.cutoff(model)
+    if cut == 0:
+        one = 0.0
+    else:
+        ks = np.arange(1, cut + 1)
+        terms = model.log2_eigenvalues(ks) + L
+        one = float(np.sum(np.maximum(terms, 0.0)))
+    if sided == "one_sided" or not model.two_sided:
+        return one
+    center = L if L >= 0.0 else 0.0  # lambda_0 = 1 survives iff eps <= 1
+    return 2.0 * one + center
+
+
+def _assert_matches_the_sum(model, level, sided):
+    got = entropy_lower_bound(model, level, sided=sided)
+    want = _lower_bound_by_sum(model, level, sided=sided)
+    assert abs(got - want) <= 1e-13 * abs(want), (model, level, sided, got, want)
+    if want == 0.0:
+        assert math.copysign(1.0, got) == 1.0  # prints as 0.0, not -0.0
+
+
+_SUM_MODELS = st.one_of(
+    st.builds(lambda a, q: poisson_model(a, a / q), st.floats(0.1, 10.0), st.floats(0.01, 0.99)),
+    st.builds(lambda D, b, gap: heat_model(D, b + gap, b),
+              st.floats(0.01, 10.0), st.floats(0.0, 1.0), st.floats(0.1, 5.0)),
+    st.just(green_model()),
+    st.just(tabulated_model([0.9, 0.5, 0.25, 0.1])),
+    st.just(tabulated_model([1.0 / (k + 1) ** 1.5 for k in range(1000)])),
+)
+
+
+@settings(settings.get_profile("fredinfo"), max_examples=300)
+@given(st.data())
+def test_closed_form_lower_bound_matches_the_array_sum(data):
+    model = data.draw(_SUM_MODELS)
+    top = 44.0 if model.kind == "green" else 4096.0  # green's k0 stays under 2^22
+    least = max(1e-15, 2.0 ** -top)
+    level = data.draw(st.one_of(
+        st.floats(least, 10.0),
+        st.floats(math.log10(least), 1.0).map(lambda e: 10.0 ** e),
+        st.floats(-4.0, top).map(NoiseLevel),
+        st.integers(-4, int(top)).map(NoiseLevel)))
+    _assert_matches_the_sum(model, level, data.draw(st.sampled_from(("one_sided", "total"))))
+
+
+@pytest.mark.parametrize("model, level, cut", [
+    (green_model(), 1e-12, 318309),            # the sum cancels about 14-fold
+    (green_model(), NoiseLevel(44.0), 1335088),  # just under the 2^22 cap
+    (green_model(), 0.5, 0),
+    (poisson_model(0.5, 1.0), 10.0, 0),          # eps > 1: log2(1/eps) < 0
+    (poisson_model(0.5, 1.0), NoiseLevel(4096.0), 4096),
+    (heat_model(1.0, 2.0, 1.0), NoiseLevel(4096.0), 53),
+    (tabulated_model([0.9, 0.5, 0.25, 0.1]), 1e-3, 4),
+])
+@pytest.mark.parametrize("sided", ["one_sided", "total"])
+def test_closed_form_lower_bound_pinned_levels(model, level, cut, sided):
+    assert k0(model, level) == cut
+    _assert_matches_the_sum(model, level, sided)
+
+
 def test_upper_bound_poisson_oracle():
     # k0(eps/4) = k0(0.025) = 5
     m = poisson_model(0.5, 1.0)
@@ -453,6 +518,17 @@ def test_packing_refuses_a_level_whose_square_leaves_float_range():
     with pytest.raises(NumericError, match="float range"):
         greedy_packing_count([1e200], 1e200, 2.5e199)
     assert greedy_packing_count([1e150], 1e150, 2.5e149) == 2
+
+
+@pytest.mark.parametrize("axes, eps, step", [
+    ([1.0, 1e-170], 0.1, 0.025),        # 1/a^2 divided by zero
+    ([1.0, 1e-160], 0.1, 0.025),        # 1/a^2 overflowed: count 0
+    ([1.4e154], 1.3e154, 3.25e153),     # a^2 overflowed: NaN terms counted as inside
+], ids=["square-zero", "square-subnormal", "square-inf"])
+def test_packing_refuses_a_live_axis_whose_square_leaves_float_range(axes, eps, step):
+    with pytest.raises(NumericError, match="semi-axis .* float range"):
+        greedy_packing_count(axes, eps, step)
+    assert greedy_packing_count([1.0, 1e-150], 0.1, 0.025) == 1  # a^2 = 1e-300 is normal
 
 
 def test_tabulated_models_work_in_bounds():
