@@ -321,16 +321,11 @@ class GaussianChannel:
             # the level was given; any other is keyed by 2^(log2 ratio), ranked
             # by log2 ratio where that key is not a normal float either, and
             # placed by log2_snr >= 0
-            all_normal = normal.all()
-            if all_normal:
-                keys, ranks = ratios, np.zeros(km)
-                informative = signal >= eps * nu if eps is not None else t >= 0.0
-            else:
-                keys = np.where(normal, ratios, np.exp2(log2_ratio))
-                ranks = np.where((keys >= _TINY) & (keys <= _HUGE), 0.0, log2_ratio)
-                informative = t >= 0.0
-                if eps is not None:
-                    informative = np.where(normal, signal >= eps * nu, informative)
+            keys = np.where(normal, ratios, np.exp2(log2_ratio))
+            ranks = np.where((keys >= _TINY) & (keys <= _HUGE), 0.0, log2_ratio)
+            informative = t >= 0.0
+            if eps is not None:
+                informative = np.where(normal, signal >= eps * nu, informative)
         order = np.lexsort((-ranks, -keys))  # stable: the rearranged order
         key, rank = keys[order], ranks[order]
         if ((key[1:] == key[:-1]) & (rank[1:] == rank[:-1])).any():
@@ -342,7 +337,7 @@ class GaussianChannel:
         object.__setattr__(self, "J_nats", J)
         object.__setattr__(self, "inverted_risk", inverted)
         object.__setattr__(self, "float_refusal",
-                           _float_refusal(eps, all_normal, lam, rho, nu, informative))
+                           _float_refusal(eps, normal.all(), lam, rho, nu, informative))
         object.__setattr__(self, "_arrays", (lam, rho, nu))
         object.__setattr__(self, "_order", order + 1)  # 1-based component labels
 
@@ -444,9 +439,9 @@ def partition_IN(channel: GaussianChannel) -> Partition:
     if k_I and not bool(member[order - 1][:k_I].all()):
         # impossible for a threshold rule on the sorted ratios
         raise ValidationError("informative set is not an initial segment of the ordering")
-    I = tuple(int(k) for k in np.flatnonzero(member) + 1)
-    N = tuple(int(k) for k in np.flatnonzero(~member) + 1)
-    return Partition(I=I, N=N, k_I=k_I, ordering=tuple(int(k) for k in order))
+    I = tuple((np.flatnonzero(member) + 1).tolist())
+    N = tuple((np.flatnonzero(~member) + 1).tolist())
+    return Partition(I=I, N=N, k_I=k_I, ordering=tuple(order.tolist()))
 
 
 def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> CoefficientVector:

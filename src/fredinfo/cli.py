@@ -19,6 +19,7 @@ stays finite far below float range for the log-domain commands.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -34,7 +35,7 @@ from .harness import (ExperimentConfig, convergence_sweep, reproduce_summary_tab
 from .metric import (capacity_interval, greedy_packing_count, growth_orders,
                      max_message_length_log2)
 from .spectra import (FAMILIES, CoefficientVector, SpectrumModel, csv_text,
-                      export_spectrum_csv, model_from_json)
+                      export_spectrum_csv, model_from_json, spectrum_rows)
 from .truncation import NoiseLevel, k0, k0_closed_form, truncated_solution
 
 __all__ = ["main", "build_parser"]
@@ -159,17 +160,10 @@ def _emit_json(obj) -> None:
 
 def _cmd_eigens(args) -> int:
     model = parse_model(args.model, args.model_json)
-    if args.k_hi < 1:
-        raise ValidationError(f"k_hi must be >= 1, got {args.k_hi}")
     if args.format == "csv":
         _emit(export_spectrum_csv(model, args.k_hi))
-        return 0
-    import numpy as np
-    ks = np.arange(1, args.k_hi + 1)
-    lams = model.eigenvalues(ks)
-    rows = [{"k": int(k), "lambda": float(lam), "multiplicity": model.multiplicity(int(k))}
-            for k, lam in zip(ks, lams)]
-    _emit_json({"model": model.to_json(), "rows": rows})
+    else:
+        _emit_json({"model": model.to_json(), "rows": spectrum_rows(model, args.k_hi)})
     return 0
 
 
@@ -295,7 +289,7 @@ def _cmd_simulate(args) -> int:
             seed = int(env_seed)
         except ValueError:
             raise ValidationError(f"FREDINFO_SEED must be an integer, got {env_seed!r}")
-        config = ExperimentConfig.from_json({**config.to_json(), "seed": seed})
+        config = dataclasses.replace(config, seed=seed)
     result = convergence_sweep(config)
     if args.out is not None:
         csv_path, meta_path = result.write(args.out)

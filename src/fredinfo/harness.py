@@ -267,6 +267,10 @@ class ExperimentConfig:
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ValidationError("config JSON must be an object")
+        known = {f.name for f in fields(cls) if f.init}
+        unknown = [name for name in obj if name not in known]
+        if unknown:  # a misspelt field would otherwise fall back to its default
+            raise ValidationError(f"config JSON has unknown fields {unknown}")
         with decoding("config JSON"):
             return cls(
                 model=model_from_json(obj["model"]),
@@ -394,7 +398,10 @@ def reproduce_summary_table() -> list[SummaryRow]:
     For the exponentially decaying families the message-length budget scales
     like a power of ``log(1/eps)`` (fitted exponents 2 and 3/2); for the
     power-law family the cutoff itself scales like ``eps^{-1/2}`` (fitted as
-    the epsilon-power of k0) and the capacity dimension is 2.
+    the epsilon-power of k0) and the capacity dimension is 2.  Both come from
+    :func:`metric.growth_orders`: ``logL_exponent`` is its ``sigma_hat`` and
+    ``d_c_estimate`` its ``d_c_exp`` for an exponential order, else ``lambda_hat``
+    and ``d_c``.
     """
     from .spectra import green_model, heat_model, poisson_model
 
@@ -408,17 +415,13 @@ def reproduce_summary_table() -> list[SummaryRow]:
              1.5, 2.0 ** (2.0 / 3.0)),
             (green_model(), "green", "power law: 1/(k^2 pi^2)", eps_levels, 0.5, 2.0)):
         est = metric.growth_orders(model, levels)
-        cuts = np.asarray([level.cutoff(model) for level in levels], dtype=float)
-        if est.d_c is None:  # exponential order: log L = k0 log2(1/eps) against ln(1/eps)
-            Ls = np.asarray([level.log2_inv_eps for level in levels])
-            slope = metric._least_squares(np.log(Ls * math.log(2.0)), np.log(cuts * Ls)).slope
-        else:  # power order: k0 against 1/eps
-            eps = np.asarray([level.epsilon for level in levels])
-            slope = metric._least_squares(np.log(1.0 / eps), np.log(cuts)).slope
-        d_est = est.d_c if est.d_c is not None else est.d_c_exp
+        if est.d_c is None:  # exponential order
+            slope, d_est = est.sigma_hat, est.d_c_exp
+        else:  # power order
+            slope, d_est = est.lambda_hat, est.d_c
         rows.append(SummaryRow(
             model=label, decay=decay, logL_exponent=slope,
-            logL_exponent_target=target_exp, d_c_estimate=float(d_est),
+            logL_exponent_target=target_exp, d_c_estimate=d_est,
             d_c_target=d_target,
             within_5pct=abs(d_est - d_target) <= 0.05 * d_target))
     return rows

@@ -54,6 +54,7 @@ __all__ = [
     "nystrom_decompose",
     "green_kernel",
     "csv_text",
+    "spectrum_rows",
     "export_spectrum_csv",
     "model_to_json",
     "model_from_json",
@@ -632,17 +633,20 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_spectrum_csv(model: SpectrumModel, k_hi: int) -> str:
-    """CSV of the spectrum prefix with columns ``k,lambda,multiplicity``."""
+def spectrum_rows(model: SpectrumModel, k_hi: int) -> list[dict]:
+    """Rows ``{k, lambda, multiplicity}`` of the spectrum prefix ``k = 1..k_hi``; a
+    tabulated model refuses a ``k_hi`` past its table."""
     if k_hi < 1:
         raise ValidationError(f"k_hi must be >= 1, got {k_hi}")
-    length = model.spectrum_length
-    if length is not None and k_hi > length:
-        raise ValidationError(f"spectrum holds {length} values, asked for {k_hi}")
     ks = np.arange(1, k_hi + 1)
+    return [{"k": k, "lambda": lam, "multiplicity": model.multiplicity(k)}
+            for k, lam in zip(ks.tolist(), model.eigenvalues(ks).tolist())]
+
+
+def export_spectrum_csv(model: SpectrumModel, k_hi: int) -> str:
+    """CSV of the spectrum prefix with columns ``k,lambda,multiplicity``."""
     return csv_text(("k", "lambda", "multiplicity"),
-                    ((k, lam, model.multiplicity(int(k)))
-                     for k, lam in zip(ks, model.eigenvalues(ks))))
+                    (row.values() for row in spectrum_rows(model, k_hi)))
 
 
 model_to_json = SpectrumModel.to_json

@@ -311,7 +311,9 @@ def truncated_solution(model: SpectrumModel, data: CoefficientVector,
         raise ValidationError("truncated_solution: data uses a different model")
     cut = k0(model, eps)
     lam = data.eigenvalue_profile()  # center mode of two-sided models: lambda_0 = 1
-    entries = np.where(lam >= eps, data.entries / lam, np.zeros_like(data.entries))
+    # divide only where kept: lambda_k may underflow to 0 past the cutoff
+    zeros = np.zeros(lam.shape, np.result_type(data.entries, lam))  # integer data: float
+    entries = np.divide(data.entries, lam, out=zeros, where=lam >= eps)
     f_star = CoefficientVector(model, entries)
     report = TruncationReport(epsilon=eps, k0=min(cut, data.K), f_star=f_star)
     if reference is not None:

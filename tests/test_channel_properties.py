@@ -17,7 +17,7 @@ from fredinfo import (CoefficientVector, GaussianChannel, ValidationError,
                       poisson_model, posterior_estimate, power_rule, tabulated_model,
                       total_information)
 
-PROFILE = settings(derandomize=True, deadline=None, database=None)
+PROFILE = settings.get_profile("fredinfo")
 _HALF_LN2 = 0.5 * math.log(2.0)
 
 

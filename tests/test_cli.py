@@ -225,6 +225,23 @@ def test_truncate_with_reference_adds_diagnostics(capsys, tmp_path):
     assert {"residual_y", "distance_x", "combined"} <= obj.keys()
 
 
+def test_truncate_zeroes_underflowing_eigenvalues_without_dividing(capsys, tmp_path):
+    # lambda_k = exp(-k^2) is subnormal at |k| = 27 and zero from |k| = 28 on;
+    # only |k| <= k0 = 1 is divided, so no RuntimeWarning is raised
+    spec = "heat:D=1,a=2,b=1,k_max=40"
+    model = parse_model(spec, None)
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(CoefficientVector(model, np.ones(61)).to_json()))
+    code, out, err = run(capsys, "truncate", "--model", spec, "--epsilon", "0.1",
+                         "--data", str(data_path))
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    entries = CoefficientVector.from_json(obj["f_star"]).entries
+    inv = 1.0 / model.eigenvalue(1)
+    assert obj["k0"] == 1
+    assert entries.tolist() == [0.0] * 29 + [inv, 1.0, inv] + [0.0] * 29
+
+
 def test_truncate_data_needs_representable_epsilon(capsys, tmp_path):
     path, model = write_worked_model(tmp_path, n=4)
     data_path = tmp_path / "data.json"
@@ -508,6 +525,9 @@ def test_simulate_bad_config_exits_2(capsys, tmp_path):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "simulate", "--config", "/no/such/config.json")
     assert code == 2
+    # a misspelt field is refused by name, not run with its default
+    code, out, err = run(capsys, "simulate", "--config", sweep_config(tmp_path, trails=100))
+    assert code == 2 and out == "" and "'trails'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from fredinfo import (
     ExperimentConfig,
     GaussianChannel,
+    NoiseLevel,
     TrialStream,
     ValidationError,
     constant_rule,
@@ -18,6 +19,7 @@ from fredinfo import (
     forward_apply,
     geometric_rule,
     green_model,
+    growth_orders,
     heat_model,
     monte_carlo_mse,
     mse_closed_form,
@@ -307,6 +309,7 @@ def test_config_hash_tracks_content():
     {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "k_max": 4.0},
     {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "seed": True},
     {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "seed": "7"},
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "trails": 100},
 ])
 def test_config_from_json_rejects_malformed(obj):
     with pytest.raises(ValidationError):
@@ -433,6 +436,19 @@ def test_summary_table_hits_growth_targets():
     by_name = {r.model: r for r in rows}
     assert by_name["poisson"].logL_exponent == pytest.approx(2.0, abs=1e-6)
     assert by_name["green"].logL_exponent == pytest.approx(0.5, abs=0.01)
+
+
+def test_summary_table_reads_its_exponents_from_growth_orders():
+    rows = {r.model: r for r in reproduce_summary_table()}
+    exp_levels = [NoiseLevel(2.0 ** j) for j in range(4, 13)]
+    poisson = growth_orders(poisson_model(0.5, 1.0), exp_levels)
+    heat = growth_orders(heat_model(1.0, 2.0, 1.0), exp_levels)
+    green = growth_orders(green_model(), [10.0 ** -p for p in range(2, 11)])
+    assert rows["poisson"].logL_exponent == poisson.sigma_hat
+    assert rows["heat"].logL_exponent == heat.sigma_hat
+    assert rows["green"].logL_exponent == green.lambda_hat
+    assert [rows[name].d_c_estimate for name in ("poisson", "heat", "green")] == [
+        poisson.d_c_exp, heat.d_c_exp, green.d_c]
 
 
 def test_summary_table_csv_layout():

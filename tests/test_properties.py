@@ -12,7 +12,7 @@ from fredinfo import (NoiseLevel, PreconditionError, capacity_interval,
                       entropy_lower_bound, entropy_upper_bound, green_model,
                       heat_model, k0, k0_closed_form, poisson_model)
 
-PROFILE = settings(derandomize=True, deadline=None, database=None)
+PROFILE = settings.get_profile("fredinfo")
 
 # Largest exponent per family: green's cutoff 2**(L/2)/pi must stay below the
 # enumeration cap, the exponential families reach far below float range.
