@@ -175,6 +175,7 @@ class _Rule:
     sum_sq_tail: Callable[[dict, int], float] | None = None  # sum_{k>m} sigma_k^2
     read: Callable[[dict], VarianceRule] | None = None  # JSON form, when not
     write: Callable[[dict], dict] | None = None         # just the names' values
+    more: tuple[str, ...] = ()              # JSON fields besides kind and names
 
 
 def _k1(ks: np.ndarray, kind: str) -> np.ndarray:
@@ -236,7 +237,8 @@ RULES: dict[str, _Rule] = {
         lambda p, k: (np.log1p(p["delta0"] / _k1(k, "inverse_spectrum")) / _LN2
                       - p["model"].log2_eigenvalues(k)),
         read=lambda o: inverse_spectrum_rule(model_from_json(o["model"]), o.get("delta0", 1e-9)),
-        write=lambda p: {"delta0": p["delta0"], "model": model_to_json(p["model"])}),
+        write=lambda p: {"delta0": p["delta0"], "model": model_to_json(p["model"])},
+        more=("model",)),
     "custom": _Rule(
         ("values", "tail_sum_sq"),
         lambda p, k: _lookup(p["values"], k, "custom rule"),
@@ -467,7 +469,8 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
     member[pos] = channel.informative[ks[pos] - 1]
     member[~pos] = rho[0] >= eps * nu[0]  # center mode: lambda_0 = 1, the rules at 1
     # divide only on I: lambda_k may underflow to 0 on N
-    entries = np.divide(data.entries, lam, out=np.zeros_like(data.entries), where=member)
+    zeros = np.zeros(lam.shape, np.result_type(data.entries, lam))  # integer data: float
+    entries = np.divide(data.entries, lam, out=zeros, where=member)
     return CoefficientVector(channel.model, entries)
 
 

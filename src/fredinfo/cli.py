@@ -30,12 +30,11 @@ from .channel import (RULES, GaussianChannel, component_information,
                       extremal_comparison, k_alpha, mse_closed_form, partition_IN,
                       rule_from_json, total_information)
 from .errors import NumericError, ValidationError
-from .harness import (ExperimentConfig, convergence_sweep, reproduce_summary_table,
-                      summary_table_csv)
+from .harness import ExperimentConfig, convergence_sweep, reproduce_summary_table
 from .metric import (capacity_interval, greedy_packing_count, growth_orders,
                      max_message_length_log2)
 from .spectra import (FAMILIES, CoefficientVector, SpectrumModel, csv_text,
-                      export_spectrum_csv, model_from_json, spectrum_rows)
+                      model_from_json, spectrum_rows)
 from .truncation import NoiseLevel, k0, k0_closed_form, truncated_solution
 
 __all__ = ["main", "build_parser"]
@@ -87,8 +86,8 @@ def parse_model(spec: str | None, json_path: str | None) -> SpectrumModel:
     """Model syntax ``kind:key=value,...`` (e.g. ``poisson:a=0.5,b=1``).
 
     The parameters are read exactly as a model JSON object would be, so
-    integral values (``k_max=32``) stay integers and anything the family
-    does not take is rejected.
+    integral values (``k_max=32``) stay integers and the model codec refuses
+    anything the family does not take.
     """
     if (spec is None) == (json_path is None):
         raise ValidationError("give exactly one of --model or --model-json")
@@ -106,18 +105,15 @@ def parse_model(spec: str | None, json_path: str | None) -> SpectrumModel:
             except ValueError:
                 raise ValidationError(f"bad numeric value in {item!r}")
             params[key.strip()] = int(num) if num.is_integer() else num
-    model = model_from_json({"kind": kind, **params})
-    unknown = params.keys() - model.to_json().keys()
-    if unknown:
-        raise ValidationError(f"model {kind!r} takes no parameter {sorted(unknown)}")
-    return model
+    return model_from_json({"kind": kind, **params})
 
 
 def parse_rule(spec: str, model: SpectrumModel):
     """Variance-rule syntax ``kind:v1[,v2]`` (e.g. ``geometric:1,0.5``).
 
     The numbers fill the rule's parameters in order, and the rule is read as
-    its JSON form with the model alongside (``inverse_spectrum`` uses it).
+    its JSON form, with the model alongside for a rule that takes one
+    (``inverse_spectrum``).
     """
     kind, _, rest = spec.partition(":")
     if kind not in RULES:
@@ -128,7 +124,10 @@ def parse_rule(spec: str, model: SpectrumModel):
     if len(vals) > len(names):
         raise ValidationError(
             f"rule {kind!r} takes {len(names)} parameter(s) {names}, got {len(vals)}")
-    return rule_from_json({"kind": kind, "model": model.to_json(), **dict(zip(names, vals))})
+    obj = {"kind": kind, **dict(zip(names, vals))}
+    if "model" in RULES[kind].more:
+        obj["model"] = model.to_json()
+    return rule_from_json(obj)
 
 
 def _load_vector(path: str, model: SpectrumModel) -> CoefficientVector:
@@ -138,19 +137,16 @@ def _load_vector(path: str, model: SpectrumModel) -> CoefficientVector:
     return vec
 
 
-def _emit(text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    sys.stdout.write(text)
-
-
-def _emit_row(columns: str, *values) -> None:
-    """A CSV header (comma-separated names) and one row of values."""
-    _emit(csv_text(columns.split(","), [values]))
-
-
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _emit(fmt: str, record, columns=None, rows=None) -> None:
+    """Print ``record`` as JSON, or as CSV: the header ``columns`` (by default the
+    first row's names), then each of ``rows`` (by default the record alone) with
+    its values under those names."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        return
+    rows = [record] if rows is None else rows
+    columns = list(rows[0]) if columns is None else columns
+    sys.stdout.write(csv_text(columns, ([row[name] for name in columns] for row in rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +156,8 @@ def _emit_json(obj) -> None:
 
 def _cmd_eigens(args) -> int:
     model = parse_model(args.model, args.model_json)
-    if args.format == "csv":
-        _emit(export_spectrum_csv(model, args.k_hi))
-    else:
-        _emit_json({"model": model.to_json(), "rows": spectrum_rows(model, args.k_hi)})
+    rows = spectrum_rows(model, args.k_hi)
+    _emit(args.format, {"model": model.to_json(), "rows": rows}, rows=rows)
     return 0
 
 
@@ -176,22 +170,16 @@ def _cmd_truncate(args) -> int:
             closed = k0_closed_form(model, level)
         except ValidationError:
             closed = None  # tabulated spectra have no closed form
-        if args.format == "csv":
-            _emit_row("epsilon,k0,k0_closed_form", args.epsilon, cut, closed)
-        else:
-            _emit_json({"epsilon": args.epsilon, "k0": cut,
-                        "k0_closed_form": closed})
+        _emit(args.format, {"epsilon": args.epsilon, "k0": cut, "k0_closed_form": closed})
         return 0
     eps = level.require_epsilon("truncating data")
     data = _load_vector(args.data, model)
     reference = _load_vector(args.reference, model) if args.reference else None
     report = truncated_solution(model, data, eps, reference)
-    if args.format == "csv":
-        entries = map(complex, report.f_star.entries)
-        _emit(csv_text(("k", "real", "imag"),
-                       ((k, z.real, z.imag) for k, z in zip(report.f_star.indices, entries))))
-    else:
-        _emit_json(report.to_json())
+    entries = map(complex, report.f_star.entries)
+    rows = [{"k": k, "real": z.real, "imag": z.imag}
+            for k, z in zip(report.f_star.indices, entries)]
+    _emit(args.format, report.to_json(), rows=rows)
     return 0
 
 
@@ -200,14 +188,10 @@ def _cmd_capacity(args) -> int:
     level = parse_epsilon(args.epsilon)
     bounds = capacity_interval(model, level, sided=args.sided)
     logl = max_message_length_log2(model, level, sided=args.sided)
-    if args.format == "csv":
-        _emit_row("epsilon,k0,k0_quarter,lower_bits,upper_bits,logL_max", args.epsilon,
-                  bounds.k0_eps, bounds.k0_eps_over_4, bounds.lower_bits,
-                  bounds.upper_bits, logl)
-    else:
-        obj = bounds.to_json()
-        obj["logL_max"] = logl
-        _emit_json(obj)
+    # the CSV row shortens two names and keeps the level as typed
+    row = {"epsilon": args.epsilon, "k0": bounds.k0_eps, "k0_quarter": bounds.k0_eps_over_4,
+           "lower_bits": bounds.lower_bits, "upper_bits": bounds.upper_bits, "logL_max": logl}
+    _emit(args.format, {**bounds.to_json(), "logL_max": logl}, rows=[row])
     return 0
 
 
@@ -218,11 +202,9 @@ def _cmd_metric_info(args) -> int:
         axes = _floats(args.packing_axes, "--packing-axes")
         eps = parse_epsilon(args.epsilon).require_epsilon("packing counts")
         count = greedy_packing_count(axes, eps, float(args.step))
-        if args.format == "csv":
-            _emit_row("epsilon,grid_step,count", eps, float(args.step), count)
-        else:
-            _emit_json({"semi_axes": axes, "epsilon": eps,
-                        "grid_step": float(args.step), "count": count})
+        _emit(args.format, {"semi_axes": axes, "epsilon": eps,
+                            "grid_step": float(args.step), "count": count},
+              ("epsilon", "grid_step", "count"))
         return 0
     model = parse_model(args.model, args.model_json)
     if args.grid_eps is not None:
@@ -232,11 +214,8 @@ def _cmd_metric_info(args) -> int:
         est = growth_orders(model, [NoiseLevel(L) for L in exps])
     else:
         raise ValidationError("give one of --grid-eps, --grid-log2 or --packing-axes")
-    if args.format == "csv":
-        _emit_row("lambda_hat,mu_hat,rho_hat,sigma_hat,d_c,d_c_exp", est.lambda_hat,
-                  est.mu_hat, est.rho_hat, est.sigma_hat, est.d_c, est.d_c_exp)
-    else:
-        _emit_json(est.to_json())
+    _emit(args.format, est.to_json(),
+          ("lambda_hat", "mu_hat", "rho_hat", "sigma_hat", "d_c", "d_c_exp"))
     return 0
 
 
@@ -246,12 +225,8 @@ def _cmd_prob_info(args) -> int:
 
     if args.extremal is not None:
         cmp = extremal_comparison(model, level, args.extremal, k_max=args.k_max)
-        if args.format == "csv":
-            _emit_row("case,epsilon,k0,k_I,exact_nats,approx_nats,reference_nats",
-                      cmp.case, cmp.epsilon, cmp.k0, cmp.k_I, cmp.exact_nats,
-                      cmp.approx_nats, cmp.reference_nats)
-        else:
-            _emit_json(cmp.to_json())
+        _emit(args.format, cmp.to_json(), ("case", "epsilon", "k0", "k_I", "exact_nats",
+                                           "approx_nats", "reference_nats"))
         return 0
 
     if args.rho is None or args.nu is None:
@@ -271,13 +246,11 @@ def _cmd_prob_info(args) -> int:
         "exact_nats": info.exact_nats,
         "approx_nats": info.approx_nats,
     }
-    if args.format == "csv":
-        _emit_row("epsilon,k_I,k_alpha,mse,exact_nats,approx_nats", level.reported, part.k_I,
-                  summary["k_alpha"], summary["mse"], info.exact_nats, info.approx_nats)
-    else:
+    if args.format == "json":
         summary["components"] = [component_information(chan, int(k)).to_json()
                                  for k in range(1, chan.k_max + 1)]
-        _emit_json(summary)
+    _emit(args.format, summary,
+          ("epsilon", "k_I", "k_alpha", "mse", "exact_nats", "approx_nats"))
     return 0
 
 
@@ -302,11 +275,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = reproduce_summary_table()
-    if args.format == "csv":
-        _emit(summary_table_csv(rows))
-    else:
-        _emit_json([vars(r) for r in rows])
+    rows = [vars(r) for r in reproduce_summary_table()]
+    _emit(args.format, rows, rows=rows)
     return 0
 
 

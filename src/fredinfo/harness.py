@@ -31,7 +31,7 @@ from .channel import (GaussianChannel, VarianceRule, _prior_energies, mse_closed
                       total_information)
 from .errors import ValidationError
 from .spectra import (CoefficientVector, SpectrumModel, csv_text, decoding,
-                      model_from_json, model_to_json)
+                      model_from_json, model_to_json, refuse_unknown)
 from .truncation import NoiseLevel, _noise_grid
 
 __all__ = [
@@ -267,10 +267,7 @@ class ExperimentConfig:
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ValidationError("config JSON must be an object")
-        known = {f.name for f in fields(cls) if f.init}
-        unknown = [name for name in obj if name not in known]
-        if unknown:  # a misspelt field would otherwise fall back to its default
-            raise ValidationError(f"config JSON has unknown fields {unknown}")
+        refuse_unknown(obj, {f.name for f in fields(cls) if f.init}, "config JSON")
         with decoding("config JSON"):
             return cls(
                 model=model_from_json(obj["model"]),

@@ -301,6 +301,7 @@ class _Family:
     groups: Callable[[dict], Sequence[int]] | None = None  # group sizes of a finite table
     read: Callable[[dict], SpectrumModel] | None = None       # JSON form, when not
     write: Callable[[dict], dict] | None = None               # just the names' values
+    more: tuple[str, ...] = ()              # JSON fields besides kind, k_max and names
 
 
 def _green_k0(p: dict, L: float, given: float | None) -> int:
@@ -368,7 +369,7 @@ FAMILIES: dict[str, _Family] = {
         log2_eigenvalues=lambda p, k: np.log2(_lookup(p["values"], k, "tabulated spectrum")),
         log2_sum=lambda p, c: float(np.sum(np.log2(p["values"][:c]))),
         domain=None, groups=lambda p: p["multiplicities"],
-        read=_read_table, write=_write_table),
+        read=_read_table, write=_write_table, more=("multiplicities",)),
 }
 
 
@@ -672,6 +673,14 @@ def decoding(what: str):
         raise ValidationError(f"malformed {what}: {exc}") from exc
 
 
+def refuse_unknown(obj: dict, known, what: str) -> None:
+    """Refuse the fields of ``obj`` outside ``known``: a misspelt field would
+    otherwise fall back to its default."""
+    unknown = [name for name in obj if name not in known]
+    if unknown:
+        raise ValidationError(f"{what} has unknown fields {unknown}")
+
+
 def entry_to_json(table: dict, kind: str, params: dict, **extra) -> dict:
     """JSON form of the ``kind`` entry of ``table`` (:data:`FAMILIES` or
     ``channel.RULES``): its ``write`` form, else the values of its ``names``."""
@@ -683,7 +692,9 @@ def entry_to_json(table: dict, kind: str, params: dict, **extra) -> dict:
 def entry_from_json(table: dict, obj, what: str, *tail: str):
     """Rebuild an entry of ``table`` from its JSON form ``obj`` through the
     entry's ``read``, else its factory ``build`` applied to the ``names``' values
-    and, by keyword, to those optional fields ``tail`` that ``obj`` holds."""
+    and, by keyword, to those optional fields ``tail`` that ``obj`` holds.  A
+    field outside ``kind``, ``tail``, the ``names`` and the entry's ``more`` is
+    refused."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError(f"{what} must be an object with a 'kind' field")
     kind = obj["kind"]
@@ -691,6 +702,7 @@ def entry_from_json(table: dict, obj, what: str, *tail: str):
         raise ValidationError(
             f"unknown kind {kind!r} in {what}: expected one of {', '.join(table)}")
     entry = table[kind]
+    refuse_unknown(obj, {"kind", *tail, *entry.names, *entry.more}, what)
     with decoding(what):
         if entry.read:
             return entry.read(obj)

@@ -279,6 +279,15 @@ def test_posterior_two_sided_center_mode():
     assert est.entry(2) == 0.0  # lambda_2 = 0.25 < 0.3: dropped
 
 
+def test_posterior_accepts_integer_entries():
+    m = poisson_model(0.5, 1.0, k_max=3)
+    chan = GaussianChannel(m, constant_rule(1.0), constant_rule(1.0), 0.3)
+    est = posterior_estimate(chan, CoefficientVector(m, [0, 1, 2, 3, 4, 5, 6]))
+    ref = posterior_estimate(chan, CoefficientVector(m, np.arange(7.0)))
+    assert est.entries.dtype == float
+    np.testing.assert_array_equal(est.entries, ref.entries)
+
+
 def test_posterior_rejects_out_of_range_data():
     m = green_model()
     chan = GaussianChannel(m, constant_rule(1.0), constant_rule(1.0), 0.1, k_max=4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -530,6 +532,18 @@ def test_simulate_bad_config_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and "'trails'" in err
 
 
+@pytest.mark.parametrize("section, obj, message", [
+    ("model", {"kind": "poisson", "a": 0.5, "b": 1.0, "k_mx": 8},
+     "model JSON has unknown fields ['k_mx']"),
+    ("rho", {"kind": "geometric", "c": 32.0, "q": 0.0625, "cc": 2.0},
+     "variance rule JSON has unknown fields ['cc']"),
+], ids=["model", "rho"])
+def test_simulate_config_with_unknown_nested_field_exits_2(capsys, tmp_path, section, obj,
+                                                           message):
+    code, out, err = run(capsys, "simulate", "--config", sweep_config(tmp_path, **{section: obj}))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -549,3 +563,77 @@ def test_table_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("model,decay,")
     assert len(lines) == 4
+
+
+# ---------------------------------------------------------------------------
+# One record, two formats: each CSV cell is the JSON value under its name
+# ---------------------------------------------------------------------------
+
+
+def _csv_rows(out: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+def _assert_cells(row: dict, record: dict, renamed: dict | None = None) -> None:
+    """Blank for null, floats compared after ``float()``, anything else as text."""
+    for name, cell in row.items():
+        value = record[(renamed or {}).get(name, name)]
+        if value is None:
+            assert cell == "", name
+        elif isinstance(value, float):
+            assert float(cell) == value, name
+        else:
+            assert cell == str(value), name
+
+
+def _both_formats(capsys, argv) -> tuple:
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    code, out_csv, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    return json.loads(out), _csv_rows(out_csv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("truncate", "--model", "poisson:a=0.5,b=1", "--epsilon", "0.1"),
+    ("truncate", "--model-json", "{model}", "--epsilon", "0.1"),  # no closed form: null
+    ("metric-info", "--model", "green",
+     "--grid-eps", "1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8,1e-9,1e-10"),
+    ("metric-info", "--model", "poisson:a=0.5,b=1",
+     "--grid-log2", "8,16,32,64,128,256,512,1024"),
+    ("metric-info", "--packing-axes", "1.0,0.5", "--epsilon", "0.4", "--step", "0.1"),
+    ("prob-info", "--model-json", "{model}", "--epsilon", "0.0625",
+     "--rho", "geometric:1,0.5", "--nu", "constant:1"),
+    ("prob-info", "--model", "green:k_max=8", "--epsilon", "pow2:-10",
+     "--rho", "constant:1", "--nu", "constant:1"),                # not trace class: nulls
+    ("prob-info", "--model", "green", "--epsilon", "1e-3", "--extremal", "alpha"),
+    ("prob-info", "--model", "green", "--epsilon", "1e-3", "--extremal", "beta"),
+], ids=["truncate", "truncate-tabulated", "fit-eps", "fit-log2", "packing", "prob-info",
+        "prob-info-nulls", "extremal-alpha", "extremal-beta"])
+def test_csv_row_holds_the_json_record(capsys, tmp_path, argv):
+    path, _ = write_worked_model(tmp_path)
+    record, rows = _both_formats(capsys, [path if arg == "{model}" else arg for arg in argv])
+    (row,) = rows
+    _assert_cells(row, record)
+
+
+@pytest.mark.parametrize("epsilon", ["0.1", "pow2:-10", "0.5"])
+def test_capacity_csv_row_renames_two_fields_and_keeps_epsilon_as_typed(capsys, epsilon):
+    record, rows = _both_formats(capsys, ("capacity", "--model", "poisson:a=0.5,b=1",
+                                          "--epsilon", epsilon))
+    (row,) = rows
+    assert row.pop("epsilon") == epsilon
+    _assert_cells(row, record, {"k0": "k0_eps", "k0_quarter": "k0_eps_over_4"})
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("eigens", "--model", "poisson:a=0.5,b=1", "--k-hi", "5"), "rows"),
+    (("table",), None),
+], ids=["eigens", "table"])
+def test_csv_rows_hold_the_json_rows(capsys, argv, key):
+    record, rows = _both_formats(capsys, argv)
+    objs = record[key] if key else record
+    assert len(rows) == len(objs)
+    for row, obj in zip(rows, objs):
+        assert row.keys() == obj.keys()
+        _assert_cells(row, obj)

@@ -95,6 +95,15 @@ def test_fractional_k_max_exits_2(capsys):
     assert code == 2 and out == "" and "k_max" in err
 
 
+def test_model_json_with_unknown_field_exits_2(capsys, tmp_path):
+    # a misspelt k_max is refused, not run on the default 256 components
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "poisson", "a": 0.5, "b": 1.0, "k_mx": 8}))
+    code, out, err = run(capsys, "capacity", "--model-json", str(path), "--epsilon", "0.1")
+    assert (code, out) == (2, "")
+    assert err == "error: model JSON has unknown fields ['k_mx']\n"
+
+
 def test_unknown_model_parameter_exits_2(capsys):
     code, _, err = run(capsys, "capacity", "--model", "green:foo=1", "--epsilon", "0.1")
     assert code == 2 and "foo" in err

@@ -16,10 +16,13 @@ from fredinfo import (
     green_kernel,
     green_model,
     heat_model,
+    inverse_spectrum_rule,
     model_from_json,
     model_to_json,
     nystrom_decompose,
     poisson_model,
+    rule_from_json,
+    rule_to_json,
     tabulated_model,
 )
 
@@ -445,6 +448,20 @@ def test_model_json_rejects_garbage():
                           ([0.5, 0.25], [-1, 1]), ([0.5, 0.25], [1.7, 1])):
         with pytest.raises(ValidationError):
             model_from_json({"kind": "tabulated", "values": values, "multiplicities": mults})
+
+
+def test_json_codecs_refuse_unknown_fields():
+    with pytest.raises(ValidationError, match=r"model JSON has unknown fields \['k_mx'\]"):
+        model_from_json({"kind": "poisson", "a": 0.5, "b": 1.0, "k_mx": 8})
+    with pytest.raises(ValidationError, match=r"rule JSON has unknown fields \['cc'\]"):
+        rule_from_json({"kind": "constant", "c": 1.0, "cc": 2.0})
+    # every field a codec writes is known to it, explicit all-1 multiplicities included
+    table = model_from_json({"kind": "tabulated", "values": [0.5, 0.25],
+                             "multiplicities": [1, 1], "k_max": 2})
+    assert table == tabulated_model([0.5, 0.25])
+    rule = inverse_spectrum_rule(table, 1e-6)
+    assert rule_from_json(rule_to_json(rule)) == rule
+    assert set(rule_to_json(rule)) == {"kind", "delta0", "model"}
 
 
 def test_model_json_reads_huge_multiplicity_without_expanding():
