@@ -31,7 +31,7 @@ from .channel import (RULES, GaussianChannel, component_information,
                       rule_from_json, total_information)
 from .errors import NumericError, ValidationError
 from .harness import ExperimentConfig, convergence_sweep, reproduce_summary_table
-from .metric import (capacity_interval, greedy_packing_count, growth_orders,
+from .metric import (_SIDED, capacity_interval, greedy_packing_count, growth_orders,
                      max_message_length_log2)
 from .spectra import (FAMILIES, CoefficientVector, SpectrumModel, csv_text,
                       model_from_json, spectrum_rows)
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="entropy/capacity sandwich at a noise level")
     _add_model_args(p)
     p.add_argument("--epsilon", required=True, help="decimal or pow2:<exponent>")
-    p.add_argument("--sided", choices=("one_sided", "total"), default="one_sided")
+    p.add_argument("--sided", choices=_SIDED, default="one_sided")
     _add_format_arg(p)
     p.set_defaults(func=_cmd_capacity)
 
@@ -374,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (NumericError, AssertionError) as exc:
+    except (NumericError, AssertionError, MemoryError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
     except OSError as exc:

@@ -85,32 +85,11 @@ class TrialStream:
         return _stream(self.seed, self.trial, 1).standard_normal(k_max)
 
 
-def _embed(model: SpectrumModel, one_sided: np.ndarray) -> CoefficientVector:
-    """Wrap per-component values as a model-native coefficient vector.
-
-    One-sided models store them directly; two-sided models embed component k
-    at lattice position +k (center and negative positions zero) — a labeling
-    convention for the sequence-form channel, not a symmetry claim.
-    """
-    if not model.two_sided:
-        return CoefficientVector(model, one_sided)
-    K = one_sided.size
-    entries = np.zeros(2 * K + 1, dtype=one_sided.dtype)
-    entries[K + 1:] = one_sided
-    return CoefficientVector(model, entries)
-
-
-def _extract(channel: GaussianChannel, vec: CoefficientVector) -> np.ndarray:
-    if not channel.model.two_sided:
-        return vec.entries
-    return vec.entries[vec.K + 1:]
-
-
 def synthesize_solution(channel: GaussianChannel, stream: TrialStream) -> CoefficientVector:
     """Draw a random solution: component k gets ``N(0, rho_k^2)``."""
     _, rho, _ = channel.arrays()
     xi = rho * stream.prior_normals(channel.k_max)
-    return _embed(channel.model, xi)
+    return CoefficientVector.from_components(channel.model, xi)
 
 
 def simulate_channel(channel: GaussianChannel, xi: CoefficientVector,
@@ -122,13 +101,13 @@ def simulate_channel(channel: GaussianChannel, xi: CoefficientVector,
     if xi.model != channel.model:
         raise ValidationError("simulate_channel: xi uses a different model")
     eps, lam, _, nu = channel.floats("simulate_channel")
-    xi_comp = _extract(channel, xi)
+    xi_comp = xi.components()
     if xi_comp.size != channel.k_max:
         raise ValidationError("xi must cover exactly the channel components")
     eta = lam * xi_comp
     if eps > 0.0:
         eta = eta + eps * nu * stream.noise_normals(channel.k_max)
-    return _embed(channel.model, eta)
+    return CoefficientVector.from_components(channel.model, eta)
 
 
 @dataclass
@@ -242,7 +221,7 @@ class ExperimentConfig:
             raise ValidationError("trials > 0 needs a channel (rho and nu)")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValidationError("seed must be an integer in [0, 2**128)")
-        if self.sided not in ("one_sided", "total"):
+        if self.sided not in metric._SIDED:
             raise ValidationError(f"bad sided value {self.sided!r}")
 
     # -- serialization ------------------------------------------------------

@@ -47,9 +47,15 @@ _SIDED = ("one_sided", "total")
 _RHO_THRESHOLD = 0.05
 
 
-def _check_sided(sided: str) -> None:
+def _sides(model: SpectrumModel, level: NoiseLevel, sided: str) -> tuple[int, int]:
+    """``(factor, center)``: the ``sided`` count of a one-sided count ``c`` at
+    ``level`` is ``factor * c + center``.  The total of a two-sided model counts
+    each ``|k| >= 1`` twice and the center ``lambda_0 = 1`` when ``eps <= 1``."""
     if sided not in _SIDED:
         raise ValidationError(f"sided must be one of {_SIDED}, got {sided!r}")
+    if sided == "one_sided" or not model.two_sided:
+        return 1, 0
+    return 2, 1 if level.log2_inv_eps >= 0.0 else 0
 
 
 def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
@@ -65,15 +71,12 @@ def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     variant of two-sided models doubles the sum and adds the center-axis term
     ``log2(1/eps)`` when the center survives (``eps <= 1``).
     """
-    _check_sided(sided)
     level = NoiseLevel.of(epsilon)
+    factor, center = _sides(model, level, sided)
     L = level.log2_inv_eps
     cut = level.cutoff(model)
     one = max(0.0, cut * L + FAMILIES[model.kind].log2_sum(model.params, cut))
-    if sided == "one_sided" or not model.two_sided:
-        return one
-    center = L if L >= 0.0 else 0.0  # lambda_0 = 1 survives iff eps <= 1
-    return 2.0 * one + center
+    return factor * one + center * L  # one >= +0.0, so a center * L of -0.0 drops
 
 
 def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
@@ -85,17 +88,15 @@ def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     applicable when ``eps < 4 lambda_1`` and ``k0(eps/4) >= 1``; outside that
     regime a validation error reports the bound as not applicable.
     """
-    _check_sided(sided)
     level = NoiseLevel.of(epsilon)
+    factor, center = _sides(model, level.quarter, sided)
     cut_q = level.quarter.cutoff(model)
     if cut_q < 1 or not level.below_4_lambda_1(model):
         raise PreconditionError(
             "upper bound not applicable: requires eps < 4*lambda_1 and "
             "k0(eps/4) >= 1",
             k0_eps_over_4=cut_q)
-    m = cut_q
-    if sided == "total" and model.two_sided:
-        m = 2 * cut_q + 1
+    m = factor * cut_q + center
     return m * (level.log2_inv_eps + _LOG2_6 + 0.5 * math.log2(m))
 
 
@@ -125,24 +126,19 @@ def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     cover coarse noise levels.  Each of ``k0(eps)`` and ``k0(eps/4)`` is
     computed once (the level remembers its cutoffs).
     """
-    _check_sided(sided)
     level = NoiseLevel.of(epsilon)
-    L = level.log2_inv_eps
     lower = entropy_lower_bound(model, level, sided=sided)
     try:
         upper = entropy_upper_bound(model, level, sided=sided)
     except PreconditionError:
         upper = None
-    cut = level.cutoff(model)
-    cut_q = level.quarter.cutoff(model)
-    if sided == "total" and model.two_sided:
-        cut = 2 * cut + (1 if L >= 0.0 else 0)
-        cut_q = 2 * cut_q + (1 if L + 2.0 >= 0.0 else 0)
+    factor, center = _sides(model, level, sided)
+    factor_q, center_q = _sides(model, level.quarter, sided)
     return CapacityBounds(
         epsilon=level.epsilon,
-        log2_inv_eps=L,
-        k0_eps=cut,
-        k0_eps_over_4=cut_q,
+        log2_inv_eps=level.log2_inv_eps,
+        k0_eps=factor * level.cutoff(model) + center,
+        k0_eps_over_4=factor_q * level.quarter.cutoff(model) + center_q,
         lower_bits=lower,
         upper_bits=upper,
         sided=sided,
@@ -156,15 +152,14 @@ def max_message_length_log2(model: SpectrumModel, epsilon: float | NoiseLevel, *
     Leading-order budget ``k0(eps) * log2(1/eps)``; the two-sided total adds
     exactly one bit.  Zero when nothing survives the cutoff.
     """
-    _check_sided(sided)
     level = NoiseLevel.of(epsilon)
+    factor, _ = _sides(model, level, sided)
     cut = level.cutoff(model)
     if cut == 0:
         return 0.0
     bits = cut * level.log2_inv_eps
-    if sided == "total" and model.two_sided:
-        bits += 1.0
-    return bits
+    # adding log2(1) = 0.0 would turn a -0.0 (cut >= 1 at eps = 1) into 0.0
+    return bits + math.log2(factor) if factor > 1 else bits
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,30 @@ class CoefficientVector:
             raise ValidationError(f"index {k} outside stored range 1..{self.K}")
         return self.entries[k - 1]
 
+    @classmethod
+    def from_components(cls, model: SpectrumModel, values) -> "CoefficientVector":
+        """Per-component values ``v_1..v_K`` as a vector of ``model``: two-sided
+        models hold ``v_k`` at index ``+k`` and zeros at the center and below it,
+        a labeling convention for the sequence-form channel, not a symmetry."""
+        values = np.asarray(values)
+        if not model.two_sided:
+            return cls(model, values)
+        entries = np.zeros(2 * values.size + 1, dtype=values.dtype)
+        entries[values.size + 1:] = values
+        return cls(model, entries)
+
+    def components(self) -> np.ndarray:
+        """The entries at ``k = 1..K``, the values :meth:`from_components` takes."""
+        return self.entries[self.K + 1:] if self.model.two_sided else self.entries
+
+    def resized(self, K: int) -> "CoefficientVector":
+        """The vector cut or zero-padded to the index range ``K``."""
+        d = K - self.K
+        head = abs(d) if self.model.two_sided else 0  # a two-sided range changes at both ends
+        if d >= 0:
+            return CoefficientVector(self.model, np.pad(self.entries, (head, d)))
+        return CoefficientVector(self.model, self.entries[head:d].copy())
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
@@ -469,6 +493,7 @@ class CoefficientVector:
             if model is None:
                 model = model_from_json(obj["model"])
             raw = obj["entries"]
+            refuse_unknown(obj, {"model", "complex", "entries"}, "coefficient vector JSON")
             if obj.get("complex"):
                 entries = np.asarray([complex(re, im) for re, im in raw])
             else:

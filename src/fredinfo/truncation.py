@@ -318,26 +318,12 @@ def truncated_solution(model: SpectrumModel, data: CoefficientVector,
     report = TruncationReport(epsilon=eps, k0=min(cut, data.K), f_star=f_star)
     if reference is not None:
         reference.require_same_basis(data, "truncated_solution")
-        diff = reference.entries - _aligned(f_star, reference)
+        diff = reference.entries - f_star.resized(reference.K).entries
         lam_ref = reference.eigenvalue_profile()
         report.residual_y = float(np.linalg.norm(lam_ref * diff))
         report.distance_x = float(np.linalg.norm(diff))
         report.combined = report.residual_y ** 2 + eps ** 2 * report.distance_x ** 2
     return report
-
-
-def _aligned(vec: CoefficientVector, like: CoefficientVector) -> np.ndarray:
-    """Entries of ``vec`` padded/truncated to the index range of ``like``."""
-    if vec.K == like.K:
-        return vec.entries
-    out = np.zeros(like.entries.shape, dtype=vec.entries.dtype)
-    if vec.model.two_sided:
-        K = min(vec.K, like.K)
-        out[like.K - K: like.K + K + 1] = vec.entries[vec.K - K: vec.K + K + 1]
-    else:
-        K = min(vec.K, like.K)
-        out[:K] = vec.entries[:K]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -107,3 +107,27 @@ def test_model_json_with_unknown_field_exits_2(capsys, tmp_path):
 def test_unknown_model_parameter_exits_2(capsys):
     code, _, err = run(capsys, "capacity", "--model", "green:foo=1", "--epsilon", "0.1")
     assert code == 2 and "foo" in err
+
+
+def test_vector_json_with_unknown_field_exits_2(capsys, tmp_path):
+    # a misspelt "complex" is refused, not read as a real vector
+    path = tmp_path / "data.json"
+    obj = CoefficientVector(green_model(k_max=4), np.ones(2)).to_json()
+    obj["complx"] = obj.pop("complex")
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "truncate", "--model", "green:k_max=4",
+                         "--epsilon", "0.1", "--data", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient vector JSON has unknown fields ['complx']\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eigens", "--model", "green", "--k-hi", "100000000000000000"),
+    ("prob-info", "--model", "green", "--epsilon", "0.1", "--rho", "constant:1",
+     "--nu", "constant:1", "--k-max", "100000000000000000"),
+], ids=["eigens", "prob-info"])
+def test_size_past_memory_exits_3(capsys, argv):
+    # numpy refuses the 711 PiB array before touching memory
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure: Unable to allocate") and err.count("\n") == 1

@@ -238,6 +238,46 @@ def test_capacity_interval_total_counts_axes():
     assert b.k0_eps_over_4 == 2 * 5 + 1
 
 
+def _surviving_log2_axes(model, epsilon, sided):
+    """log2 lambda of each axis that survives ``epsilon``, by enumeration: ``k``
+    in ``-K..K`` for the total of a two-sided model (``lambda_0 = 1``), else in
+    ``1..K``, compared in the domain the level is given in."""
+    K = model.spectrum_length or 64
+    ks = np.arange(-K, K + 1) if sided == "total" and model.two_sided else np.arange(1, K + 1)
+    axes = ks != 0
+    log2_lam = np.zeros(ks.shape)
+    log2_lam[axes] = model.log2_eigenvalues(np.abs(ks[axes]))
+    if isinstance(epsilon, NoiseLevel):
+        return log2_lam[log2_lam >= -epsilon.log2_inv_eps]
+    lam = np.ones(ks.shape)
+    lam[axes] = model.eigenvalues(np.abs(ks[axes]))
+    return log2_lam[lam >= epsilon]
+
+
+@pytest.mark.parametrize("model", [
+    poisson_model(0.5, 1.0), heat_model(0.1, 2.0, 1.0), green_model(),
+    tabulated_model([1.0, 0.5, 0.25, 0.125]),
+], ids=lambda m: m.kind)
+@pytest.mark.parametrize("level", [
+    4.0, math.nextafter(4.0, 0.0), math.nextafter(4.0, math.inf), 2.0, 1.0,
+    math.nextafter(1.0, 0.0), math.nextafter(1.0, math.inf), 0.5,
+    NoiseLevel(-2.0), NoiseLevel(-1.999), NoiseLevel(0.0), NoiseLevel(0.5),
+], ids=repr)
+@pytest.mark.parametrize("sided", ["one_sided", "total"])
+def test_counts_and_lower_bound_match_the_axis_enumeration(model, level, sided):
+    # the center axis enters at eps = 1 and, for the quarter count, at eps = 4
+    quarter = NoiseLevel(level.log2_inv_eps + 2.0) if isinstance(level, NoiseLevel) else level / 4.0
+    b = capacity_interval(model, level, sided=sided)
+    axes = _surviving_log2_axes(model, level, sided)
+    m = _surviving_log2_axes(model, quarter, sided).size
+    assert (b.k0_eps, b.k0_eps_over_4) == (axes.size, m)
+    L = NoiseLevel.of(level).log2_inv_eps
+    want = float(np.sum(axes + L))
+    assert abs(b.lower_bits - want) <= 1e-13 * want and math.copysign(1.0, b.lower_bits) == 1.0
+    if b.upper_bits is not None:
+        assert b.upper_bits == pytest.approx(m * (L + LOG2_6 + 0.5 * math.log2(m)), rel=1e-13)
+
+
 def test_capacity_interval_exponent_domain():
     m = poisson_model(0.5, 1.0)
     b = capacity_interval(m, NoiseLevel(64.0))

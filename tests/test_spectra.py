@@ -246,6 +246,33 @@ def test_vector_index_layout_one_sided():
         f.entry(0)
 
 
+@pytest.mark.parametrize("model, entries", [
+    (poisson_model(0.5, 1.0), [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]),  # v_k at +k
+    (green_model(), [1.0, 2.0, 3.0]),
+], ids=["two-sided", "one-sided"])
+def test_vector_from_components_round_trips(model, entries):
+    f = CoefficientVector.from_components(model, np.asarray([1.0, 2.0, 3.0]))
+    assert f.K == 3
+    np.testing.assert_array_equal(f.entries, entries)
+    np.testing.assert_array_equal(f.components(), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("model, entries, cut, padded", [
+    (poisson_model(0.5, 1.0), [1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 4.0],
+     [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0]),
+    (green_model(), [1.0, 2.0], [1.0], [1.0, 2.0, 0.0]),
+], ids=["two-sided", "one-sided"])
+def test_vector_resized_cuts_and_pads(model, entries, cut, padded):
+    f = CoefficientVector(model, np.asarray(entries))
+    short, long = f.resized(f.K - 1), f.resized(f.K + 1)
+    assert (short.K, long.K) == (f.K - 1, f.K + 1)
+    np.testing.assert_array_equal(short.entries, cut)
+    np.testing.assert_array_equal(long.entries, padded)
+    np.testing.assert_array_equal(f.resized(f.K).entries, entries)
+    z = CoefficientVector(model, np.asarray(entries) * 1j).resized(f.K + 1)
+    assert np.iscomplexobj(z.entries)
+
+
 def test_vector_respects_k_max_and_table_length():
     m = green_model(k_max=4)
     with pytest.raises(ValidationError):
@@ -492,6 +519,11 @@ def test_vector_json_round_trip_real_and_complex():
     z2 = CoefficientVector.from_json(z.to_json())
     np.testing.assert_array_equal(z2.entries, z.entries)
     assert json.loads(json.dumps(z.to_json()))["complex"] is True
+    # a misspelt field is refused, not read as a real vector
+    with pytest.raises(ValidationError,
+                       match=r"coefficient vector JSON has unknown fields \['complx'\]"):
+        CoefficientVector.from_json({"model": model_to_json(m), "entries": [1.0, 2.0],
+                                     "complx": True})
 
 
 def test_export_spectrum_csv():

@@ -164,6 +164,27 @@ def test_truncated_solution_reference_diagnostics():
         report.residual_y ** 2 + eps ** 2 * report.distance_x ** 2, rel=1e-13)
 
 
+@pytest.mark.parametrize("model, data, reference, residual2, distance2", [
+    # eps = 0.3 keeps |k| <= 1 of 2^-|k|: f* = (0, 1, 1, 1, 0) on -2..2
+    (poisson_model(0.5, 1.0), [0.25, 0.5, 1.0, 0.5, 0.25], [1.0] * 7,
+     2 * (1 / 64 + 1 / 16), 4.0),  # f* padded by zeros; diff 1 at |k| = 2, 3
+    (poisson_model(0.5, 1.0), [0.25, 0.5, 1.0, 0.5, 0.25], [0.0] * 3,
+     0.25 + 1.0 + 0.25, 3.0),      # f* cut to -1..1; diff -1 there
+    # eps = 0.3 keeps k = 1 of (0.5, 0.25, 0.125, 0.0625): f* = (1, 0, 0)
+    (tabulated_model([0.5, 0.25, 0.125, 0.0625]), [0.5, 0.5, 0.5], [1.0] * 4,
+     0.25 ** 2 + 0.125 ** 2 + 0.0625 ** 2, 3.0),
+    (tabulated_model([0.5, 0.25, 0.125, 0.0625]), [0.5, 0.5, 0.5], [2.0],
+     0.25, 1.0),
+], ids=["two-sided-longer", "two-sided-shorter", "one-sided-longer", "one-sided-shorter"])
+def test_truncated_solution_reference_of_another_length(model, data, reference,
+                                                        residual2, distance2):
+    data, reference = (CoefficientVector(model, np.asarray(v)) for v in (data, reference))
+    report = truncated_solution(model, data, 0.3, reference=reference)
+    assert report.residual_y == pytest.approx(math.sqrt(residual2), rel=1e-15)
+    assert report.distance_x == pytest.approx(math.sqrt(distance2), rel=1e-15)
+    assert report.combined == pytest.approx(residual2 + 0.09 * distance2, rel=1e-15)
+
+
 def test_truncated_solution_rejects_model_mismatch():
     f = CoefficientVector(green_model(), np.ones(3))
     with pytest.raises(ValidationError):

@@ -4,7 +4,9 @@
 
 Each tree is a checkout holding ``src/fredinfo`` and ``benchmarks/``.  The ops
 are the README examples and the benchmark's ``cli_cold`` commands, each in both
-output formats, a few inputs that must fail, and every ``closed_sweep`` and
+output formats, a few inputs that must fail, ``capacity`` at the levels where
+the two-sided total's center axis enters or leaves a count, ``truncate`` with
+a reference of another length than the data, and every ``closed_sweep`` and
 ``mc_sweep`` config of seeds 1 and 90217, read from the parent tree's
 ``benchmarks/workloads.py``.  One subprocess per tree imports that tree's
 package and runs every op through ``fredinfo.cli.main``, from its own
@@ -33,6 +35,8 @@ SIDES = ("parent", "change")
 _POISSON = {"kind": "poisson", "a": 0.5, "b": 1.0, "k_max": 256}
 _TRUTH = [0.5 ** abs(k) for k in range(-8, 9)]
 _COEFFS = [0.5 ** abs(k) * t + 0.01 * ((7 * k) % 5 - 2) for k, t in zip(range(-8, 9), _TRUTH)]
+_TRUTH_WIDE = [0.5 ** abs(k) for k in range(-12, 13)]
+_TRUTH_NARROW = [0.5 ** abs(k) for k in range(-5, 6)]
 
 README_COMMANDS = [
     ["eigens", "--model", "green", "--k-hi", "3"],
@@ -61,6 +65,19 @@ ERROR_COMMANDS = [
     ["capacity", "--model", "green", "--epsilon", "pow2:-60"],   # exit 3
 ]
 
+# The two-sided total counts the center axis lambda_0 = 1 when eps <= 1, and
+# in k0(eps/4) when eps <= 4: levels on and beside both edges, for two-sided
+# and one-sided models.
+EDGE_LEVELS = ("4", "4.0000000000000009", "3.9", "2", "1", "0.5", "pow2:2", "pow2:0", "pow2:-1")
+EDGE_COMMANDS = [
+    ["capacity", "--model", model, "--epsilon", eps, "--sided", sided]
+    for model in ("poisson:a=0.5,b=1", "heat:D=0.1,a=2,b=1", "green")
+    for eps in EDGE_LEVELS for sided in ("one_sided", "total")
+] + [
+    ["truncate", "--model", "poisson:a=0.5,b=1", "--epsilon", "0.1", "--data", "{coeffs}",
+     "--reference", reference] for reference in ("{truth_wide}", "{truth_narrow}")
+]
+
 
 # ---------------------------------------------------------------------------
 # Ops
@@ -82,7 +99,9 @@ def _inputs(workloads, inputs: str) -> dict:
     files = {"dyadic": workloads.DYADIC_MODEL, "config": workloads.README_CONFIG,
              "config_log2": log2_config,
              "coeffs": {"model": _POISSON, "complex": False, "entries": _COEFFS},
-             "truth": {"model": _POISSON, "complex": False, "entries": _TRUTH}}
+             "truth": {"model": _POISSON, "complex": False, "entries": _TRUTH},
+             "truth_wide": {"model": _POISSON, "complex": False, "entries": _TRUTH_WIDE},
+             "truth_narrow": {"model": _POISSON, "complex": False, "entries": _TRUTH_NARROW}}
     return {"{" + name + "}": _write_json(os.path.join(inputs, name + ".json"), obj)
             for name, obj in files.items()}
 
@@ -126,7 +145,8 @@ def build_ops(parent_tree: str, out_dir: str) -> list[dict]:
                 cold.append(argv)
     ops = (_command_ops(README_COMMANDS, fill, "readme")
            + _command_ops(cold, fill, "cli_cold")
-           + _command_ops(ERROR_COMMANDS, fill, "error"))
+           + _command_ops(ERROR_COMMANDS, fill, "error")
+           + _command_ops(EDGE_COMMANDS, fill, "edge"))
     configs = os.path.join(out_dir, "configs")
     os.makedirs(configs)
     for workload in SWEEP_WORKLOADS:
