@@ -303,13 +303,13 @@ class GaussianChannel:
         object.__setattr__(self, "k_max", km)
 
         ks = np.arange(1, km + 1)
-        log2_rho = self.rho.log2_values(ks)
-        log2_ratio = self.model.log2_eigenvalues(ks) + log2_rho - self.nu.log2_values(ks)
-        if not np.isfinite(log2_ratio).all():
-            raise ValidationError("log2(lambda_k rho_k / nu_k) must be finite on 1..k_max")
-        t = log2_ratio + (level.log2_inv_eps if level is not None else math.inf)
-        lam, rho, nu = self.model.eigenvalues(ks), self.rho.values(ks), self.nu.values(ks)
         with np.errstate(all="ignore"):
+            log2_rho = self.rho.log2_values(ks)
+            log2_ratio = self.model.log2_eigenvalues(ks) + log2_rho - self.nu.log2_values(ks)
+            if not np.isfinite(log2_ratio).all():
+                raise ValidationError("log2(lambda_k rho_k / nu_k) must be finite on 1..k_max")
+            t = log2_ratio + (level.log2_inv_eps if level is not None else math.inf)
+            lam, rho, nu = self.model.eigenvalues(ks), self.rho.values(ks), self.nu.values(ks)
             signal = lam * rho
             ratios = signal / nu
             factors = np.concatenate((lam, rho, nu, signal, ratios))
@@ -319,10 +319,10 @@ class GaussianChannel:
             # (eps nu_k / lambda_k)^2 = rho_k^2 2^(-2t): at most rho_k^2 on I
             inverted = np.exp2(2.0 * (log2_rho - t))
             # a component whose floats are all normal is ordered by its float
-            # ratio and, at a float level, placed in I by comparing floats, as
-            # the level was given; any other is keyed by 2^(log2 ratio), ranked
-            # by log2 ratio where that key is not a normal float either, and
-            # placed by log2_snr >= 0
+            # ratio and, at a level with a float, placed in I by comparing
+            # floats; any other is keyed by 2^(log2 ratio), ranked by log2
+            # ratio where that key is not a normal float either, and placed by
+            # log2_snr >= 0
             keys = np.where(normal, ratios, np.exp2(log2_ratio))
             ranks = np.where((keys >= _TINY) & (keys <= _HUGE), 0.0, log2_ratio)
             informative = t >= 0.0

@@ -199,7 +199,7 @@ class ExperimentConfig:
             raise ValidationError("give exactly one of epsilon_grid or log2_inv_eps_grid")
         if self.epsilon_grid is not None:
             self.levels = _noise_grid(self.epsilon_grid, "epsilon_grid")
-            self.epsilon_grid = tuple(level.given for level in self.levels)
+            self.epsilon_grid = tuple(level.epsilon for level in self.levels)
         else:
             self.levels = _noise_grid([NoiseLevel(L) for L in self.log2_inv_eps_grid],
                                       "log2_inv_eps_grid")

@@ -76,7 +76,7 @@ def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     L = level.log2_inv_eps
     cut = level.cutoff(model)
     one = max(0.0, cut * L + FAMILIES[model.kind].log2_sum(model.params, cut))
-    return factor * one + center * L  # one >= +0.0, so a center * L of -0.0 drops
+    return factor * one + center * L
 
 
 def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
@@ -157,9 +157,7 @@ def max_message_length_log2(model: SpectrumModel, epsilon: float | NoiseLevel, *
     cut = level.cutoff(model)
     if cut == 0:
         return 0.0
-    bits = cut * level.log2_inv_eps
-    # adding log2(1) = 0.0 would turn a -0.0 (cut >= 1 at eps = 1) into 0.0
-    return bits + math.log2(factor) if factor > 1 else bits
+    return cut * level.log2_inv_eps + math.log2(factor)
 
 
 # ---------------------------------------------------------------------------

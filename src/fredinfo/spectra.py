@@ -288,7 +288,7 @@ def _check_k_max(k_max: int) -> None:
 @dataclass(frozen=True)
 class _Family:
     """One spectral family.  The formulas take the model's ``params``, then
-    int64 indices or a noise level's ``(log2_inv_eps, given)``."""
+    int64 indices or a noise level's ``(log2_inv_eps, epsilon)``."""
 
     names: tuple[str, ...]                  # parameters, in factory order
     eigenvalues: Callable[[dict, np.ndarray], np.ndarray]
@@ -304,9 +304,9 @@ class _Family:
     more: tuple[str, ...] = ()              # JSON fields besides kind, k_max and names
 
 
-def _green_k0(p: dict, L: float, given: float | None) -> int:
-    if given is not None:
-        return max(0, math.floor(1.0 / (math.pi * math.sqrt(given))))
+def _green_k0(p: dict, L: float, eps: float | None) -> int:
+    if eps is not None:
+        return max(0, math.floor(1.0 / (math.pi * math.sqrt(eps))))
     if L > 2000.0:
         raise InconclusiveError("green closed-form cutoff overflows floats at this exponent")
     return max(0, math.floor(2.0 ** (L / 2.0) / math.pi))
@@ -345,7 +345,7 @@ FAMILIES: dict[str, _Family] = {
         log2_eigenvalues=lambda p, k: -k.astype(float) * math.log2(p["b"] / p["a"]),
         log2_sum=lambda p, c: -(c * (c + 1) // 2) * math.log2(p["b"] / p["a"]),
         two_sided=True, domain=(-math.pi, math.pi),
-        k0_closed_form=lambda p, L, given: max(0, math.floor(L / math.log2(p["b"] / p["a"])))),
+        k0_closed_form=lambda p, L, eps: max(0, math.floor(L / math.log2(p["b"] / p["a"])))),
     "heat": _Family(
         ("D", "a", "b"), build=heat_model,
         eigenvalues=lambda p, k: np.exp(-p["D"] * (p["a"] - p["b"]) * k.astype(float) ** 2),
@@ -355,7 +355,7 @@ FAMILIES: dict[str, _Family] = {
                                * _LOG2_E),
         two_sided=True, domain=(-math.pi, math.pi),
         # natural log: the base-2 reading of the printed formula overcounts
-        k0_closed_form=lambda p, L, given: math.floor(
+        k0_closed_form=lambda p, L, eps: math.floor(
             math.sqrt(max(0.0, L * _LN2 / (p["D"] * (p["a"] - p["b"])))))),
     "green": _Family(
         (), build=green_model,

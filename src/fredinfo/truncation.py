@@ -11,8 +11,8 @@ below the noise level::
 (``lambda_g >= eps > lambda_{g+1}``); where there is no closed form or the
 certificate fails it scans the decreasing spectrum (``_k0_scan``), which also
 stays the enumerative oracle the closed forms are tested against.  Both take
-the noise level as a plain float or as a :class:`NoiseLevel`, which can carry
-the exponent ``log2(1/eps)`` instead, so that levels far below the float
+the noise level as a plain float or as a :class:`NoiseLevel`, which carries
+the exponent ``log2(1/eps)`` as well, so that levels far below the float
 underflow threshold stay usable.
 """
 
@@ -48,31 +48,34 @@ _SLACK = 1.0 + 1e-12
 
 @dataclass(frozen=True)
 class NoiseLevel:
-    """One noise level ``eps``, given either as a float or as ``log2(1/eps)``.
+    """One noise level ``eps``: its exponent ``log2(1/eps)`` and, when it has
+    one, its float.
 
-    ``log2_inv_eps`` is always the exact exponent; ``given`` holds the float
-    when the level was supplied as one.  Cutoffs compare eigenvalues in the
-    domain the level was given in (floats as floats, exponents in log2), so
-    boundary ties resolve exactly as the caller wrote the level.  Each level
-    remembers the cutoffs it has computed (:meth:`cutoff`), so quantities that
-    share a level share its cutoffs.
+    ``epsilon`` is the float passed in, else ``2**-L`` for an exponent ``L``
+    with ``|L| <= 1022`` (a normal float), else None.  Cutoffs compare
+    eigenvalues on ``epsilon`` when there is one and in log2 otherwise, so a
+    level gives the same cutoffs however it was written
+    (``NoiseLevel(3.0) == NoiseLevel.of(0.125)``).  Each level remembers the
+    cutoffs it has computed (:meth:`cutoff`), so quantities that share a
+    level share its cutoffs.
     """
 
     log2_inv_eps: float
-    given: float | None = None
+    epsilon: float | None = None
     _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        L, eps = float(self.log2_inv_eps), self.given
+        L, eps = float(self.log2_inv_eps) + 0.0, self.epsilon  # + 0.0: eps = 1 gives 0.0
+        if eps is None:
+            if not math.isfinite(L):
+                raise ValidationError(f"log2_inv_eps must be finite, got {L!r}")
+            eps = 2.0 ** -L if abs(L) <= 1022 else None
+        elif not (eps > 0.0) or not math.isfinite(eps):
+            raise ValidationError(f"epsilon must be a positive finite float, got {eps!r}")
+        elif L != -math.log2(eps) and not (abs(L) <= 1022 and eps == 2.0 ** -L):
+            raise ValidationError(f"log2_inv_eps {L!r} does not match epsilon {eps!r}")
         object.__setattr__(self, "log2_inv_eps", L)  # NoiseLevel(4096) reads as 4096.0
-        if eps is not None:
-            if not (eps > 0.0) or not math.isfinite(eps):
-                raise ValidationError(f"epsilon must be a positive finite float, got {eps!r}")
-            if L != -math.log2(eps):
-                raise ValidationError(
-                    f"log2_inv_eps {L!r} does not match epsilon {eps!r}")
-        elif not math.isfinite(L):
-            raise ValidationError(f"log2_inv_eps must be finite, got {L!r}")
+        object.__setattr__(self, "epsilon", eps)
 
     @classmethod
     def of(cls, epsilon: float | NoiseLevel) -> NoiseLevel:
@@ -82,18 +85,6 @@ class NoiseLevel:
             return epsilon
         eps = float(epsilon)
         return cls(-math.log2(eps) if eps > 0.0 else math.nan, eps)
-
-    @property
-    def epsilon(self) -> float | None:
-        """``eps`` as a float, or None outside float range.
-
-        A level given as a float returns it; an exponent ``L`` becomes
-        ``2**-L`` when ``|L| <= 1022`` (a normal float) and None beyond.
-        """
-        if self.given is not None:
-            return self.given
-        L = self.log2_inv_eps
-        return 2.0 ** -L if abs(L) <= 1022 else None
 
     @property
     def reported(self) -> float | str:
@@ -111,10 +102,10 @@ class NoiseLevel:
 
     @cached_property
     def quarter(self) -> NoiseLevel:
-        """The level ``eps/4`` (one object per level): a float when exact, else
-        (a subnormal ``eps``) the exponent ``log2(1/eps) + 2``."""
-        if self.given is not None and (self.given / 4.0) * 4.0 == self.given:
-            return NoiseLevel.of(self.given / 4.0)
+        """The level ``eps/4`` (one object per level): a float when ``eps`` has
+        one and its quarter is exact, else the exponent ``log2(1/eps) + 2``."""
+        if self.epsilon is not None and (self.epsilon / 4.0) * 4.0 == self.epsilon:
+            return NoiseLevel.of(self.epsilon / 4.0)
         return NoiseLevel(self.log2_inv_eps + 2.0)
 
     def cutoff(self, model: SpectrumModel) -> int:
@@ -126,24 +117,24 @@ class NoiseLevel:
 
     def kept(self, model: SpectrumModel, ks: np.ndarray) -> np.ndarray:
         """Mask of ``lambda_k >= eps`` over the indices ``ks``."""
-        if self.given is not None:
-            return model.eigenvalues(ks) >= self.given
+        if self.epsilon is not None:
+            return model.eigenvalues(ks) >= self.epsilon
         return model.log2_eigenvalues(ks) >= -self.log2_inv_eps
 
     def below_4_lambda_1(self, model: SpectrumModel) -> bool:
         """``eps < 4 lambda_1``: the lattice upper bound's applicability test."""
-        if self.given is not None:
-            return self.given < 4.0 * model.lambda_1
+        if self.epsilon is not None:
+            return self.epsilon < 4.0 * model.lambda_1
         return -self.log2_inv_eps < 2.0 + model.log2_eigenvalues(np.asarray([1]))[0]
 
 
 def _noise_grid(grid: Sequence[float | NoiseLevel], what: str) -> list[NoiseLevel]:
     """The levels of the grid ``what``, which must decrease strictly: compared as
-    floats when every level was given as one (neighbouring floats can share a
-    ``log2``), else as exponents."""
+    floats when every level has one (neighbouring floats can share a ``log2``),
+    else as exponents."""
     levels = [NoiseLevel.of(e) for e in grid]
-    if all(level.given is not None for level in levels):
-        keys = [-level.given for level in levels]
+    if all(level.epsilon is not None for level in levels):
+        keys = [-level.epsilon for level in levels]
     else:
         keys = [level.log2_inv_eps for level in levels]
     if any(b <= a for a, b in zip(keys, keys[1:])):
@@ -155,9 +146,9 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
     """Cutoff index: largest k with ``lambda_k >= eps`` (0 if none).
 
     The family's closed form ``g`` is accepted when ``lambda_g >= eps`` (or
-    ``g = 0``) and ``lambda_{g+1} < eps``, both compared in the domain the
-    level was supplied in (floats as floats, exponents in log2), exactly as
-    the scan compares; on a non-increasing spectrum that is the scan's answer.
+    ``g = 0``) and ``lambda_{g+1} < eps``, both compared on the level's float
+    when it has one and in log2 otherwise, exactly as the scan compares; on a
+    non-increasing spectrum that is the scan's answer.
     Families without a closed form (``tabulated``), a closed form that
     raises or reaches the cap, and a failed certificate (exact ties, rounding
     at huge exponents) fall back to the enumerative scan :func:`_k0_scan`.
@@ -172,7 +163,7 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
     if closed is None:
         return _k0_scan(model, level)
     try:
-        g = closed(model.params, level.log2_inv_eps, level.given)
+        g = closed(model.params, level.log2_inv_eps, level.epsilon)
     except (InconclusiveError, ArithmeticError):  # green past L = 2000, a ratio b/a of 1.0
         return _k0_scan(model, level)
     if g < _SCAN_CAP:
@@ -229,7 +220,7 @@ def k0_closed_form(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
     closed = FAMILIES[model.kind].k0_closed_form
     if closed is None:
         raise ValidationError(f"no closed-form cutoff for kind {model.kind!r}")
-    return closed(model.params, level.log2_inv_eps, level.given)
+    return closed(model.params, level.log2_inv_eps, level.epsilon)
 
 
 def generalized_k0(model: SpectrumModel,

@@ -1,6 +1,7 @@
 """Per-component Gaussian channels: information, partition, risk."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -418,3 +419,32 @@ def test_extremal_validation():
         extremal_comparison(m, 0.1, "gamma")
     with pytest.raises(ValidationError):
         extremal_comparison(m, -0.1, "alpha")
+
+
+_G4 = green_model(k_max=4)
+_HEAT40 = heat_model(1.0, 2.0, 1.0, k_max=40)
+
+
+def _ones_channel(eps):
+    return GaussianChannel(_G4, constant_rule(1.0), constant_rule(1.0), eps)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: geometric_rule(1.0, 0.5).sum_sq_tail(-1), "tail start must be >= 0"),
+    (lambda: power_rule(1.0, 1.0).values(np.array([0])), "power rule is defined for k >= 1"),
+    # log2 rho_2 = -4e308 / ln 2 overflows to -inf
+    (lambda: GaussianChannel(_G4, gaussian_rule(1.0, 1e308), constant_rule(1.0), 0.1),
+     "must be finite on 1..k_max"),
+    (lambda: component_information(_ones_channel(0.1), 0), "must lie in 1..4"),
+    (lambda: total_information(_ones_channel(0.0)), "requires epsilon > 0"),
+    (lambda: posterior_estimate(_ones_channel(0.1), CoefficientVector(
+        poisson_model(0.5, 1.0, k_max=4), np.ones(3))), "data uses a different model"),
+    # lambda_k = e^(-k^2) is 0 from k = 28, so rho_k = (1 + 1e-9/k) / lambda_k is infinite
+    (lambda: posterior_estimate(
+        GaussianChannel(_HEAT40, inverse_spectrum_rule(_HEAT40), constant_rule(1.0), 0.1),
+        CoefficientVector(_HEAT40, np.ones(81))), "rho_k and nu_k to be finite floats"),
+], ids=["negative-tail", "power-at-0", "gaussian-overflow", "component-0",
+        "noise-free-total", "posterior-other-model", "posterior-infinite-prior"])
+def test_channel_refusals(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

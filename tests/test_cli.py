@@ -433,6 +433,23 @@ def test_prob_info_extremal_beta_csv(capsys):
     assert float(fields[6]) == pytest.approx(10.0 * math.log(1e3), rel=1e-12)
 
 
+_HEAT = ("--model", "heat:D=1,a=2,b=1,k_max=40", "--epsilon", "0.1")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # lambda_k = e^(-k^2) is subnormal at k = 27 and 0 from 28: 1 / lambda_k is infinite
+    ((*_HEAT, "--rho", "inverse_spectrum", "--nu", "constant:1"), 0, ""),
+    ((*_HEAT, "--rho", "constant:1", "--nu", "inverse_spectrum"), 0, ""),
+    # log2 rho_k = -1e308 k^2 / ln 2 overflows to -inf
+    (("--model", "green:k_max=4", "--epsilon", "0.1", "--rho", "gaussian:1,1e308",
+      "--nu", "constant:1"), 2,
+     "error: log2(lambda_k rho_k / nu_k) must be finite on 1..k_max\n"),
+], ids=["rho-inverse-spectrum", "nu-inverse-spectrum", "gaussian-overflow"])
+def test_prob_info_rules_with_infinite_values_raise_no_warning(capsys, argv, code, err):
+    # the suite turns RuntimeWarnings into errors, so a warning fails here
+    assert run(capsys, "prob-info", *argv)[::2] == (code, err)
+
+
 def test_prob_info_requires_rules_or_extremal(capsys):
     code, _, err = run(capsys, "prob-info", "--model", "green",
                        "--epsilon", "1e-3")

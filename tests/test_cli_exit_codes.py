@@ -109,6 +109,25 @@ def test_unknown_model_parameter_exits_2(capsys):
     assert code == 2 and "foo" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("capacity", "--model", "poisson:a", "--epsilon", "0.1"),
+     "bad model parameter 'a' (use key=value)"),
+    (("prob-info", "--model", "green", "--epsilon", "0.1", "--rho", "geometric:1,0.5,3",
+      "--nu", "constant:1"), "rule 'geometric' takes 2 parameter(s) ('c', 'q'), got 3"),
+], ids=["model-parameter-without-value", "rule-with-extra-parameter"])
+def test_malformed_spec_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_truncate_data_for_another_model_exits_2(capsys, tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(CoefficientVector(green_model(k_max=4), np.ones(4)).to_json()))
+    code, out, err = run(capsys, "truncate", "--model", "green:k_max=8",
+                         "--epsilon", "0.1", "--data", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: vector in {path} was written for a different model\n"
+
+
 def test_vector_json_with_unknown_field_exits_2(capsys, tmp_path):
     # a misspelt "complex" is refused, not read as a real vector
     path = tmp_path / "data.json"

@@ -31,7 +31,7 @@ def _outcome(cutoff, model, level):
 
 
 def _agree(model, level):
-    assert _outcome(k0, model, NoiseLevel(level.log2_inv_eps, level.given)) == \
+    assert _outcome(k0, model, NoiseLevel(level.log2_inv_eps, level.epsilon)) == \
         _outcome(_k0_scan, model, level), (model, level)
 
 

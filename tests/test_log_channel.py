@@ -9,7 +9,7 @@ a boundary tie between rational factors stays a tie.  The cases are three
 inputs that float products cannot answer (a tie among underflowed products,
 an underflowed eigenvalue, a level below float range) and levels ``2^-L``
 with ``|L|`` up to 4096.  Also covered: a boundary tie that only the float
-comparison resolves as given, also with a subnormal component beside it; the
+comparison resolves as k0 does, also with a subnormal component beside it; the
 refusals of the float consumers (Monte-Carlo draws, ``eta_k / lambda_k``) at a
 level with no float and where ``lambda_k`` underflows on I; the refusal of a
 prior whose ``rho_k^2`` or prior energy is not a float by the consumers that
@@ -158,7 +158,7 @@ def test_prob_info_answers_where_float_products_fail(capsys, argv, case):
 def test_boundary_tie_is_decided_on_the_floats(capsys, tmp_path):
     # lambda_2 = eps exactly.  np.log2 and math.log2 differ on about 0.1% of
     # floats, 0.08209 among them here, so log2 snr_2 lands a rounding error
-    # off 0; the float comparison keeps the component, as the level was given.
+    # off 0; the float comparison keeps the component, as k0 compares.
     chan = GaussianChannel(tabulated_model([0.5, 0.08209, 0.01]), constant_rule(1.0),
                            constant_rule(1.0), 0.08209)
     assert partition_IN(chan).k_I == 2

@@ -241,7 +241,8 @@ def test_capacity_interval_total_counts_axes():
 def _surviving_log2_axes(model, epsilon, sided):
     """log2 lambda of each axis that survives ``epsilon``, by enumeration: ``k``
     in ``-K..K`` for the total of a two-sided model (``lambda_0 = 1``), else in
-    ``1..K``, compared in the domain the level is given in."""
+    ``1..K``: a float level compared as a float, a NoiseLevel in log2 (at the
+    levels used here no eigenvalue lies between the two forms)."""
     K = model.spectrum_length or 64
     ks = np.arange(-K, K + 1) if sided == "total" and model.two_sided else np.arange(1, K + 1)
     axes = ks != 0

@@ -1,12 +1,17 @@
-"""NoiseLevel validation and the sharing of cutoff scans between quantities."""
+"""NoiseLevel validation, one cutoff per level however it is written, and the
+sharing of cutoff scans between quantities."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 import fredinfo.truncation as truncation
-from fredinfo import (ExperimentConfig, NoiseLevel, ValidationError, capacity_interval,
-                      convergence_sweep, k0, max_message_length_log2, poisson_model)
+from fredinfo import (CoefficientVector, ExperimentConfig, GaussianChannel, NoiseLevel,
+                      ValidationError, capacity_interval, constant_rule, convergence_sweep,
+                      extremal_comparison, green_model, k0, max_message_length_log2,
+                      partition_IN, poisson_model, truncated_solution)
 from fredinfo.cli import main
 
 
@@ -24,6 +29,47 @@ def test_constructor_accepts_consistent_levels():
     assert NoiseLevel(-math.log2(0.1), 0.1) == NoiseLevel.of(0.1)
     assert NoiseLevel(3.0).epsilon == 0.125
     assert NoiseLevel(1023.0).epsilon is None
+
+
+# -log2 lambda_5 of green as the package computes it: lambda_5 = eps up to rounding
+_GREEN_L5 = 7.946848448719361
+
+
+def test_a_level_is_one_value_however_written():
+    assert NoiseLevel(3.0) == NoiseLevel.of(0.125)
+    assert hash(NoiseLevel(3.0)) == hash(NoiseLevel.of(0.125))
+    level = NoiseLevel(_GREEN_L5, 2.0 ** -_GREEN_L5)  # -log2(2**-L) need not give L back
+    assert level == NoiseLevel(_GREEN_L5) and level.epsilon == 2.0 ** -_GREEN_L5
+    for level in (NoiseLevel(_GREEN_L5), NoiseLevel.of(0.1), NoiseLevel(1050.0),
+                  NoiseLevel.of(5e-324)):
+        assert NoiseLevel(level.log2_inv_eps, level.epsilon) == level
+
+
+def test_every_cutoff_at_an_eigenvalue_level_agrees():
+    model, level = green_model(k_max=16), NoiseLevel(_GREEN_L5)
+    assert k0(model, level) == 4
+    data = CoefficientVector(model, np.ones(8))
+    assert truncated_solution(model, data, level).k0 == 4
+    ones = constant_rule(1.0)
+    assert partition_IN(GaussianChannel(model, ones, ones, level)).k_I == 4
+    ext = extremal_comparison(model, level, "alpha")
+    assert (ext.k0, ext.k_I) == (4, 4)
+    config = ExperimentConfig(model=model, log2_inv_eps_grid=(_GREEN_L5,), rho=ones, nu=ones)
+    row = convergence_sweep(config).rows[0]
+    assert (row["k0"], row["k_I"]) == (4, 4)
+
+
+@pytest.mark.parametrize("epsilon", ["1", "pow2:0"])
+def test_capacity_at_eps_one_prints_unsigned_zeros(capsys, tmp_path, epsilon):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "tabulated", "values": [1.0, 0.5]}))
+    argv = ["capacity", "--model-json", str(path), "--epsilon", epsilon]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert [math.copysign(1.0, obj[key]) for key in ("log2_inv_eps", "logL_max")] == [1.0, 1.0]
+    assert main([*argv, "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["logL_max"] == "0"
 
 
 @pytest.fixture

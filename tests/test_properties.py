@@ -8,9 +8,12 @@ families.  The profile is derandomized, so every run checks the same cases.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredinfo import (NoiseLevel, PreconditionError, capacity_interval,
-                      entropy_lower_bound, entropy_upper_bound, green_model,
-                      heat_model, k0, k0_closed_form, poisson_model)
+import numpy as np
+
+from fredinfo import (CoefficientVector, GaussianChannel, NoiseLevel, PreconditionError,
+                      capacity_interval, constant_rule, entropy_lower_bound,
+                      entropy_upper_bound, green_model, heat_model, k0, k0_closed_form,
+                      partition_IN, poisson_model, truncated_solution)
 
 PROFILE = settings.get_profile("fredinfo")
 
@@ -46,12 +49,12 @@ def test_capacity_interval_matches_standalone_calls(data, sided):
     level = data.draw(levels(model))
     L = level.log2_inv_eps
     cap = capacity_interval(model, level, sided=sided)
-    level = NoiseLevel(L, level.given)  # fresh: no cutoffs remembered from cap
+    level = NoiseLevel(L, level.epsilon)  # fresh: no cutoffs remembered from cap
 
     cut = k0(model, level)
     assert cut == k0_closed_form(model, level)
-    if level.given is not None:
-        cut_q = k0(model, level.given / 4.0)
+    if level.epsilon is not None:
+        cut_q = k0(model, level.epsilon / 4.0)
     else:
         cut_q = k0(model, NoiseLevel(L + 2.0))
     if sided == "total" and model.two_sided:
@@ -73,3 +76,24 @@ def test_capacity_interval_matches_standalone_calls(data, sided):
 def test_dyadic_float_and_exponent_give_the_same_cutoff(model, n):
     n = min(n, int(_TOP[model.kind]))
     assert k0(model, 2.0 ** -n) == k0(model, NoiseLevel(n))
+
+
+
+@PROFILE
+@given(st.data())
+def test_metric_and_channel_cutoffs_agree_at_exponent_levels(data):
+    model = data.draw(models())
+    top = min(1022.0, _TOP[model.kind])
+    if data.draw(st.booleans()):
+        L = data.draw(st.floats(-8.0, top))
+    else:  # on an eigenvalue, where 2**-L and lambda_j can round either way
+        j = data.draw(st.integers(1, 64))
+        L = min(-float(model.log2_eigenvalues(np.asarray([j]))[0]), top)
+    level = NoiseLevel(L)
+    cut = k0(model, level)
+    # rho = nu = 1: the informative set is the metric cutoff, capped at k_max
+    ones = constant_rule(1.0)
+    assert partition_IN(GaussianChannel(model, ones, ones, level)).k_I == min(cut, model.k_max)
+    K = data.draw(st.integers(1, 64))
+    vector = CoefficientVector.from_components(model, np.ones(K))
+    assert truncated_solution(model, vector, level).k0 == min(cut, K)

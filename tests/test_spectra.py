@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -443,6 +444,26 @@ def test_nystrom_rejects_kernel_of_wrong_shape():
     for kernel in (lambda x, y: 1.0, lambda x, y: np.ones((3, 3)), lambda x, y: np.ones(60)):
         with pytest.raises(ValidationError):
             nystrom_decompose(kernel, n_nodes=60)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: green_model().eigenvalue(1.5), "must be an integer"),
+    (lambda: CoefficientVector(green_model(), []), "non-empty"),
+    (lambda: CoefficientVector(green_model(), [1.0, math.nan]), "finite"),
+    (lambda: CoefficientVector(tabulated_model([0.5, 0.25], k_max=5), np.ones(3)),
+     "beyond the tabulated spectrum (2)"),
+    (lambda: CoefficientVector(green_model(k_max=4), np.ones(2)).require_same_basis(
+        CoefficientVector(green_model(k_max=8), np.ones(2)), "pairing"), "different bases"),
+    (lambda: nystrom_decompose(green_kernel, n_nodes=8).eigenvalue(0), "holds 8 modes"),
+    (lambda: nystrom_decompose(green_kernel, n_nodes=1), "n_nodes must be >= 2"),
+    (lambda: nystrom_decompose(green_kernel, n_nodes=8, rule="simpson"), "simpson"),
+    (lambda: nystrom_decompose(lambda x, y: np.full(np.broadcast(x, y).shape, math.nan),
+                               n_nodes=8), "non-finite"),
+], ids=["fractional-index", "empty-vector", "nan-vector", "past-table", "two-bases",
+        "mode-0", "one-node", "unknown-rule", "nan-kernel"])
+def test_spectra_refusals(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,13 @@ def test_generalized_k0_without_crossing_is_inconclusive():
         generalized_k0(m, lambda k: 1e-6, 1e-3)  # holds through k_max
 
 
+def test_generalized_k0_stops_at_the_end_of_a_table():
+    m = tabulated_model([0.5, 0.25], k_max=5)  # k_max past the table's two values
+    assert generalized_k0(m, [1.0] * 10, 0.3) == 1
+    with pytest.raises(InconclusiveError, match="k=2"):
+        generalized_k0(m, [1.0] * 10, 0.01)
+
+
 # ---------------------------------------------------------------------------
 # truncated solutions
 # ---------------------------------------------------------------------------
@@ -281,3 +288,22 @@ def test_weak_convergence_validation():
     big_v = CoefficientVector(m, np.asarray([2.0, 0.0]))
     with pytest.raises(ValidationError):
         weak_convergence_probe(m, f, big_v, [0.1, 0.05], [good, good])
+
+
+_G = green_model()
+_F = CoefficientVector(_G, np.asarray([0.5, 0.1]))
+_G8 = green_model(k_max=8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lemma1_check(_G8, _F, forward_apply(_G, _F), 0.5), "different model"),
+    (lambda: weak_convergence_probe(_G8, _F, _F, [0.1, 0.05], [_F, _F]), "different model"),
+    (lambda: weak_convergence_probe(_G, _F, CoefficientVector(_G, [0.5]), [0.1, 0.05],
+                                    [_F, _F]), "same indices"),
+    (lambda: weak_convergence_probe(_G, _F, _F, [0.1, 0.05],
+                                    [forward_apply(_G, _F), CoefficientVector(_G8, [0.1, 0.0])]),
+     "model and index range"),
+], ids=["lemma1-model", "probe-model", "probe-test-vector-range", "probe-data-model"])
+def test_bound_checks_refuse_vectors_of_another_model_or_range(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

@@ -6,7 +6,9 @@ Each tree is a checkout holding ``src/fredinfo`` and ``benchmarks/``.  The ops
 are the README examples and the benchmark's ``cli_cold`` commands, each in both
 output formats, a few inputs that must fail, ``capacity`` at the levels where
 the two-sided total's center axis enters or leaves a count, ``truncate`` with
-a reference of another length than the data, and every ``closed_sweep`` and
+a reference of another length than the data, the cutoff commands and a
+``simulate`` sweep at three levels that sit on an eigenvalue, ``prob-info``
+with variance rules whose values overflow, and every ``closed_sweep`` and
 ``mc_sweep`` config of seeds 1 and 90217, read from the parent tree's
 ``benchmarks/workloads.py``.  One subprocess per tree imports that tree's
 package and runs every op through ``fredinfo.cli.main``, from its own
@@ -78,6 +80,43 @@ EDGE_COMMANDS = [
      "--reference", reference] for reference in ("{truth_wide}", "{truth_narrow}")
 ]
 
+# Levels 2^-L with L = -log2 lambda_k as the package computes it (green k = 5,
+# poisson k = 23, heat k = 9), where the exponent and the float 2^-L can fall
+# on different sides of lambda_k.  Each gets the cutoff commands, a data vector
+# with K = 8 and a sweep config with rho = nu = 1 around the level.
+EIGEN_LEVELS = {
+    "green": ({"kind": "green", "k_max": 16}, 7.946848448719361),
+    "poisson": ({"kind": "poisson", "a": 0.3, "b": 1, "k_max": 64}, 39.95020866582274),
+    "heat": ({"kind": "heat", "D": 0.05, "a": 1.7, "b": 0.4, "k_max": 32}, 7.59578939028039),
+}
+_CONSTANT = {"kind": "constant", "c": 1.0}
+
+
+def _eigen_level_commands() -> list[list[str]]:
+    commands = []
+    for name, (model, L) in EIGEN_LEVELS.items():
+        spec = model["kind"] + ":" + ",".join(f"{key}={val}" for key, val in model.items()
+                                              if key != "kind")
+        base = ["--model", spec, "--epsilon", f"pow2:-{L!r}"]
+        commands += [["capacity", *base], ["truncate", *base],
+                     ["truncate", *base, "--data", "{data_" + name + "}"],
+                     ["prob-info", *base, "--rho", "constant:1", "--nu", "constant:1"],
+                     ["prob-info", *base, "--extremal", "alpha"],
+                     ["simulate", "--config", "{level_" + name + "}", "--out", f"levels/{name}"]]
+    return commands
+
+
+# rho_k or nu_k = (1 + 1e-9/k) / lambda_k is infinite where e^(-k^2) underflows,
+# and log2 rho_k of gaussian:1,1e308 overflows to -inf
+WARNING_COMMANDS = [
+    ["prob-info", "--model", "heat:D=1,a=2,b=1,k_max=40", "--epsilon", "0.1",
+     "--rho", "inverse_spectrum", "--nu", "constant:1"],
+    ["prob-info", "--model", "heat:D=1,a=2,b=1,k_max=40", "--epsilon", "0.1",
+     "--rho", "constant:1", "--nu", "inverse_spectrum"],
+    ["prob-info", "--model", "green:k_max=4", "--epsilon", "0.1",
+     "--rho", "gaussian:1,1e308", "--nu", "constant:1"],
+]
+
 
 # ---------------------------------------------------------------------------
 # Ops
@@ -102,6 +141,12 @@ def _inputs(workloads, inputs: str) -> dict:
              "truth": {"model": _POISSON, "complex": False, "entries": _TRUTH},
              "truth_wide": {"model": _POISSON, "complex": False, "entries": _TRUTH_WIDE},
              "truth_narrow": {"model": _POISSON, "complex": False, "entries": _TRUTH_NARROW}}
+    for name, (model, L) in EIGEN_LEVELS.items():
+        two_sided = model["kind"] != "green"
+        entries = [1.0 / (1 + abs(k)) for k in (range(-8, 9) if two_sided else range(1, 9))]
+        files["data_" + name] = {"model": model, "complex": False, "entries": entries}
+        files["level_" + name] = {"model": model, "log2_inv_eps_grid": [L - 1.0, L, L + 1.0],
+                                  "rho": _CONSTANT, "nu": _CONSTANT}
     return {"{" + name + "}": _write_json(os.path.join(inputs, name + ".json"), obj)
             for name, obj in files.items()}
 
@@ -146,7 +191,9 @@ def build_ops(parent_tree: str, out_dir: str) -> list[dict]:
     ops = (_command_ops(README_COMMANDS, fill, "readme")
            + _command_ops(cold, fill, "cli_cold")
            + _command_ops(ERROR_COMMANDS, fill, "error")
-           + _command_ops(EDGE_COMMANDS, fill, "edge"))
+           + _command_ops(EDGE_COMMANDS, fill, "edge")
+           + _command_ops(_eigen_level_commands(), fill, "eigen-level")
+           + _command_ops(WARNING_COMMANDS, fill, "warning"))
     configs = os.path.join(out_dir, "configs")
     os.makedirs(configs)
     for workload in SWEEP_WORKLOADS:
