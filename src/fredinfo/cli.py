@@ -137,6 +137,14 @@ def _load_vector(path: str, model: SpectrumModel) -> CoefficientVector:
     return vec
 
 
+def _refuse_unread(args, flags, why: str) -> None:
+    """Refuse each of the ``flags`` that is set: the chosen mode does not read
+    it, and ``why`` names the flag that chose the mode."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValidationError(f"{flag} {why}")
+
+
 def _emit(fmt: str, record, columns=None, rows=None) -> None:
     """Print ``record`` as JSON, or as CSV: the header ``columns`` (by default the
     first row's names), then each of ``rows`` (by default the record alone) with
@@ -162,6 +170,8 @@ def _cmd_eigens(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
+    if args.data is None:
+        _refuse_unread(args, ["--reference"], "is read only with --data")
     model = parse_model(args.model, args.model_json)
     level = parse_epsilon(args.epsilon)
     if args.data is None:
@@ -197,6 +207,8 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_metric_info(args) -> int:
     if args.packing_axes is not None:
+        _refuse_unread(args, ["--model", "--model-json", "--grid-eps", "--grid-log2"],
+                       "is not read with --packing-axes")
         if args.epsilon is None or args.step is None:
             raise ValidationError("--packing-axes needs --epsilon and --step")
         axes = _floats(args.packing_axes, "--packing-axes")
@@ -206,8 +218,10 @@ def _cmd_metric_info(args) -> int:
                             "grid_step": float(args.step), "count": count},
               ("epsilon", "grid_step", "count"))
         return 0
+    _refuse_unread(args, ["--epsilon", "--step"], "is read only with --packing-axes")
     model = parse_model(args.model, args.model_json)
     if args.grid_eps is not None:
+        _refuse_unread(args, ["--grid-log2"], "is not read with --grid-eps")
         est = growth_orders(model, _floats(args.grid_eps, "--grid-eps"))
     elif args.grid_log2 is not None:
         exps = _floats(args.grid_log2, "--grid-log2")
@@ -224,6 +238,7 @@ def _cmd_prob_info(args) -> int:
     level = parse_epsilon(args.epsilon)
 
     if args.extremal is not None:
+        _refuse_unread(args, ["--rho", "--nu"], "is not read with --extremal")
         cmp = extremal_comparison(model, level, args.extremal, k_max=args.k_max)
         _emit(args.format, cmp.to_json(), ("case", "epsilon", "k0", "k_I", "exact_nats",
                                            "approx_nats", "reference_nats"))

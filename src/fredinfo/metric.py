@@ -55,7 +55,7 @@ def _sides(model: SpectrumModel, level: NoiseLevel, sided: str) -> tuple[int, in
         raise ValidationError(f"sided must be one of {_SIDED}, got {sided!r}")
     if sided == "one_sided" or not model.two_sided:
         return 1, 0
-    return 2, 1 if level.log2_inv_eps >= 0.0 else 0
+    return 2, int(level._keeps_center())
 
 
 def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
@@ -69,14 +69,14 @@ def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     table's sum (tabulated); the per-term array sum is the test oracle.  Zero
     when no eigenvalue reaches the noise level (empty product).  The total
     variant of two-sided models doubles the sum and adds the center-axis term
-    ``log2(1/eps)`` when the center survives (``eps <= 1``).
+    ``log2(1/eps)``, clamped at 0, when the center survives (``eps <= 1``).
     """
     level = NoiseLevel.of(epsilon)
     factor, center = _sides(model, level, sided)
     L = level.log2_inv_eps
     cut = level.cutoff(model)
     one = max(0.0, cut * L + FAMILIES[model.kind].log2_sum(model.params, cut))
-    return factor * one + center * L
+    return factor * one + center * max(L, 0.0)
 
 
 def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
@@ -91,7 +91,7 @@ def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     level = NoiseLevel.of(epsilon)
     factor, center = _sides(model, level.quarter, sided)
     cut_q = level.quarter.cutoff(model)
-    if cut_q < 1 or not level.below_4_lambda_1(model):
+    if cut_q < 1 or not level.below(model, 4.0):
         raise PreconditionError(
             "upper bound not applicable: requires eps < 4*lambda_1 and "
             "k0(eps/4) >= 1",
@@ -211,22 +211,21 @@ def growth_orders(model: SpectrumModel, epsilons: Sequence[float | NoiseLevel]) 
     Each level is a plain float or a :class:`NoiseLevel`; exponent levels
     (``NoiseLevel(L)`` for ``2**-L``) keep levels down to ``2**-4096`` exact.
     Requires at least 8 points spanning at least 4 decades, all below
-    ``lambda_1``.  Each level's cutoff is read through :meth:`NoiseLevel.cutoff`,
-    so a caller passing the same levels shares their cutoffs.
+    ``lambda_1`` (:meth:`NoiseLevel.below`).  Each level's cutoff is read
+    through :meth:`NoiseLevel.cutoff`, so a caller passing the same levels
+    shares their cutoffs.
     """
     levels = _noise_grid(epsilons, "the growth-order grid")
     Ls = np.asarray([level.log2_inv_eps for level in levels])
-    cuts = np.asarray([level.cutoff(model) for level in levels], dtype=float)
-
     if Ls.size < 8:
         raise ValidationError(f"need at least 8 grid points, got {Ls.size}")
     span_decades = (Ls[-1] - Ls[0]) * math.log10(2.0)
     if span_decades < 4.0:
         raise ValidationError(
             f"grid spans {span_decades:.2f} decades, need at least 4")
-    log2_lam1 = float(model.log2_eigenvalues(np.asarray([1]))[0])
-    if np.any(Ls <= -log2_lam1):
+    if not all(level.below(model) for level in levels):
         raise ValidationError("all grid levels must lie strictly below lambda_1")
+    cuts = np.asarray([level.cutoff(model) for level in levels], dtype=float)
     if np.any(cuts < 1):
         raise NumericError("cutoff vanished on an admissible grid point")
 

@@ -145,13 +145,10 @@ class SpectrumModel:
         ``k >= 1`` and, for tabulated spectra, ``k`` within range.
         """
         self._check_index(k)
-        k = abs(int(k))
-        if k == 0:
-            return 1.0
-        return float(self.eigenvalues(np.asarray([k]))[0])
+        return float(self.eigenvalues(np.asarray([abs(int(k))]))[0])
 
     def eigenvalues(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorized eigenvalues for an array of one-sided indices >= 1."""
+        """Vectorized eigenvalues at indices ``k >= 1`` (two-sided families: ``k >= 0``)."""
         return FAMILIES[self.kind].eigenvalues(self.params, np.asarray(ks, dtype=np.int64))
 
     def log2_eigenvalues(self, ks: np.ndarray) -> np.ndarray:
@@ -219,13 +216,20 @@ def heat_model(D: float, a: float, b: float, k_max: int = DEFAULT_K_MAX) -> Spec
     """Gaussian spectrum ``exp(-D k^2 (a-b))`` of backward heat recovery.
 
     ``a`` is the observation time, ``b < a`` the earlier reconstruction time.
+    The decay rate ``D (a-b)`` must be a positive finite float, so that the
+    spectrum decreases and ``lambda_0 = exp(-0)`` is 1.
     """
     _check_k_max(k_max)
     if not (D > 0 and math.isfinite(D)):
         raise ValidationError(f"heat model needs D > 0, got D={D}")
     if not (a > b) or not math.isfinite(a) or not math.isfinite(b):
         raise ValidationError(f"heat model needs a > b, got a={a}, b={b}")
-    return SpectrumModel("heat", {"D": float(D), "a": float(a), "b": float(b)}, k_max)
+    params = {"D": float(D), "a": float(a), "b": float(b)}
+    rate = params["D"] * (params["a"] - params["b"])  # as the formulas form it
+    if not (0.0 < rate < math.inf):
+        raise ValidationError(
+            f"heat model needs a positive finite decay rate D*(a-b), got {rate!r}")
+    return SpectrumModel("heat", params, k_max)
 
 
 def green_model(k_max: int = DEFAULT_K_MAX) -> SpectrumModel:
@@ -460,12 +464,8 @@ class CoefficientVector:
         return float(np.linalg.norm(self.entries))
 
     def eigenvalue_profile(self) -> np.ndarray:
-        """Eigenvalues aligned with :attr:`indices` (center mode -> 1)."""
-        ks = np.abs(self.indices)
-        lam = np.ones(ks.shape, dtype=float)
-        pos = ks >= 1
-        lam[pos] = self.model.eigenvalues(ks[pos])
-        return lam
+        """Eigenvalues ``lambda_|k|`` aligned with :attr:`indices`."""
+        return self.model.eigenvalues(np.abs(self.indices))
 
     def synthesize(self, xs: np.ndarray) -> np.ndarray:
         """Pointwise values ``sum_k f_k psi_k(x)`` on the model's domain."""

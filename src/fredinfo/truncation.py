@@ -121,11 +121,15 @@ class NoiseLevel:
             return model.eigenvalues(ks) >= self.epsilon
         return model.log2_eigenvalues(ks) >= -self.log2_inv_eps
 
-    def below_4_lambda_1(self, model: SpectrumModel) -> bool:
-        """``eps < 4 lambda_1``: the lattice upper bound's applicability test."""
+    def below(self, model: SpectrumModel, scale: float = 1.0) -> bool:
+        """``eps < scale * lambda_1``: the growth grid's and (at 4) the upper bound's test."""
         if self.epsilon is not None:
-            return self.epsilon < 4.0 * model.lambda_1
-        return -self.log2_inv_eps < 2.0 + model.log2_eigenvalues(np.asarray([1]))[0]
+            return self.epsilon < scale * model.lambda_1
+        return -self.log2_inv_eps < math.log2(scale) + model.log2_eigenvalues(np.asarray([1]))[0]
+
+    def _keeps_center(self) -> bool:
+        """``eps <= lambda_0 = 1``; without a float ``|L| > 1022``, so L's sign decides."""
+        return self.epsilon <= 1.0 if self.epsilon is not None else self.log2_inv_eps > 0.0
 
 
 def _noise_grid(grid: Sequence[float | NoiseLevel], what: str) -> list[NoiseLevel]:
@@ -150,13 +154,14 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
     when it has one and in log2 otherwise, exactly as the scan compares; on a
     non-increasing spectrum that is the scan's answer.
     Families without a closed form (``tabulated``), a closed form that
-    raises or reaches the cap, and a failed certificate (exact ties, rounding
-    at huge exponents) fall back to the enumerative scan :func:`_k0_scan`.
+    raises or reaches ``2**53``, and a failed certificate (exact ties,
+    rounding at huge exponents) fall back to the enumerative scan
+    :func:`_k0_scan`.
 
     Raises
     ------
     InconclusiveError
-        The cutoff exceeds the enumeration safety cap (2**22).
+        The scan's cutoff exceeds the enumeration safety cap (2**22).
     """
     level = NoiseLevel.of(epsilon)
     closed = FAMILIES[model.kind].k0_closed_form
@@ -166,7 +171,7 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
         g = closed(model.params, level.log2_inv_eps, level.epsilon)
     except (InconclusiveError, ArithmeticError):  # green past L = 2000, a ratio b/a of 1.0
         return _k0_scan(model, level)
-    if g < _SCAN_CAP:
+    if g < 2 ** 53:  # indices stay exact in int64 and in float
         ok = level.kept(model, np.arange(max(g, 1), g + 2))  # [g, g+1], or [1] at g = 0
         if (g == 0 or ok[0]) and not ok[-1]:
             return g
@@ -292,21 +297,22 @@ def truncated_solution(model: SpectrumModel, data: CoefficientVector,
     """Spectral-cutoff estimator ``f*`` from noisy data coefficients.
 
     Entries with ``lambda_|k| >= eps`` are inverted (``g_k / lambda_k``), the
-    rest are zeroed.  The reported ``k0`` is the cutoff capped at the data's
-    own index range (coefficients the data does not carry cannot be
-    inverted).  When ``reference`` is supplied the report carries the
-    distance diagnostics used by the error bounds.
+    rest are zeroed.  The reported ``k0`` counts the inverted ``k >= 1``: the
+    cutoff capped at the data's own index range (coefficients the data does
+    not carry cannot be inverted).  When ``reference`` is supplied the report
+    carries the distance diagnostics used by the error bounds.
     """
     eps = NoiseLevel.of(epsilon).require_epsilon("truncated_solution")
     if data.model != model:
         raise ValidationError("truncated_solution: data uses a different model")
-    cut = k0(model, eps)
-    lam = data.eigenvalue_profile()  # center mode of two-sided models: lambda_0 = 1
+    lam = data.eigenvalue_profile()
+    keep = lam >= eps  # NoiseLevel.kept's test, on the level's float
     # divide only where kept: lambda_k may underflow to 0 past the cutoff
     zeros = np.zeros(lam.shape, np.result_type(data.entries, lam))  # integer data: float
-    entries = np.divide(data.entries, lam, out=zeros, where=lam >= eps)
+    entries = np.divide(data.entries, lam, out=zeros, where=keep)
     f_star = CoefficientVector(model, entries)
-    report = TruncationReport(epsilon=eps, k0=min(cut, data.K), f_star=f_star)
+    cut = int(np.count_nonzero(keep[data.indices >= 1]))
+    report = TruncationReport(epsilon=eps, k0=cut, f_star=f_star)
     if reference is not None:
         reference.require_same_basis(data, "truncated_solution")
         diff = reference.entries - f_star.resized(reference.K).entries

@@ -150,3 +150,48 @@ def test_size_past_memory_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("numeric failure: Unable to allocate") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("truncate", "--model", "green", "--epsilon", "0.1", "--reference", "missing.json"),
+     ("--reference", "--data")),
+    (("prob-info", "--model", "green", "--epsilon", "0.1", "--extremal", "alpha",
+      "--rho", "constant:1"), ("--rho", "--extremal")),
+    (("prob-info", "--model", "green", "--epsilon", "0.1", "--extremal", "beta",
+      "--nu", "constant:1"), ("--nu", "--extremal")),
+    (("metric-info", "--model", "green", "--grid-eps", "1e-2,1e-3", "--grid-log2", "8,16"),
+     ("--grid-log2", "--grid-eps")),
+    (("metric-info", "--packing-axes", "1,0.5", "--epsilon", "0.4", "--step", "0.1",
+      "--model", "green"), ("--model", "--packing-axes")),
+    (("metric-info", "--packing-axes", "1,0.5", "--epsilon", "0.4", "--step", "0.1",
+      "--model-json", "missing.json"), ("--model-json", "--packing-axes")),
+    (("metric-info", "--packing-axes", "1,0.5", "--epsilon", "0.4", "--step", "0.1",
+      "--grid-eps", "1e-2"), ("--grid-eps", "--packing-axes")),
+    (("metric-info", "--packing-axes", "1,0.5", "--epsilon", "0.4", "--step", "0.1",
+      "--grid-log2", "8"), ("--grid-log2", "--packing-axes")),
+    (("metric-info", "--model", "green", "--grid-log2", "8,16", "--epsilon", "0.1"),
+     ("--epsilon", "--packing-axes")),
+    (("metric-info", "--model", "green", "--grid-log2", "8,16", "--step", "0.1"),
+     ("--step", "--packing-axes")),
+])
+def test_a_flag_the_mode_does_not_read_exits_2(capsys, argv, flags):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and all(flag in err for flag in flags)
+
+
+def test_extremal_reads_k_max(capsys):
+    code, out, _ = run(capsys, "prob-info", "--model", "green", "--epsilon", "0.1",
+                       "--extremal", "alpha", "--k-max", "4")
+    assert code == 0 and json.loads(out)["k_I"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("eigens", "--k-hi", "3"),
+    ("capacity", "--epsilon", "0.1", "--sided", "total"),
+    ("prob-info", "--epsilon", "0.1", "--rho", "constant:1", "--nu", "constant:1"),
+])
+def test_heat_decay_rate_past_float_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--model", "heat:D=1e308,a=1e308,b=-1e308", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: heat model needs a positive finite decay rate D*(a-b), got inf\n"

@@ -167,6 +167,17 @@ def test_total_variant_doubles_and_adds_center():
     assert entropy_lower_bound(g, 1e-3, sided="total") == entropy_lower_bound(g, 1e-3)
 
 
+@pytest.mark.parametrize("model", [poisson_model(0.5, 1.0), heat_model(0.1, 2.0, 1.0)])
+@pytest.mark.parametrize("level", [NoiseLevel(-1.7485306786524207e-46),
+                                   NoiseLevel(-1.9170347559514728e-146), NoiseLevel.of(1.0)])
+def test_total_keeps_the_center_at_float_one_and_adds_no_negative_bits(model, level):
+    # the float of each level is 1.0 = lambda_0, though the first two have L < 0
+    assert level.epsilon == 1.0
+    cap = capacity_interval(model, level, sided="total")
+    assert cap.k0_eps == 1
+    assert cap.lower_bits == 0.0 and math.copysign(1.0, cap.lower_bits) == 1.0
+
+
 def test_sided_argument_validated():
     with pytest.raises(ValidationError):
         entropy_lower_bound(poisson_model(0.5, 1.0), 0.1, sided="both")
@@ -353,6 +364,37 @@ def test_growth_orders_validation():
         growth_orders(m, [NoiseLevel(L) for L in [16, 8, 32, 64, 128, 256, 512, 1024]])
     with pytest.raises(ValidationError):
         growth_orders(m, list(np.geomspace(2.0, 1e-4, 9)))   # above lambda_1
+
+
+def _grid_from(first: float) -> list[float]:
+    return [first, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
+
+
+@pytest.mark.parametrize("model", [poisson_model(0.293147663730703, 2.690021064378189),
+                                   poisson_model(1.8857350372697794, 3.9847569242866197),
+                                   green_model()])
+def test_growth_grid_is_checked_against_lambda_1_on_the_float(model):
+    lam1 = model.lambda_1
+    below = float(np.nextafter(lam1, 0.0))
+    assert k0(model, below) == k0(model, lam1) == 1
+    growth_orders(model, _grid_from(below))        # the float just below lambda_1
+    with pytest.raises(ValidationError, match="strictly below lambda_1"):
+        growth_orders(model, _grid_from(lam1))     # lambda_1 itself
+
+
+def test_growth_grid_is_validated_before_any_cutoff():
+    # eps = 1 lies above lambda_1; green's cutoff at 2^-1024 exceeds the scan's cap
+    with pytest.raises(ValidationError, match="strictly below lambda_1"):
+        growth_orders(green_model(), [NoiseLevel(L) for L in (0, 16, 32, 64, 128, 256,
+                                                               512, 1024)])
+
+
+def test_growth_grid_past_float_range_is_checked_in_log2():
+    m = poisson_model(0.5, 1.0)
+    est = growth_orders(m, [NoiseLevel(L) for L in (1023, 1100, 1200, 1400, 1600, 1800,
+                                                    2000, 2200)])
+    assert est.mu_hat == pytest.approx(1.0)   # k0 = L: linear in log(1/eps)
+    assert not NoiseLevel(-1023.0).below(m) and NoiseLevel(1023.0).below(m)
 
 
 # ---------------------------------------------------------------------------

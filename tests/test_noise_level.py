@@ -72,6 +72,22 @@ def test_capacity_at_eps_one_prints_unsigned_zeros(capsys, tmp_path, epsilon):
     assert dict(zip(header.split(","), row.split(",")))["logL_max"] == "0"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_two_sided_total_reads_the_center_on_the_float(capsys, fmt):
+    # each level's float is 1.0 = lambda_0, whatever the sign of its exponent
+    k0s = []
+    for epsilon in ("1", "pow2:1e-17", "pow2:-1e-17"):
+        assert main(["capacity", "--model", "poisson:a=0.5,b=1", "--epsilon", epsilon,
+                     "--sided", "total", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            k0s.append(json.loads(out)["k0_eps"])
+        else:
+            header, row = out.splitlines()
+            k0s.append(int(dict(zip(header.split(","), row.split(",")))["k0"]))
+    assert k0s == [1, 1, 1]
+
+
 @pytest.fixture
 def k0_calls(monkeypatch):
     calls = []

@@ -57,8 +57,10 @@ def test_capacity_interval_matches_standalone_calls(data, sided):
         cut_q = k0(model, level.epsilon / 4.0)
     else:
         cut_q = k0(model, NoiseLevel(L + 2.0))
-    if sided == "total" and model.two_sided:
-        cut, cut_q = 2 * cut + (L >= 0.0), 2 * cut_q + (L + 2.0 >= 0.0)
+    if sided == "total" and model.two_sided:  # the center lambda_0 = 1, on the float
+        eps = level.epsilon
+        cut = 2 * cut + (eps <= 1.0 if eps is not None else L > 0.0)
+        cut_q = 2 * cut_q + (eps / 4.0 <= 1.0 if eps is not None else L + 2.0 > 0.0)
     try:
         upper = entropy_upper_bound(model, level, sided=sided)
     except PreconditionError:

@@ -104,6 +104,24 @@ def test_bad_model_parameters_rejected(factory, kwargs):
         factory(**kwargs)
 
 
+@pytest.mark.parametrize("D, a, b", [(1e308, 1e308, -1e308), (2.0, 1e308, -1e308),
+                                     (1e-300, 1e-300, 0.0)])
+def test_heat_decay_rate_must_be_a_positive_finite_float(D, a, b):
+    # D(a - b) overflows to inf or underflows to 0: the spectrum is not decreasing
+    with pytest.raises(ValidationError, match="decay rate"):
+        heat_model(D, a, b)
+
+
+@pytest.mark.parametrize("model", [poisson_model(0.3, 1.7), heat_model(0.7, 2.5, 0.1),
+                                   heat_model(1e-300, 1e300, 0.0)])
+def test_two_sided_center_comes_from_the_family_formula(model):
+    assert model.eigenvalues(np.arange(0, 3))[0] == 1.0
+    assert model.eigenvalue(0) == 1.0
+    profile = CoefficientVector(model, np.ones(7)).eigenvalue_profile()
+    np.testing.assert_array_equal(profile, model.eigenvalues(np.abs(np.arange(-3, 4))))
+    assert profile[3] == 1.0
+
+
 def test_tabulated_validation():
     with pytest.raises(ValidationError):
         tabulated_model([])

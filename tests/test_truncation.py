@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fredinfo.truncation as truncation
 from fredinfo import (
     CoefficientVector,
     InconclusiveError,
@@ -73,6 +74,21 @@ def test_k0_scan_cap_is_inconclusive():
     # green needs ~2^511 components at this level; the scan refuses to guess
     with pytest.raises(InconclusiveError):
         k0(green_model(), NoiseLevel(1024.0))
+
+
+@pytest.mark.parametrize("model, eps, K", [
+    (green_model(), 1e-30, 3),                # k0 = 318309886183790
+    (green_model(), 1e-34, 3),                # k0 past 2^53: k0() refuses
+    (poisson_model(0.9999, 1.0), 1e-300, 5),  # k0 about 6.9e6
+])
+def test_truncated_solution_reports_its_kept_count_past_the_cap(model, eps, K):
+    with pytest.raises(InconclusiveError):
+        truncation._k0_scan(model, NoiseLevel.of(eps))
+    data = CoefficientVector.from_components(model, np.arange(1.0, K + 1.0))
+    report = truncated_solution(model, data, eps)
+    assert report.k0 == K
+    np.testing.assert_array_equal(report.f_star.components(),
+                                  np.arange(1.0, K + 1.0) / model.eigenvalues(np.arange(1, K + 1)))
 
 
 @pytest.mark.parametrize("model", [

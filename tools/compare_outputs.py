@@ -8,14 +8,19 @@ output formats, a few inputs that must fail, ``capacity`` at the levels where
 the two-sided total's center axis enters or leaves a count, ``truncate`` with
 a reference of another length than the data, the cutoff commands and a
 ``simulate`` sweep at three levels that sit on an eigenvalue, ``prob-info``
-with variance rules whose values overflow, and every ``closed_sweep`` and
+with variance rules whose values overflow, the comparisons of a level with
+``lambda_0`` and ``lambda_1``, cutoffs past the scan's cap, flags the chosen
+mode does not read, and every ``closed_sweep`` and
 ``mc_sweep`` config of seeds 1 and 90217, read from the parent tree's
 ``benchmarks/workloads.py``.  One subprocess per tree imports that tree's
 package and runs every op through ``fredinfo.cli.main``, from its own
 directory under OUT_DIR, so relative output paths print alike on both sides.
+Each op runs with the warning filter reset, so a warning prints for every op
+that raises it, not only the first.
 
-The script prints each op whose exit code, stdout, stderr, CSV file or
-``.meta.json`` (without ``created_utc``) differs, and exits 1 if any does.
+The script prints each op whose exit code, stdout, stderr (with each tree's
+path read as ``TREE``), CSV file or ``.meta.json`` (without ``created_utc``)
+differs, and exits 1 if any does.
 OUT_DIR must be absent or empty.  Only the standard library is used here.
 """
 
@@ -28,6 +33,7 @@ import os
 import subprocess
 import sys
 import traceback
+import warnings
 
 SWEEP_SEEDS = (1, 90217)
 SWEEP_WORKLOADS = ("mc_sweep", "closed_sweep")
@@ -64,7 +70,8 @@ ERROR_COMMANDS = [
     ["truncate", "--model", "nope", "--epsilon", "0.1"],
     ["capacity", "--model", "poisson:a=0.5,b=1,zz=3", "--epsilon", "0.1"],
     ["eigens", "--model", "green", "--k-hi", "0"],
-    ["capacity", "--model", "green", "--epsilon", "pow2:-60"],   # exit 3
+    ["capacity", "--model", "green", "--epsilon", "pow2:-60"],   # certified past the scan's cap
+    ["capacity", "--model", "green", "--epsilon", "pow2:-1024"],  # exit 3
 ]
 
 # The two-sided total counts the center axis lambda_0 = 1 when eps <= 1, and
@@ -106,6 +113,44 @@ def _eigen_level_commands() -> list[list[str]]:
     return commands
 
 
+# Each level against the spectrum: the center lambda_0 = 1 at floats 1.0 with
+# exponents of either sign, growth grids starting just below and at lambda_1
+# (and one above it that also ends past the scan's cap), cutoffs past the
+# scan's 2^22 cap, and a heat rate D(a-b) that overflows.
+_GRID_TAIL = ",1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8"
+LEVEL_COMMANDS = [
+    ["capacity", "--model", "poisson:a=0.5,b=1", "--epsilon", eps, "--sided", "total"]
+    for eps in ("pow2:1e-17", "pow2:-1e-17")
+] + [
+    ["metric-info", "--model", "poisson:a=0.293147663730703,b=2.690021064378189",
+     "--grid-eps", "0.10897597331583178" + _GRID_TAIL],
+    ["metric-info", "--model", "poisson:a=1.8857350372697794,b=3.9847569242866197",
+     "--grid-eps", "0.4732371567702031" + _GRID_TAIL],
+    ["metric-info", "--model", "green", "--grid-log2", "0,16,32,64,128,256,512,1024"],
+    ["capacity", "--model", "green", "--epsilon", "1e-30"],
+    ["truncate", "--model", "green", "--epsilon", "1e-30", "--data", "{green3}"],
+    ["capacity", "--model", "poisson:a=0.5,b=1", "--epsilon", "pow2:-1e12", "--sided", "total"],
+    ["eigens", "--model", "heat:D=1e308,a=1e308,b=-1e308", "--k-hi", "3"],
+    ["capacity", "--model", "heat:D=1e308,a=1e308,b=-1e308", "--epsilon", "0.1",
+     "--sided", "total"],
+]
+
+# Each flag that the chosen mode does not read.
+_PACKING = ["metric-info", "--packing-axes", "1,0.5", "--epsilon", "0.4", "--step", "0.1"]
+UNREAD_COMMANDS = [
+    ["truncate", "--model", "green", "--epsilon", "0.1", "--reference", "missing.json"],
+    ["prob-info", "--model", "green", "--epsilon", "0.1", "--extremal", "alpha",
+     "--rho", "constant:1"],
+    ["prob-info", "--model", "green", "--epsilon", "0.1", "--extremal", "beta",
+     "--nu", "constant:1"],
+    ["prob-info", "--model", "green", "--epsilon", "0.1", "--extremal", "alpha", "--k-max", "4"],
+    ["metric-info", "--model", "green", "--grid-eps", "1e-2,1e-3", "--grid-log2", "8,16"],
+    [*_PACKING, "--model", "green"],
+    [*_PACKING, "--grid-log2", "8"],
+    ["metric-info", "--model", "green", "--grid-log2", "8,16", "--epsilon", "0.1"],
+    ["metric-info", "--model", "green", "--grid-log2", "8,16", "--step", "0.1"],
+]
+
 # rho_k or nu_k = (1 + 1e-9/k) / lambda_k is infinite where e^(-k^2) underflows,
 # and log2 rho_k of gaussian:1,1e308 overflows to -inf
 WARNING_COMMANDS = [
@@ -140,7 +185,9 @@ def _inputs(workloads, inputs: str) -> dict:
              "coeffs": {"model": _POISSON, "complex": False, "entries": _COEFFS},
              "truth": {"model": _POISSON, "complex": False, "entries": _TRUTH},
              "truth_wide": {"model": _POISSON, "complex": False, "entries": _TRUTH_WIDE},
-             "truth_narrow": {"model": _POISSON, "complex": False, "entries": _TRUTH_NARROW}}
+             "truth_narrow": {"model": _POISSON, "complex": False, "entries": _TRUTH_NARROW},
+             "green3": {"model": {"kind": "green", "k_max": 256}, "complex": False,
+                        "entries": [1.0, 0.5, 0.25]}}
     for name, (model, L) in EIGEN_LEVELS.items():
         two_sided = model["kind"] != "green"
         entries = [1.0 / (1 + abs(k)) for k in (range(-8, 9) if two_sided else range(1, 9))]
@@ -193,7 +240,9 @@ def build_ops(parent_tree: str, out_dir: str) -> list[dict]:
            + _command_ops(ERROR_COMMANDS, fill, "error")
            + _command_ops(EDGE_COMMANDS, fill, "edge")
            + _command_ops(_eigen_level_commands(), fill, "eigen-level")
-           + _command_ops(WARNING_COMMANDS, fill, "warning"))
+           + _command_ops(WARNING_COMMANDS, fill, "warning")
+           + _command_ops(LEVEL_COMMANDS, fill, "level")
+           + _command_ops(UNREAD_COMMANDS, fill, "unread"))
     configs = os.path.join(out_dir, "configs")
     os.makedirs(configs)
     for workload in SWEEP_WORKLOADS:
@@ -213,7 +262,9 @@ def build_ops(parent_tree: str, out_dir: str) -> list[dict]:
 
 def _run_op(main, argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always")
         try:
             rc = main(argv)
         except SystemExit as exc:      # argparse rejected the arguments
@@ -247,7 +298,10 @@ def _spawn(tree: str, ops_path: str, side_dir: str) -> list[dict]:
             f"import compare_outputs; compare_outputs.run_tree({ops_path!r}, {side_dir!r})")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     with open(os.path.join(side_dir, "results.json")) as fh:
-        return json.load(fh)
+        results = json.load(fh)
+    for result in results:  # a warning names the file it came from
+        result["stderr"] = result["stderr"].replace(tree, "TREE")
+    return results
 
 
 # ---------------------------------------------------------------------------
