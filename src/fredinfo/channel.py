@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -262,6 +263,157 @@ def rule_from_json(obj: dict) -> VarianceRule:
 # ---------------------------------------------------------------------------
 
 
+class _Basis:
+    """The level-independent part of a channel over ``k = 1..k_max``.
+
+    Holds the eigenvalue and rule arrays and the components' order by
+    decreasing ``lambda_k rho_k / nu_k``, checked once for every level that
+    uses them (:class:`_Rows`).  The prior's energy sums are formed on first use.
+    """
+
+    def __init__(self, model: SpectrumModel, rho: VarianceRule, nu: VarianceRule,
+                 k_max: int | None):
+        km = model.k_max if k_max is None else int(k_max)
+        if km < 1:
+            raise ValidationError(f"k_max must be >= 1, got {k_max!r}")
+        length = model.spectrum_length
+        if length is not None and km > length:
+            raise ValidationError(
+                f"k_max={km} exceeds the tabulated spectrum length {length}")
+
+        ks = np.arange(1, km + 1)
+        with np.errstate(all="ignore"):
+            log2_rho = rho.log2_values(ks)
+            log2_ratio = model.log2_eigenvalues(ks) + log2_rho - nu.log2_values(ks)
+            if not np.isfinite(log2_ratio).all():
+                raise ValidationError("log2(lambda_k rho_k / nu_k) must be finite on 1..k_max")
+            lam, rho_k, nu_k = model.eigenvalues(ks), rho.values(ks), nu.values(ks)
+            signal = lam * rho_k
+            ratios = signal / nu_k
+            factors = np.concatenate((lam, rho_k, nu_k, signal, ratios))
+            normal = ((factors >= _TINY) & (factors <= _HUGE)).reshape(5, km).all(axis=0)
+            # a component whose floats are all normal is ordered by its float
+            # ratio; any other is keyed by 2^(log2 ratio), and ranked by log2
+            # ratio where that key is not a normal float either
+            keys = np.where(normal, ratios, np.exp2(log2_ratio))
+            ranks = np.where((keys >= _TINY) & (keys <= _HUGE), 0.0, log2_ratio)
+        order = np.lexsort((-ranks, -keys))  # stable: the rearranged order
+        key, rank = keys[order], ranks[order]
+        if ((key[1:] == key[:-1]) & (rank[1:] == rank[:-1])).any():
+            raise ValidationError(
+                "signal-to-noise ratios lambda_k rho_k / nu_k must be pairwise "
+                "distinct; tie detected")
+        self.model, self.rho, self.nu, self.k_max = model, rho, nu, km
+        self.log2_rho, self.log2_ratio = log2_rho, log2_ratio
+        self.arrays = (lam, rho_k, nu_k)
+        self.signal, self.normal = signal, normal
+        self.order, self.labels = order, order + 1  # 0-based, and as component labels
+
+    @cached_property
+    def _squares(self) -> np.ndarray:
+        _, rho, _ = self.arrays
+        with np.errstate(over="ignore"):
+            return rho * rho
+
+    def energies(self, what: str) -> np.ndarray:
+        """``rho_k^2`` on ``1..k_max`` for the risk sums: the prior must be trace
+        class and every square a finite float."""
+        if not self.rho.is_trace_class:
+            raise UnsupportedError(
+                f"{what} requires a trace-class prior (sum rho_k^2 < inf); "
+                f"the {self.rho.kind} rule is not")
+        if not np.isfinite(self._squares).all():
+            raise ValidationError(f"{what} needs rho_k^2 to be a finite float on 1..k_max")
+        return self._squares
+
+    @cached_property
+    def gamma(self) -> float:
+        """The prior energy ``Gamma = sum_k rho_k^2``, a finite float."""
+        with np.errstate(over="ignore"):
+            gamma = self.rho.sum_sq_total()
+        if not math.isfinite(gamma):
+            raise ValidationError(
+                "k_alpha needs the prior energy sum rho_k^2 to be a finite float")
+        return gamma
+
+    @cached_property
+    def tail(self) -> float:
+        """The prior energy beyond ``k_max``: ``sum_{k > k_max} rho_k^2``."""
+        return self.rho.sum_sq_tail(self.k_max)
+
+
+class _Rows:
+    """A basis's level-dependent arrays at several levels, one row per level
+    (None: noise-free), and the row kernels of the channel quantities.
+
+    A :class:`GaussianChannel` is one row; a sweep evaluates its whole grid
+    as rows of one basis, through the same kernels.
+    """
+
+    def __init__(self, basis: _Basis, levels: Sequence[NoiseLevel | None]):
+        self.basis, self.levels = basis, list(levels)
+        # per row: the level's float, None outside float range, 0.0 noise-free
+        self.epsilon = [level.epsilon if level is not None else 0.0 for level in self.levels]
+        L = np.array([[level.log2_inv_eps if level is not None else math.inf]
+                      for level in self.levels])
+        eps = np.array([[math.nan if e is None else e] for e in self.epsilon])
+        lam, rho, nu = basis.arrays
+        with np.errstate(all="ignore"):
+            t = basis.log2_ratio + L
+            # J_k = (1/2) ln(1 + 2^(2t)) = max(t, 0) ln 2 + (1/2) log1p(2^(-2|t|))
+            self.J_nats = np.maximum(t, 0.0) * _LN2 + 0.5 * np.log1p(np.exp2(-2.0 * np.abs(t)))
+            # (eps nu_k / lambda_k)^2 = rho_k^2 2^(-2t): at most rho_k^2 on I
+            self.inverted_risk = np.exp2(2.0 * (basis.log2_rho - t))
+            # at a level with a float, a component whose floats are all normal
+            # is placed in I by comparing floats; any other by log2_snr >= 0
+            self.informative = np.where(basis.normal & ~np.isnan(eps),
+                                        basis.signal >= eps * nu, t >= 0.0)
+        self.log2_snr = t
+        all_normal = bool(basis.normal.all())
+        self.float_refusal = [_float_refusal(e, all_normal, lam, rho, nu, member)
+                              for e, member in zip(self.epsilon, self.informative)]
+
+    def k_I(self, i: int) -> int:
+        """The size of I at row ``i``, checked to lead the order."""
+        member = self.informative[i]
+        k_I = int(np.sum(member))
+        if k_I and not bool(member[self.basis.order][:k_I].all()):
+            # impossible for a threshold rule on the sorted ratios
+            raise ValidationError("informative set is not an initial segment of the ordering")
+        return k_I
+
+    def information(self, i: int, index: np.ndarray | None = None) -> TotalInformation:
+        """Exact and leading-order information at row ``i``, summed in order over
+        the 0-based components ``index`` (default: I)."""
+        if self.levels[i] is None:
+            raise ValidationError("total information requires epsilon > 0")
+        if index is None:
+            index = np.flatnonzero(self.informative[i])
+        exact = np.cumsum(np.concatenate(([0.0], self.J_nats[i][index])))[-1]
+        approx = np.cumsum(np.concatenate(([0.0], self.log2_snr[i][index] * _LN2)))[-1]
+        return TotalInformation(exact_nats=float(exact), approx_nats=float(approx))
+
+    def k_alpha(self, i: int) -> int:
+        energies, order = self.basis.energies("k_alpha"), self.basis.order
+        gamma = self.basis.gamma
+        terms = energies[order] + self.inverted_risk[i][order]
+        with np.errstate(over="ignore"):  # a prefix past the float range is past gamma too
+            prefix = np.cumsum(terms)
+        ok = prefix <= gamma * (1.0 + 1e-12)
+        return int(np.sum(ok)) if ok.any() else 0
+
+    def mse(self, i: int) -> float:
+        energies = self.basis.energies("mse_closed_form")
+        member = self.informative[i]
+        with np.errstate(over="ignore"):
+            dropped = float(np.sum(energies[~member])) + self.basis.tail
+            inverted = float(np.sum(self.inverted_risk[i][member]))
+        risk = dropped + inverted
+        if not math.isfinite(risk):
+            raise ValidationError("mse_closed_form: the risk overflows floats")
+        return risk
+
+
 @dataclass(frozen=True)
 class GaussianChannel:
     """Prior, noise and spectrum bundled over components ``k = 1..k_max``.
@@ -290,62 +442,16 @@ class GaussianChannel:
 
     def __post_init__(self):
         level = None if self.epsilon == 0.0 else NoiseLevel.of(self.epsilon)  # 0: noise-free
-        eps = level.epsilon if level is not None else 0.0
+        rows = _Rows(_Basis(self.model, self.rho, self.nu, self.k_max), [level])
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "epsilon", eps)
-        km = self.model.k_max if self.k_max is None else int(self.k_max)
-        if km < 1:
-            raise ValidationError(f"k_max must be >= 1, got {self.k_max!r}")
-        length = self.model.spectrum_length
-        if length is not None and km > length:
-            raise ValidationError(
-                f"k_max={km} exceeds the tabulated spectrum length {length}")
-        object.__setattr__(self, "k_max", km)
+        object.__setattr__(self, "epsilon", rows.epsilon[0])
+        object.__setattr__(self, "k_max", rows.basis.k_max)
+        for name in ("log2_snr", "informative", "J_nats", "inverted_risk", "float_refusal"):
+            object.__setattr__(self, name, getattr(rows, name)[0])
+        object.__setattr__(self, "_rows", rows)  # this channel is row 0
 
-        ks = np.arange(1, km + 1)
-        with np.errstate(all="ignore"):
-            log2_rho = self.rho.log2_values(ks)
-            log2_ratio = self.model.log2_eigenvalues(ks) + log2_rho - self.nu.log2_values(ks)
-            if not np.isfinite(log2_ratio).all():
-                raise ValidationError("log2(lambda_k rho_k / nu_k) must be finite on 1..k_max")
-            t = log2_ratio + (level.log2_inv_eps if level is not None else math.inf)
-            lam, rho, nu = self.model.eigenvalues(ks), self.rho.values(ks), self.nu.values(ks)
-            signal = lam * rho
-            ratios = signal / nu
-            factors = np.concatenate((lam, rho, nu, signal, ratios))
-            normal = ((factors >= _TINY) & (factors <= _HUGE)).reshape(5, km).all(axis=0)
-            # J_k = (1/2) ln(1 + 2^(2t)) = max(t, 0) ln 2 + (1/2) log1p(2^(-2|t|))
-            J = np.maximum(t, 0.0) * _LN2 + 0.5 * np.log1p(np.exp2(-2.0 * np.abs(t)))
-            # (eps nu_k / lambda_k)^2 = rho_k^2 2^(-2t): at most rho_k^2 on I
-            inverted = np.exp2(2.0 * (log2_rho - t))
-            # a component whose floats are all normal is ordered by its float
-            # ratio and, at a level with a float, placed in I by comparing
-            # floats; any other is keyed by 2^(log2 ratio), ranked by log2
-            # ratio where that key is not a normal float either, and placed by
-            # log2_snr >= 0
-            keys = np.where(normal, ratios, np.exp2(log2_ratio))
-            ranks = np.where((keys >= _TINY) & (keys <= _HUGE), 0.0, log2_ratio)
-            informative = t >= 0.0
-            if eps is not None:
-                informative = np.where(normal, signal >= eps * nu, informative)
-        order = np.lexsort((-ranks, -keys))  # stable: the rearranged order
-        key, rank = keys[order], ranks[order]
-        if ((key[1:] == key[:-1]) & (rank[1:] == rank[:-1])).any():
-            raise ValidationError(
-                "signal-to-noise ratios lambda_k rho_k / nu_k must be pairwise "
-                "distinct; tie detected")
-        object.__setattr__(self, "log2_snr", t)
-        object.__setattr__(self, "informative", informative)
-        object.__setattr__(self, "J_nats", J)
-        object.__setattr__(self, "inverted_risk", inverted)
-        object.__setattr__(self, "float_refusal",
-                           _float_refusal(eps, normal.all(), lam, rho, nu, informative))
-        object.__setattr__(self, "_arrays", (lam, rho, nu))
-        object.__setattr__(self, "_order", order + 1)  # 1-based component labels
-
-    # cached arrays (populated in __post_init__)
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._arrays  # type: ignore[attr-defined]
+        return self._rows.basis.arrays  # type: ignore[attr-defined]
 
     def floats(self, what: str) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """``(eps, lambda, rho, nu)`` as floats, for Monte-Carlo draws and the
@@ -357,7 +463,7 @@ class GaussianChannel:
     @property
     def ordering(self) -> np.ndarray:
         """Component labels sorted by strictly decreasing lambda rho / nu."""
-        return self._order  # type: ignore[attr-defined]
+        return self._rows.basis.labels  # type: ignore[attr-defined]
 
     def _index(self, k: int) -> int:
         if not 1 <= k <= self.k_max:
@@ -435,15 +541,11 @@ def partition_IN(channel: GaussianChannel) -> Partition:
     ``eps = 0`` every component is informative and ``k_I = k_max`` stands in
     for infinity.
     """
+    k_I = channel._rows.k_I(0)
     member = channel.informative
-    order = channel.ordering
-    k_I = int(np.sum(member))
-    if k_I and not bool(member[order - 1][:k_I].all()):
-        # impossible for a threshold rule on the sorted ratios
-        raise ValidationError("informative set is not an initial segment of the ordering")
     I = tuple((np.flatnonzero(member) + 1).tolist())
     N = tuple((np.flatnonzero(~member) + 1).tolist())
-    return Partition(I=I, N=N, k_I=k_I, ordering=tuple(order.tolist()))
+    return Partition(I=I, N=N, k_I=k_I, ordering=tuple(channel.ordering.tolist()))
 
 
 def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> CoefficientVector:
@@ -513,21 +615,6 @@ def posterior_density_params(channel: GaussianChannel, k: int,
 # ---------------------------------------------------------------------------
 
 
-def _prior_energies(channel: GaussianChannel, what: str) -> np.ndarray:
-    """``rho_k^2`` on ``1..k_max`` for the risk sums: the prior must be trace
-    class and every square a finite float."""
-    if not channel.rho.is_trace_class:
-        raise UnsupportedError(
-            f"{what} requires a trace-class prior (sum rho_k^2 < inf); "
-            f"the {channel.rho.kind} rule is not")
-    _, rho, _ = channel.arrays()
-    with np.errstate(over="ignore"):
-        energies = rho * rho
-    if not np.isfinite(energies).all():
-        raise ValidationError(f"{what} needs rho_k^2 to be a finite float on 1..k_max")
-    return energies
-
-
 def mse_closed_form(channel: GaussianChannel) -> float:
     """Exact mean squared error of the informative-set estimator.
 
@@ -535,15 +622,7 @@ def mse_closed_form(channel: GaussianChannel) -> float:
     — dropped components cost their prior energy, inverted ones their noise
     amplification.  Requires a trace-class prior.
     """
-    energies = _prior_energies(channel, "mse_closed_form")
-    member = channel.informative
-    with np.errstate(over="ignore"):
-        dropped = float(np.sum(energies[~member])) + channel.rho.sum_sq_tail(channel.k_max)
-        inverted = float(np.sum(channel.inverted_risk[member]))
-    risk = dropped + inverted
-    if not math.isfinite(risk):
-        raise ValidationError("mse_closed_form: the risk overflows floats")
-    return risk
+    return channel._rows.mse(0)
 
 
 def k_alpha(channel: GaussianChannel) -> int:
@@ -555,17 +634,7 @@ def k_alpha(channel: GaussianChannel) -> int:
     first component overshoots, ``k_max`` when no prefix does (the ``eps = 0``
     surrogate for infinity).
     """
-    energies = _prior_energies(channel, "k_alpha")
-    with np.errstate(over="ignore"):
-        gamma = channel.rho.sum_sq_total()
-    if not math.isfinite(gamma):
-        raise ValidationError("k_alpha needs the prior energy sum rho_k^2 to be a finite float")
-    order = channel.ordering - 1
-    terms = energies[order] + channel.inverted_risk[order]
-    with np.errstate(over="ignore"):  # a prefix past the float range is past gamma too
-        prefix = np.cumsum(terms)
-    ok = prefix <= gamma * (1.0 + 1e-12)
-    return int(np.sum(ok)) if ok.any() else 0
+    return channel._rows.k_alpha(0)
 
 
 @dataclass
@@ -590,17 +659,7 @@ def total_information(channel: GaussianChannel) -> TotalInformation:
     non-negative on I and ``0 <= exact - approx <= k_I (1/2) ln 2``.
     Empty I gives (0, 0).
     """
-    if channel.level is None:
-        raise ValidationError("total information requires epsilon > 0")
-    return _information_sum(channel, np.flatnonzero(channel.informative) + 1)
-
-
-def _information_sum(channel: GaussianChannel, labels: Sequence[int]) -> TotalInformation:
-    """Exact and leading-order information, summed over the components in order."""
-    i = np.asarray(labels, dtype=int) - 1
-    exact = np.cumsum(np.concatenate(([0.0], channel.J_nats[i])))[-1]
-    approx = np.cumsum(np.concatenate(([0.0], channel.log2_snr[i] * _LN2)))[-1]
-    return TotalInformation(exact_nats=float(exact), approx_nats=float(approx))
+    return channel._rows.information(0)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +720,7 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
         chan = GaussianChannel(model, inverse_spectrum_rule(model),
                                constant_rule(1.0), eps, k_max=km)
         k_I = min(cut, chan.k_max)
-        info = _information_sum(chan, chan.ordering[:k_I])
+        info = chan._rows.information(0, chan._rows.basis.order[:k_I])
         reference = cut * math.log(1.0 / eps)
         note = ("flat signal-to-noise: every component is informative, sum "
                 "capped at k0 components; prior is not trace class, so "

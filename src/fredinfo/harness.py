@@ -11,12 +11,18 @@ is recorded in every sweep's metadata.  Aggregation uses numpy's pairwise
 summation in a fixed order, so repeated runs of the same config are
 byte-identical apart from timestamps, which live only in the metadata
 sidecar, never in the CSV body.
+
+A sweep builds the channel's level-independent part once, forms the
+level-dependent arrays of all its levels together, and scores every level on
+one trial block drawn for that sweep; nothing is remembered between sweeps.
+Each row goes through the row kernels of the single-level functions, so it
+equals them bit for bit.  The loop still takes one row at a time, so a run
+ends on the first fault met row by row.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import functools
 import hashlib
 import json
 import math
@@ -26,9 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from . import metric
-from .channel import (GaussianChannel, VarianceRule, _prior_energies, mse_closed_form,
-                      k_alpha, partition_IN, rule_from_json, rule_to_json,
-                      total_information)
+from .channel import (GaussianChannel, VarianceRule, _Basis, _Rows, rule_from_json,
+                      rule_to_json)
 from .errors import ValidationError
 from .spectra import (CoefficientVector, SpectrumModel, csv_text, decoding,
                       model_from_json, model_to_json, refuse_unknown)
@@ -57,14 +62,29 @@ _SEED_LIMIT = 1 << 128  # the Philox key holds 128 bits, so larger seeds would a
 STREAM_SCHEME = "philox4x64/trial-role/2"
 
 
-def _stream(seed: int, trial: int, role: int) -> np.random.Generator:
+def _stream(seed: int, trial: int, role: int,
+            gen: np.random.Generator | None = None) -> np.random.Generator:
+    """A Philox generator at the start of stream ``(seed, trial, role)``: ``gen``
+    re-keyed in place, else a new one."""
     key = np.asarray([seed & 0xFFFFFFFFFFFFFFFF,
                       ((seed >> 64) ^ _KEY_SALT) & 0xFFFFFFFFFFFFFFFF],
                      dtype=np.uint64)
     # Philox advances counter word 0 first, so it stays 0 here: a stream may
     # draw up to 2^66 words before it reaches the next (role, trial) start.
     counter = np.asarray([0, role, trial, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    if gen is None:
+        gen = np.random.Generator(np.random.Philox(key=key))
+    # an empty buffer: the first draw starts the block after `counter`
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": counter, "key": key},
+                               "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def _check_stream(seed: int, trial: int) -> None:
+    if not 0 <= seed < _SEED_LIMIT or trial < 0:
+        raise ValidationError("seed must lie in [0, 2**128) and trial must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -75,8 +95,7 @@ class TrialStream:
     trial: int
 
     def __post_init__(self):
-        if not 0 <= self.seed < _SEED_LIMIT or self.trial < 0:
-            raise ValidationError("seed must lie in [0, 2**128) and trial must be >= 0")
+        _check_stream(self.seed, self.trial)
 
     def prior_normals(self, k_max: int) -> np.ndarray:
         return _stream(self.seed, self.trial, 0).standard_normal(k_max)
@@ -118,23 +137,38 @@ class MonteCarloResult:
     tail_sum_sq: float
 
 
-@functools.lru_cache(maxsize=1)
 def _trial_block(seed: int, trials: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prior and noise normals of trials ``0 .. trials-1``, one row per trial.
-
-    The normals do not depend on the noise level, so every row of a sweep
-    scores against the one block remembered here.  Both arrays are read-only
-    because every caller shares them.
-    """
+    """Prior and noise normals of trials ``0 .. trials-1``, one row per trial,
+    drawn by one generator re-keyed to each stream in turn."""
+    _check_stream(seed, 0)
     prior = np.empty((trials, k_max))
     noise = np.empty((trials, k_max))
+    gen = None
     for t in range(trials):
-        stream = TrialStream(seed, t)
-        prior[t] = stream.prior_normals(k_max)
-        noise[t] = stream.noise_normals(k_max)
-    prior.flags.writeable = False
-    noise.flags.writeable = False
+        gen = _stream(seed, t, 0, gen)
+        gen.standard_normal(out=prior[t])
+        _stream(seed, t, 1, gen).standard_normal(out=noise[t])
     return prior, noise
+
+
+def _monte_carlo(rows: _Rows, i: int, xi: np.ndarray, noise: np.ndarray) -> MonteCarloResult:
+    """Score row ``i`` on a trial block: prior draws ``xi = rho * N(0,1)`` and
+    noise normals, one row per trial."""
+    lam, _, nu = rows.basis.arrays
+    eps, tail = rows.epsilon[i], rows.basis.tail
+    with np.errstate(over="ignore"):  # eps nu_k may overflow on N, where eta is unused
+        eta = lam * xi + eps * nu * noise
+    # divide only on I: lambda_k may underflow to 0 on N
+    diff = xi - np.divide(eta, lam, out=np.zeros_like(eta), where=rows.informative[i])
+    # one dot product per trial keeps each statistic bit-identical to that
+    # trial scored alone
+    trials = len(xi)
+    stats = np.fromiter((d @ d + tail for d in diff), dtype=float, count=trials)
+    if not np.isfinite(stats).all():
+        raise ValidationError("monte_carlo_mse: the squared error overflows floats")
+    mean = float(np.mean(stats))
+    stderr = float(np.std(stats, ddof=1) / math.sqrt(trials)) if trials >= 2 else None
+    return MonteCarloResult(mean=mean, stderr=stderr, trials=trials, tail_sum_sq=tail)
 
 
 def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCarloResult:
@@ -147,23 +181,12 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    _prior_energies(channel, "monte_carlo_mse")
-    eps, lam, rho, nu = channel.floats("monte_carlo_mse")
-    tail = channel.rho.sum_sq_tail(channel.k_max)
+    rows = channel._rows
+    rows.basis.energies("monte_carlo_mse")
+    _, _, rho, _ = channel.floats("monte_carlo_mse")
+    rows.basis.tail  # an uncertified tail fails before any draw
     prior, noise = _trial_block(seed, trials, channel.k_max)
-    xi = rho * prior
-    with np.errstate(over="ignore"):  # eps nu_k may overflow on N, where eta is unused
-        eta = lam * xi + eps * nu * noise
-    # divide only on I: lambda_k may underflow to 0 on N
-    diff = xi - np.divide(eta, lam, out=np.zeros_like(eta), where=channel.informative)
-    # one dot product per trial keeps each statistic bit-identical to that
-    # trial scored alone
-    stats = np.fromiter((d @ d + tail for d in diff), dtype=float, count=trials)
-    if not np.isfinite(stats).all():
-        raise ValidationError("monte_carlo_mse: the squared error overflows floats")
-    mean = float(np.mean(stats))
-    stderr = float(np.std(stats, ddof=1) / math.sqrt(trials)) if trials >= 2 else None
-    return MonteCarloResult(mean=mean, stderr=stderr, trials=trials, tail_sum_sq=tail)
+    return _monte_carlo(rows, 0, rho * prior, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -294,27 +317,12 @@ class ExperimentResult:
         return csv_path, meta_path
 
 
-def _sweep_row(config: ExperimentConfig, level: NoiseLevel) -> dict:
+def _metric_row(config: ExperimentConfig, level: NoiseLevel) -> dict:
     model = config.model
     bounds = metric.capacity_interval(model, level, sided=config.sided)
-    row: dict = {"epsilon": level.reported, "k0": level.cutoff(model),
-                 "lower_bits": bounds.lower_bits, "upper_bits": bounds.upper_bits,
-                 "logL_max": metric.max_message_length_log2(model, level, sided=config.sided)}
-
-    if config.rho is not None:
-        chan = GaussianChannel(model, config.rho, config.nu, level, k_max=config.k_max)
-        row["k_I"] = partition_IN(chan).k_I
-        info = total_information(chan)
-        row["exact_nats"] = info.exact_nats
-        row["approx_nats"] = info.approx_nats
-        if config.rho.is_trace_class:
-            row["k_alpha"] = k_alpha(chan)
-            row["mse_closed"] = mse_closed_form(chan)
-            if config.trials >= 1 and chan.float_refusal is None:  # draws need floats
-                mc = monte_carlo_mse(chan, config.trials, config.seed)
-                row["mse_mc_mean"] = mc.mean
-                row["mse_mc_stderr"] = mc.stderr
-    return row
+    return {"epsilon": level.reported, "k0": level.cutoff(model),
+            "lower_bits": bounds.lower_bits, "upper_bits": bounds.upper_bits,
+            "logL_max": metric.max_message_length_log2(model, level, sided=config.sided)}
 
 
 def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
@@ -325,7 +333,30 @@ def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
     decreases as the level drops.  Violations are recorded per row pair —
     the run always completes.
     """
-    rows = [_sweep_row(config, level) for level in config.levels]
+    rows: list[dict] = []
+    chan = xi = noise = None
+    for i, level in enumerate(config.levels):
+        row = _metric_row(config, level)
+        rows.append(row)
+        if config.rho is None:
+            continue
+        if chan is None:  # a channel fault follows row 0's metric columns
+            chan = _Rows(_Basis(config.model, config.rho, config.nu, config.k_max),
+                         config.levels)
+        row["k_I"] = chan.k_I(i)
+        info = chan.information(i)
+        row["exact_nats"] = info.exact_nats
+        row["approx_nats"] = info.approx_nats
+        if config.rho.is_trace_class:
+            row["k_alpha"] = chan.k_alpha(i)
+            row["mse_closed"] = chan.mse(i)
+            if config.trials >= 1 and chan.float_refusal[i] is None:  # draws need floats
+                if xi is None:  # one trial block scores every level
+                    prior, noise = _trial_block(config.seed, config.trials, chan.basis.k_max)
+                    xi = chan.basis.arrays[1] * prior
+                mc = _monte_carlo(chan, i, xi, noise)
+                row["mse_mc_mean"] = mc.mean
+                row["mse_mc_stderr"] = mc.stderr
 
     violations: list[str] = []
     for i in range(len(rows) - 1):

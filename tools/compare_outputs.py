@@ -10,7 +10,8 @@ a reference of another length than the data, the cutoff commands and a
 ``simulate`` sweep at three levels that sit on an eigenvalue, ``prob-info``
 with variance rules whose values overflow, the comparisons of a level with
 ``lambda_0`` and ``lambda_1``, cutoffs past the scan's cap, flags the chosen
-mode does not read, and every ``closed_sweep`` and
+mode does not read, sweeps through the channel-column branches the benchmark
+configs never reach, and every ``closed_sweep`` and
 ``mc_sweep`` config of seeds 1 and 90217, read from the parent tree's
 ``benchmarks/workloads.py``.  One subprocess per tree imports that tree's
 package and runs every op through ``fredinfo.cli.main``, from its own
@@ -163,6 +164,44 @@ WARNING_COMMANDS = [
 ]
 
 
+# Sweeps through channel-column branches the benchmark configs never reach:
+# channel columns on exponent grids across |L| = 1022 (where the Monte-Carlo
+# columns blank), a prior that is not trace class, a ratio order that is not
+# the index order, the two-sided total, and configs with faults at several
+# places, which must end on the first one met row by row.
+_GEOMETRIC = {"kind": "geometric", "c": 1.0, "q": 0.5}
+_GREEN_1 = {"model": {"kind": "green", "k_max": 1},
+            "rho": {"kind": "custom", "values": [1e154], "tail_sum_sq": 0.0},
+            "nu": {"kind": "constant", "c": 9.2e184}, "trials": 1, "seed": 25}
+CHANNEL_SWEEPS = {
+    "log2_poisson": {"model": {"kind": "poisson", "a": 0.5, "b": 1, "k_max": 24},
+                     "log2_inv_eps_grid": [-1100, -1000, 8, 1000, 1022, 1023, 1100],
+                     "rho": _GEOMETRIC, "nu": _CONSTANT, "trials": 8, "seed": 5},
+    "log2_heat": {"model": {"kind": "heat", "D": 0.1, "a": 2, "b": 1, "k_max": 12},
+                  "log2_inv_eps_grid": [4, 1021.5, 1022, 1022.5, 2000],
+                  "rho": {"kind": "gaussian", "c": 2.0, "s": 0.01},
+                  "nu": {"kind": "power", "c": 1.0, "p": 1.0}, "trials": 8, "seed": 6},
+    "constant_prior": {"model": {"kind": "poisson", "a": 0.5, "b": 1, "k_max": 16},
+                       "epsilon_grid": [0.1, 1e-3, 1e-6], "rho": _CONSTANT,
+                       "nu": _CONSTANT, "trials": 8, "seed": 7},
+    "custom_order": {"model": {"kind": "heat", "D": 0.1, "a": 2, "b": 1, "k_max": 6},
+                     "epsilon_grid": [0.1, 1e-2, 1e-3, 1e-6],
+                     "rho": {"kind": "custom", "values": [0.5, 4.0, 0.25, 2.0, 1.0, 8.0],
+                             "tail_sum_sq": 0.5},
+                     "nu": _CONSTANT, "trials": 8, "seed": 8},
+    "total_poisson": {"model": {"kind": "poisson", "a": 0.5, "b": 1, "k_max": 16},
+                      "epsilon_grid": [2.0, 0.5, 1e-2, 1e-4], "rho": _GEOMETRIC,
+                      "nu": _CONSTANT, "trials": 8, "seed": 9, "sided": "total"},
+    "fault_metric_row_1": {**_GREEN_1, "epsilon_grid": [0.2, 1e-32, 9.99e-33]},
+    "fault_metric_before_basis": {"model": {"kind": "green"}, "epsilon_grid": [1e-32],
+                                  "rho": {"kind": "custom", "values": [1.0, 4.0],
+                                          "tail_sum_sq": 0.0},
+                                  "nu": _CONSTANT, "k_max": 2},
+}
+CHANNEL_SWEEP_COMMANDS = [["simulate", "--config", "{" + name + "}", "--out", f"channel/{name}"]
+                          for name in CHANNEL_SWEEPS]
+
+
 # ---------------------------------------------------------------------------
 # Ops
 # ---------------------------------------------------------------------------
@@ -187,7 +226,8 @@ def _inputs(workloads, inputs: str) -> dict:
              "truth_wide": {"model": _POISSON, "complex": False, "entries": _TRUTH_WIDE},
              "truth_narrow": {"model": _POISSON, "complex": False, "entries": _TRUTH_NARROW},
              "green3": {"model": {"kind": "green", "k_max": 256}, "complex": False,
-                        "entries": [1.0, 0.5, 0.25]}}
+                        "entries": [1.0, 0.5, 0.25]},
+             **CHANNEL_SWEEPS}
     for name, (model, L) in EIGEN_LEVELS.items():
         two_sided = model["kind"] != "green"
         entries = [1.0 / (1 + abs(k)) for k in (range(-8, 9) if two_sided else range(1, 9))]
@@ -242,7 +282,8 @@ def build_ops(parent_tree: str, out_dir: str) -> list[dict]:
            + _command_ops(_eigen_level_commands(), fill, "eigen-level")
            + _command_ops(WARNING_COMMANDS, fill, "warning")
            + _command_ops(LEVEL_COMMANDS, fill, "level")
-           + _command_ops(UNREAD_COMMANDS, fill, "unread"))
+           + _command_ops(UNREAD_COMMANDS, fill, "unread")
+           + _command_ops(CHANNEL_SWEEP_COMMANDS, fill, "channel-sweep"))
     configs = os.path.join(out_dir, "configs")
     os.makedirs(configs)
     for workload in SWEEP_WORKLOADS:
