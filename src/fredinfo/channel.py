@@ -373,36 +373,62 @@ class _Rows:
         self.float_refusal = [_float_refusal(e, all_normal, lam, rho, nu, member)
                               for e, member in zip(self.epsilon, self.informative)]
 
+    # The kernels below are evaluated for all rows on first use; each call still
+    # runs its own checks for its row, so a fault ends a sweep at that row.
+
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row: the size of I, and whether I leads the order."""
+        ordered = self.informative[:, self.basis.order]
+        # I leads the order when no component of N comes before one of I
+        return (self.informative.sum(axis=1),
+                ~(ordered[:, 1:] & ~ordered[:, :-1]).any(axis=1))
+
     def k_I(self, i: int) -> int:
         """The size of I at row ``i``, checked to lead the order."""
-        member = self.informative[i]
-        k_I = int(np.sum(member))
-        if k_I and not bool(member[self.basis.order][:k_I].all()):
+        sizes, leads = self._segments
+        if not leads[i]:
             # impossible for a threshold rule on the sorted ratios
             raise ValidationError("informative set is not an initial segment of the ordering")
-        return k_I
+        return int(sizes[i])
 
-    def information(self, i: int, index: np.ndarray | None = None) -> TotalInformation:
-        """Exact and leading-order information at row ``i``, summed in order over
-        the 0-based components ``index`` (default: I)."""
+    @cached_property
+    def _terms(self) -> np.ndarray:
+        """The exact and leading-order information terms, ``(2, rows, k_max)``."""
+        return np.stack((self.J_nats, self.log2_snr * _LN2))
+
+    @cached_property
+    def _information(self) -> np.ndarray:
+        return _ordered_sums(self._terms, self.informative)
+
+    def information(self, i: int, first: int | None = None) -> TotalInformation:
+        """Exact and leading-order information at row ``i``, summed over I in
+        index order, or over the ``first`` leading components of the order."""
         if self.levels[i] is None:
             raise ValidationError("total information requires epsilon > 0")
-        if index is None:
-            index = np.flatnonzero(self.informative[i])
-        exact = np.cumsum(np.concatenate(([0.0], self.J_nats[i][index])))[-1]
-        approx = np.cumsum(np.concatenate(([0.0], self.log2_snr[i][index] * _LN2)))[-1]
+        if first is None:
+            exact, approx = self._information[:, i]
+        else:
+            exact, approx = _ordered_sums(self._terms[:, i, self.basis.order],
+                                          np.arange(self.basis.k_max) < first)
         return TotalInformation(exact_nats=float(exact), approx_nats=float(approx))
 
-    def k_alpha(self, i: int) -> int:
+    @cached_property
+    def _k_alpha(self) -> np.ndarray:
         energies, order = self.basis.energies("k_alpha"), self.basis.order
-        gamma = self.basis.gamma
-        terms = energies[order] + self.inverted_risk[i][order]
-        with np.errstate(over="ignore"):  # a prefix past the float range is past gamma too
-            prefix = np.cumsum(terms)
-        ok = prefix <= gamma * (1.0 + 1e-12)
-        return int(np.sum(ok)) if ok.any() else 0
+        # a term or prefix past the float range is past gamma too
+        with np.errstate(over="ignore"):
+            prefix = np.cumsum(energies[order] + self.inverted_risk[:, order], axis=1)
+        return (prefix <= self.basis.gamma * (1.0 + 1e-12)).sum(axis=1)
+
+    def k_alpha(self, i: int) -> int:
+        self.basis.energies("k_alpha")
+        self.basis.gamma  # both checked for every row, in this order
+        return int(self._k_alpha[i])
 
     def mse(self, i: int) -> float:
+        # one row at a time: these sums are numpy's pairwise sums over the
+        # selected entries, which a masked sum over all rows would reorder
         energies = self.basis.energies("mse_closed_form")
         member = self.informative[i]
         with np.errstate(over="ignore"):
@@ -469,6 +495,15 @@ class GaussianChannel:
         if not 1 <= k <= self.k_max:
             raise ValidationError(f"component index must lie in 1..{self.k_max}")
         return k - 1
+
+
+def _ordered_sums(values: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` over ``member`` along the last axis, added one term at
+    a time in axis order.  Adding 0.0 changes no partial sum but the sign of a
+    zero, which the final ``+ 0.0`` clears, so each sum has the bits of adding
+    the selected entries alone, starting from 0.0."""
+    with np.errstate(over="ignore"):  # a sum past the float range reads inf
+        return np.cumsum(np.where(member, values, 0.0), axis=-1)[..., -1] + 0.0
 
 
 def _float_refusal(eps: float | None, all_normal: bool, lam: np.ndarray, rho: np.ndarray,
@@ -720,7 +755,7 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
         chan = GaussianChannel(model, inverse_spectrum_rule(model),
                                constant_rule(1.0), eps, k_max=km)
         k_I = min(cut, chan.k_max)
-        info = chan._rows.information(0, chan._rows.basis.order[:k_I])
+        info = chan._rows.information(0, first=k_I)
         reference = cut * math.log(1.0 / eps)
         note = ("flat signal-to-noise: every component is informative, sum "
                 "capped at k0 components; prior is not trace class, so "

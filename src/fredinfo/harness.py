@@ -13,11 +13,14 @@ byte-identical apart from timestamps, which live only in the metadata
 sidecar, never in the CSV body.
 
 A sweep builds the channel's level-independent part once, forms the
-level-dependent arrays of all its levels together, and scores every level on
-one trial block drawn for that sweep; nothing is remembered between sweeps.
-Each row goes through the row kernels of the single-level functions, so it
-equals them bit for bit.  The loop still takes one row at a time, so a run
-ends on the first fault met row by row.
+level-dependent arrays of all its levels together, and draws one trial block
+for that sweep; nothing is remembered between sweeps.  The row kernels
+(``k_I``, the information sums, ``k_alpha``) are evaluated for all rows at
+once, and the Monte-Carlo columns of all levels are scored together on the
+trial block, in slabs of bounded size.  The single-level functions read the
+same kernels, so each row equals them bit for bit.  The loop still takes one
+row at a time and each row raises its own faults, so a run ends on the first
+fault met row by row.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ __all__ = [
 
 _KEY_SALT = 0x9E3779B97F4A7C15  # fixed odd constant, documented for reproducibility
 _SEED_LIMIT = 1 << 128  # the Philox key holds 128 bits, so larger seeds would alias
+_SLAB = 1 << 16  # elements per (levels, trials, k_max) slab of the Monte-Carlo scoring
 
 # Names the draw layout below; bump it whenever the normals for a key change.
 STREAM_SCHEME = "philox4x64/trial-role/2"
@@ -151,24 +155,52 @@ def _trial_block(seed: int, trials: int, k_max: int) -> tuple[np.ndarray, np.nda
     return prior, noise
 
 
-def _monte_carlo(rows: _Rows, i: int, xi: np.ndarray, noise: np.ndarray) -> MonteCarloResult:
-    """Score row ``i`` on a trial block: prior draws ``xi = rho * N(0,1)`` and
-    noise normals, one row per trial."""
+def _monte_carlo(rows: _Rows, xi: np.ndarray,
+                 noise: np.ndarray) -> dict[int, MonteCarloResult | None]:
+    """Score every row that has a float on one trial block: prior draws
+    ``xi = rho * N(0,1)`` and noise normals, one row per trial.
+
+    Rows are scored together, a slab at a time: as many rows as fit in
+    ``_SLAB`` elements of ``(rows, trials, k_max)``, and at least one, so
+    memory stays O(trials x k_max).  A row whose squared error overflows
+    floats maps to None; :func:`_scored` raises when that row is read.
+    """
     lam, _, nu = rows.basis.arrays
-    eps, tail = rows.epsilon[i], rows.basis.tail
-    with np.errstate(over="ignore"):  # eps nu_k may overflow on N, where eta is unused
-        eta = lam * xi + eps * nu * noise
-    # divide only on I: lambda_k may underflow to 0 on N
-    diff = xi - np.divide(eta, lam, out=np.zeros_like(eta), where=rows.informative[i])
-    # one dot product per trial keeps each statistic bit-identical to that
-    # trial scored alone
-    trials = len(xi)
-    stats = np.fromiter((d @ d + tail for d in diff), dtype=float, count=trials)
-    if not np.isfinite(stats).all():
+    tail = rows.basis.tail
+    trials, k_max = xi.shape
+    scored = [i for i, refusal in enumerate(rows.float_refusal) if refusal is None]
+    step = max(1, _SLAB // (trials * k_max))
+    results: dict[int, MonteCarloResult | None] = {}
+    for start in range(0, len(scored), step):
+        slab = scored[start:start + step]
+        eps = np.array([rows.epsilon[i] for i in slab])[:, None, None]
+        # eps nu_k may overflow on N, where eta is unused; a squared error past
+        # the float range is refused when its row is read
+        with np.errstate(over="ignore"):
+            eta = lam * xi + eps * nu * noise
+            # divide only on I: lambda_k may underflow to 0 on N
+            diff = xi - np.divide(eta, lam, out=np.zeros_like(eta),
+                                  where=rows.informative[slab][:, None, :])
+            # vecdot takes one dot product per trial, so each statistic is
+            # bit-identical to that trial scored alone
+            stats = np.vecdot(diff, diff) + tail
+        finite = np.isfinite(stats).all(axis=1)
+        kept = stats[finite]  # the statistics of an overflowed row are not reduced
+        means = np.mean(kept, axis=1).tolist()
+        stderrs = ((np.std(kept, axis=1, ddof=1) / math.sqrt(trials)).tolist()
+                   if trials >= 2 else [None] * len(means))
+        pairs = zip(means, stderrs)
+        for i, ok in zip(slab, finite.tolist()):
+            results[i] = MonteCarloResult(*next(pairs), trials, tail) if ok else None
+    return results
+
+
+def _scored(results: dict[int, MonteCarloResult | None], i: int) -> MonteCarloResult:
+    """Row ``i``'s Monte-Carlo result from :func:`_monte_carlo`."""
+    result = results[i]
+    if result is None:
         raise ValidationError("monte_carlo_mse: the squared error overflows floats")
-    mean = float(np.mean(stats))
-    stderr = float(np.std(stats, ddof=1) / math.sqrt(trials)) if trials >= 2 else None
-    return MonteCarloResult(mean=mean, stderr=stderr, trials=trials, tail_sum_sq=tail)
+    return result
 
 
 def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCarloResult:
@@ -186,7 +218,7 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
     _, _, rho, _ = channel.floats("monte_carlo_mse")
     rows.basis.tail  # an uncertified tail fails before any draw
     prior, noise = _trial_block(seed, trials, channel.k_max)
-    return _monte_carlo(rows, 0, rho * prior, noise)
+    return _scored(_monte_carlo(rows, rho * prior, noise), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +366,7 @@ def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
     the run always completes.
     """
     rows: list[dict] = []
-    chan = xi = noise = None
+    chan = mc = None
     for i, level in enumerate(config.levels):
         row = _metric_row(config, level)
         rows.append(row)
@@ -351,12 +383,12 @@ def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
             row["k_alpha"] = chan.k_alpha(i)
             row["mse_closed"] = chan.mse(i)
             if config.trials >= 1 and chan.float_refusal[i] is None:  # draws need floats
-                if xi is None:  # one trial block scores every level
+                if mc is None:  # one trial block scores every level
                     prior, noise = _trial_block(config.seed, config.trials, chan.basis.k_max)
-                    xi = chan.basis.arrays[1] * prior
-                mc = _monte_carlo(chan, i, xi, noise)
-                row["mse_mc_mean"] = mc.mean
-                row["mse_mc_stderr"] = mc.stderr
+                    mc = _monte_carlo(chan, chan.basis.arrays[1] * prior, noise)
+                result = _scored(mc, i)
+                row["mse_mc_mean"] = result.mean
+                row["mse_mc_stderr"] = result.stderr
 
     violations: list[str] = []
     for i in range(len(rows) - 1):

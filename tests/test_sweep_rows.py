@@ -11,15 +11,22 @@ every run checks the same cases.
 from __future__ import annotations
 
 import json
+import math
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fredinfo import (ExperimentConfig, GaussianChannel, constant_rule, convergence_sweep,
-                      custom_rule, gaussian_rule, geometric_rule, green_model, heat_model,
-                      inverse_spectrum_rule, k_alpha, monte_carlo_mse, mse_closed_form,
-                      partition_IN, poisson_model, power_rule, total_information)
+from fredinfo import (ExperimentConfig, GaussianChannel, ValidationError, constant_rule,
+                      convergence_sweep, custom_rule, extremal_comparison, gaussian_rule,
+                      geometric_rule, green_model, heat_model, inverse_spectrum_rule, k0,
+                      k_alpha, monte_carlo_mse, mse_closed_form, partition_IN, poisson_model,
+                      power_rule, total_information)
+from fredinfo import harness
+from fredinfo.channel import _LN2, _Basis, _Rows
 from fredinfo.cli import main as cli_main
 
 PROFILE = settings.get_profile("fredinfo")
@@ -68,7 +75,7 @@ def rules(draw, model):
 
 
 @st.composite
-def configs(draw):
+def configs(draw, trials=st.integers(0, 5)):
     model = draw(models())
     if draw(st.booleans()):
         exps = draw(st.lists(st.floats(-1.0, 18.0), min_size=2, max_size=6))
@@ -81,7 +88,7 @@ def configs(draw):
         exps = draw(st.lists(eighths, min_size=2, max_size=6, unique=True))
         grid = {"log2_inv_eps_grid": [e / 8 for e in sorted(exps)]}
     return ExperimentConfig(model=model, rho=draw(rules(model)), nu=draw(rules(model)),
-                            trials=draw(st.integers(0, 5)), seed=draw(st.integers(0, 2**20)),
+                            trials=draw(trials), seed=draw(st.integers(0, 2**20)),
                             sided=draw(st.sampled_from(("one_sided", "total"))), **grid)
 
 
@@ -170,8 +177,119 @@ def test_sweep_ends_on_the_first_fault_by_row(capsys, tmp_path, name):
 def test_monte_carlo_overflow_at_row_1_precedes_a_later_cutoff_fault(capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**_GREEN_1, "epsilon_grid": [0.2, 9.99e-33, 1e-32 / 3]}))
-    with pytest.warns(RuntimeWarning) as warned:
-        assert cli_main(["simulate", "--config", str(path)]) == 2
-    assert "overflow encountered in matmul" in [str(w.message) for w in warned]
-    assert capsys.readouterr().err.endswith(
-        "error: monte_carlo_mse: the squared error overflows floats\n")
+    # no numpy warning precedes the one-line error: the RuntimeWarning filter
+    # would turn one into a failure
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: monte_carlo_mse: the squared error overflows floats\n"
+
+
+# ---------------------------------------------------------------------------
+# The row-at-a-time kernels, kept as the oracle of the all-rows ones
+# ---------------------------------------------------------------------------
+
+
+def _sum_from_zero(terms: np.ndarray) -> float:
+    """The selected terms added in order, starting from 0.0."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
+def _reference_rows(config: ExperimentConfig) -> list[dict]:
+    """The channel and Monte-Carlo columns of each row, scored one row and, for
+    the risk, one trial at a time."""
+    chan = _Rows(_Basis(config.model, config.rho, config.nu, config.k_max), config.levels)
+    basis = chan.basis
+    lam, rho, nu = basis.arrays
+    order, trials = basis.order, config.trials
+    xi = noise = None
+    rows = []
+    for i in range(len(config.levels)):
+        member = chan.informative[i]
+        k_I = int(np.sum(member))
+        if k_I and not bool(member[order][:k_I].all()):
+            raise ValidationError("informative set is not an initial segment of the ordering")
+        index = np.flatnonzero(member)
+        row = {"k_I": k_I, "exact_nats": _sum_from_zero(chan.J_nats[i][index]),
+               "approx_nats": _sum_from_zero(chan.log2_snr[i][index] * _LN2)}
+        rows.append(row)
+        if not config.rho.is_trace_class:
+            continue
+        energies, gamma = basis.energies("k_alpha"), basis.gamma
+        with np.errstate(over="ignore"):
+            prefix = np.cumsum(energies[order] + chan.inverted_risk[i][order])
+        ok = prefix <= gamma * (1.0 + 1e-12)
+        row["k_alpha"] = int(np.sum(ok)) if ok.any() else 0
+        row["mse_closed"] = chan.mse(i)
+        if trials < 1 or chan.float_refusal[i] is not None:
+            continue
+        if xi is None:
+            prior, noise = harness._trial_block(config.seed, trials, basis.k_max)
+            xi = rho * prior
+        eps, tail = chan.epsilon[i], basis.tail
+        with np.errstate(over="ignore"):
+            eta = lam * xi + eps * nu * noise
+            diff = xi - np.divide(eta, lam, out=np.zeros_like(eta), where=member)
+            stats = np.fromiter((d @ d + tail for d in diff), dtype=float, count=trials)
+        if not np.isfinite(stats).all():
+            raise ValidationError("monte_carlo_mse: the squared error overflows floats")
+        row["mse_mc_mean"] = float(np.mean(stats))
+        row["mse_mc_stderr"] = (float(np.std(stats, ddof=1) / math.sqrt(trials))
+                                if trials >= 2 else None)
+    return rows
+
+
+@PROFILE
+@given(configs(trials=st.integers(1, 40)), st.integers(1, 4), st.integers(0, 50))
+@example(ExperimentConfig(model=poisson_model(0.5, 1.0, k_max=24),
+                          log2_inv_eps_grid=tuple(8.0 * j for j in range(1, 13)),
+                          rho=geometric_rule(1.0, 0.8), nu=constant_rule(1.0),
+                          trials=300, seed=11), None, 0)
+@example(ExperimentConfig(model=heat_model(0.1, 2.0, 1.0, k_max=6),
+                          epsilon_grid=(0.1, 1e-2, 1e-3, 1e-6),
+                          rho=custom_rule([0.5, 4.0, 0.25, 2.0, 1.0, 8.0], 0.5),
+                          nu=constant_rule(1.0), trials=1, seed=3, sided="total"), 1, 0)
+def test_sweep_rows_equal_the_row_at_a_time_kernels(config, levels_per_slab, spare):
+    """Every row equals the reference bit for bit, with slabs of 1 to 4 levels
+    (None: the package's own slab size)."""
+    slab = harness._SLAB
+    if levels_per_slab is not None:
+        k_max = config.model.k_max if config.k_max is None else config.k_max
+        slab = levels_per_slab * config.trials * k_max + spare
+    with mock.patch.object(harness, "_SLAB", slab):
+        assert _outcome(_sweep_rows, config) == _outcome(_reference_rows, config)
+
+
+@PROFILE
+@given(models(), st.floats(1e-12, 0.9))
+def test_extremal_beta_sum_equals_the_row_at_a_time_sum(model, eps):
+    """The beta case sums the first k0 components of the order, as it did by index."""
+    cut = k0(model, eps)
+    chan = GaussianChannel(model, inverse_spectrum_rule(model), constant_rule(1.0), eps,
+                           k_max=max(min(model.k_max, cut), 1))
+    index = chan.ordering[:min(cut, chan.k_max)] - 1
+    got = extremal_comparison(model, eps, "beta")
+    assert got.exact_nats.hex() == _sum_from_zero(chan.J_nats[index]).hex()
+    assert got.approx_nats.hex() == _sum_from_zero(chan.log2_snr[index] * _LN2).hex()
+
+
+def _sweep_peak_bytes(levels: int) -> int:
+    """Peak traced memory of a sweep whose trials x k_max fill one slab."""
+    config = ExperimentConfig(model=poisson_model(0.5, 1.0, k_max=64),
+                              epsilon_grid=tuple(10.0 ** (-j / 8) for j in range(1, levels + 1)),
+                              rho=geometric_rule(1.0, 0.9), nu=constant_rule(1.0),
+                              trials=1024, seed=3)
+    tracemalloc.start()
+    try:
+        rows = convergence_sweep(config).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row["mse_mc_mean"] is not None for row in rows)
+    return peak
+
+
+def test_monte_carlo_memory_stays_within_one_slab():
+    """Scoring 64 levels takes about the memory of scoring one: the levels go a
+    slab at a time, never as one (levels, trials, k_max) array."""
+    assert 1024 * 64 == harness._SLAB
+    one, many = _sweep_peak_bytes(1), _sweep_peak_bytes(64)
+    assert many < 2 * one, (one, many)

@@ -11,7 +11,8 @@ a reference of another length than the data, the cutoff commands and a
 with variance rules whose values overflow, the comparisons of a level with
 ``lambda_0`` and ``lambda_1``, cutoffs past the scan's cap, flags the chosen
 mode does not read, sweeps through the channel-column branches the benchmark
-configs never reach, and every ``closed_sweep`` and
+configs never reach (one of them scores its Monte-Carlo columns over many
+slabs of levels, one ends on a Monte-Carlo overflow), and every ``closed_sweep`` and
 ``mc_sweep`` config of seeds 1 and 90217, read from the parent tree's
 ``benchmarks/workloads.py``.  One subprocess per tree imports that tree's
 package and runs every op through ``fredinfo.cli.main``, from its own
@@ -167,8 +168,9 @@ WARNING_COMMANDS = [
 # Sweeps through channel-column branches the benchmark configs never reach:
 # channel columns on exponent grids across |L| = 1022 (where the Monte-Carlo
 # columns blank), a prior that is not trace class, a ratio order that is not
-# the index order, the two-sided total, and configs with faults at several
-# places, which must end on the first one met row by row.
+# the index order, the two-sided total, Monte-Carlo columns scored over many
+# slabs of levels, and configs with faults at several places, which must end
+# on the first one met row by row (a Monte-Carlo overflow among them).
 _GEOMETRIC = {"kind": "geometric", "c": 1.0, "q": 0.5}
 _GREEN_1 = {"model": {"kind": "green", "k_max": 1},
             "rho": {"kind": "custom", "values": [1e154], "tail_sum_sq": 0.0},
@@ -192,7 +194,11 @@ CHANNEL_SWEEPS = {
     "total_poisson": {"model": {"kind": "poisson", "a": 0.5, "b": 1, "k_max": 16},
                       "epsilon_grid": [2.0, 0.5, 1e-2, 1e-4], "rho": _GEOMETRIC,
                       "nu": _CONSTANT, "trials": 8, "seed": 9, "sided": "total"},
+    "many_slabs": {"model": {"kind": "poisson", "a": 0.5, "b": 1, "k_max": 64},
+                   "epsilon_grid": [10.0 ** (-j / 4) for j in range(1, 41)],
+                   "rho": _GEOMETRIC, "nu": _CONSTANT, "trials": 2000, "seed": 12},
     "fault_metric_row_1": {**_GREEN_1, "epsilon_grid": [0.2, 1e-32, 9.99e-33]},
+    "fault_monte_carlo_row_1": {**_GREEN_1, "epsilon_grid": [0.2, 9.99e-33, 1e-32 / 3]},
     "fault_metric_before_basis": {"model": {"kind": "green"}, "epsilon_grid": [1e-32],
                                   "rho": {"kind": "custom", "values": [1.0, 4.0],
                                           "tail_sum_sq": 0.0},
