@@ -30,7 +30,7 @@ from .errors import InconclusiveError, UnsupportedError, ValidationError
 from .metric import entropy_lower_bound
 from .spectra import (CoefficientVector, SpectrumModel, _lookup, entry_from_json,
                       entry_to_json, model_from_json, model_to_json)
-from .truncation import _SCAN_CAP, NoiseLevel, k0
+from .truncation import NoiseLevel, k0
 
 __all__ = [
     "VarianceRule",
@@ -58,6 +58,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_SCAN_CAP = 1 << 22  # the most terms a gaussian tail sum adds before it refuses
 
 
 # ---------------------------------------------------------------------------

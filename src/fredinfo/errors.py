@@ -34,4 +34,4 @@ class NumericError(FredinfoError, RuntimeError):
 
 
 class InconclusiveError(NumericError):
-    """A bounded scan hit its cap before the answer could be certified."""
+    """A bounded search hit its limit before the answer could be certified."""

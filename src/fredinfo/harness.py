@@ -61,6 +61,7 @@ __all__ = [
 _KEY_SALT = 0x9E3779B97F4A7C15  # fixed odd constant, documented for reproducibility
 _SEED_LIMIT = 1 << 128  # the Philox key holds 128 bits, so larger seeds would alias
 _SLAB = 1 << 16  # elements per (levels, trials, k_max) slab of the Monte-Carlo scoring
+_SCALED = 2.0 ** 500  # a row with a larger statistic is scored divided by a power of two
 
 # Names the draw layout below; bump it whenever the normals for a key change.
 STREAM_SCHEME = "philox4x64/trial-role/2"
@@ -186,8 +187,13 @@ def _monte_carlo(rows: _Rows, xi: np.ndarray,
             stats = np.vecdot(diff, diff) + tail
         finite = np.isfinite(stats).all(axis=1)
         kept = stats[finite]  # the statistics of an overflowed row are not reduced
-        means = np.mean(kept, axis=1).tolist()
-        stderrs = ((np.std(kept, axis=1, ddof=1) / math.sqrt(trials)).tolist()
+        # np.std squares deviations, which overflow past 2^512: score such a row
+        # divided by 2^e, which is exact, and multiply back (other rows: e = 0)
+        top = kept.max(axis=1)
+        scale = np.ldexp(1.0, -np.where(top > _SCALED, np.frexp(top)[1], 0))
+        kept = kept * scale[:, None]
+        means = (np.mean(kept, axis=1) / scale).tolist()
+        stderrs = ((np.std(kept, axis=1, ddof=1) / math.sqrt(trials) / scale).tolist()
                    if trials >= 2 else [None] * len(means))
         pairs = zip(means, stderrs)
         for i, ok in zip(slab, finite.tolist()):

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InconclusiveError, NumericError, UnsupportedError, ValidationError
+from .errors import NumericError, UnsupportedError, ValidationError
 
 __all__ = [
     "DEFAULT_K_MAX",
@@ -74,7 +74,7 @@ class SpectrumModel:
     Instances are built through the ``*_model`` factory functions, which
     validate parameters.  ``k_max`` caps the length of any series work
     (coefficient vectors, channels, harness draws); it does not limit pure
-    counting, which may scan past it.
+    counting, which may search past it.
 
     Attributes
     ----------
@@ -311,8 +311,6 @@ class _Family:
 def _green_k0(p: dict, L: float, eps: float | None) -> int:
     if eps is not None:
         return max(0, math.floor(1.0 / (math.pi * math.sqrt(eps))))
-    if L > 2000.0:
-        raise InconclusiveError("green closed-form cutoff overflows floats at this exponent")
     return max(0, math.floor(2.0 ** (L / 2.0) / math.pi))
 
 

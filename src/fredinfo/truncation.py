@@ -8,12 +8,11 @@ below the noise level::
     f*      = sum_{k <= k0} (g_k / lambda_k) psi_k
 
 ``k0`` reads the family's closed-form cutoff and certifies it at two points
-(``lambda_g >= eps > lambda_{g+1}``); where there is no closed form or the
-certificate fails it scans the decreasing spectrum (``_k0_scan``), which also
-stays the enumerative oracle the closed forms are tested against.  Both take
-the noise level as a plain float or as a :class:`NoiseLevel`, which carries
-the exponent ``log2(1/eps)`` as well, so that levels far below the float
-underflow threshold stay usable.
+(``lambda_g >= eps > lambda_{g+1}``); where the certificate fails or the
+closed form overflows it searches the decreasing spectrum from that guess,
+and it refuses a cutoff of ``2**53`` or more.  It takes the noise level as a plain float or as a
+:class:`NoiseLevel`, which carries the exponent ``log2(1/eps)`` as well, so
+that levels far below the float underflow threshold stay usable.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ __all__ = [
     "weak_convergence_probe",
 ]
 
-_SCAN_CAP = 1 << 22
+_TOP = 1 << 53  # k0 refuses a cutoff this large: indices past it are not exact in floats
 _SLACK = 1.0 + 1e-12
 
 
@@ -150,62 +149,53 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
     """Cutoff index: largest k with ``lambda_k >= eps`` (0 if none).
 
     The family's closed form ``g`` is accepted when ``lambda_g >= eps`` (or
-    ``g = 0``) and ``lambda_{g+1} < eps``, both compared on the level's float
-    when it has one and in log2 otherwise, exactly as the scan compares; on a
-    non-increasing spectrum that is the scan's answer.
-    Families without a closed form (``tabulated``), a closed form that
-    raises or reaches ``2**53``, and a failed certificate (exact ties,
-    rounding at huge exponents) fall back to the enumerative scan
-    :func:`_k0_scan`.
+    ``g = 0``) and ``lambda_{g+1} < eps``, both compared by
+    :meth:`NoiseLevel.kept`.  When that certificate fails (exact ties,
+    rounding at huge exponents) or the closed form raises, the boundary of
+    the non-increasing predicate ``kept`` is bracketed around ``g`` by
+    doubling steps and bisected, in O(log) eigenvalues.  A tabulated
+    spectrum has no closed form: its cutoff counts the kept values of its
+    table.
 
     Raises
     ------
     InconclusiveError
-        The scan's cutoff exceeds the enumeration safety cap (2**22).
+        ``lambda_{2**53}`` is still kept: past ``2**53`` indices are no longer
+        exact in floats.
     """
     level = NoiseLevel.of(epsilon)
     closed = FAMILIES[model.kind].k0_closed_form
     if closed is None:
-        return _k0_scan(model, level)
+        return int(np.count_nonzero(level.kept(model, np.arange(1, model.spectrum_length + 1))))
     try:
         g = closed(model.params, level.log2_inv_eps, level.epsilon)
-    except (InconclusiveError, ArithmeticError):  # green past L = 2000, a ratio b/a of 1.0
-        return _k0_scan(model, level)
-    if g < 2 ** 53:  # indices stay exact in int64 and in float
+    except ArithmeticError:  # the closed form overflows floats: a cutoff far past 2**53
+        g = _TOP
+    if g < _TOP:  # indices stay exact in int64 and in float
         ok = level.kept(model, np.arange(max(g, 1), g + 2))  # [g, g+1], or [1] at g = 0
         if (g == 0 or ok[0]) and not ok[-1]:
             return g
-    return _k0_scan(model, level)
+    cut = _boundary(model, level, min(g, _TOP))
+    if cut == _TOP:
+        raise InconclusiveError(
+            "k0 is at least 2**53, past which indices are not exact in floats; "
+            "the noise level is too small for this spectrum's decay")
+    return cut
 
 
-def _k0_scan(model: SpectrumModel, level: NoiseLevel) -> int:
-    """Enumerative cutoff: scans the decreasing spectrum in doubling blocks.
-
-    The oracle :func:`k0` falls back to.  For tabulated models the scan
-    stops at the end of the table, so a level below every value counts the
-    whole finite spectrum.
-    """
-    length = model.spectrum_length
-    hard_cap = length if length is not None else _SCAN_CAP
-
-    count = 0
-    start = 1
-    block = 1024
-    while start <= hard_cap:
-        stop = min(start + block - 1, hard_cap)
-        ks = np.arange(start, stop + 1)
-        ok = level.kept(model, ks)
-        if not ok.all():
-            first_bad = int(np.argmin(ok))  # spectrum decreasing -> first failure is final
-            return start + first_bad - 1
-        count = stop
-        start = stop + 1
-        block *= 2
-    if length is not None:
-        return count
-    raise InconclusiveError(
-        f"k0 exceeds the enumeration cap {_SCAN_CAP}; the noise level is too "
-        "small for this spectrum's decay")
+def _boundary(model: SpectrumModel, level: NoiseLevel, g: int) -> int:
+    """Largest ``k <= 2**53`` with ``lambda_k`` kept (0 if none), found from the
+    guess ``g``: steps of 1, 2, 4, ... away from it until the boundary is
+    bracketed, then bisection."""
+    lo, hi = 0, _TOP + 1  # lambda_lo is kept (lambda_0 counts as kept), lambda_hi is not
+    k, step = max(g, 1), 1
+    while hi - lo > 1:
+        if level.kept(model, np.asarray([k]))[0]:
+            lo, k = k, min(k + step, (k + hi) // 2)
+        else:
+            hi, k = k, max(k - step, (lo + k) // 2)
+        step *= 2
+    return lo
 
 
 def k0_closed_form(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:

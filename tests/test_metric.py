@@ -93,7 +93,7 @@ _SUM_MODELS = st.one_of(
 @given(st.data())
 def test_closed_form_lower_bound_matches_the_array_sum(data):
     model = data.draw(_SUM_MODELS)
-    top = 44.0 if model.kind == "green" else 4096.0  # green's k0 stays under 2^22
+    top = 44.0 if model.kind == "green" else 4096.0  # the sum spans k0 terms: green's ~2^20
     least = max(1e-15, 2.0 ** -top)
     level = data.draw(st.one_of(
         st.floats(least, 10.0),
@@ -105,7 +105,7 @@ def test_closed_form_lower_bound_matches_the_array_sum(data):
 
 @pytest.mark.parametrize("model, level, cut", [
     (green_model(), 1e-12, 318309),            # the sum cancels about 14-fold
-    (green_model(), NoiseLevel(44.0), 1335088),  # just under the 2^22 cap
+    (green_model(), NoiseLevel(44.0), 1335088),  # the longest sum drawn above
     (green_model(), 0.5, 0),
     (poisson_model(0.5, 1.0), 10.0, 0),          # eps > 1: log2(1/eps) < 0
     (poisson_model(0.5, 1.0), NoiseLevel(4096.0), 4096),
@@ -383,7 +383,7 @@ def test_growth_grid_is_checked_against_lambda_1_on_the_float(model):
 
 
 def test_growth_grid_is_validated_before_any_cutoff():
-    # eps = 1 lies above lambda_1; green's cutoff at 2^-1024 exceeds the scan's cap
+    # eps = 1 lies above lambda_1; green's cutoff at 2^-1024 passes 2^53, where k0 refuses
     with pytest.raises(ValidationError, match="strictly below lambda_1"):
         growth_orders(green_model(), [NoiseLevel(L) for L in (0, 16, 32, 64, 128, 256,
                                                                512, 1024)])

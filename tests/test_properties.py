@@ -17,8 +17,10 @@ from fredinfo import (CoefficientVector, GaussianChannel, NoiseLevel, Preconditi
 
 PROFILE = settings.get_profile("fredinfo")
 
-# Largest exponent per family: green's cutoff 2**(L/2)/pi must stay below the
-# enumeration cap, the exponential families reach far below float range.
+# Largest exponent per family: green's cutoff 2**(L/2)/pi stays near 2**20, far
+# below 2**53, where rounding can move its closed form off the cutoff (at
+# 1e-32 it is one too large); the exponential families reach far below float
+# range.
 _TOP = {"poisson": 4096.0, "heat": 4096.0, "green": 40.0}
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -148,20 +150,22 @@ def test_sweep_rows_equal_the_single_level_api(config):
 # row-by-row evaluation meets, with its exit code and message.  The custom
 # prior rho_1 = 1e154 and noise nu = 9.2e184 on green put component 1 just in I
 # at 9.99e-33, where trial 0 of seed 25 (prior normal 0.596, noise normal 2.92)
-# squares past the float range.
+# squares past the float range; nu 100 times larger does the same at 9.99e-35.
+# Green's cutoff passes 2^53, where k0 refuses, below eps = 1.25e-33.
 _GREEN_1 = {"model": {"kind": "green", "k_max": 1},
             "rho": {"kind": "custom", "values": [1e154], "tail_sum_sq": 0.0},
             "nu": {"kind": "constant", "c": 9.2e184}, "trials": 1, "seed": 25}
-_K0_CAP = ("numeric failure: k0 exceeds the enumeration cap 4194304; "
-           "the noise level is too small for this spectrum's decay\n")
+_K0_REFUSAL = ("numeric failure: k0 is at least 2**53, past which indices are not exact "
+               "in floats; the noise level is too small for this spectrum's decay\n")
 PRECEDENCE = {
     # row 1's cutoff fails before row 2's Monte-Carlo overflow
-    "metric-row-1": ({**_GREEN_1, "epsilon_grid": [0.2, 1e-32, 9.99e-33]}, 3, _K0_CAP),
+    "metric-row-1": ({**_GREEN_1, "nu": {"kind": "constant", "c": 9.2e186},
+                      "epsilon_grid": [0.2, 1e-34, 9.99e-35]}, 3, _K0_REFUSAL),
     # row 0's cutoff fails before the tie lambda_1 * 1 / 1 == lambda_2 * 4 / 1
-    "metric-before-basis": ({"model": {"kind": "green"}, "epsilon_grid": [1e-32],
+    "metric-before-basis": ({"model": {"kind": "green"}, "epsilon_grid": [1e-34],
                              "rho": {"kind": "custom", "values": [1.0, 4.0],
                                      "tail_sum_sq": 0.0},
-                             "nu": {"kind": "constant", "c": 1.0}, "k_max": 2}, 3, _K0_CAP),
+                             "nu": {"kind": "constant", "c": 1.0}, "k_max": 2}, 3, _K0_REFUSAL),
 }
 
 
@@ -176,11 +180,38 @@ def test_sweep_ends_on_the_first_fault_by_row(capsys, tmp_path, name):
 
 def test_monte_carlo_overflow_at_row_1_precedes_a_later_cutoff_fault(capsys, tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**_GREEN_1, "epsilon_grid": [0.2, 9.99e-33, 1e-32 / 3]}))
+    path.write_text(json.dumps({**_GREEN_1, "epsilon_grid": [0.2, 9.99e-33, 1e-34]}))
     # no numpy warning precedes the one-line error: the RuntimeWarning filter
     # would turn one into a failure
     assert cli_main(["simulate", "--config", str(path)]) == 2
     assert capsys.readouterr().err == "error: monte_carlo_mse: the squared error overflows floats\n"
+
+
+def _exact_mean_and_stderr(stats) -> tuple[float, float]:
+    """Mean and standard error of the float statistics, in exact arithmetic."""
+    values = [Fraction(s) for s in stats]
+    n = len(values)
+    mean = sum(values) / n
+    square = sum((v - mean) ** 2 for v in values) / ((n - 1) * n)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        stderr = (Decimal(square.numerator) / Decimal(square.denominator)).sqrt()
+    return float(mean), float(stderr)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("trials", [2, 50])
+def test_monte_carlo_stderr_of_huge_statistics_is_finite(trials):
+    # nu_1 = 1e90 leaves component 1 out of I at 0.5, so trial t scores
+    # xi_1^2 = (1e80 z_t)^2, about 1e160: its squared deviations pass the float range
+    config = ExperimentConfig(model=green_model(k_max=1), epsilon_grid=(0.5,),
+                              rho=custom_rule([1e80], 0.0), nu=constant_rule(1e90),
+                              trials=trials, seed=25)
+    row = convergence_sweep(config).rows[0]
+    prior, _ = harness._trial_block(25, trials, 1)
+    mean, stderr = _exact_mean_and_stderr((1e80 * prior[:, 0]) ** 2)
+    assert row["mse_mc_mean"] == pytest.approx(mean, rel=1e-14)
+    assert row["mse_mc_stderr"] == pytest.approx(stderr, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import fredinfo.truncation as truncation
 from fredinfo import (
     CoefficientVector,
     InconclusiveError,
@@ -24,6 +23,7 @@ from fredinfo import (
     truncated_solution,
     weak_convergence_probe,
 )
+from scan_oracle import k0_scan
 
 
 def _ball_point(rng, n: int, radius: float) -> np.ndarray:
@@ -70,9 +70,9 @@ def test_k0_rejects_bad_noise_levels():
         k0(m, 0.0)
 
 
-def test_k0_scan_cap_is_inconclusive():
-    # green needs ~2^511 components at this level; the scan refuses to guess
-    with pytest.raises(InconclusiveError):
+def test_k0_past_2_to_the_53_is_inconclusive():
+    # green needs ~2^511 components at this level; indices past 2^53 are not exact
+    with pytest.raises(InconclusiveError, match=r"k0 is at least 2\*\*53"):
         k0(green_model(), NoiseLevel(1024.0))
 
 
@@ -82,8 +82,8 @@ def test_k0_scan_cap_is_inconclusive():
     (poisson_model(0.9999, 1.0), 1e-300, 5),  # k0 about 6.9e6
 ])
 def test_truncated_solution_reports_its_kept_count_past_the_cap(model, eps, K):
-    with pytest.raises(InconclusiveError):
-        truncation._k0_scan(model, NoiseLevel.of(eps))
+    with pytest.raises(InconclusiveError):  # past the scan's cap
+        k0_scan(model, NoiseLevel.of(eps))
     data = CoefficientVector.from_components(model, np.arange(1.0, K + 1.0))
     report = truncated_solution(model, data, eps)
     assert report.k0 == K

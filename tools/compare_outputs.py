@@ -9,10 +9,13 @@ the two-sided total's center axis enters or leaves a count, ``truncate`` with
 a reference of another length than the data, the cutoff commands and a
 ``simulate`` sweep at three levels that sit on an eigenvalue, ``prob-info``
 with variance rules whose values overflow, the comparisons of a level with
-``lambda_0`` and ``lambda_1``, cutoffs past the scan's cap, flags the chosen
-mode does not read, sweeps through the channel-column branches the benchmark
-configs never reach (one of them scores its Monte-Carlo columns over many
-slabs of levels, one ends on a Monte-Carlo overflow), and every ``closed_sweep`` and
+``lambda_0`` and ``lambda_1``, cutoffs far past ``2**22`` (some that the float
+certificate of the closed form rejects, some refused at ``2**53``), tabulated
+cutoffs at a tie and below every value, flags the chosen mode does not read,
+sweeps through the channel-column branches the benchmark configs never reach
+(one of them scores its Monte-Carlo columns over many slabs of levels, one
+ends on a Monte-Carlo overflow, one has statistics whose squares overflow),
+and every ``closed_sweep`` and
 ``mc_sweep`` config of seeds 1 and 90217, read from the parent tree's
 ``benchmarks/workloads.py``.  One subprocess per tree imports that tree's
 package and runs every op through ``fredinfo.cli.main``, from its own
@@ -72,8 +75,10 @@ ERROR_COMMANDS = [
     ["truncate", "--model", "nope", "--epsilon", "0.1"],
     ["capacity", "--model", "poisson:a=0.5,b=1,zz=3", "--epsilon", "0.1"],
     ["eigens", "--model", "green", "--k-hi", "0"],
-    ["capacity", "--model", "green", "--epsilon", "pow2:-60"],   # certified past the scan's cap
-    ["capacity", "--model", "green", "--epsilon", "pow2:-1024"],  # exit 3
+    ["capacity", "--model", "green", "--epsilon", "pow2:-60"],   # certified past 2^22
+    ["capacity", "--model", "green", "--epsilon", "pow2:-1024"],  # exit 3: k0 passes 2^53
+    ["capacity", "--model", "green", "--epsilon", "pow2:-2100"],  # the closed form overflows
+    ["capacity", "--model", "poisson:a=0.5,b=1", "--epsilon", "pow2:-1e16"],
 ]
 
 # The two-sided total counts the center axis lambda_0 = 1 when eps <= 1, and
@@ -117,8 +122,10 @@ def _eigen_level_commands() -> list[list[str]]:
 
 # Each level against the spectrum: the center lambda_0 = 1 at floats 1.0 with
 # exponents of either sign, growth grids starting just below and at lambda_1
-# (and one above it that also ends past the scan's cap), cutoffs past the
-# scan's 2^22 cap, and a heat rate D(a-b) that overflows.
+# (and one above it that also ends past 2^53), cutoffs far past 2^22 (green at
+# 1e-32, 3e-32 and 2^-106, where the float certificate rejects the closed
+# form), tabulated cutoffs below every value and at a tie, and a heat rate
+# D(a-b) that overflows.
 _GRID_TAIL = ",1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8"
 LEVEL_COMMANDS = [
     ["capacity", "--model", "poisson:a=0.5,b=1", "--epsilon", eps, "--sided", "total"]
@@ -131,6 +138,12 @@ LEVEL_COMMANDS = [
     ["metric-info", "--model", "green", "--grid-log2", "0,16,32,64,128,256,512,1024"],
     ["capacity", "--model", "green", "--epsilon", "1e-30"],
     ["truncate", "--model", "green", "--epsilon", "1e-30", "--data", "{green3}"],
+    ["capacity", "--model", "green", "--epsilon", "1e-32"],
+    ["capacity", "--model", "green", "--epsilon", "3e-32"],
+    ["capacity", "--model", "green", "--epsilon", "pow2:-106"],
+    ["truncate", "--model", "green", "--epsilon", "1e-32"],
+    ["capacity", "--model-json", "{dyadic}", "--epsilon", "1e-9"],
+    ["capacity", "--model-json", "{dyadic}", "--epsilon", "0.0625"],
     ["capacity", "--model", "poisson:a=0.5,b=1", "--epsilon", "pow2:-1e12", "--sided", "total"],
     ["eigens", "--model", "heat:D=1e308,a=1e308,b=-1e308", "--k-hi", "3"],
     ["capacity", "--model", "heat:D=1e308,a=1e308,b=-1e308", "--epsilon", "0.1",
@@ -169,8 +182,11 @@ WARNING_COMMANDS = [
 # channel columns on exponent grids across |L| = 1022 (where the Monte-Carlo
 # columns blank), a prior that is not trace class, a ratio order that is not
 # the index order, the two-sided total, Monte-Carlo columns scored over many
-# slabs of levels, and configs with faults at several places, which must end
-# on the first one met row by row (a Monte-Carlo overflow among them).
+# slabs of levels, statistics near 1e160 whose squared deviations overflow, and
+# configs with faults at several places, which must end on the first one met
+# row by row (a Monte-Carlo overflow among them).  Green's cutoff refuses below
+# eps = 1.25e-33, where it passes 2^53; nu 100 times larger keeps eps nu, and so
+# the Monte-Carlo overflow, at a level 100 times smaller.
 _GEOMETRIC = {"kind": "geometric", "c": 1.0, "q": 0.5}
 _GREEN_1 = {"model": {"kind": "green", "k_max": 1},
             "rho": {"kind": "custom", "values": [1e154], "tail_sum_sq": 0.0},
@@ -197,9 +213,14 @@ CHANNEL_SWEEPS = {
     "many_slabs": {"model": {"kind": "poisson", "a": 0.5, "b": 1, "k_max": 64},
                    "epsilon_grid": [10.0 ** (-j / 4) for j in range(1, 41)],
                    "rho": _GEOMETRIC, "nu": _CONSTANT, "trials": 2000, "seed": 12},
-    "fault_metric_row_1": {**_GREEN_1, "epsilon_grid": [0.2, 1e-32, 9.99e-33]},
-    "fault_monte_carlo_row_1": {**_GREEN_1, "epsilon_grid": [0.2, 9.99e-33, 1e-32 / 3]},
-    "fault_metric_before_basis": {"model": {"kind": "green"}, "epsilon_grid": [1e-32],
+    "stderr_overflow": {"model": {"kind": "green", "k_max": 1},
+                        "rho": {"kind": "custom", "values": [1e80], "tail_sum_sq": 0.0},
+                        "nu": {"kind": "constant", "c": 1e90}, "epsilon_grid": [0.5],
+                        "trials": 2, "seed": 25},
+    "fault_metric_row_1": {**_GREEN_1, "nu": {"kind": "constant", "c": 9.2e186},
+                           "epsilon_grid": [0.2, 1e-34, 9.99e-35]},
+    "fault_monte_carlo_row_1": {**_GREEN_1, "epsilon_grid": [0.2, 9.99e-33, 1e-34]},
+    "fault_metric_before_basis": {"model": {"kind": "green"}, "epsilon_grid": [1e-34],
                                   "rho": {"kind": "custom", "values": [1.0, 4.0],
                                           "tail_sum_sq": 0.0},
                                   "nu": _CONSTANT, "k_max": 2},
