@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InconclusiveError, UnsupportedError, ValidationError
-from .metric import entropy_lower_bound
+from .metric import _lower
 from .spectra import (CoefficientVector, SpectrumModel, _lookup, entry_from_json,
                       entry_to_json, model_from_json, model_to_json)
 from .truncation import NoiseLevel, k0
@@ -733,7 +733,8 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
     signal-to-noise ratio is flat, every component looks informative, so the
     sum is capped at ``k0(eps)`` components (in the rearranged order) and the
     leading-order information is ``k0 ln(1/eps)``.  The prior is not trace
-    class, so risk and budget counts are disabled for this case.
+    class, so risk and budget counts are disabled for this case.  A channel
+    that stops at ``k_max < k0(eps)`` compares on its components, as the note says.
     """
     eps = NoiseLevel.of(epsilon).require_epsilon("the extremal comparison")
     km = model.k_max if k_max is None else int(k_max)
@@ -741,15 +742,20 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
     # the comparison only ever sums the first k0 components, so the channel
     # need not extend past them (deep tails may underflow the spectrum)
     km = max(min(km, cut), 1)
+    n = min(km, cut)  # the components both sides are summed over
+    truncated = (f", truncated at k_max = {n} < k0 = {cut}: k_I, the sums and the "
+                 f"reference cover the first {n} components only")
 
     if case == "alpha":
         chan = GaussianChannel(model, constant_rule(1.0), constant_rule(1.0),
                                eps, k_max=km)
         k_I = partition_IN(chan).k_I
         info = total_information(chan)
-        reference = entropy_lower_bound(model, eps) * math.log(2.0)
-        note = ("matched prior/noise: k_I equals the spectral cutoff and the "
-                "leading-order information equals the metric lower bound in nats")
+        reference = _lower(model, NoiseLevel.of(eps), n) * math.log(2.0)
+        note = "matched prior/noise" + (
+            truncated + "; the reference is the metric lower bound over them, in nats"
+            if n < cut else ": k_I equals the spectral cutoff and the leading-order "
+            "information equals the metric lower bound in nats")
     elif case == "beta":
         if eps >= 1.0:
             raise ValidationError("case beta needs epsilon < 1")
@@ -757,10 +763,10 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
                                constant_rule(1.0), eps, k_max=km)
         k_I = min(cut, chan.k_max)
         info = chan._rows.information(0, first=k_I)
-        reference = cut * math.log(1.0 / eps)
-        note = ("flat signal-to-noise: every component is informative, sum "
-                "capped at k0 components; prior is not trace class, so "
-                "mse/k_alpha are disabled")
+        reference = n * math.log(1.0 / eps)
+        note = "flat signal-to-noise" + (
+            truncated if n < cut else ": every component is informative, sum capped at "
+            "k0 components") + "; prior is not trace class, so mse/k_alpha are disabled"
     else:
         raise ValidationError(f"case must be 'alpha' or 'beta', got {case!r}")
     return ExtremalComparison(

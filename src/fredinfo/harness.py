@@ -12,15 +12,16 @@ summation in a fixed order, so repeated runs of the same config are
 byte-identical apart from timestamps, which live only in the metadata
 sidecar, never in the CSV body.
 
-A sweep builds the channel's level-independent part once, forms the
-level-dependent arrays of all its levels together, and draws one trial block
-for that sweep; nothing is remembered between sweeps.  The row kernels
-(``k_I``, the information sums, ``k_alpha``) are evaluated for all rows at
-once, and the Monte-Carlo columns of all levels are scored together on the
-trial block, in slabs of bounded size.  The single-level functions read the
-same kernels, so each row equals them bit for bit.  The loop still takes one
-row at a time and each row raises its own faults, so a run ends on the first
-fault met row by row.
+A sweep certifies the cutoffs of all its levels (and their quarters) in one
+pass for the metric columns, builds the channel's level-independent part
+once, forms the level-dependent arrays of all its levels together, and draws
+one trial block for that sweep; nothing is remembered between sweeps.  The
+row kernels (``k_I``, the information sums, ``k_alpha``) are evaluated for
+all rows at once, and the Monte-Carlo columns of all levels are scored
+together on the trial block, in slabs of bounded size.  The single-level
+functions read the same kernels, so each row equals them bit for bit.  The
+loop still takes one row at a time and each row raises its own faults, so a
+run ends on the first fault met row by row.
 """
 
 from __future__ import annotations
@@ -355,14 +356,6 @@ class ExperimentResult:
         return csv_path, meta_path
 
 
-def _metric_row(config: ExperimentConfig, level: NoiseLevel) -> dict:
-    model = config.model
-    bounds = metric.capacity_interval(model, level, sided=config.sided)
-    return {"epsilon": level.reported, "k0": level.cutoff(model),
-            "lower_bits": bounds.lower_bits, "upper_bits": bounds.upper_bits,
-            "logL_max": metric.max_message_length_log2(model, level, sided=config.sided)}
-
-
 def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Evaluate every budget along the config's noise grid.
 
@@ -373,8 +366,12 @@ def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
     """
     rows: list[dict] = []
     chan = mc = None
-    for i, level in enumerate(config.levels):
-        row = _metric_row(config, level)
+    grid = metric._grid(config.model, config.levels, config.sided)  # refusals raise at their row
+    for i, (level, (cut, bounds)) in enumerate(zip(config.levels, grid)):
+        row = {"epsilon": level.reported, "k0": cut, "lower_bits": bounds.lower_bits,
+               "upper_bits": bounds.upper_bits,  # logL_max: read through the public function
+               "logL_max": metric.max_message_length_log2(config.model, level,
+                                                          sided=config.sided)}
         rows.append(row)
         if config.rho is None:
             continue

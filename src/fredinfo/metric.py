@@ -14,6 +14,8 @@ For a noise level ``eps`` the recoverable-information interval is::
 with entropy <= capacity sandwiched between them.  ``sided="total"`` applies
 the same formulas to the multiplicity-expanded axis list of two-sided models
 (center axis ``lambda_0 = 1`` included); one-sided models are unaffected.
+A sweep's metric columns come from ``_grid``: one certification pass over the
+levels and their quarters, then each level's bounds as ``capacity_interval``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import (NumericError, PreconditionError, UnsupportedError,
                      ValidationError)
 from .spectra import FAMILIES, SpectrumModel
-from .truncation import NoiseLevel, _noise_grid
+from .truncation import NoiseLevel, _cutoffs, _noise_grid
 
 __all__ = [
     "entropy_lower_bound",
@@ -58,6 +60,14 @@ def _sides(model: SpectrumModel, level: NoiseLevel, sided: str) -> tuple[int, in
     return 2, int(level._keeps_center())
 
 
+def _lower(model: SpectrumModel, level: NoiseLevel, cut: int,
+           factor: int = 1, center: int = 0) -> float:
+    """The volume bound at ``level`` over the one-sided indices ``k <= cut`` (:func:`_sides`)."""
+    L = level.log2_inv_eps
+    one = max(0.0, cut * L + FAMILIES[model.kind].log2_sum(model.params, cut))
+    return factor * one + center * max(L, 0.0)
+
+
 def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
                         sided: str = "one_sided") -> float:
     """Volume lower bound on the eps-entropy, in bits.
@@ -72,11 +82,7 @@ def entropy_lower_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     ``log2(1/eps)``, clamped at 0, when the center survives (``eps <= 1``).
     """
     level = NoiseLevel.of(epsilon)
-    factor, center = _sides(model, level, sided)
-    L = level.log2_inv_eps
-    cut = level.cutoff(model)
-    one = max(0.0, cut * L + FAMILIES[model.kind].log2_sum(model.params, cut))
-    return factor * one + center * max(L, 0.0)
+    return _lower(model, level, level.cutoff(model), *_sides(model, level, sided))
 
 
 def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
@@ -89,15 +95,11 @@ def entropy_upper_bound(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     regime a validation error reports the bound as not applicable.
     """
     level = NoiseLevel.of(epsilon)
-    factor, center = _sides(model, level.quarter, sided)
-    cut_q = level.quarter.cutoff(model)
-    if cut_q < 1 or not level.below(model, 4.0):
-        raise PreconditionError(
-            "upper bound not applicable: requires eps < 4*lambda_1 and "
-            "k0(eps/4) >= 1",
-            k0_eps_over_4=cut_q)
-    m = factor * cut_q + center
-    return m * (level.log2_inv_eps + _LOG2_6 + 0.5 * math.log2(m))
+    upper = capacity_interval(model, level, sided=sided).upper_bits
+    if upper is None:
+        raise PreconditionError("upper bound not applicable: requires eps < 4*lambda_1 and "
+                                "k0(eps/4) >= 1", k0_eps_over_4=level.quarter.cutoff(model))
+    return upper
 
 
 @dataclass
@@ -116,6 +118,18 @@ class CapacityBounds:
         return asdict(self)
 
 
+def _bounds(model: SpectrumModel, level: NoiseLevel, sided: str,
+            cut: int, cut_q: int) -> CapacityBounds:
+    """The bounds at ``level`` from the one-sided cutoffs at it and at its quarter."""
+    factor, center = _sides(model, level, sided)
+    factor_q, center_q = _sides(model, level.quarter, sided)
+    m = factor_q * cut_q + center_q
+    upper = (m * (level.log2_inv_eps + _LOG2_6 + 0.5 * math.log2(m))
+             if cut_q >= 1 and level.below(model, 4.0) else None)
+    return CapacityBounds(level.epsilon, level.log2_inv_eps, factor * cut + center, m,
+                          _lower(model, level, cut, factor, center), upper, sided)
+
+
 def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel, *,
                       sided: str = "one_sided") -> CapacityBounds:
     """Both entropy bounds plus the cutoffs they rest on.
@@ -124,25 +138,26 @@ def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     weighted when ``sided="total"``.  When the upper bound's precondition
     fails, ``upper_bits`` is ``None`` rather than an error so sweeps can
     cover coarse noise levels.  Each of ``k0(eps)`` and ``k0(eps/4)`` is
-    computed once (the level remembers its cutoffs).
+    computed once (the level remembers its cutoffs), and the bounds are
+    derived as :func:`_grid` derives each level's.
     """
     level = NoiseLevel.of(epsilon)
-    lower = entropy_lower_bound(model, level, sided=sided)
-    try:
-        upper = entropy_upper_bound(model, level, sided=sided)
-    except PreconditionError:
-        upper = None
-    factor, center = _sides(model, level, sided)
-    factor_q, center_q = _sides(model, level.quarter, sided)
-    return CapacityBounds(
-        epsilon=level.epsilon,
-        log2_inv_eps=level.log2_inv_eps,
-        k0_eps=factor * level.cutoff(model) + center,
-        k0_eps_over_4=factor_q * level.quarter.cutoff(model) + center_q,
-        lower_bits=lower,
-        upper_bits=upper,
-        sided=sided,
-    )
+    return _bounds(model, level, sided, level.cutoff(model), level.quarter.cutoff(model))
+
+
+def _grid(model: SpectrumModel, levels: Sequence[NoiseLevel],
+          sided: str) -> Iterator[tuple[int, CapacityBounds]]:
+    """Each level's one-sided cutoff and :func:`capacity_interval`, a level per step.
+
+    The first step certifies the cutoffs of all levels and their quarters in one
+    pass (:func:`truncation._cutoffs`, which remembers them).  A refused cutoff
+    raises (:meth:`NoiseLevel.cutoff`) at its own level's step, not before.
+    """
+    cuts = _cutoffs(model, [*levels, *(level.quarter for level in levels)])
+    for level, cut, cut_q in zip(levels, cuts, cuts[len(levels):]):
+        cut = level.cutoff(model) if cut is None else cut
+        cut_q = level.quarter.cutoff(model) if cut_q is None else cut_q
+        yield cut, _bounds(model, level, sided, cut, cut_q)
 
 
 def max_message_length_log2(model: SpectrumModel, epsilon: float | NoiseLevel, *,
@@ -155,9 +170,7 @@ def max_message_length_log2(model: SpectrumModel, epsilon: float | NoiseLevel, *
     level = NoiseLevel.of(epsilon)
     factor, _ = _sides(model, level, sided)
     cut = level.cutoff(model)
-    if cut == 0:
-        return 0.0
-    return cut * level.log2_inv_eps + math.log2(factor)
+    return cut * level.log2_inv_eps + math.log2(factor) if cut else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +224,9 @@ def growth_orders(model: SpectrumModel, epsilons: Sequence[float | NoiseLevel]) 
     Each level is a plain float or a :class:`NoiseLevel`; exponent levels
     (``NoiseLevel(L)`` for ``2**-L``) keep levels down to ``2**-4096`` exact.
     Requires at least 8 points spanning at least 4 decades, all below
-    ``lambda_1`` (:meth:`NoiseLevel.below`).  Each level's cutoff is read
-    through :meth:`NoiseLevel.cutoff`, so a caller passing the same levels
-    shares their cutoffs.
+    ``lambda_1`` (:meth:`NoiseLevel.below`).  The cutoffs of all levels are
+    certified in one pass (:func:`truncation._cutoffs`) and remembered on the
+    levels, so a caller passing the same levels shares them.
     """
     levels = _noise_grid(epsilons, "the growth-order grid")
     Ls = np.asarray([level.log2_inv_eps for level in levels])
@@ -225,6 +238,7 @@ def growth_orders(model: SpectrumModel, epsilons: Sequence[float | NoiseLevel]) 
             f"grid spans {span_decades:.2f} decades, need at least 4")
     if not all(level.below(model) for level in levels):
         raise ValidationError("all grid levels must lie strictly below lambda_1")
+    _cutoffs(model, levels)  # one certification pass; the levels remember the cutoffs
     cuts = np.asarray([level.cutoff(model) for level in levels], dtype=float)
     if np.any(cuts < 1):
         raise NumericError("cutoff vanished on an admissible grid point")

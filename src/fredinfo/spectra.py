@@ -91,6 +91,10 @@ class SpectrumModel:
     k_max: int = DEFAULT_K_MAX
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:  # a model keys each noise level's cutoffs
         return hash((self.kind, frozenset(self.params.items()), self.k_max))
 
     # -- index bookkeeping -------------------------------------------------
@@ -159,7 +163,7 @@ class SpectrumModel:
         """
         return FAMILIES[self.kind].log2_eigenvalues(self.params, np.asarray(ks, dtype=np.int64))
 
-    @property
+    @functools.cached_property
     def lambda_1(self) -> float:
         return self.eigenvalue(1)
 

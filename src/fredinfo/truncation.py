@@ -8,9 +8,10 @@ below the noise level::
     f*      = sum_{k <= k0} (g_k / lambda_k) psi_k
 
 ``k0`` reads the family's closed-form cutoff and certifies it at two points
-(``lambda_g >= eps > lambda_{g+1}``); where the certificate fails or the
-closed form overflows it searches the decreasing spectrum from that guess,
-and it refuses a cutoff of ``2**53`` or more.  It takes the noise level as a plain float or as a
+(``lambda_g >= eps > lambda_{g+1}``), for a whole grid of levels at once in
+``_cutoffs``; where the certificate fails or the closed form overflows it
+searches the decreasing spectrum from that guess, and it refuses a cutoff of
+``2**53`` or more.  It takes the noise level as a plain float or as a
 :class:`NoiseLevel`, which carries the exponent ``log2(1/eps)`` as well, so
 that levels far below the float underflow threshold stay usable.
 """
@@ -54,9 +55,9 @@ class NoiseLevel:
     with ``|L| <= 1022`` (a normal float), else None.  Cutoffs compare
     eigenvalues on ``epsilon`` when there is one and in log2 otherwise, so a
     level gives the same cutoffs however it was written
-    (``NoiseLevel(3.0) == NoiseLevel.of(0.125)``).  Each level remembers the
-    cutoffs it has computed (:meth:`cutoff`), so quantities that share a
-    level share its cutoffs.
+    (``NoiseLevel(3.0) == NoiseLevel.of(0.125)``).  Each level remembers every
+    cutoff certified at it (:meth:`cutoff`), so quantities and grids that
+    share a level share its cutoffs.
     """
 
     log2_inv_eps: float
@@ -109,10 +110,7 @@ class NoiseLevel:
 
     def cutoff(self, model: SpectrumModel) -> int:
         """``k0(model, self)``, computed once per model (equal models share it)."""
-        cut = self._cuts.get(model)
-        if cut is None:
-            cut = self._cuts[model] = k0(model, self)
-        return cut
+        return self._cuts[model] if model in self._cuts else k0(model, self)  # k0 remembers it
 
     def kept(self, model: SpectrumModel, ks: np.ndarray) -> np.ndarray:
         """Mask of ``lambda_k >= eps`` over the indices ``ks``."""
@@ -146,16 +144,8 @@ def _noise_grid(grid: Sequence[float | NoiseLevel], what: str) -> list[NoiseLeve
 
 
 def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
-    """Cutoff index: largest k with ``lambda_k >= eps`` (0 if none).
-
-    The family's closed form ``g`` is accepted when ``lambda_g >= eps`` (or
-    ``g = 0``) and ``lambda_{g+1} < eps``, both compared by
-    :meth:`NoiseLevel.kept`.  When that certificate fails (exact ties,
-    rounding at huge exponents) or the closed form raises, the boundary of
-    the non-increasing predicate ``kept`` is bracketed around ``g`` by
-    doubling steps and bisected, in O(log) eigenvalues.  A tabulated
-    spectrum has no closed form: its cutoff counts the kept values of its
-    table.
+    """Cutoff index: largest k with ``lambda_k >= eps`` (0 if none); the
+    one-level case of :func:`_cutoffs`.
 
     Raises
     ------
@@ -163,24 +153,53 @@ def k0(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
         ``lambda_{2**53}`` is still kept: past ``2**53`` indices are no longer
         exact in floats.
     """
-    level = NoiseLevel.of(epsilon)
-    closed = FAMILIES[model.kind].k0_closed_form
-    if closed is None:
-        return int(np.count_nonzero(level.kept(model, np.arange(1, model.spectrum_length + 1))))
-    try:
-        g = closed(model.params, level.log2_inv_eps, level.epsilon)
-    except ArithmeticError:  # the closed form overflows floats: a cutoff far past 2**53
-        g = _TOP
-    if g < _TOP:  # indices stay exact in int64 and in float
-        ok = level.kept(model, np.arange(max(g, 1), g + 2))  # [g, g+1], or [1] at g = 0
-        if (g == 0 or ok[0]) and not ok[-1]:
-            return g
-    cut = _boundary(model, level, min(g, _TOP))
-    if cut == _TOP:
+    cut = _cutoffs(model, [NoiseLevel.of(epsilon)])[0]
+    if cut is None:
         raise InconclusiveError(
             "k0 is at least 2**53, past which indices are not exact in floats; "
             "the noise level is too small for this spectrum's decay")
     return cut
+
+
+def _cutoffs(model: SpectrumModel, levels: Sequence[NoiseLevel]) -> list[int | None]:
+    """:func:`k0` at every level, None where it refuses; each cutoff found is
+    remembered on its level (:meth:`NoiseLevel.cutoff`).
+
+    The family's closed form ``g`` is accepted when ``lambda_g >= eps`` (or
+    ``g = 0``) and ``lambda_{g+1} < eps``, compared as :meth:`NoiseLevel.kept`
+    compares them: one eigenvalue evaluation certifies the levels that have a
+    float, one in log2 the rest.  Where that fails (exact ties, rounding at
+    huge exponents) or the closed form raises, the boundary of the predicate
+    ``kept`` is bracketed around ``g`` by doubling steps and bisected.  A
+    tabulated spectrum's cutoff counts the kept values of its table.
+    """
+    closed = FAMILIES[model.kind].k0_closed_form
+    if closed is None:
+        ks = np.arange(1, model.spectrum_length + 1)
+        cuts = [int(np.count_nonzero(level.kept(model, ks))) for level in levels]
+    else:
+        cuts = []
+        for level in levels:
+            try:
+                cuts.append(min(closed(model.params, level.log2_inv_eps, level.epsilon), _TOP))
+            except ArithmeticError:  # the closed form overflows floats: a cutoff far past 2**53
+                cuts.append(_TOP)
+        for floats, values in ((True, model.eigenvalues), (False, model.log2_eigenvalues)):
+            domain = [i for i, lv in enumerate(levels) if (lv.epsilon is not None) == floats]
+            if not domain:
+                continue
+            g = [cuts[i] for i in domain]
+            bound = [levels[i].epsilon if floats else -levels[i].log2_inv_eps for i in domain]
+            kept = (values(np.asarray([max(x, 1) for x in g] + [x + 1 for x in g]))
+                    >= np.asarray(bound * 2)).tolist()  # at [g, g+1], or [1, 1] at g = 0
+            for i, x, at, past in zip(domain, g, kept, kept[len(g):]):
+                if not ((x == 0 or at) and not past and x < _TOP):
+                    cuts[i] = _boundary(model, levels[i], x)
+    cuts = [cut if cut < _TOP else None for cut in cuts]
+    for level, cut in zip(levels, cuts):
+        if cut is not None:
+            level._cuts[model] = cut
+    return cuts
 
 
 def _boundary(model: SpectrumModel, level: NoiseLevel, g: int) -> int:

@@ -1,5 +1,5 @@
-"""NoiseLevel validation, one cutoff per level however it is written, and the
-sharing of cutoff scans between quantities."""
+"""NoiseLevel validation, one cutoff per level however it is written, the
+sharing of cutoffs between quantities, and one certification pass per sweep."""
 
 import json
 import math
@@ -11,7 +11,7 @@ import fredinfo.truncation as truncation
 from fredinfo import (CoefficientVector, ExperimentConfig, GaussianChannel, NoiseLevel,
                       ValidationError, capacity_interval, constant_rule, convergence_sweep,
                       extremal_comparison, green_model, k0, max_message_length_log2,
-                      partition_IN, poisson_model, truncated_solution)
+                      SpectrumModel, partition_IN, poisson_model, truncated_solution)
 from fredinfo.cli import main
 
 
@@ -111,11 +111,31 @@ def test_capacity_and_message_length_share_two_scans(k0_calls, level):
     assert bounds.k0_eps == k0(model, level) and logl == bounds.k0_eps * level.log2_inv_eps
 
 
-def test_each_sweep_row_scans_twice(k0_calls):
+def test_a_sweep_certifies_its_cutoffs_in_one_pass(k0_calls, monkeypatch):
+    calls = {"eigenvalues": 0, "log2_eigenvalues": 0, "_boundary": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(SpectrumModel, "eigenvalues")
+    count(SpectrumModel, "log2_eigenvalues")
+    count(truncation, "_boundary")
     config = ExperimentConfig(model=poisson_model(0.5, 1.0),
                               log2_inv_eps_grid=[4.0, 64.0, 4096.0])
-    convergence_sweep(config)
-    assert len(k0_calls) == 2 * 3
+    rows = convergence_sweep(config).rows
+    # levels 4 and 64 and their quarters have floats, 4096 and 4098 do not: one
+    # evaluation per domain certifies all six cutoffs, the model reads lambda_1
+    # once, and the row without a float reads log2 lambda_1; no level is
+    # searched and no row calls k0
+    assert calls == {"eigenvalues": 2, "log2_eigenvalues": 2, "_boundary": 0}
+    assert k0_calls == []
+    assert [row["k0"] for row in rows] == [4, 64, 4096]
 
 
 def test_cutoff_is_remembered_per_model():

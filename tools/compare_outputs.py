@@ -15,7 +15,10 @@ cutoffs at a tie and below every value, flags the chosen mode does not read,
 sweeps through the channel-column branches the benchmark configs never reach
 (one of them scores its Monte-Carlo columns over many slabs of levels, one
 ends on a Monte-Carlo overflow, one has statistics whose squares overflow),
-and every ``closed_sweep`` and
+metric-only sweeps through the grid kernel's branches the benchmark configs
+never reach (a tabulated spectrum, subnormal floats, the two-sided total on
+exponents across ``|L| = 1022``, a refused green cutoff), the extremal
+comparisons of a channel that stops before ``k0``, and every ``closed_sweep`` and
 ``mc_sweep`` config of seeds 1 and 90217, read from the parent tree's
 ``benchmarks/workloads.py``.  One subprocess per tree imports that tree's
 package and runs every op through ``fredinfo.cli.main``, from its own
@@ -148,6 +151,9 @@ LEVEL_COMMANDS = [
     ["eigens", "--model", "heat:D=1e308,a=1e308,b=-1e308", "--k-hi", "3"],
     ["capacity", "--model", "heat:D=1e308,a=1e308,b=-1e308", "--epsilon", "0.1",
      "--sided", "total"],
+] + [  # green's channel stops at k_max 256, below k0(1e-12) = 318309
+    ["prob-info", "--model", "green", "--epsilon", "1e-12", "--extremal", case]
+    for case in ("alpha", "beta")
 ]
 
 # Each flag that the chosen mode does not read.
@@ -228,6 +234,22 @@ CHANNEL_SWEEPS = {
 CHANNEL_SWEEP_COMMANDS = [["simulate", "--config", "{" + name + "}", "--out", f"channel/{name}"]
                           for name in CHANNEL_SWEEPS]
 
+# Metric-only sweeps through the grid kernel's branches the benchmark configs
+# never reach: a tabulated spectrum (its cutoffs count the table), a subnormal
+# float whose quarter takes the exponent form, the two-sided total on exponents
+# of both signs across |L| = 1022, and a green cutoff that refuses at row 1.
+_DYADIC = "tabulated_dyadic"  # its model is the benchmark's DYADIC_MODEL
+METRIC_SWEEPS = {
+    "subnormal": {"model": {"kind": "poisson", "a": 0.5, "b": 1},
+                  "epsilon_grid": [1e-300, 5e-324]},
+    "total_log2_poisson": {"model": {"kind": "poisson", "a": 0.5, "b": 1},
+                           "log2_inv_eps_grid": [-1100, -1, 0.5, 1022, 1023, 1100],
+                           "sided": "total"},
+    "green_refusal": {"model": {"kind": "green"}, "epsilon_grid": [1e-3, 1e-34]},
+}
+METRIC_SWEEP_COMMANDS = [["simulate", "--config", "{" + name + "}", "--out", f"metric/{name}"]
+                         for name in (_DYADIC, *METRIC_SWEEPS)]
+
 
 # ---------------------------------------------------------------------------
 # Ops
@@ -254,7 +276,8 @@ def _inputs(workloads, inputs: str) -> dict:
              "truth_narrow": {"model": _POISSON, "complex": False, "entries": _TRUTH_NARROW},
              "green3": {"model": {"kind": "green", "k_max": 256}, "complex": False,
                         "entries": [1.0, 0.5, 0.25]},
-             **CHANNEL_SWEEPS}
+             _DYADIC: {"model": workloads.DYADIC_MODEL, "epsilon_grid": [0.0625, 1e-9]},
+             **CHANNEL_SWEEPS, **METRIC_SWEEPS}
     for name, (model, L) in EIGEN_LEVELS.items():
         two_sided = model["kind"] != "green"
         entries = [1.0 / (1 + abs(k)) for k in (range(-8, 9) if two_sided else range(1, 9))]
@@ -310,7 +333,8 @@ def build_ops(parent_tree: str, out_dir: str) -> list[dict]:
            + _command_ops(WARNING_COMMANDS, fill, "warning")
            + _command_ops(LEVEL_COMMANDS, fill, "level")
            + _command_ops(UNREAD_COMMANDS, fill, "unread")
-           + _command_ops(CHANNEL_SWEEP_COMMANDS, fill, "channel-sweep"))
+           + _command_ops(CHANNEL_SWEEP_COMMANDS, fill, "channel-sweep")
+           + _command_ops(METRIC_SWEEP_COMMANDS, fill, "metric-sweep"))
     configs = os.path.join(out_dir, "configs")
     os.makedirs(configs)
     for workload in SWEEP_WORKLOADS:
