@@ -708,7 +708,7 @@ class ExtremalComparison:
     """Side-by-side of channel information and its metric counterpart."""
 
     case: str
-    epsilon: float
+    epsilon: float | str  # NoiseLevel.reported: the float, else "pow2:-N"
     k0: int
     k_I: int
     exact_nats: float
@@ -735,10 +735,11 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
     leading-order information is ``k0 ln(1/eps)``.  The prior is not trace
     class, so risk and budget counts are disabled for this case.  A channel
     that stops at ``k_max < k0(eps)`` compares on its components, as the note says.
+    A level without a float is compared on its exponent and reported as ``pow2:-N``.
     """
-    eps = NoiseLevel.of(epsilon).require_epsilon("the extremal comparison")
+    level = NoiseLevel.of(epsilon)
     km = model.k_max if k_max is None else int(k_max)
-    cut = k0(model, eps)
+    cut = k0(model, level)
     # the comparison only ever sums the first k0 components, so the channel
     # need not extend past them (deep tails may underflow the spectrum)
     km = max(min(km, cut), 1)
@@ -748,28 +749,30 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
 
     if case == "alpha":
         chan = GaussianChannel(model, constant_rule(1.0), constant_rule(1.0),
-                               eps, k_max=km)
+                               level, k_max=km)
         k_I = partition_IN(chan).k_I
         info = total_information(chan)
-        reference = _lower(model, NoiseLevel.of(eps), n) * math.log(2.0)
+        reference = _lower(model, level, n) * math.log(2.0)
         note = "matched prior/noise" + (
             truncated + "; the reference is the metric lower bound over them, in nats"
             if n < cut else ": k_I equals the spectral cutoff and the leading-order "
             "information equals the metric lower bound in nats")
     elif case == "beta":
-        if eps >= 1.0:
+        if not level.log2_inv_eps > 0.0:
             raise ValidationError("case beta needs epsilon < 1")
         chan = GaussianChannel(model, inverse_spectrum_rule(model),
-                               constant_rule(1.0), eps, k_max=km)
+                               constant_rule(1.0), level, k_max=km)
         k_I = min(cut, chan.k_max)
         info = chan._rows.information(0, first=k_I)
-        reference = n * math.log(1.0 / eps)
+        # ln(1/eps) from the float where there is one, so those levels keep their bytes
+        reference = n * (math.log(1.0 / level.epsilon) if level.epsilon is not None
+                         else level.log2_inv_eps * math.log(2.0))
         note = "flat signal-to-noise" + (
             truncated if n < cut else ": every component is informative, sum capped at "
             "k0 components") + "; prior is not trace class, so mse/k_alpha are disabled"
     else:
         raise ValidationError(f"case must be 'alpha' or 'beta', got {case!r}")
     return ExtremalComparison(
-        case=case, epsilon=eps, k0=cut, k_I=k_I,
+        case=case, epsilon=level.reported, k0=cut, k_I=k_I,
         exact_nats=info.exact_nats, approx_nats=info.approx_nats,
         reference_nats=reference, trace_class=False, note=note)

@@ -9,6 +9,7 @@ import pytest
 from fredinfo import (
     CoefficientVector,
     GaussianChannel,
+    NoiseLevel,
     UnsupportedError,
     ValidationError,
     component_information,
@@ -415,6 +416,8 @@ def test_extremal_validation():
     m = green_model()
     with pytest.raises(ValidationError):
         extremal_comparison(m, 1.5, "beta")
+    with pytest.raises(ValidationError, match="epsilon < 1"):  # 2**2000 has no float
+        extremal_comparison(m, NoiseLevel(-2000.0), "beta")
     with pytest.raises(ValidationError):
         extremal_comparison(m, 0.1, "gamma")
     with pytest.raises(ValidationError):

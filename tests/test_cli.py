@@ -456,10 +456,23 @@ def test_prob_info_requires_rules_or_extremal(capsys):
     assert code == 2 and "--rho" in err
 
 
-def test_prob_info_needs_representable_epsilon(capsys):
-    code, _, err = run(capsys, "prob-info", "--model", "green",
-                       "--epsilon", "pow2:-2000", "--extremal", "alpha")
-    assert code == 2 and "representable" in err
+@pytest.mark.parametrize("case, terms", [
+    # log2(lambda_k / eps) = 1050 - k for poisson a/b = 1/2, and log2(1/eps) = 1050
+    ("alpha", lambda k: 1050 - k), ("beta", lambda k: 1050)], ids=["alpha", "beta"])
+def test_prob_info_extremal_below_float_range(capsys, case, terms):
+    """2**-1050 has no float: the comparison answers on the exponent, over the
+    channel's first k_max = 256 components."""
+    code, out, _ = run(capsys, "prob-info", "--model", "poisson:a=0.5,b=1",
+                       "--epsilon", "pow2:-1050", "--extremal", case)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["epsilon"] == "pow2:-1050" and obj["k0"] == 1050 and obj["k_I"] == 256
+    reference = sum(terms(k) for k in range(1, 257)) * math.log(2.0)
+    assert obj["reference_nats"] == pytest.approx(reference, rel=1e-15)
+    assert obj["approx_nats"] == pytest.approx(reference, rel=1e-13)
+    # past float range green's cutoff passes 2**53 and refuses (exit 3)
+    assert run(capsys, "prob-info", "--model", "green", "--epsilon", "pow2:-2000",
+               "--extremal", case)[0] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ def run(capsys, *argv):
 
 
 @pytest.mark.parametrize("argv, want", [
-    # the exponent overflows a float, which the extremal comparison needs
-    (("prob-info", "--model", "green", "--epsilon", "pow2:2000", "--extremal", "alpha"), 2),
+    # the exponent overflows a float, which packing counts need
+    (("metric-info", "--packing-axes", "1,0.5", "--epsilon", "pow2:2000", "--step", "0.1"), 2),
     # the exponent is subnormal: the log-domain channel answers it (exit 0)
     (("prob-info", "--model", "green:k_max=8", "--epsilon", "pow2:-1050",
       "--rho", "constant:1", "--nu", "constant:1"), 0),

@@ -26,6 +26,7 @@ from fredinfo import (
     rule_to_json,
     tabulated_model,
 )
+from fredinfo.spectra import _eigvalsh
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +382,29 @@ def test_nystrom_deterministic_sign():
         assert col[int(np.argmax(np.abs(col)))] > 0
 
 
-@pytest.mark.parametrize("n", [50, 400, 1000])
-def test_nystrom_green_trapezoid_matches_exact_discrete_spectrum(n):
+def _eigvalsh_sizes(monkeypatch):
+    """Record the order of every matrix passed to ``np.linalg.eigvalsh`` (the
+    Gauss-Legendre rule makes one call of its own first)."""
+    sizes, dense = [], np.linalg.eigvalsh
+
+    def recorded(a):
+        sizes.append(len(a))
+        return dense(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [50, 51, 400, 401, 999, 1000, 2000])
+def test_nystrom_green_trapezoid_matches_exact_discrete_spectrum(monkeypatch, n):
     """On the trapezoid grid with h = 1/(n-1) the Green kernel matrix is the
     inverse of the Dirichlet second difference, so its eigenvalues are exactly
     h^2 / (4 sin^2(j pi h / 2)) for j = 1..n-2, plus the two zero rows at the
-    end points."""
+    end points.  The grid and kernel are reflection-symmetric, so these come
+    from the two half-size problems, at even and odd n."""
+    sizes = _eigvalsh_sizes(monkeypatch)
     sys = nystrom_decompose(green_kernel, n_nodes=n, rule="trapezoid")
+    assert sizes == [n // 2, n - n // 2]
     h = 1.0 / (n - 1)
     j = np.arange(1, n - 1)
     exact = np.concatenate([h * h / (4.0 * np.sin(j * math.pi * h / 2.0) ** 2), [0.0, 0.0]])
@@ -422,11 +439,13 @@ def _nystrom_by_eigh(kernel, n_nodes, rule="trapezoid"):
     return vals[order], funcs, sym
 
 
-@pytest.mark.parametrize("n, rule", [(120, "trapezoid"), (400, "trapezoid"),
-                                     (200, "gauss_legendre")])
+@pytest.mark.parametrize("n, rule", [(120, "trapezoid"), (121, "trapezoid"),
+                                     (400, "trapezoid"), (200, "gauss_legendre"),
+                                     (201, "gauss_legendre")])
 def test_nystrom_eigenvalues_match_full_eigh(n, rule):
-    """Eigenvalues from eigvalsh agree with the full eigh of the same matrix,
-    and the lazily computed eigenvectors are that eigh's, column for column."""
+    """Eigenvalues from the half-size problems agree with the full eigh of the
+    same matrix, and the lazily computed eigenvectors are that eigh's, column
+    for column."""
     sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
     vals, funcs, sym = _nystrom_by_eigh(green_kernel, n, rule)
     eps_lam = np.finfo(float).eps * vals[0]
@@ -434,6 +453,51 @@ def test_nystrom_eigenvalues_match_full_eigh(n, rule):
     assert np.abs(sys.eigenvalues - np.maximum(vals, 0.0)).max() <= 8.0 * eps_lam
     distinct = vals > 1e3 * eps_lam  # the trapezoid rule's two zero modes may come in any order
     np.testing.assert_array_equal(sys.eigenvectors[:, distinct], funcs[:, distinct])
+
+
+@pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_nystrom_smallest_grids_split(monkeypatch, n, rule):
+    """Two and three nodes: a 1 x 1 odd problem and a 1 x 1 or bordered
+    2 x 2 even one, agreeing with the dense solver."""
+    sizes = _eigvalsh_sizes(monkeypatch)
+    sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
+    assert sizes[-2:] == [1, n - 1]
+    dense = np.maximum(np.linalg.eigh(sys.sym)[0][::-1], 0.0)
+    assert np.abs(sys.eigenvalues - dense).max() <= 8.0 * np.finfo(float).eps * dense[0]
+    if rule == "trapezoid":  # K vanishes on the end points: only K(1/2, 1/2) survives
+        np.testing.assert_array_equal(sys.eigenvalues, [sys.sym[1, 1], 0.0, 0.0][:n])
+
+
+@pytest.mark.parametrize("n", [50, 51])
+def test_nystrom_kernel_without_reflection_symmetry_is_solved_dense(monkeypatch, n):
+    """exp(x + y) is symmetric but K(1-x, 1-y) != K(x, y): one dense eigvalsh
+    of ``sym``, whose values are reported bit for bit."""
+    sizes = _eigvalsh_sizes(monkeypatch)
+    sys = nystrom_decompose(lambda x, y: np.exp(x + y), n_nodes=n)
+    assert sizes == [n]
+    np.testing.assert_array_equal(sys.eigenvalues,
+                                  np.maximum(np.linalg.eigvalsh(sys.sym)[::-1], 0.0))
+
+
+@pytest.mark.parametrize("i, j", [(25, 0), (49, 50), (26, 0)],
+                         ids=["middle-row", "trailing-block", "off-diagonal-block"])
+def test_nystrom_split_needs_every_block_mirrored(i, j):
+    """A matrix off reflection symmetry by 64 eps max|sym| in one entry (and
+    its transpose), past the split's tolerance of 8, goes to the dense solver."""
+    sym = nystrom_decompose(green_kernel, n_nodes=51).sym.copy()
+    sym[i, j] = sym[j, i] = sym[i, j] + 64.0 * np.finfo(float).eps * sym.max()
+    np.testing.assert_array_equal(_eigvalsh(sym), np.linalg.eigvalsh(sym))
+
+
+@pytest.mark.parametrize("n", [1000, 1999])
+def test_nystrom_gauss_legendre_split_matches_dense_solver(n):
+    """Gauss-Legendre nodes are symmetric about 1/2 only to rounding, within the
+    split's tolerance.  The two solvers round differently: the largest gap seen
+    over 1000..2000 nodes was 26.5 eps lambda_1 (at n = 1999), and the bound is 64."""
+    sys = nystrom_decompose(green_kernel, n_nodes=n, rule="gauss_legendre")
+    dense = np.maximum(np.linalg.eigvalsh(sys.sym)[::-1], 0.0)
+    assert np.abs(sys.eigenvalues - dense).max() <= 64.0 * np.finfo(float).eps * dense[0]
 
 
 @pytest.mark.parametrize("n", [150, 1000])

@@ -18,8 +18,9 @@ ends on a Monte-Carlo overflow, one has statistics whose squares overflow),
 metric-only sweeps through the grid kernel's branches the benchmark configs
 never reach (a tabulated spectrum, subnormal floats, the two-sided total on
 exponents across ``|L| = 1022``, a refused green cutoff), the extremal
-comparisons of a channel that stops before ``k0``, and every ``closed_sweep`` and
-``mc_sweep`` config of seeds 1 and 90217, read from the parent tree's
+comparisons of a channel that stops before ``k0`` and at a level with no
+float, and every ``closed_sweep`` and ``mc_sweep`` config of seeds 1 and
+90217, read from the parent tree's
 ``benchmarks/workloads.py``.  One subprocess per tree imports that tree's
 package and runs every op through ``fredinfo.cli.main``, from its own
 directory under OUT_DIR, so relative output paths print alike on both sides.
@@ -153,6 +154,9 @@ LEVEL_COMMANDS = [
      "--sided", "total"],
 ] + [  # green's channel stops at k_max 256, below k0(1e-12) = 318309
     ["prob-info", "--model", "green", "--epsilon", "1e-12", "--extremal", case]
+    for case in ("alpha", "beta")
+] + [  # 2^-1050 has no float: the comparison answers on the exponent
+    ["prob-info", "--model", "poisson:a=0.5,b=1", "--epsilon", "pow2:-1050", "--extremal", case]
     for case in ("alpha", "beta")
 ]
 
