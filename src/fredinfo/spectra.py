@@ -561,6 +561,8 @@ class EigenSystem:
 
 
 def _quadrature_rule(n_nodes: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer)):
+        raise ValidationError(f"n_nodes must be an integer, got {n_nodes!r}")
     if n_nodes < 2:
         raise ValidationError(f"n_nodes must be >= 2, got {n_nodes}")
     if rule == "trapezoid":
@@ -570,24 +572,43 @@ def _quadrature_rule(n_nodes: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
         w[0] = w[-1] = h / 2.0
         return x, w
     if rule == "gauss_legendre":
-        t, w = np.polynomial.legendre.leggauss(n_nodes)
+        t, w = _leggauss(n_nodes)
         return (t + 1.0) / 2.0, w / 2.0
     raise ValidationError(f"unknown quadrature rule {rule!r}")
 
 
-_SYMMETRIZE_ROWS = 64  # rows per band of _symmetrize: a band of 64 x n is its only temporary
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.polynomial.legendre.leggauss(n)`` bit for bit, its first roots taken
+    from the tridiagonal Legendre companion (Golub-Welsch) matrix by ``sterf``,
+    where ``leggauss`` runs a dense ``eigvalsh`` that ends in ``sterf``."""
+    from scipy.linalg import eigvalsh_tridiagonal  # here, not at the top: most of `import fredinfo`
+    legval, legder = np.polynomial.legendre.legval, np.polynomial.legendre.legder
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)  # the off-diagonal as ``legcompanion`` forms it
+    x = eigvalsh_tridiagonal(np.zeros(n), np.arange(1, n) * scl[:-1] * scl[1:],
+                             lapack_driver="sterf")
+    c = np.array([0] * n + [1])
+    df = legval(x, legder(c))
+    x -= legval(x, c) / df  # leggauss's one Newton step, weights and symmetrization
+    fm = legval(x, c[1:])
+    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    w *= 2. / w.sum()
+    return (x - x[::-1]) / 2, w
+
+
+_SYMMETRIZE_ROWS = 64  # rows per band of the Nystrom build: its temporaries are 64 x n blocks
 _REFLECTION_ULPS = 8   # how far from reflection-symmetric a matrix may be for _eigvalsh to split
 
 
-def _symmetrize(a: np.ndarray) -> None:
-    """``a = 0.5 * (a + a.T)`` in place, bit for bit, one band of rows at a time."""
-    n = a.shape[0]
-    for i in range(0, n, _SYMMETRIZE_ROWS):
-        j = min(i + _SYMMETRIZE_ROWS, n)
-        band = a[i:j, i:] + a[i:, i:j].T
-        band *= 0.5
-        a[i:j, i:] = band
-        a[i:, i:j] = band.T  # 0.5 * (x + y) == 0.5 * (y + x), so the diagonal block agrees
+def _kernel_block(values, shape: tuple[int, int]) -> tuple[np.ndarray, float]:
+    """One kernel evaluation broadcast to ``shape``, with its largest magnitude."""
+    block = np.asarray(values, dtype=float)
+    if block.shape not in (shape, (shape[0], 1), (1, shape[1])):
+        raise ValidationError("kernel did not broadcast to an (n, n) matrix")
+    lo, hi = float(block.min()), float(block.max())  # a NaN propagates through both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("kernel produced non-finite values")
+    return np.broadcast_to(block, shape), max(hi, -lo)
 
 
 def _eigvalsh(sym: np.ndarray) -> np.ndarray:
@@ -631,63 +652,74 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       rule: str = "trapezoid") -> EigenSystem:
     """Numerically diagonalize a symmetric kernel on ``[0, 1]``.
 
-    The kernel is evaluated once on the broadcast axes ``x[:, None]`` and
-    ``x[None, :]`` and broadcast to the matrix ``K_ij = kernel(x_i, x_j)``.
-    That is symmetrized with the square-root-of-weights similarity transform
-    ``W^{1/2} K W^{1/2}`` so a symmetric eigensolver applies.  Only the
-    eigenvalues are computed here.  Both quadrature rules are symmetric about
-    ``x = 1/2``, so for a kernel with ``K(1-x, 1-y) = K(x, y)``, such as
-    :func:`green_kernel`, the matrix commutes with the index reversal and its
-    spectrum is that of two half-size symmetric problems, about a quarter of
-    the dense work; any other kernel gets one ``np.linalg.eigvalsh`` of the
-    whole matrix.  The eigenvalues may differ from ``np.linalg.eigh``'s in
-    the last bits.  The eigenvectors come from one ``eigh`` when
-    :attr:`EigenSystem.eigenvectors` is first read, with the node values
-    recovered as ``u / sqrt(w)``, which makes them weight-orthonormal.
+    ``sym = 0.5 * (S + S.T)`` for ``S = W^{1/2} K W^{1/2}``, the square-root-
+    of-weights similarity transform of ``K_ij = kernel(x_i, x_j)``, is built
+    one band of ``_SYMMETRIZE_ROWS`` rows at a time, and only ``sym`` is ever
+    n x n: the kernel is called on rows ``i:j`` against columns ``i:``, and
+    with its arguments swapped for the mirror block ``K[i:, i:j].T``.  A
+    misshapen or non-finite kernel block is refused at its band, asymmetry
+    once every band is in.  Only the eigenvalues are computed here.  Both
+    quadrature rules are symmetric about ``x = 1/2``, so for a kernel with
+    ``K(1-x, 1-y) = K(x, y)``, such as :func:`green_kernel`, the matrix
+    commutes with the index reversal and its spectrum is that of two
+    half-size symmetric problems, about a quarter of the dense work; any
+    other kernel gets one ``np.linalg.eigvalsh`` of the whole matrix.  The
+    eigenvalues may differ from ``np.linalg.eigh``'s in the last bits.  The
+    eigenvectors come from one ``eigh`` when :attr:`EigenSystem.eigenvectors`
+    is first read, with the node values recovered as ``u / sqrt(w)``, which
+    makes them weight-orthonormal.
 
     Parameters
     ----------
     kernel : callable
-        Symmetric, elementwise ``kernel(x, y)``; it may return the shape of
-        ``x`` or ``y`` alone when it depends on only one of them.
+        Symmetric, elementwise ``kernel(x, y)`` (it sees blocks, not the
+        whole grid); it may return the shape of ``x`` or ``y`` alone when it
+        depends on only one of them.
     n_nodes : int
-        Number of quadrature nodes.
+        Number of quadrature nodes; a Python or numpy integer.
     rule : str
         ``"trapezoid"`` or ``"gauss_legendre"``.
 
     Raises
     ------
     ValidationError
-        Non-symmetric kernel, bad rule or too few nodes.
+        Non-symmetric, non-finite or misshapen kernel, bad rule, or a node
+        count that is no integer or is below 2.
     NumericError
         Eigen-solver failure, or a spectrum that is negative beyond
         round-off (the supported operators are positive semi-definite).
     """
     nodes, weights = _quadrature_rule(n_nodes, rule)
-    Kmat = np.asarray(kernel(nodes[:, None], nodes[None, :]), dtype=float)
-    if Kmat.shape not in ((n_nodes, n_nodes), (n_nodes, 1), (1, n_nodes)):
-        raise ValidationError("kernel did not broadcast to an (n, n) matrix")
-    Kmat = np.broadcast_to(Kmat, (n_nodes, n_nodes))
-    lo, hi = float(Kmat.min()), float(Kmat.max())  # a NaN propagates through both
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError("kernel produced non-finite values")
-    scale = max(1.0, hi, -lo)
-    # one n x n buffer serves the transpose check, then becomes ``sym``
-    sym = np.subtract(Kmat, Kmat.T)
-    if float(np.abs(sym, out=sym).max()) > 1e-12 * scale:
-        raise ValidationError("kernel is not symmetric to 1e-12")
+    n = nodes.size
     sqrt_w = np.sqrt(weights)
-    np.multiply(sqrt_w[:, None], Kmat, out=sym)
-    sym *= sqrt_w[None, :]
-    del Kmat  # let the kernel's matrix go before the eigensolver runs
-    _symmetrize(sym)  # scrub round-off asymmetry before the eigensolver
+    sym = np.empty((n, n))
+    asym, scale = 0.0, 1.0
+    for i in range(0, n, _SYMMETRIZE_ROWS):
+        j = min(i + _SYMMETRIZE_ROWS, n)
+        rows, cols, shape = nodes[i:j, None], nodes[None, i:], (j - i, n - i)
+        upper, upper_max = _kernel_block(kernel(rows, cols), shape)  # K[i:j, i:]
+        lower, lower_max = _kernel_block(kernel(cols, rows), shape)  # K[i:, i:j].T
+        scale = max(scale, upper_max, lower_max)
+        asym = max(asym, float(np.abs(upper - lower).max()))
+        # S = W^{1/2} K W^{1/2} as (sqrt_w_r K_rc) sqrt_w_c, then 0.5 * (S + S.T),
+        # with the float operations of building S whole and symmetrizing it
+        band = sqrt_w[i:j, None] * upper
+        band *= sqrt_w[None, i:]
+        mirror = sqrt_w[None, i:] * lower
+        mirror *= sqrt_w[i:j, None]
+        band += mirror
+        band *= 0.5
+        sym[i:j, i:] = band
+        sym[i:, i:j] = band.T  # 0.5 * (x + y) == 0.5 * (y + x), so the diagonal block agrees
+    if asym > 1e-12 * scale:
+        raise ValidationError("kernel is not symmetric to 1e-12")
     try:
         vals = _eigvalsh(sym)[::-1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
 
     top = max(1.0, float(vals[0]))
-    psd_tol = 64.0 * n_nodes * np.finfo(float).eps * top
+    psd_tol = 64.0 * n * np.finfo(float).eps * top
     if vals[-1] < -psd_tol:
         raise NumericError(
             f"operator has a negative eigenvalue {vals[-1]:.3e} beyond round-off; "
@@ -699,7 +731,7 @@ def green_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """String Green kernel: ``(1-x) y`` for ``y <= x``, ``x (1-y)`` for ``x <= y``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return np.where(y <= x, (1.0 - x) * y, x * (1.0 - y))
+    return (1.0 - np.maximum(x, y)) * np.minimum(x, y)  # each branch's product, commuted
 
 
 # ---------------------------------------------------------------------------

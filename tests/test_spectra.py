@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fredinfo import (
     rule_to_json,
     tabulated_model,
 )
-from fredinfo.spectra import _eigvalsh
+from fredinfo.spectra import _SYMMETRIZE_ROWS, _eigvalsh, _quadrature_rule
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +384,7 @@ def test_nystrom_deterministic_sign():
 
 
 def _eigvalsh_sizes(monkeypatch):
-    """Record the order of every matrix passed to ``np.linalg.eigvalsh`` (the
-    Gauss-Legendre rule makes one call of its own first)."""
+    """Record the order of every matrix passed to ``np.linalg.eigvalsh``."""
     sizes, dense = [], np.linalg.eigvalsh
 
     def recorded(a):
@@ -462,7 +462,7 @@ def test_nystrom_smallest_grids_split(monkeypatch, n, rule):
     2 x 2 even one, agreeing with the dense solver."""
     sizes = _eigvalsh_sizes(monkeypatch)
     sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
-    assert sizes[-2:] == [1, n - 1]
+    assert sizes == [1, n - 1]  # the Gauss-Legendre nodes make no dense call of their own
     dense = np.maximum(np.linalg.eigh(sys.sym)[0][::-1], 0.0)
     assert np.abs(sys.eigenvalues - dense).max() <= 8.0 * np.finfo(float).eps * dense[0]
     if rule == "trapezoid":  # K vanishes on the end points: only K(1/2, 1/2) survives
@@ -522,6 +522,83 @@ def test_nystrom_one_sided_kernel_broadcasts(kernel):
     assert sys.eigenvalue(1) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 129])
+def test_nystrom_band_edges_match_full_matrix(n, rule):
+    """Bands of _SYMMETRIZE_ROWS rows, one row short of, at and past their
+    edges, give the matrix built whole, bit for bit."""
+    assert _SYMMETRIZE_ROWS == 64
+    sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
+    np.testing.assert_array_equal(sys.sym, _nystrom_by_eigh(green_kernel, n, rule)[2])
+    for kernel in (lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(y),
+                   lambda x, y: np.exp(x + y)):
+        sym = nystrom_decompose(kernel, n_nodes=n, rule=rule).sym
+        np.testing.assert_array_equal(sym, _nystrom_by_eigh(kernel, n, rule)[2])
+
+
+def test_nystrom_non_finite_last_band_outranks_asymmetric_first_band():
+    """A kernel asymmetric in the first band and NaN only at (1, 1), which
+    only the last band of 129 nodes reaches, is refused as non-finite: shape
+    and finiteness are checked band by band, symmetry after every band."""
+    def skewed(x, y):
+        return green_kernel(x, y) + np.where((x < 0.25) & (y < x), 0.5, 0.0)
+
+    def kernel(x, y):
+        return np.where((x == 1.0) & (y == 1.0), math.nan, skewed(x, y))
+
+    with pytest.raises(ValidationError, match="non-finite"):
+        nystrom_decompose(kernel, n_nodes=129)
+    with pytest.raises(ValidationError, match="not symmetric"):
+        nystrom_decompose(skewed, n_nodes=129)
+
+
+def test_nystrom_holds_one_matrix_at_a_time():
+    """Only ``sym`` is n x n: the traced peak of a 1000-node Green system
+    stays under 2 n^2 doubles (the halves of the split solver included)."""
+    n = 1000
+    tracemalloc.start()
+    try:
+        nystrom_decompose(green_kernel, n_nodes=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 8
+
+
+@pytest.mark.parametrize("n", [2, 3, 51, 200, 201, 1000, 1999, 2000])
+def test_gauss_legendre_rule_is_leggauss(n):
+    """Roots from the tridiagonal Golub-Welsch matrix, then leggauss's own
+    Newton step and weights: the nodes and weights of leggauss, bit for bit."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _quadrature_rule(n, "gauss_legendre")
+    np.testing.assert_array_equal(nodes, (t + 1.0) / 2.0)
+    np.testing.assert_array_equal(weights, w / 2.0)
+
+
+@pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+def test_green_kernel_matches_branch_form(rule):
+    """``(1 - max) * min`` is each branch's product, commuted where x < y."""
+    def branches(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.where(y <= x, (1.0 - x) * y, x * (1.0 - y))
+
+    nodes = _quadrature_rule(65, rule)[0]
+    points = np.concatenate([[0.0, 0.5, 1.0], nodes])
+    X, Y = points[:, None], points[None, :]  # the diagonal and the end points included
+    np.testing.assert_array_equal(green_kernel(X, Y), branches(X, Y))
+    for x, y in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.3, 0.7), (0.7, 0.3),
+                 (nodes[7], nodes[7]), (np.float64(nodes[3]), nodes[40])]:
+        value = green_kernel(x, y)
+        assert np.ndim(value) == 0
+        np.testing.assert_array_equal(value, branches(x, y))
+
+
+@pytest.mark.parametrize("n_nodes", [np.int64(8), np.int32(8), np.uint16(8)])
+def test_nystrom_accepts_numpy_integer_node_counts(n_nodes):
+    np.testing.assert_array_equal(nystrom_decompose(green_kernel, n_nodes=n_nodes).sym,
+                                  nystrom_decompose(green_kernel, n_nodes=8).sym)
+
+
 def test_nystrom_rejects_kernel_of_wrong_shape():
     for kernel in (lambda x, y: 1.0, lambda x, y: np.ones((3, 3)), lambda x, y: np.ones(60)):
         with pytest.raises(ValidationError):
@@ -538,11 +615,15 @@ def test_nystrom_rejects_kernel_of_wrong_shape():
         CoefficientVector(green_model(k_max=8), np.ones(2)), "pairing"), "different bases"),
     (lambda: nystrom_decompose(green_kernel, n_nodes=8).eigenvalue(0), "holds 8 modes"),
     (lambda: nystrom_decompose(green_kernel, n_nodes=1), "n_nodes must be >= 2"),
+    (lambda: nystrom_decompose(green_kernel, n_nodes=2.5), "n_nodes must be an integer"),
+    (lambda: nystrom_decompose(green_kernel, n_nodes=8.0), "n_nodes must be an integer"),
+    (lambda: nystrom_decompose(green_kernel, n_nodes=True), "n_nodes must be an integer"),
     (lambda: nystrom_decompose(green_kernel, n_nodes=8, rule="simpson"), "simpson"),
     (lambda: nystrom_decompose(lambda x, y: np.full(np.broadcast(x, y).shape, math.nan),
                                n_nodes=8), "non-finite"),
 ], ids=["fractional-index", "empty-vector", "nan-vector", "past-table", "two-bases",
-        "mode-0", "one-node", "unknown-rule", "nan-kernel"])
+        "mode-0", "one-node", "fractional-nodes", "float-nodes", "bool-nodes",
+        "unknown-rule", "nan-kernel"])
 def test_spectra_refusals(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
