@@ -572,28 +572,9 @@ def _quadrature_rule(n_nodes: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
         w[0] = w[-1] = h / 2.0
         return x, w
     if rule == "gauss_legendre":
-        t, w = _leggauss(n_nodes)
+        t, w = np.polynomial.legendre.leggauss(n_nodes)
         return (t + 1.0) / 2.0, w / 2.0
     raise ValidationError(f"unknown quadrature rule {rule!r}")
-
-
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.polynomial.legendre.leggauss(n)`` bit for bit, its first roots taken
-    from the tridiagonal Legendre companion (Golub-Welsch) matrix by ``sterf``,
-    where ``leggauss`` runs a dense ``eigvalsh`` that ends in ``sterf``."""
-    from scipy.linalg import eigvalsh_tridiagonal  # here, not at the top: most of `import fredinfo`
-    legval, legder = np.polynomial.legendre.legval, np.polynomial.legendre.legder
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)  # the off-diagonal as ``legcompanion`` forms it
-    x = eigvalsh_tridiagonal(np.zeros(n), np.arange(1, n) * scl[:-1] * scl[1:],
-                             lapack_driver="sterf")
-    c = np.array([0] * n + [1])
-    df = legval(x, legder(c))
-    x -= legval(x, c) / df  # leggauss's one Newton step, weights and symmetrization
-    fm = legval(x, c[1:])
-    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
-    w = (w + w[::-1]) / 2
-    w *= 2. / w.sum()
-    return (x - x[::-1]) / 2, w
 
 
 _SYMMETRIZE_ROWS = 64  # rows per band of the Nystrom build: its temporaries are 64 x n blocks

