@@ -76,7 +76,9 @@ class VarianceRule:
 
     * ``constant``: ``c`` — not summable.
     * ``geometric``: ``c q^k`` (0 < q < 1) — geometric series.
-    * ``power``: ``c k^-p`` (p > 0) — Hurwitz zeta; summable when ``2p > 1``.
+    * ``power``: ``c k^-p`` (p > 0) — summable when ``2p > 1``; tails are
+      ``c^2 zeta(2p, m + 1)``, from ``_hurwitz_zeta`` (Cephes' routine, with
+      the bits of ``scipy.special.zeta``).
     * ``gaussian``: ``c exp(-s k^2)`` (s > 0) — super-geometric partial sums
       (the first omitted term already bounds the remainder below float
       resolution at the summation depth used; refused past 2**22 terms).
@@ -195,8 +197,58 @@ def _custom_tail(p: dict, m: int) -> float:
 
 
 def _power_tail(p: dict, m: int) -> float:
-    from scipy.special import zeta  # here, not at the top: most of `import fredinfo`
-    return p["c"] * p["c"] * float(zeta(2.0 * p["p"], m + 1))
+    return p["c"] * p["c"] * _hurwitz_zeta(2.0 * p["p"], m + 1)
+
+
+# Cephes' Euler–Maclaurin coefficients (2j)! / B_2j, and its MACHEP
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 2.0 ** -53
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """``zeta(x, q) = sum_{k>=0} (k + q)^-x`` for ``x > 1``, ``q >= 1``.
+
+    Cephes' ``zeta`` (Moshier 1989), the routine behind ``scipy.special.zeta``,
+    operation for operation, so the results agree bit for bit: the asymptotic
+    form (DLMF 25.11.43) past ``q = 1e8``, else direct terms until ``i >= 9``
+    and ``a > 9`` and 12 Euler–Maclaurin corrections (DLMF 25.11.5), each
+    loop stopping once a term is below ``MACHEP`` of the sum.  Where every
+    term underflows the sum is 0, and C's ``b / s`` is NaN or inf, never
+    below ``MACHEP``; ``s != 0`` keeps that without dividing by zero.
+    """
+    q = float(q)
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    s = q ** -x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if s != 0.0 and abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coefficient in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coefficient
+        s += t
+        if s != 0.0 and abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 def _gaussian_tail(p: dict, m: int) -> float:

@@ -4,7 +4,8 @@
 membership in ``I``; the partition, the information sums, the closed-form and
 Monte-Carlo risk and the posterior estimate all read them.  Also covered: a
 tabulated model JSON without ``k_max``, sweep rows at a float level where the
-float ratio overflows and the lazy ``scipy.special`` import.
+float ratio overflows and a fresh interpreter that runs the power-prior
+commands without loading scipy.
 """
 
 import json
@@ -212,14 +213,26 @@ def test_simulate_with_a_tie_or_an_underflowed_eigenvalue_still_exits_2(
 
 
 # ---------------------------------------------------------------------------
-# Lazy scipy import
+# No scipy at run time
 # ---------------------------------------------------------------------------
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # a fresh interpreter importing this same package
+def test_power_prior_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter running the power-prior tail through this same package
+    config = tmp_path / "power.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "green", "k_max": 16}, "epsilon_grid": [1e-2, 1e-3],
+        "rho": {"kind": "power", "c": 1.0, "p": 1.0}, "nu": CONSTANT,
+        "trials": 4, "seed": 3}))
+    code = "\n".join([
+        "import sys",
+        "from fredinfo.cli import main",
+        f"assert main(['simulate', '--config', {str(config)!r}]) == 0",
+        "assert main(['prob-info', '--model', 'green', '--epsilon', '1e-3',",
+        "             '--rho', 'power:1,1', '--nu', 'constant:1']) == 0",
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"])
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fredinfo.__file__))}
-    code = "import sys, fredinfo; print('scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.strip() == "False"
+    assert "mse_closed" in out and '"k_alpha"' in out
+    assert out.splitlines()[-1] == "[]"

@@ -22,6 +22,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -60,13 +61,15 @@ def _sigma(rule: tuple, k: int, num):
 
 
 def _tail(rule: tuple, m: int) -> Decimal | None:
-    """``sum_{k>m} rho_k^2``: exact for geometric, scipy's Hurwitz zeta for power."""
+    """``sum_{k>m} rho_k^2``: exact for geometric, mpmath's Hurwitz zeta
+    ``c^2 zeta(2p, m + 1)`` at 50 digits for power."""
     kind, c, *rest = rule
     if kind == "geometric":
         q2 = Decimal(rest[0]) ** 2
         return Decimal(c) ** 2 * q2 ** (m + 1) / (1 - q2)
     if kind == "power":
-        return Decimal(power_rule(c, rest[0]).sum_sq_tail(m))
+        with mpmath.workdps(50):
+            return Decimal(c) ** 2 * Decimal(str(mpmath.zeta(2 * mpmath.mpf(rest[0]), m + 1)))
     return None  # constant: not trace class
 
 

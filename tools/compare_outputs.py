@@ -12,6 +12,9 @@ with variance rules whose values overflow, the comparisons of a level with
 ``lambda_0`` and ``lambda_1``, cutoffs far past ``2**22`` (some that the float
 certificate of the closed form rejects, some refused at ``2**53``), tabulated
 cutoffs at a tie and below every value, flags the chosen mode does not read,
+``prob-info`` with power priors on the Hurwitz zeta branches the benchmark
+configs never reach (``power:1,300``, where every term underflows, and
+``power:1,0.5000001``, near the trace-class edge ``2p = 1``),
 sweeps through the channel-column branches the benchmark configs never reach
 (one of them scores its Monte-Carlo columns over many slabs of levels, one
 ends on a Monte-Carlo overflow, one has statistics whose squares overflow),
@@ -188,6 +191,15 @@ WARNING_COMMANDS = [
 ]
 
 
+# Power-prior tails c^2 zeta(2p, m + 1) on Hurwitz zeta branches the benchmark
+# configs never reach: 2p = 600, where every term underflows and the sum stays
+# 0, and 2p just above 1, the trace-class edge.
+POWER_TAIL_COMMANDS = [
+    ["prob-info", "--model", "green", "--epsilon", "1e-3", "--rho", rho, "--nu", "constant:1"]
+    for rho in ("power:1,300", "power:1,0.5000001")
+]
+
+
 # Sweeps through channel-column branches the benchmark configs never reach:
 # channel columns on exponent grids across |L| = 1022 (where the Monte-Carlo
 # columns blank), a prior that is not trace class, a ratio order that is not
@@ -337,6 +349,7 @@ def build_ops(parent_tree: str, out_dir: str) -> list[dict]:
            + _command_ops(WARNING_COMMANDS, fill, "warning")
            + _command_ops(LEVEL_COMMANDS, fill, "level")
            + _command_ops(UNREAD_COMMANDS, fill, "unread")
+           + _command_ops(POWER_TAIL_COMMANDS, fill, "power-tail")
            + _command_ops(CHANNEL_SWEEP_COMMANDS, fill, "channel-sweep")
            + _command_ops(METRIC_SWEEP_COMMANDS, fill, "metric-sweep"))
     configs = os.path.join(out_dir, "configs")
