@@ -214,9 +214,9 @@ def _hurwitz_zeta(x: float, q: float) -> float:
     operation for operation, so the results agree bit for bit: the asymptotic
     form (DLMF 25.11.43) past ``q = 1e8``, else direct terms until ``i >= 9``
     and ``a > 9`` and 12 Euler–Maclaurin corrections (DLMF 25.11.5), each
-    loop stopping once a term is below ``MACHEP`` of the sum.  Where every
-    term underflows the sum is 0, and C's ``b / s`` is NaN or inf, never
-    below ``MACHEP``; ``s != 0`` keeps that without dividing by zero.
+    loop stopping once a term is below ``MACHEP`` of the sum.  A sum whose every
+    direct term underflows is 0 (``s != 0`` spares C's ``b / s``) and returned:
+    Cephes goes on, and gives NaN once the Euler–Maclaurin factor overflows.
     """
     q = float(q)
     if q > 1e8:
@@ -232,6 +232,8 @@ def _hurwitz_zeta(x: float, q: float) -> float:
         s += b
         if s != 0.0 and abs(b / s) < _MACHEP:
             return s
+    if s == 0.0:
+        return s
     w = a
     s += b * w / (x - 1.0)
     s -= 0.5 * b
@@ -410,7 +412,6 @@ class _Rows:
         L = np.array([[level.log2_inv_eps if level is not None else math.inf]
                       for level in self.levels])
         eps = np.array([[math.nan if e is None else e] for e in self.epsilon])
-        lam, rho, nu = basis.arrays
         with np.errstate(all="ignore"):
             t = basis.log2_ratio + L
             # J_k = (1/2) ln(1 + 2^(2t)) = max(t, 0) ln 2 + (1/2) log1p(2^(-2|t|))
@@ -420,11 +421,8 @@ class _Rows:
             # at a level with a float, a component whose floats are all normal
             # is placed in I by comparing floats; any other by log2_snr >= 0
             self.informative = np.where(basis.normal & ~np.isnan(eps),
-                                        basis.signal >= eps * nu, t >= 0.0)
+                                        basis.signal >= eps * basis.arrays[2], t >= 0.0)
         self.log2_snr = t
-        all_normal = bool(basis.normal.all())
-        self.float_refusal = [_float_refusal(e, all_normal, lam, rho, nu, member)
-                              for e, member in zip(self.epsilon, self.informative)]
 
     # The kernels below are evaluated for all rows on first use; each call still
     # runs its own checks for its row, so a fault ends a sweep at that row.
@@ -517,7 +515,6 @@ class GaussianChannel:
     informative: np.ndarray = field(init=False, repr=False, compare=False)  # I
     J_nats: np.ndarray = field(init=False, repr=False, compare=False)
     inverted_risk: np.ndarray = field(init=False, repr=False, compare=False)
-    float_refusal: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         level = None if self.epsilon == 0.0 else NoiseLevel.of(self.epsilon)  # 0: noise-free
@@ -525,16 +522,31 @@ class GaussianChannel:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "epsilon", rows.epsilon[0])
         object.__setattr__(self, "k_max", rows.basis.k_max)
-        for name in ("log2_snr", "informative", "J_nats", "inverted_risk", "float_refusal"):
+        for name in ("log2_snr", "informative", "J_nats", "inverted_risk"):
             object.__setattr__(self, name, getattr(rows, name)[0])
         object.__setattr__(self, "_rows", rows)  # this channel is row 0
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._rows.basis.arrays  # type: ignore[attr-defined]
 
+    @property
+    def float_refusal(self) -> str | None:
+        """Why ``eps nu_k`` or ``eta_k / lambda_k`` cannot be formed in floats (None)."""
+        if self.epsilon is None:
+            return "needs a float epsilon; the level lies outside float range"
+        if self._rows.basis.normal.all():  # every lambda_k, rho_k and nu_k: positive, finite
+            return None
+        lam, rho, nu = self.arrays()
+        if not (np.isfinite(rho).all() and np.isfinite(nu).all()):
+            return "needs rho_k and nu_k to be finite floats on 1..k_max"
+        if (lam[self.informative] == 0.0).any():
+            first = int(np.flatnonzero(self.informative & (lam == 0.0))[0]) + 1
+            return f"needs lambda_k > 0 on I; lambda_{first} underflows to zero"
+        return None
+
     def floats(self, what: str) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """``(eps, lambda, rho, nu)`` as floats, for Monte-Carlo draws and the
-        inversion ``eta_k / lambda_k``; ValidationError per :attr:`float_refusal`."""
+        """``(eps, lambda, rho, nu)`` for the consumers that act on float data:
+        ``simulate_channel``, ``posterior_estimate``, ``posterior_density_params``."""
         if self.float_refusal is not None:
             raise ValidationError(f"{what} {self.float_refusal}")
         return (self.epsilon, *self.arrays())
@@ -557,21 +569,6 @@ def _ordered_sums(values: np.ndarray, member: np.ndarray) -> np.ndarray:
     the selected entries alone, starting from 0.0."""
     with np.errstate(over="ignore"):  # a sum past the float range reads inf
         return np.cumsum(np.where(member, values, 0.0), axis=-1)[..., -1] + 0.0
-
-
-def _float_refusal(eps: float | None, all_normal: bool, lam: np.ndarray, rho: np.ndarray,
-                   nu: np.ndarray, informative: np.ndarray) -> str | None:
-    """Why draws and ``eta_k / lambda_k`` cannot be formed in floats (None: they can)."""
-    if eps is None:
-        return "needs a float epsilon; the level lies outside float range"
-    if all_normal:  # every lambda_k, rho_k and nu_k is a positive finite float
-        return None
-    if not (np.isfinite(rho).all() and np.isfinite(nu).all()):
-        return "needs rho_k and nu_k to be finite floats on 1..k_max"
-    if (lam[informative] == 0.0).any():
-        first = int(np.flatnonzero(informative & (lam == 0.0))[0]) + 1
-        return f"needs lambda_k > 0 on I; lambda_{first} underflows to zero"
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,23 @@ Randomness comes from counter-based Philox streams, one per
 observation noise.  Each stream is consumed in order, component 1 first, so
 asking for more components extends a trial's draws and never reshuffles them;
 keying by trial means trial counts can change without touching any earlier
-trial.  Runs are bit-reproducible across platforms (normals use numpy's
+trial.  The draws are the same on every platform (normals use numpy's
 ziggurat over the Philox bit stream).  ``STREAM_SCHEME`` names this layout and
-is recorded in every sweep's metadata.  Aggregation uses numpy's pairwise
-summation in a fixed order, so repeated runs of the same config are
-byte-identical apart from timestamps, which live only in the metadata
-sidecar, never in the CSV body.
+is recorded in every sweep's metadata.  Trial errors and aggregates use
+numpy's pairwise summation, in an order that no BLAS kernel changes, so
+repeated runs of the same config are byte-identical apart from timestamps,
+which live only in the metadata sidecar, never in the CSV body.
 
 A sweep certifies the cutoffs of all its levels (and their quarters) in one
 pass for the metric columns, builds the channel's level-independent part
 once, forms the level-dependent arrays of all its levels together, and draws
 one trial block for that sweep; nothing is remembered between sweeps.  The
 row kernels (``k_I``, the information sums, ``k_alpha``) are evaluated for
-all rows at once, and the Monte-Carlo columns of all levels are scored
-together on the trial block, in slabs of bounded size.  The single-level
-functions read the same kernels, so each row equals them bit for bit.  The
-loop still takes one row at a time and each row raises its own faults, so a
-run ends on the first fault met row by row.
+all rows at once, and the Monte-Carlo columns of all levels, with or without
+a float, are scored together on the trial block, in slabs of bounded size.
+The single-level functions read the same kernels, so each row equals them bit
+for bit.  The loop still takes one row at a time and each row raises its own
+faults, so a run ends on the first fault met row by row.
 """
 
 from __future__ import annotations
@@ -158,34 +158,36 @@ def _trial_block(seed: int, trials: int, k_max: int) -> tuple[np.ndarray, np.nda
 
 
 def _monte_carlo(rows: _Rows, xi: np.ndarray,
-                 noise: np.ndarray) -> dict[int, MonteCarloResult | None]:
-    """Score every row that has a float on one trial block: prior draws
-    ``xi = rho * N(0,1)`` and noise normals, one row per trial.
+                 noise: np.ndarray) -> list[MonteCarloResult | None]:
+    """Score every row on one trial block: prior draws ``xi = rho * N(0,1)``
+    and noise normals ``z``, one row per trial.
+
+    On I the trial error ``xi_k - eta_k / lambda_k`` is
+    ``-(eps nu_k / lambda_k) z_k``, whose square is the row's
+    ``inverted_risk_k z_k^2``; on N it is ``xi_k``.  So no row forms ``eps``,
+    ``eta`` or a quotient by ``lambda_k``: every level is scored, also below
+    float range and where ``lambda_k`` underflows on I.  Each trial's squares
+    are added by numpy's pairwise sum, in an order fixed by numpy's code, not
+    by a BLAS kernel, and the same as when the row is scored alone.
 
     Rows are scored together, a slab at a time: as many rows as fit in
     ``_SLAB`` elements of ``(rows, trials, k_max)``, and at least one, so
     memory stays O(trials x k_max).  A row whose squared error overflows
     floats maps to None; :func:`_scored` raises when that row is read.
     """
-    lam, _, nu = rows.basis.arrays
     tail = rows.basis.tail
     trials, k_max = xi.shape
-    scored = [i for i, refusal in enumerate(rows.float_refusal) if refusal is None]
     step = max(1, _SLAB // (trials * k_max))
-    results: dict[int, MonteCarloResult | None] = {}
-    for start in range(0, len(scored), step):
-        slab = scored[start:start + step]
-        eps = np.array([rows.epsilon[i] for i in slab])[:, None, None]
-        # eps nu_k may overflow on N, where eta is unused; a squared error past
-        # the float range is refused when its row is read
-        with np.errstate(over="ignore"):
-            eta = lam * xi + eps * nu * noise
-            # divide only on I: lambda_k may underflow to 0 on N
-            diff = xi - np.divide(eta, lam, out=np.zeros_like(eta),
-                                  where=rows.informative[slab][:, None, :])
-            # vecdot takes one dot product per trial, so each statistic is
-            # bit-identical to that trial scored alone
-            stats = np.vecdot(diff, diff) + tail
+    results: list[MonteCarloResult | None] = []
+    # a squared error past the float range is refused when its row is read
+    with np.errstate(over="ignore"):
+        noise_sq, prior_sq = noise * noise, xi * xi
+    for start in range(0, len(rows.levels), step):
+        slab = slice(start, start + step)
+        with np.errstate(over="ignore"):  # inverted_risk_k z_k^2 may overflow on N, unused there
+            terms = np.where(rows.informative[slab, None],
+                             rows.inverted_risk[slab, None] * noise_sq, prior_sq)
+            stats = terms.sum(axis=-1) + tail
         finite = np.isfinite(stats).all(axis=1)
         kept = stats[finite]  # the statistics of an overflowed row are not reduced
         # np.std squares deviations, which overflow past 2^512: score such a row
@@ -197,12 +199,12 @@ def _monte_carlo(rows: _Rows, xi: np.ndarray,
         stderrs = ((np.std(kept, axis=1, ddof=1) / math.sqrt(trials) / scale).tolist()
                    if trials >= 2 else [None] * len(means))
         pairs = zip(means, stderrs)
-        for i, ok in zip(slab, finite.tolist()):
-            results[i] = MonteCarloResult(*next(pairs), trials, tail) if ok else None
+        results += [MonteCarloResult(*next(pairs), trials, tail) if ok else None
+                    for ok in finite.tolist()]
     return results
 
 
-def _scored(results: dict[int, MonteCarloResult | None], i: int) -> MonteCarloResult:
+def _scored(results: list[MonteCarloResult | None], i: int) -> MonteCarloResult:
     """Row ``i``'s Monte-Carlo result from :func:`_monte_carlo`."""
     result = results[i]
     if result is None:
@@ -222,10 +224,9 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
         raise ValidationError(f"trials must be >= 1, got {trials}")
     rows = channel._rows
     rows.basis.energies("monte_carlo_mse")
-    _, _, rho, _ = channel.floats("monte_carlo_mse")
     rows.basis.tail  # an uncertified tail fails before any draw
     prior, noise = _trial_block(seed, trials, channel.k_max)
-    return _scored(_monte_carlo(rows, rho * prior, noise), 0)
+    return _scored(_monte_carlo(rows, rows.basis.arrays[1] * prior, noise), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
         if config.rho.is_trace_class:
             row["k_alpha"] = chan.k_alpha(i)
             row["mse_closed"] = chan.mse(i)
-            if config.trials >= 1 and chan.float_refusal[i] is None:  # draws need floats
+            if config.trials >= 1:
                 if mc is None:  # one trial block scores every level
                     prior, noise = _trial_block(config.seed, config.trials, chan.basis.k_max)
                     mc = _monte_carlo(chan, chan.basis.arrays[1] * prior, noise)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from fredinfo import (
     synthesize_solution,
     tabulated_model,
 )
+import fredinfo
 from fredinfo.harness import SWEEP_COLUMNS
 from fredinfo.metric import entropy_lower_bound
 
@@ -159,7 +163,10 @@ def test_monte_carlo_is_deterministic():
 
 
 def test_monte_carlo_agrees_with_stream_api():
-    # The estimator inside the loop is pinned down by TrialStream draws.
+    # The estimator inside the loop is pinned down by TrialStream draws.  On I
+    # the error xi_k - eta_k / lambda_k is -(eps nu_k / lambda_k) z_k, whose
+    # factor is a power of two here, so its square has the package's bits; each
+    # trial is summed by numpy's pairwise sum, whose order no BLAS kernel changes.
     chan = worked_channel()
     lam, rho, nu = chan.arrays()
     member = lam * rho >= chan.epsilon * nu
@@ -168,10 +175,8 @@ def test_monte_carlo_agrees_with_stream_api():
     for t in range(6):
         s = TrialStream(seed=11, trial=t)
         xi = rho * s.prior_normals(chan.k_max)
-        eta = lam * xi + chan.epsilon * nu * s.noise_normals(chan.k_max)
-        est = np.where(member, eta / lam, 0.0)
-        diff = xi - est
-        stats.append(diff @ diff + tail)
+        diff = np.where(member, -chan.epsilon * nu * s.noise_normals(chan.k_max) / lam, xi)
+        stats.append(np.sum(diff * diff) + tail)
     mc = monte_carlo_mse(chan, trials=6, seed=11)
     assert mc.mean == float(np.mean(np.asarray(stats)))
 
@@ -211,6 +216,47 @@ def test_monte_carlo_validates():
     flat = GaussianChannel(model, constant_rule(1.0), constant_rule(1.0), 0.1)
     with pytest.raises(ValidationError):
         monte_carlo_mse(flat, trials=10, seed=0)  # prior is not trace class
+
+
+# Sweeps shaped like the benchmark's mc_sweep ops: each family with a
+# trace-class prior, 16 trials, k_max from 8 to 24, levels down to 1e-6.
+_KERNEL_CONFIGS = [
+    {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "k_max": 24,
+     "epsilon_grid": [0.5, 1e-2, 1e-4, 1e-6], "rho": {"kind": "geometric", "c": 1.0, "q": 0.8},
+     "nu": {"kind": "constant", "c": 1.0}, "trials": 16, "seed": 1},
+    {"model": {"kind": "green"}, "k_max": 16, "epsilon_grid": [0.1, 1e-3, 1e-5],
+     "rho": {"kind": "power", "c": 1.0, "p": 1.0}, "nu": {"kind": "constant", "c": 1.0},
+     "trials": 16, "seed": 2, "sided": "total"},
+    {"model": {"kind": "heat", "D": 0.1, "a": 2.0, "b": 1.0}, "k_max": 8,
+     "epsilon_grid": [0.3, 1e-2, 1e-6], "rho": {"kind": "gaussian", "c": 2.0, "s": 0.01},
+     "nu": {"kind": "power", "c": 1.0, "p": 1.0}, "trials": 16, "seed": 3},
+]
+
+
+def test_monte_carlo_bytes_do_not_depend_on_the_blas_kernel():
+    """The sweeps' CSV bodies are the same under OpenBLAS's default kernel and
+    under the Haswell and Prescott ones: each trial's squared error is summed by
+    numpy's pairwise sum, not by a BLAS dot product, whose order is the kernel's.
+    Where numpy uses another BLAS, the variable is ignored and the three runs
+    agree trivially.  Capping numpy's SIMD dispatch (``NPY_DISABLE_CPU_FEATURES``)
+    still moves bytes, through ``exp2`` and ``log2``, so that is not asserted."""
+    code = "\n".join([
+        "import json, sys",
+        "from fredinfo import ExperimentConfig, convergence_sweep",
+        "for config in json.loads(sys.argv[1]):",
+        "    print(convergence_sweep(ExperimentConfig.from_json(config)).to_csv(), end='')"])
+    path = os.path.dirname(os.path.dirname(fredinfo.__file__))
+    bodies = []
+    for kernel in (None, "Haswell", "Prescott"):
+        env = {**os.environ, "PYTHONPATH": path}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        bodies.append(subprocess.run(
+            [sys.executable, "-c", code, json.dumps(_KERNEL_CONFIGS)], capture_output=True,
+            text=True, env=env, check=True).stdout)
+    assert bodies[0].count("\n") == 3 + 10  # a header per config and a row per level
+    assert bodies[1] == bodies[0] == bodies[2]
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ inputs that float products cannot answer (a tie among underflowed products,
 an underflowed eigenvalue, a level below float range) and levels ``2^-L``
 with ``|L|`` up to 4096.  Also covered: a boundary tie that only the float
 comparison resolves as k0 does, also with a subnormal component beside it; the
-refusals of the float consumers (Monte-Carlo draws, ``eta_k / lambda_k``) at a
-level with no float and where ``lambda_k`` underflows on I; the refusal of a
-prior whose ``rho_k^2`` or prior energy is not a float by the consumers that
-form them, and its acceptance by those that do not; and the sweep rows
-that leave only the Monte-Carlo columns blank.
+refusals of the float consumers (``simulate_channel`` and the ``eta_k /
+lambda_k`` inversions) at a level with no float and where ``lambda_k``
+underflows on I, where the Monte-Carlo risk still answers; each trial's
+Monte-Carlo statistic against its exact squared error, formed with fractions,
+at those inputs and where the float error ``eta_k / lambda_k - xi_k`` cancels;
+the refusal of a prior whose ``rho_k^2`` or prior energy is not a float by the
+consumers that form them, and its acceptance by those that do not; and the
+sweep rows that fill the Monte-Carlo columns at those levels.
 """
 
 import json
@@ -27,11 +30,12 @@ import numpy as np
 import pytest
 
 from fredinfo import (ExperimentConfig, GaussianChannel, NoiseLevel, ValidationError,
-                      constant_rule, convergence_sweep, geometric_rule, green_model,
-                      heat_model, k_alpha, monte_carlo_mse, mse_closed_form, partition_IN,
-                      poisson_model, posterior_density_params, posterior_estimate,
+                      constant_rule, convergence_sweep, custom_rule, geometric_rule,
+                      green_model, heat_model, k_alpha, monte_carlo_mse, mse_closed_form,
+                      partition_IN, poisson_model, posterior_density_params, posterior_estimate,
                       power_rule, simulate_channel, synthesize_solution,
                       tabulated_model, total_information, TrialStream)
+from fredinfo import harness
 from fredinfo.cli import main
 
 PI = Decimal("3.1415926535897932384626433832795028841971693993751")
@@ -41,14 +45,16 @@ RULES = {"constant": constant_rule, "geometric": geometric_rule, "power": power_
 def _factors(model, rho: tuple, nu: tuple, k: int, num) -> tuple:
     """``(lambda_k, rho_k, nu_k)`` as ``num``: Decimal, or Fraction (exact, for
     the rational factors only)."""
+    return (_eigenvalue(model, k, num),) + tuple(_sigma(rule, k, num) for rule in (rho, nu))
+
+
+def _eigenvalue(model, k: int, num):
     p = {key: num(val) for key, val in model.params.items()}
     if model.kind == "poisson":
-        lam = (p["a"] / p["b"]) ** k
-    elif model.kind == "heat":
-        lam = (-p["D"] * (p["a"] - p["b"]) * k * k).exp()
-    else:
-        lam = 1 / (k * PI) ** 2  # green
-    return (lam,) + tuple(_sigma(rule, k, num) for rule in (rho, nu))
+        return (p["a"] / p["b"]) ** k
+    if model.kind == "heat":
+        return (-p["D"] * (p["a"] - p["b"]) * k * k).exp()
+    return 1 / (k * PI) ** 2  # green
 
 
 def _sigma(rule: tuple, k: int, num):
@@ -193,16 +199,17 @@ def test_flat_ratios_are_ordered_on_the_floats(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo draws and inversions need floats
+# Monte-Carlo risk at every level; draws and inversions need floats
 # ---------------------------------------------------------------------------
 
 
-def test_monte_carlo_refuses_a_level_with_no_float():
+def test_monte_carlo_answers_at_a_level_with_no_float():
     chan = GaussianChannel(poisson_model(0.5, 1.0, k_max=16), geometric_rule(1.0, 0.5),
                            constant_rule(1.0), NoiseLevel(1050.0))
     assert chan.epsilon is None and partition_IN(chan).k_I == 16
-    with pytest.raises(ValidationError, match="float range"):
-        monte_carlo_mse(chan, 4, 0)
+    # every inverted term rho_k^2 2^(-2 log2_snr) = 2^(2k - 2100) is 0 in floats
+    mc = monte_carlo_mse(chan, 4, 0)
+    assert mc.mean == geometric_rule(1.0, 0.5).sum_sq_tail(16) and mc.stderr == 0.0
     stream = TrialStream(0, 0)
     xi = synthesize_solution(chan, stream)
     with pytest.raises(ValidationError, match="float range"):
@@ -214,14 +221,76 @@ def test_float_consumers_refuse_an_eigenvalue_that_underflows_on_I():
     chan = GaussianChannel(heat_model(1.0, 2.0, 1.0, k_max=40), geometric_rule(1.0, 0.5),
                            constant_rule(1.0), 0.0)
     assert chan.float_refusal == "needs lambda_k > 0 on I; lambda_28 underflows to zero"
-    assert mse_closed_form(chan) == pytest.approx(geometric_rule(1.0, 0.5).sum_sq_tail(40))
+    tail = geometric_rule(1.0, 0.5).sum_sq_tail(40)
+    assert mse_closed_form(chan) == pytest.approx(tail)
+    assert monte_carlo_mse(chan, 2, 1).mean == tail  # no noise: every trial scores the tail
     stream = TrialStream(0, 0)
     xi = synthesize_solution(chan, stream)
-    for call in (lambda: monte_carlo_mse(chan, 2, 1), lambda: simulate_channel(chan, xi, stream),
+    for call in (lambda: simulate_channel(chan, xi, stream),
                  lambda: posterior_estimate(chan, xi),
                  lambda: posterior_density_params(chan, 1, 0.5)):
         with pytest.raises(ValidationError, match="lambda_28 underflows"):
             call()
+
+
+# rho_k = 1e150 puts components 28..32 in I although lambda_k is 0 in float, and
+# component 32's inverted term, about 1e289, outweighs the rest
+_HEAT_UNDERFLOW = {"model": {"kind": "heat", "D": 1.0, "a": 2.0, "b": 1.0, "k_max": 40},
+                   "epsilon_grid": [1e-300],
+                   "rho": {"kind": "custom", "values": [1e150] * 32 + [1.0] * 8,
+                           "tail_sum_sq": 0.0},
+                   "nu": {"kind": "constant", "c": 1.0}, "trials": 3, "seed": 0}
+# lambda_1 xi_1 is near 1e79 and eps nu_1 z_1 near 1: eta_1 / lambda_1 - xi_1
+# loses the noise term in floats
+_CANCELLATION = {"model": {"kind": "green", "k_max": 1}, "epsilon_grid": [0.5],
+                 "rho": {"kind": "custom", "values": [1e80], "tail_sum_sq": 0.0},
+                 "nu": {"kind": "constant", "c": 1.0}, "trials": 2, "seed": 25}
+# 2^-1100 has no float; nu_k = 2^48 puts component 27 just inside I, where its
+# inverted term is about rho_27^2 / 2
+_DEEP_HEAT = {"model": {"kind": "heat", "D": 1.0, "a": 2.0, "b": 1.0, "k_max": 40},
+              "log2_inv_eps_grid": [1100],
+              "rho": {"kind": "custom", "values": [1.0] * 40, "tail_sum_sq": 0.0},
+              "nu": {"kind": "constant", "c": 2.0 ** 48}, "trials": 3, "seed": 4}
+
+
+def _exact_statistics(chan: GaussianChannel, prior: np.ndarray,
+                      noise: np.ndarray) -> list[Fraction]:
+    """Each trial's squared error plus the tail, in exact arithmetic: on I the
+    estimate ``eta_k / lambda_k`` with ``eta = lambda xi + eps nu z``, on N zero.
+    ``lambda_k`` is its 50-digit decimal; the draws, ``rho_k``, ``nu_k`` and
+    ``eps`` are the exact rationals of their floats."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam = [Fraction(_eigenvalue(chan.model, k, Decimal)) for k in range(1, chan.k_max + 1)]
+    _, rho, nu = chan.arrays()
+    eps = _eps(chan.level if chan.epsilon is None else chan.epsilon)
+    stats = []
+    for p, z in zip(prior, noise):
+        total = Fraction(chan.rho.sum_sq_tail(chan.k_max))
+        for k, member in enumerate(chan.informative):
+            xi = Fraction(rho[k]) * Fraction(p[k])
+            if member:
+                eta = lam[k] * xi + eps * Fraction(nu[k]) * Fraction(z[k])
+                xi -= eta / lam[k]
+            total += xi * xi
+        stats.append(total)
+    return stats
+
+
+@pytest.mark.parametrize("config", [_CANCELLATION, _HEAT_UNDERFLOW, _DEEP_HEAT],
+                         ids=["cancellation", "lambda-underflows-on-I", "below-float-range"])
+def test_monte_carlo_statistic_matches_the_exact_error(config):
+    cfg = ExperimentConfig.from_json(config)
+    chan = GaussianChannel(cfg.model, cfg.rho, cfg.nu, cfg.levels[0], k_max=cfg.k_max)
+    prior, noise = harness._trial_block(cfg.seed, cfg.trials, chan.k_max)
+    want = _exact_statistics(chan, prior, noise)
+    xi = chan.arrays()[1] * prior
+    for t, stat in enumerate(want):  # a block of one trial: its mean is its statistic
+        got = harness._monte_carlo(chan._rows, xi[t:t + 1], noise[t:t + 1])[0].mean
+        assert got > 0.0 and _close(got, float(stat))
+    mc = monte_carlo_mse(chan, cfg.trials, cfg.seed)
+    assert _close(mc.mean, float(sum(want) / len(want)))
+    assert mc.mean == convergence_sweep(cfg).rows[0]["mse_mc_mean"]
 
 
 def test_posterior_density_refuses_an_underflowed_eigenvalue_on_N():
@@ -269,30 +338,30 @@ def test_a_prior_energy_that_overflows_is_refused():
         monte_carlo_mse(chan, 3, 1)
 
 
-def test_simulate_blanks_the_monte_carlo_columns_where_lambda_underflows_on_I(
+def test_simulate_fills_the_monte_carlo_columns_where_lambda_underflows_on_I(
         capsys, tmp_path):
-    # rho_k = 1e150 puts components 28..32 in I although lambda_k is 0 in float
-    config = {"model": {"kind": "heat", "D": 1.0, "a": 2.0, "b": 1.0, "k_max": 40},
-              "epsilon_grid": [1e-300],
-              "rho": {"kind": "custom", "values": [1e150] * 40, "tail_sum_sq": 0.0},
-              "nu": {"kind": "constant", "c": 1.0}, "trials": 3, "seed": 0}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(_HEAT_UNDERFLOW))
     assert main(["simulate", "--config", str(path)]) == 0
     header, row = capsys.readouterr().out.splitlines()[:2]
     cells = dict(zip(header.split(","), row.split(",")))
-    assert cells["k_I"] == "32" and cells["mse_mc_mean"] == cells["mse_mc_stderr"] == ""
-    assert float(cells["mse_closed"]) == pytest.approx(8e300, rel=1e-10)
+    chan = GaussianChannel(heat_model(1.0, 2.0, 1.0, k_max=40),
+                           custom_rule([1e150] * 32 + [1.0] * 8, 0.0), constant_rule(1.0), 1e-300)
+    mc = monte_carlo_mse(chan, 3, 0)
+    assert cells["k_I"] == "32" and cells["mse_closed"] == "%.17g" % mse_closed_form(chan)
+    assert (cells["mse_mc_mean"], cells["mse_mc_stderr"]) == ("%.17g" % mc.mean,
+                                                              "%.17g" % mc.stderr)
 
 
-def test_sweep_below_float_range_blanks_only_the_monte_carlo_columns():
+def test_sweep_below_float_range_fills_the_monte_carlo_columns():
     cfg = ExperimentConfig(model=poisson_model(0.5, 1.0), log2_inv_eps_grid=(8.0, 1030.0),
                            rho=geometric_rule(32.0, 0.0625), nu=constant_rule(1.0),
                            trials=4, seed=3, k_max=32)
     first, second = convergence_sweep(cfg).rows
-    assert first["mse_mc_mean"] is not None
-    assert second.get("mse_mc_mean") is None and second.get("mse_mc_stderr") is None
-    assert second["k_I"] == 32 and second["mse_closed"] is not None
+    assert first["mse_mc_mean"] > second["mse_mc_mean"]
+    # every inverted term is 0 in floats at 2^-1030, so every trial scores the tail
+    assert second["k_I"] == 32 and second["mse_closed"] == second["mse_mc_mean"]
+    assert second["mse_mc_mean"] == cfg.rho.sum_sq_tail(32) and second["mse_mc_stderr"] == 0.0
 
 
 def test_deep_rows_saturating_at_the_prior_tail_report_a_rounding_tie():

@@ -35,7 +35,7 @@ PROFILE = settings.get_profile("fredinfo")
 CHANNEL_COLUMNS = ("k_I", "exact_nats", "approx_nats", "k_alpha", "mse_closed",
                    "mse_mc_mean", "mse_mc_stderr")
 # Largest exponent per family whose metric columns answer; the exponential
-# families reach past float range (|L| > 1022), where the draws are refused.
+# families reach past float range (|L| > 1022), where no level has a float.
 _TOP = {"poisson": 1100.0, "heat": 1100.0, "green": 60.0}
 
 
@@ -105,7 +105,7 @@ def _api_rows(config: ExperimentConfig) -> list[dict]:
         if config.rho.is_trace_class:
             row["k_alpha"] = k_alpha(chan)
             row["mse_closed"] = mse_closed_form(chan)
-            if config.trials >= 1 and chan.float_refusal is None:
+            if config.trials >= 1:
                 mc = monte_carlo_mse(chan, config.trials, config.seed)
                 row["mse_mc_mean"] = mc.mean
                 row["mse_mc_stderr"] = mc.stderr
@@ -226,10 +226,11 @@ def _sum_from_zero(terms: np.ndarray) -> float:
 
 def _reference_rows(config: ExperimentConfig) -> list[dict]:
     """The channel and Monte-Carlo columns of each row, scored one row and, for
-    the risk, one trial at a time."""
+    the risk, one trial at a time: on I a trial's squared error is
+    ``inverted_risk_k z_k^2``, on N ``xi_k^2`` (``tests/test_log_channel.py``
+    checks that form against the exact error), summed by ``np.sum``."""
     chan = _Rows(_Basis(config.model, config.rho, config.nu, config.k_max), config.levels)
     basis = chan.basis
-    lam, rho, nu = basis.arrays
     order, trials = basis.order, config.trials
     xi = noise = None
     rows = []
@@ -250,16 +251,16 @@ def _reference_rows(config: ExperimentConfig) -> list[dict]:
         ok = prefix <= gamma * (1.0 + 1e-12)
         row["k_alpha"] = int(np.sum(ok)) if ok.any() else 0
         row["mse_closed"] = chan.mse(i)
-        if trials < 1 or chan.float_refusal[i] is not None:
+        if trials < 1:
             continue
         if xi is None:
             prior, noise = harness._trial_block(config.seed, trials, basis.k_max)
-            xi = rho * prior
-        eps, tail = chan.epsilon[i], basis.tail
+            xi = basis.arrays[1] * prior
+        tail = basis.tail
         with np.errstate(over="ignore"):
-            eta = lam * xi + eps * nu * noise
-            diff = xi - np.divide(eta, lam, out=np.zeros_like(eta), where=member)
-            stats = np.fromiter((d @ d + tail for d in diff), dtype=float, count=trials)
+            stats = np.fromiter(
+                (np.sum(np.where(member, chan.inverted_risk[i] * (z * z), x * x)) + tail
+                 for x, z in zip(xi, noise)), dtype=float, count=trials)
         if not np.isfinite(stats).all():
             raise ValidationError("monte_carlo_mse: the squared error overflows floats")
         row["mse_mc_mean"] = float(np.mean(stats))

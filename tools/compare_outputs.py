@@ -17,7 +17,9 @@ configs never reach (``power:1,300``, where every term underflows, and
 ``power:1,0.5000001``, near the trace-class edge ``2p = 1``),
 sweeps through the channel-column branches the benchmark configs never reach
 (one of them scores its Monte-Carlo columns over many slabs of levels, one
-ends on a Monte-Carlo overflow, one has statistics whose squares overflow),
+ends on a Monte-Carlo overflow, one has statistics whose squares overflow, one
+has a noise term that ``eta_k / lambda_k - xi_k`` cancels in floats, and a heat
+sweep scores components of I whose ``lambda_k`` underflows to 0),
 metric-only sweeps through the grid kernel's branches the benchmark configs
 never reach (a tabulated spectrum, subnormal floats, the two-sided total on
 exponents across ``|L| = 1022``, a refused green cutoff), the extremal
@@ -201,10 +203,11 @@ POWER_TAIL_COMMANDS = [
 
 
 # Sweeps through channel-column branches the benchmark configs never reach:
-# channel columns on exponent grids across |L| = 1022 (where the Monte-Carlo
-# columns blank), a prior that is not trace class, a ratio order that is not
-# the index order, the two-sided total, Monte-Carlo columns scored over many
-# slabs of levels, statistics near 1e160 whose squared deviations overflow, and
+# channel columns on exponent grids across |L| = 1022, a prior that is not trace
+# class, a ratio order that is not the index order, the two-sided total,
+# Monte-Carlo columns scored over many slabs of levels, statistics near 1e160
+# whose squared deviations overflow, a trial error near 5 beside lambda_1 xi_1
+# near 1e79, informative components whose lambda_k underflows to 0, and
 # configs with faults at several places, which must end on the first one met
 # row by row (a Monte-Carlo overflow among them).  Green's cutoff refuses below
 # eps = 1.25e-33, where it passes 2^53; nu 100 times larger keeps eps nu, and so
@@ -239,6 +242,14 @@ CHANNEL_SWEEPS = {
                         "rho": {"kind": "custom", "values": [1e80], "tail_sum_sq": 0.0},
                         "nu": {"kind": "constant", "c": 1e90}, "epsilon_grid": [0.5],
                         "trials": 2, "seed": 25},
+    "cancellation": {"model": {"kind": "green", "k_max": 1},
+                     "rho": {"kind": "custom", "values": [1e80], "tail_sum_sq": 0.0},
+                     "nu": _CONSTANT, "epsilon_grid": [0.5], "trials": 2, "seed": 25},
+    "heat_underflow_on_I": {"model": {"kind": "heat", "D": 1.0, "a": 2, "b": 1, "k_max": 40},
+                            "epsilon_grid": [1e-3, 1e-300],
+                            "rho": {"kind": "custom", "values": [1e150] * 32 + [1.0] * 8,
+                                    "tail_sum_sq": 0.0},
+                            "nu": _CONSTANT, "trials": 3, "seed": 0},
     "fault_metric_row_1": {**_GREEN_1, "nu": {"kind": "constant", "c": 9.2e186},
                            "epsilon_grid": [0.2, 1e-34, 9.99e-35]},
     "fault_monte_carlo_row_1": {**_GREEN_1, "epsilon_grid": [0.2, 9.99e-33, 1e-34]},
