@@ -501,7 +501,7 @@ class GaussianChannel:
     ``lambda_k`` underflows.  A component whose factors, product and ratio are
     normal floats is ordered (by decreasing ``lambda_k rho_k / nu_k``, ties
     rejected) and, at a float level, placed in I on those floats; any other
-    on its log2 values.  :meth:`floats` serves the float consumers.
+    on its log2 values.  The consumers of float data read :meth:`arrays`.
     """
 
     model: SpectrumModel
@@ -528,28 +528,6 @@ class GaussianChannel:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._rows.basis.arrays  # type: ignore[attr-defined]
-
-    @property
-    def float_refusal(self) -> str | None:
-        """Why ``eps nu_k`` or ``eta_k / lambda_k`` cannot be formed in floats (None)."""
-        if self.epsilon is None:
-            return "needs a float epsilon; the level lies outside float range"
-        if self._rows.basis.normal.all():  # every lambda_k, rho_k and nu_k: positive, finite
-            return None
-        lam, rho, nu = self.arrays()
-        if not (np.isfinite(rho).all() and np.isfinite(nu).all()):
-            return "needs rho_k and nu_k to be finite floats on 1..k_max"
-        if (lam[self.informative] == 0.0).any():
-            first = int(np.flatnonzero(self.informative & (lam == 0.0))[0]) + 1
-            return f"needs lambda_k > 0 on I; lambda_{first} underflows to zero"
-        return None
-
-    def floats(self, what: str) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """``(eps, lambda, rho, nu)`` for the consumers that act on float data:
-        ``simulate_channel``, ``posterior_estimate``, ``posterior_density_params``."""
-        if self.float_refusal is not None:
-            raise ValidationError(f"{what} {self.float_refusal}")
-        return (self.epsilon, *self.arrays())
 
     @property
     def ordering(self) -> np.ndarray:
@@ -636,11 +614,11 @@ def partition_IN(channel: GaussianChannel) -> Partition:
 def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> CoefficientVector:
     """Component-wise posterior-mode estimator from observed coefficients.
 
-    Informative components are inverted (``eta_k / lambda_k``), the rest are
-    zeroed.  For two-sided basis models membership is applied per ``|k|``
-    with the variance rules evaluated at ``max(|k|, 1)``: the paper's
-    sequences have no ``rho_0`` or ``nu_0``, so the center mode is judged
-    with ``lambda_0 = 1`` and the rules at 1 (``rho_1 >= eps nu_1``).  As
+    Informative components are inverted (``g_k / lambda_k``, refused where not
+    a finite float), the rest are zeroed.  Two-sided models apply membership per
+    ``|k|`` with the rules at ``max(|k|, 1)``: the paper's sequences have no
+    ``rho_0`` or ``nu_0``, so the center mode is judged with ``lambda_0 = 1``
+    and the rules at 1 (``rho_1 >= eps nu_1``, in floats at a noisy level).  As
     ``lambda_0 >= lambda_1``, the center is in I whenever component 1 is.
     """
     if data.model != channel.model:
@@ -648,16 +626,24 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
     if data.K > channel.k_max:
         raise ValidationError(
             f"data reaches index {data.K} beyond the channel's k_max={channel.k_max}")
-    eps, _, rho, nu = channel.floats("posterior_estimate")
     ks = np.abs(data.indices)
     lam = data.eigenvalue_profile()
     pos = ks >= 1
-    member = np.zeros(ks.shape, dtype=bool)
+    member = ~pos  # the center mode, which is in I when noise-free
     member[pos] = channel.informative[ks[pos] - 1]
-    member[~pos] = rho[0] >= eps * nu[0]  # center mode: lambda_0 = 1, the rules at 1
+    if channel.model.two_sided and channel.level is not None:  # lambda_0 = 1, the rules at 1
+        _, rho, nu = channel.arrays()
+        eps = channel.level.require_epsilon("posterior_estimate's center mode")
+        with np.errstate(over="ignore"):
+            member[~pos] = rho[0] >= eps * nu[0]
     # divide only on I: lambda_k may underflow to 0 on N
     zeros = np.zeros(lam.shape, np.result_type(data.entries, lam))  # integer data: float
-    entries = np.divide(data.entries, lam, out=zeros, where=member)
+    with np.errstate(all="ignore"):
+        entries = np.divide(data.entries, lam, out=zeros, where=member)
+    bad = np.flatnonzero(~np.isfinite(entries))
+    if bad.size:
+        k = data.indices[bad[0]]
+        raise ValidationError(f"posterior_estimate: g_{k} / lambda_{k} is not a finite float")
     return CoefficientVector(channel.model, entries)
 
 
@@ -676,23 +662,20 @@ def posterior_density_params(channel: GaussianChannel, k: int,
     """Parameters of the two Gaussians attached to component ``k``.
 
     The prior marginal is ``N(0, rho_k^2)``; conditioning on the observation
-    ``g_k`` gives ``N(g_k / lambda_k, (eps nu_k / lambda_k)^2)``.  The
-    conditional variance is the smaller of the two exactly on I.
+    ``g_k`` gives ``N(g_k / lambda_k, (eps nu_k / lambda_k)^2)``, the smaller
+    variance exactly on I.  A parameter that is not a finite float is refused.
     """
     i = channel._index(k)
-    _, lams, rhos, _ = channel.floats("posterior_density_params")
-    lam, rho = float(lams[i]), float(rhos[i])
+    lam, rho, _ = (float(values[i]) for values in channel.arrays())
     if lam == 0.0:
         raise ValidationError(f"posterior_density_params: lambda_{k} underflows to zero")
-    var1 = rho * rho
-    if not math.isfinite(var1):
+    params = PosteriorParams(0.0, rho * rho, float(g_k) / lam, float(channel.inverted_risk[i]))
+    if not math.isfinite(params.var1):
         raise ValidationError(f"posterior_density_params: rho_{k}^2 overflows floats")
-    return PosteriorParams(
-        mean1=0.0,
-        var1=var1,
-        mean2=float(g_k) / lam,
-        var2=float(channel.inverted_risk[i]),
-    )
+    if not (math.isfinite(params.mean2) and math.isfinite(params.var2)):
+        raise ValidationError(f"posterior_density_params: the conditional mean or variance "
+                              f"of component {k} is not a finite float")
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -121,17 +121,23 @@ def simulate_channel(channel: GaussianChannel, xi: CoefficientVector,
                      stream: TrialStream) -> CoefficientVector:
     """Observe a solution through the channel: ``eta = lambda xi + eps nu N(0,1)``.
 
-    With ``eps = 0`` this is exactly the forward map of ``xi``.
+    With ``eps = 0`` this is exactly the forward map of ``xi``; with noise the
+    level needs a float.  An ``eta_k`` that is not a finite float is refused.
     """
     if xi.model != channel.model:
         raise ValidationError("simulate_channel: xi uses a different model")
-    eps, lam, _, nu = channel.floats("simulate_channel")
+    eps = 0.0 if channel.level is None else channel.level.require_epsilon("simulate_channel")
+    lam, _, nu = channel.arrays()
     xi_comp = xi.components()
     if xi_comp.size != channel.k_max:
         raise ValidationError("xi must cover exactly the channel components")
-    eta = lam * xi_comp
-    if eps > 0.0:
-        eta = eta + eps * nu * stream.noise_normals(channel.k_max)
+    with np.errstate(all="ignore"):
+        eta = lam * xi_comp
+        if eps > 0.0:
+            eta = eta + eps * nu * stream.noise_normals(channel.k_max)
+    bad = np.flatnonzero(~np.isfinite(eta))
+    if bad.size:
+        raise ValidationError(f"simulate_channel: eta_{bad[0] + 1} is not a finite float")
     return CoefficientVector.from_components(channel.model, eta)
 
 

@@ -442,10 +442,10 @@ def _ones_channel(eps):
     (lambda: total_information(_ones_channel(0.0)), "requires epsilon > 0"),
     (lambda: posterior_estimate(_ones_channel(0.1), CoefficientVector(
         poisson_model(0.5, 1.0, k_max=4), np.ones(3))), "data uses a different model"),
-    # lambda_k = e^(-k^2) is 0 from k = 28, so rho_k = (1 + 1e-9/k) / lambda_k is infinite
+    # lambda_k = e^(-k^2) is 0 from k = 28, and every component is in I
     (lambda: posterior_estimate(
         GaussianChannel(_HEAT40, inverse_spectrum_rule(_HEAT40), constant_rule(1.0), 0.1),
-        CoefficientVector(_HEAT40, np.ones(81))), "rho_k and nu_k to be finite floats"),
+        CoefficientVector(_HEAT40, np.ones(81))), "g_-40 / lambda_-40 is not a finite float"),
 ], ids=["negative-tail", "power-at-0", "gaussian-overflow", "component-0",
         "noise-free-total", "posterior-other-model", "posterior-infinite-prior"])
 def test_channel_refusals(call, message):

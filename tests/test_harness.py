@@ -200,7 +200,7 @@ def test_monte_carlo_scores_prior_when_noise_overflows():
     stats = []
     for t in range(3):
         xi = rho * TrialStream(seed=1, trial=t).prior_normals(8)
-        stats.append(xi @ xi + chan.rho.sum_sq_tail(8))
+        stats.append(np.sum(xi * xi) + chan.rho.sum_sq_tail(8))
     assert monte_carlo_mse(chan, trials=3, seed=1).mean == float(np.mean(np.asarray(stats)))
 
 

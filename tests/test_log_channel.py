@@ -10,11 +10,12 @@ inputs that float products cannot answer (a tie among underflowed products,
 an underflowed eigenvalue, a level below float range) and levels ``2^-L``
 with ``|L|`` up to 4096.  Also covered: a boundary tie that only the float
 comparison resolves as k0 does, also with a subnormal component beside it; the
-refusals of the float consumers (``simulate_channel`` and the ``eta_k /
-lambda_k`` inversions) at a level with no float and where ``lambda_k``
-underflows on I, where the Monte-Carlo risk still answers; each trial's
-Monte-Carlo statistic against its exact squared error, formed with fractions,
-at those inputs and where the float error ``eta_k / lambda_k - xi_k`` cancels;
+float consumers (``simulate_channel`` and the ``g_k / lambda_k`` inversions),
+which, like the Monte-Carlo risk, answer at a level with no float and where
+``lambda_k`` underflows on I, and refuse only a float they form that is not
+finite; each trial's Monte-Carlo statistic against its exact squared error,
+formed with fractions, at those inputs and where the float error
+``eta_k / lambda_k - xi_k`` cancels;
 the refusal of a prior whose ``rho_k^2`` or prior energy is not a float by the
 consumers that form them, and its acceptance by those that do not; and the
 sweep rows that fill the Monte-Carlo columns at those levels.
@@ -29,9 +30,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from fredinfo import (ExperimentConfig, GaussianChannel, NoiseLevel, ValidationError,
-                      constant_rule, convergence_sweep, custom_rule, geometric_rule,
-                      green_model, heat_model, k_alpha, monte_carlo_mse, mse_closed_form,
+from fredinfo import (CoefficientVector, ExperimentConfig, GaussianChannel, NoiseLevel,
+                      PosteriorParams, ValidationError, constant_rule, convergence_sweep,
+                      custom_rule, geometric_rule, green_model, heat_model,
+                      inverse_spectrum_rule, k_alpha, monte_carlo_mse, mse_closed_form,
                       partition_IN, poisson_model, posterior_density_params, posterior_estimate,
                       power_rule, simulate_channel, synthesize_solution,
                       tabulated_model, total_information, TrialStream)
@@ -199,7 +201,7 @@ def test_flat_ratios_are_ordered_on_the_floats(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo risk at every level; draws and inversions need floats
+# Monte-Carlo risk at every level; draws and inversions check the floats they form
 # ---------------------------------------------------------------------------
 
 
@@ -220,17 +222,20 @@ def test_float_consumers_refuse_an_eigenvalue_that_underflows_on_I():
     # noise-free: every component is informative, and lambda_28 = e^-784 is 0
     chan = GaussianChannel(heat_model(1.0, 2.0, 1.0, k_max=40), geometric_rule(1.0, 0.5),
                            constant_rule(1.0), 0.0)
-    assert chan.float_refusal == "needs lambda_k > 0 on I; lambda_28 underflows to zero"
     tail = geometric_rule(1.0, 0.5).sum_sq_tail(40)
     assert mse_closed_form(chan) == pytest.approx(tail)
     assert monte_carlo_mse(chan, 2, 1).mean == tail  # no noise: every trial scores the tail
     stream = TrialStream(0, 0)
     xi = synthesize_solution(chan, stream)
-    for call in (lambda: simulate_channel(chan, xi, stream),
-                 lambda: posterior_estimate(chan, xi),
-                 lambda: posterior_density_params(chan, 1, 0.5)):
-        with pytest.raises(ValidationError, match="lambda_28 underflows"):
-            call()
+    # the forward map never divides by lambda_k, so it answers: eta_k = 0 from k = 28
+    eta = simulate_channel(chan, xi, stream).components()
+    assert (eta == chan.arrays()[0] * xi.components()).all() and not eta[27:].any()
+    # the inversions divide by lambda_k on I, and refuse where it is 0
+    with pytest.raises(ValidationError, match="g_-40 / lambda_-40 is not a finite float"):
+        posterior_estimate(chan, CoefficientVector(chan.model, np.ones(81)))
+    with pytest.raises(ValidationError, match="lambda_28 underflows"):
+        posterior_density_params(chan, 28, 0.5)
+    assert posterior_density_params(chan, 1, 0.5).var2 == 0.0
 
 
 # rho_k = 1e150 puts components 28..32 in I although lambda_k is 0 in float, and
@@ -296,9 +301,66 @@ def test_monte_carlo_statistic_matches_the_exact_error(config):
 def test_posterior_density_refuses_an_underflowed_eigenvalue_on_N():
     chan = GaussianChannel(heat_model(1.0, 2.0, 1.0, k_max=40), geometric_rule(1.0, 0.5),
                            constant_rule(1.0), 0.01)
-    assert chan.float_refusal is None and not chan.informative[29]
+    assert not chan.informative[29]
     with pytest.raises(ValidationError, match="lambda_30 underflows"):
         posterior_density_params(chan, 30, 0.5)
+
+
+def test_posterior_density_refuses_a_conditional_parameter_that_is_not_a_float():
+    # (eps nu_k / lambda_k)^2 overflows from k = 19, and g_27 / lambda_27 with
+    # the subnormal lambda_27 = 2.5e-317 does too
+    chan = GaussianChannel(heat_model(1.0, 2.0, 1.0, k_max=40), geometric_rule(1.0, 0.5),
+                           constant_rule(1.0), 0.01)
+    assert 0.0 < chan.arrays()[0][26] < np.finfo(float).tiny
+    for k in (20, 27):
+        with pytest.raises(ValidationError, match=f"component {k} is not a finite float"):
+            posterior_density_params(chan, k, 0.5)
+    assert np.isfinite(list(vars(posterior_density_params(chan, 18, 0.5)).values())).all()
+
+
+def test_simulate_channel_answers_where_lambda_underflows_on_I():
+    cfg = ExperimentConfig.from_json(_HEAT_UNDERFLOW)
+    chan = GaussianChannel(cfg.model, cfg.rho, cfg.nu, cfg.levels[0], k_max=cfg.k_max)
+    lam, _, nu = chan.arrays()
+    assert chan.informative[27:32].all() and not lam[27:32].any()
+    stream = TrialStream(0, 0)
+    xi = synthesize_solution(chan, stream)
+    eta = simulate_channel(chan, xi, stream).components()
+    assert (eta == lam * xi.components() + 1e-300 * nu * stream.noise_normals(40)).all()
+    assert np.isfinite(eta).all()
+
+
+def test_the_inversions_answer_at_a_level_with_no_float():
+    chan = GaussianChannel(poisson_model(0.5, 1.0, k_max=16), geometric_rule(1.0, 0.5),
+                           constant_rule(1.0), NoiseLevel(1050.0))
+    assert posterior_density_params(chan, 1, 0.5) == PosteriorParams(0.0, 0.25, 1.0, 0.0)
+    # a one-sided model has no center mode to judge against eps
+    green = GaussianChannel(green_model(k_max=8), constant_rule(1.0), constant_rule(1.0),
+                            NoiseLevel(1100.0))
+    estimate = posterior_estimate(green, CoefficientVector(green.model, np.ones(8)))
+    assert (estimate.entries == 1.0 / green.arrays()[0]).all()
+    # a two-sided model's center mode is judged on rho_1 >= eps nu_1, in floats
+    heat = heat_model(1.0, 2.0, 1.0, k_max=8)
+    chan = GaussianChannel(heat, constant_rule(1.0), constant_rule(1.0), NoiseLevel(1100.0))
+    with pytest.raises(ValidationError, match="center mode needs a representable epsilon"):
+        posterior_estimate(chan, CoefficientVector(heat, np.ones(17)))
+
+
+def test_the_inversions_accept_a_noise_rule_infinite_on_N():
+    # nu_k = (1 + 1e-9/k) / lambda_k is infinite from k = 27, and only k = 1 is in I
+    heat = heat_model(1.0, 2.0, 1.0, k_max=40)
+    chan = GaussianChannel(heat, constant_rule(1.0), inverse_spectrum_rule(heat), 0.1)
+    assert partition_IN(chan).k_I == 1 and np.isinf(chan.arrays()[2][26:]).all()
+    estimate = posterior_estimate(chan, CoefficientVector(heat, np.ones(81)))
+    lam = heat.eigenvalues(np.array([1, 0, 1]))
+    assert (estimate.entries[39:42] == 1.0 / lam).all() and not estimate.entries[42:].any()
+    assert not estimate.entries[:39].any()
+    params = posterior_density_params(chan, 1, 0.5)
+    assert params.var1 == 1.0 and params.var2 == pytest.approx((0.1 * math.e ** 2) ** 2)
+    # the noise eps nu_k z_k that simulate_channel forms is infinite from k = 27
+    stream = TrialStream(0, 0)
+    with pytest.raises(ValidationError, match="eta_27 is not a finite float"):
+        simulate_channel(chan, synthesize_solution(chan, stream), stream)
 
 
 def test_a_prior_whose_square_overflows_is_refused():
@@ -318,7 +380,6 @@ def test_draws_and_inversion_accept_a_prior_whose_square_overflows():
     # rho_k = 1e200: every factor is a normal float and neither consumer squares rho_k
     chan = GaussianChannel(poisson_model(0.5, 1.0, k_max=8), constant_rule(1e200),
                            constant_rule(1.0), 1e-3)
-    assert chan.float_refusal is None
     stream = TrialStream(1, 0)
     xi = synthesize_solution(chan, stream)
     estimate = posterior_estimate(chan, simulate_channel(chan, xi, stream))
