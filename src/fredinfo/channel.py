@@ -618,7 +618,8 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
     a finite float), the rest are zeroed.  Two-sided models apply membership per
     ``|k|`` with the rules at ``max(|k|, 1)``: the paper's sequences have no
     ``rho_0`` or ``nu_0``, so the center mode is judged with ``lambda_0 = 1``
-    and the rules at 1 (``rho_1 >= eps nu_1``, in floats at a noisy level).  As
+    and the rules at 1: ``rho_1 >= eps nu_1`` in floats, or where the level has
+    no float ``log2 rho_1 - log2 nu_1 + log2(1/eps) >= 0``.  As
     ``lambda_0 >= lambda_1``, the center is in I whenever component 1 is.
     """
     if data.model != channel.model:
@@ -631,11 +632,16 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
     pos = ks >= 1
     member = ~pos  # the center mode, which is in I when noise-free
     member[pos] = channel.informative[ks[pos] - 1]
-    if channel.model.two_sided and channel.level is not None:  # lambda_0 = 1, the rules at 1
-        _, rho, nu = channel.arrays()
-        eps = channel.level.require_epsilon("posterior_estimate's center mode")
-        with np.errstate(over="ignore"):
-            member[~pos] = rho[0] >= eps * nu[0]
+    level = channel.level
+    if channel.model.two_sided and level is not None:  # lambda_0 = 1, the rules at 1
+        if level.epsilon is not None:
+            _, rho, nu = channel.arrays()
+            with np.errstate(over="ignore"):
+                member[~pos] = rho[0] >= level.epsilon * nu[0]
+        else:
+            one = np.ones(1, dtype=np.int64)
+            log2_ratio = channel.rho.log2_values(one)[0] - channel.nu.log2_values(one)[0]
+            member[~pos] = log2_ratio + level.log2_inv_eps >= 0.0
     # divide only on I: lambda_k may underflow to 0 on N
     zeros = np.zeros(lam.shape, np.result_type(data.entries, lam))  # integer data: float
     with np.errstate(all="ignore"):

@@ -339,11 +339,22 @@ def test_the_inversions_answer_at_a_level_with_no_float():
                             NoiseLevel(1100.0))
     estimate = posterior_estimate(green, CoefficientVector(green.model, np.ones(8)))
     assert (estimate.entries == 1.0 / green.arrays()[0]).all()
-    # a two-sided model's center mode is judged on rho_1 >= eps nu_1, in floats
+    # a two-sided model's center mode is judged on log2 rho_1 - log2 nu_1 + L >= 0
     heat = heat_model(1.0, 2.0, 1.0, k_max=8)
     chan = GaussianChannel(heat, constant_rule(1.0), constant_rule(1.0), NoiseLevel(1100.0))
-    with pytest.raises(ValidationError, match="center mode needs a representable epsilon"):
-        posterior_estimate(chan, CoefficientVector(heat, np.ones(17)))
+    estimate = posterior_estimate(chan, CoefficientVector(heat, np.ones(17)))
+    assert (estimate.entries == 1.0 / heat.eigenvalues(np.abs(np.arange(-8, 9)))).all()
+
+
+@pytest.mark.parametrize("L, center", [(1100.5, 1.0), (1100.0, 1.0), (1099.5, 0.0)])
+def test_center_mode_without_a_float_is_judged_in_log2(L, center):
+    # log2 rho_1 - log2 nu_1 = -1100, and lambda_1 = 1/e keeps component 1 out of I
+    heat = heat_model(1.0, 2.0, 1.0, k_max=8)
+    chan = GaussianChannel(heat, constant_rule(2.0 ** -1000), constant_rule(2.0 ** 100),
+                           NoiseLevel(L))
+    assert not chan.informative.any()
+    estimate = posterior_estimate(chan, CoefficientVector(heat, np.ones(17)))
+    assert estimate.entries[8] == center and not np.delete(estimate.entries, 8).any()
 
 
 def test_the_inversions_accept_a_noise_rule_infinite_on_N():

@@ -486,14 +486,58 @@ def test_nystrom_kernel_without_reflection_symmetry_is_solved_dense(monkeypatch,
                                   np.maximum(np.linalg.eigvalsh(sys.sym)[::-1], 0.0))
 
 
-@pytest.mark.parametrize("i, j", [(25, 0), (49, 50), (26, 0)],
-                         ids=["middle-row", "trailing-block", "off-diagonal-block"])
-def test_nystrom_split_needs_every_block_mirrored(i, j):
+def _split_by_blocks(sym):
+    """The split solve with each block its own array: the eigenvalues of
+    ``A - F`` and of ``A + F`` (bordered for odd n), concatenated and sorted."""
+    n = sym.shape[0]
+    m = n // 2
+    A, F = sym[:m, :m], sym[n - m:, :m][::-1]
+    even = A + F
+    if n % 2:
+        border = math.sqrt(2.0) * sym[:m, m]
+        even = np.block([[even, border[:, None]], [border[None, :], sym[m:m + 1, m:m + 1]]])
+    return np.sort(np.concatenate([np.linalg.eigvalsh(A - F), np.linalg.eigvalsh(even)]))
+
+
+@pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 128, 129, 257, 999, 1000])
+def test_nystrom_split_in_one_buffer_matches_block_formula(monkeypatch, n, rule):
+    """The split solve that reuses one half-size buffer gives the block
+    formula's eigenvalues bit for bit, about the band edges of the reflection
+    check and at odd n, where the buffer holds the bordered even problem."""
+    sym = nystrom_decompose(green_kernel, n_nodes=n, rule=rule).sym
+    sizes = _eigvalsh_sizes(monkeypatch)
+    vals = _eigvalsh(sym)
+    assert sizes == [n // 2, n - n // 2]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(vals, _split_by_blocks(sym))
+
+
+# (n, i, j): n = 300 and 301 put a 150-row half in three bands of the
+# reflection check, and each entry below is compared only in the last one
+_UNMIRRORED = {
+    "middle-row": (51, 25, 0),
+    "trailing-block": (51, 49, 50),
+    "off-diagonal-block": (51, 26, 0),
+    "leading-block-last-band-even": (300, 149, 140),
+    "off-diagonal-block-last-band-even": (300, 159, 145),
+    "leading-block-last-band-odd": (301, 149, 140),
+    "off-diagonal-block-last-band-odd": (301, 160, 145),
+    "middle-row-last-band": (301, 150, 140),
+}
+
+
+@pytest.mark.parametrize("n, i, j", list(_UNMIRRORED.values()), ids=list(_UNMIRRORED))
+def test_nystrom_split_needs_every_block_mirrored(monkeypatch, n, i, j):
     """A matrix off reflection symmetry by 64 eps max|sym| in one entry (and
     its transpose), past the split's tolerance of 8, goes to the dense solver."""
-    sym = nystrom_decompose(green_kernel, n_nodes=51).sym.copy()
+    sym = nystrom_decompose(green_kernel, n_nodes=n).sym.copy()
     sym[i, j] = sym[j, i] = sym[i, j] + 64.0 * np.finfo(float).eps * sym.max()
-    np.testing.assert_array_equal(_eigvalsh(sym), np.linalg.eigvalsh(sym))
+    sizes = _eigvalsh_sizes(monkeypatch)
+    vals = _eigvalsh(sym)
+    assert sizes == [n]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(vals, np.linalg.eigvalsh(sym))
 
 
 @pytest.mark.parametrize("n", [1000, 1999])
@@ -550,17 +594,18 @@ def test_nystrom_non_finite_last_band_outranks_asymmetric_first_band():
         nystrom_decompose(skewed, n_nodes=129)
 
 
-def test_nystrom_holds_one_matrix_at_a_time():
-    """Only ``sym`` is n x n: the traced peak of a 1000-node Green system
-    stays under 2 n^2 doubles (the halves of the split solver included)."""
-    n = 1000
+@pytest.mark.parametrize("n", [999, 1000])
+def test_nystrom_holds_one_matrix_at_a_time(n):
+    """Only ``sym`` is n x n: the traced peak of an n-node Green system
+    stays under 1.5 n^2 doubles, the split solver's one half-size buffer
+    included (bordered at odd n)."""
     tracemalloc.start()
     try:
         nystrom_decompose(green_kernel, n_nodes=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n * n * 8
+    assert peak <= 1.5 * n * n * 8
 
 
 @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
