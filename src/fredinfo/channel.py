@@ -615,8 +615,9 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
     """Component-wise posterior-mode estimator from observed coefficients.
 
     Informative components are inverted (``g_k / lambda_k``, refused where not
-    a finite float), the rest are zeroed.  Two-sided models apply membership per
-    ``|k|`` with the rules at ``max(|k|, 1)``: the paper's sequences have no
+    a finite float), the rest are zeroed.  The channel's components are the
+    labels ``k = 1..k_max``, so a two-sided model's labels below the center
+    hold no component and are zeroed.  The paper's sequences have no
     ``rho_0`` or ``nu_0``, so the center mode is judged with ``lambda_0 = 1``
     and the rules at 1: ``rho_1 >= eps nu_1`` in floats, or where the level has
     no float ``log2 rho_1 - log2 nu_1 + log2(1/eps) >= 0``.  As
@@ -627,21 +628,22 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
     if data.K > channel.k_max:
         raise ValidationError(
             f"data reaches index {data.K} beyond the channel's k_max={channel.k_max}")
-    ks = np.abs(data.indices)
+    ks = data.indices
     lam = data.eigenvalue_profile()
     pos = ks >= 1
-    member = ~pos  # the center mode, which is in I when noise-free
+    center = ks == 0
+    member = center.copy()  # the center mode is in I when noise-free; k < 0 never is
     member[pos] = channel.informative[ks[pos] - 1]
     level = channel.level
     if channel.model.two_sided and level is not None:  # lambda_0 = 1, the rules at 1
         if level.epsilon is not None:
             _, rho, nu = channel.arrays()
             with np.errstate(over="ignore"):
-                member[~pos] = rho[0] >= level.epsilon * nu[0]
+                member[center] = rho[0] >= level.epsilon * nu[0]
         else:
             one = np.ones(1, dtype=np.int64)
             log2_ratio = channel.rho.log2_values(one)[0] - channel.nu.log2_values(one)[0]
-            member[~pos] = log2_ratio + level.log2_inv_eps >= 0.0
+            member[center] = log2_ratio + level.log2_inv_eps >= 0.0
     # divide only on I: lambda_k may underflow to 0 on N
     zeros = np.zeros(lam.shape, np.result_type(data.entries, lam))  # integer data: float
     with np.errstate(all="ignore"):

@@ -525,27 +525,35 @@ class EigenSystem:
 
     Eigenvalues are sorted non-increasing and are non-negative (tiny negative
     round-off is clamped to zero).  They are those of the symmetrised matrix
-    ``sym``: from two half-size ``eigvalsh`` problems when ``sym`` is
-    reflection-symmetric, else from one ``eigvalsh`` of ``sym`` (see
-    :func:`nystrom_decompose`).  Either way they may differ in the last bits
-    from the eigenvalues that ``np.linalg.eigh`` reports for it.
+    ``sym``: from two half-size ``eigvalsh`` problems formed straight from
+    kernel blocks when ``sym`` is reflection-symmetric, else from one
+    ``eigvalsh`` of ``sym`` (see :func:`nystrom_decompose`).  Either way they
+    may differ in the last bits from the eigenvalues that ``np.linalg.eigh``
+    reports for it.
 
+    The system keeps its ``kernel``, and ``sym`` is built from it band by band
+    on first read, with the bits of the matrix the solve read.
     ``eigenvectors[:, j]`` holds the values of the j-th eigenfunction at
     ``nodes`` and is orthonormal in the quadrature inner product
     ``sum_i w_i u_i v_i``.  It is computed by one ``eigh`` of ``sym`` on
-    first access, so callers that read only eigenvalues never pay for it.
+    first access, so callers that read only eigenvalues never pay for either.
     """
 
     eigenvalues: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     rule: str
-    sym: np.ndarray = field(repr=False, compare=False)  # W^{1/2} K W^{1/2}
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     def eigenvalue(self, k: int) -> float:
         if not 1 <= k <= self.eigenvalues.size:
             raise ValidationError(f"eigensystem holds {self.eigenvalues.size} modes")
         return float(self.eigenvalues[k - 1])
+
+    @functools.cached_property
+    def sym(self) -> np.ndarray:
+        """``W^{1/2} K W^{1/2}``, symmetrised."""
+        return _symmetrized(_SymBlocks(self.kernel, self.nodes, self.weights))
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -577,8 +585,8 @@ def _quadrature_rule(n_nodes: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
     raise ValidationError(f"unknown quadrature rule {rule!r}")
 
 
-_SYMMETRIZE_ROWS = 64  # rows per band of the Nystrom build and reflection check
-_REFLECTION_ULPS = 8   # how far from reflection-symmetric a matrix may be for _eigvalsh to split
+_SYMMETRIZE_ROWS = 64  # rows per band of the Nystrom builds and reflection check
+_REFLECTION_ULPS = 8   # how far from reflection-symmetric sym may be for the split solve
 
 
 def _kernel_block(values, shape: tuple[int, int]) -> tuple[np.ndarray, float]:
@@ -592,48 +600,127 @@ def _kernel_block(values, shape: tuple[int, int]) -> tuple[np.ndarray, float]:
     return np.broadcast_to(block, shape), max(hi, -lo)
 
 
-def _eigvalsh(sym: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix ``sym``.
+def _abs_max(a: np.ndarray) -> float:
+    return max(float(a.max()), -float(a.min()))
+
+
+class _SymBlocks:
+    """Blocks of ``sym = 0.5 * (S + S.T)``, ``S = W^{1/2} K W^{1/2}`` for
+    ``K_ij = kernel(x_i, x_j)``, each from two kernel calls.
+
+    Entry ``(r, c)`` is ``0.5 * ((w_r K(x_r, x_c)) w_c + (w_c K(x_c, x_r)) w_r)``
+    with ``w`` the square roots of the weights: the float operations of
+    building ``S`` whole and symmetrizing it, and the same with ``r`` and ``c``
+    swapped, bit for bit, so any block of ``sym`` can be built on its own.  A
+    misshapen or non-finite kernel block is refused as it is built; the
+    largest ``|K|`` and ``|K(x, y) - K(y, x)|`` are kept for
+    :meth:`require_symmetric`, which judges asymmetry once every block is in.
+    """
+
+    def __init__(self, kernel, nodes: np.ndarray, weights: np.ndarray):
+        self.kernel, self.nodes, self.sqrt_w = kernel, nodes, np.sqrt(weights)
+        self.scale, self.asym = 1.0, 0.0
+
+    def __call__(self, rows, cols) -> np.ndarray:
+        """``sym[rows][:, cols]`` for index slices or arrays ``rows`` and ``cols``."""
+        x_r, x_c = self.nodes[rows][:, None], self.nodes[cols][None, :]
+        w_r, w_c = self.sqrt_w[rows][:, None], self.sqrt_w[cols][None, :]
+        shape = (x_r.size, x_c.size)
+        upper, upper_max = _kernel_block(self.kernel(x_r, x_c), shape)  # K(x_r, x_c)
+        lower, lower_max = _kernel_block(self.kernel(x_c, x_r), shape)  # K(x_c, x_r)
+        self.scale = max(self.scale, upper_max, lower_max)
+        self.asym = max(self.asym, float(np.abs(upper - lower).max()))
+        block = w_r * upper
+        block *= w_c
+        mirror = w_c * lower
+        mirror *= w_r
+        block += mirror
+        block *= 0.5
+        return block
+
+    def require_symmetric(self) -> None:
+        if self.asym > 1e-12 * self.scale:
+            raise ValidationError("kernel is not symmetric to 1e-12")
+
+
+def _symmetrized(blocks: _SymBlocks) -> np.ndarray:
+    """The whole ``sym``, one band of ``_SYMMETRIZE_ROWS`` rows at a time: the
+    kernel is called on rows ``i:j`` against columns ``i:``, and the band's
+    transpose fills columns ``i:j`` below it."""
+    n = blocks.nodes.size
+    sym = np.empty((n, n))
+    for i in range(0, n, _SYMMETRIZE_ROWS):
+        j = min(i + _SYMMETRIZE_ROWS, n)
+        band = blocks(slice(i, j), slice(i, None))
+        sym[i:j, i:] = band
+        sym[i:, i:j] = band.T  # the entry's form is symmetric, so the diagonal block agrees
+    blocks.require_symmetric()
+    return sym
+
+
+def _split_eigvalsh(blocks: _SymBlocks) -> np.ndarray | None:
+    """Ascending eigenvalues of ``sym`` from two half-size problems, or None
+    when ``sym`` is not reflection-symmetric.
 
     When ``sym`` commutes with the index reversal ``J`` (a kernel with
     ``K(1-x, 1-y) = K(x, y)`` on nodes symmetric about 1/2), its spectrum is
     that of two half-size symmetric matrices (Cantoni and Butler, Linear
     Algebra Appl. 13 (1976) 275-288).  With ``m = n // 2``, ``A`` the leading
-    ``m x m`` block and ``F = J B`` for ``B`` the last ``m`` rows of the first
-    ``m`` columns: ``A - F`` holds the odd modes and ``A + F`` the even ones,
-    bordered for odd ``n`` by the middle row and column, its off-diagonal part
-    times ``sqrt(2)``.  The split is taken only when ``sym`` is reflection-
-    symmetric to within ``_REFLECTION_ULPS * eps * max|sym|``, checked on
-    quarter blocks one band of ``_SYMMETRIZE_ROWS`` rows at a time (the
-    quadrature nodes mirror each other only to rounding: the Green kernel's
-    gap is under 3 of those units at up to 2000 nodes); any other matrix goes
-    to one dense ``eigvalsh``.
+    ``m x m`` block and ``F`` the rows ``sym[n-1-i, :m]``: ``A - F`` holds the
+    odd modes and ``A + F`` the even ones, bordered for odd ``n`` by the
+    middle row and column, its off-diagonal part times ``sqrt(2)``.
 
-    Both half-size problems are formed in turn in one ``(m + n % 2)^2``
-    buffer, so besides ``sym`` the split holds that buffer and LAPACK's copy
-    of it: the traced peak of a 2000-node Green system is 1.27 n^2 doubles.
+    No n x n array is formed.  One band of ``_SYMMETRIZE_ROWS`` rows at a
+    time, the kernel blocks give the upper part of ``A``'s rows, the same part
+    of the mirrored block ``J D J`` (``D`` the trailing block) they are
+    checked against, and ``F``'s rows; for odd ``n`` also the middle row.  So
+    every element pair of ``sym`` is built once, and ``A`` and ``F`` are
+    filled into two ``(m + n % 2)^2`` buffers.  The split is taken only when
+    ``A`` matches ``J D J``, ``F`` matches ``F.T`` and the middle row its
+    reverse to within ``_REFLECTION_ULPS * eps * max|sym|`` (the quadrature
+    nodes mirror each other only to rounding: the Green kernel's gap is under
+    3 of those units at up to 2000 nodes).  The buffers then become ``A + F``
+    and ``A - F`` in place, band by band; ``A - F`` is solved and freed before
+    ``A + F``, so the traced peak of a 2000-node Green system is about
+    0.60 n^2 doubles, LAPACK's copy of each problem not counted.
     """
-    n = sym.shape[0]
+    n = blocks.nodes.size
     m = n // 2
-    A, F = sym[:m, :m], sym[n - m:, :m][::-1]
-    pairs = [(A, sym[n - m:, n - m:][::-1, ::-1]), (F, F.T)]
+    even = np.empty((m + n % 2, m + n % 2))  # A, then A + F (bordered for odd n)
+    odd = np.empty((m, m))                   # F, then A - F
+    A = even[:m, :m]
+    top = gap = 0.0
+    for i in range(0, m, _SYMMETRIZE_ROWS):
+        j = min(i + _SYMMETRIZE_ROWS, m)
+        rows, cols = np.arange(i, j), np.arange(i, m)
+        a = blocks(rows, cols)                     # sym[i:j, i:m]
+        mirrored = blocks(n - 1 - rows, n - 1 - cols)  # (J D J)[i:j, i:m]
+        odd[i:j] = blocks(n - 1 - rows, slice(m))  # F[i:j]
+        A[i:j, i:] = a
+        A[i:, i:j] = a.T
+        top = max(top, _abs_max(a), _abs_max(mirrored), _abs_max(odd[i:j]))
+        mirrored -= a
+        gap = max(gap, _abs_max(mirrored))
     if n % 2:
-        pairs.append((sym[m, :m], sym[m, n - m:][::-1]))
-    tol = _REFLECTION_ULPS * np.finfo(float).eps * max(float(sym.max()), -float(sym.min()))
-    for a, b in pairs:
-        for i in range(0, m, _SYMMETRIZE_ROWS):
-            gap = a[i:i + _SYMMETRIZE_ROWS] - b[i:i + _SYMMETRIZE_ROWS]
-            if float(np.abs(gap, out=gap).max()) > tol:
-                return np.linalg.eigvalsh(sym)
-    buf = np.empty((m + n % 2, m + n % 2))
-    half = buf[:m, :m]
-    odd = np.linalg.eigvalsh(np.subtract(A, F, out=half))
-    np.add(A, F, out=half)
+        middle = blocks(slice(m, m + 1), slice(None))[0]  # sym[m, :]
+        top = max(top, _abs_max(middle))
+        gap = max(gap, _abs_max(middle[:m] - middle[n - m:][::-1]))
+    blocks.require_symmetric()
+    for i in range(0, m, _SYMMETRIZE_ROWS):
+        gap = max(gap, _abs_max(odd[i:i + _SYMMETRIZE_ROWS] - odd[:, i:i + _SYMMETRIZE_ROWS].T))
+    if gap > _REFLECTION_ULPS * np.finfo(float).eps * top:
+        return None
+    for i in range(0, m, _SYMMETRIZE_ROWS):
+        a, f = A[i:i + _SYMMETRIZE_ROWS], odd[i:i + _SYMMETRIZE_ROWS]
+        total = a + f
+        np.subtract(a, f, out=f)
+        a[...] = total
     if n % 2:
-        np.multiply(math.sqrt(2.0), sym[:m, m], out=buf[:m, m])
-        buf[m, :m] = buf[:m, m]
-        buf[m, m] = sym[m, m]
-    vals = np.concatenate([odd, np.linalg.eigvalsh(buf)])
+        np.multiply(math.sqrt(2.0), middle[:m], out=even[:m, m])
+        even[m, :m] = even[:m, m]
+        even[m, m] = middle[m]
+    odd = np.linalg.eigvalsh(odd)  # frees A - F before A + F is solved
+    vals = np.concatenate([odd, np.linalg.eigvalsh(even)])
     vals.sort()
     return vals
 
@@ -643,32 +730,31 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       rule: str = "trapezoid") -> EigenSystem:
     """Numerically diagonalize a symmetric kernel on ``[0, 1]``.
 
-    ``sym = 0.5 * (S + S.T)`` for ``S = W^{1/2} K W^{1/2}``, the square-root-
-    of-weights similarity transform of ``K_ij = kernel(x_i, x_j)``, is built
-    one band of ``_SYMMETRIZE_ROWS`` rows at a time, and only ``sym`` is ever
-    n x n: the kernel is called on rows ``i:j`` against columns ``i:``, and
-    with its arguments swapped for the mirror block ``K[i:, i:j].T``.  A
-    misshapen or non-finite kernel block is refused at its band, asymmetry
-    once every band is in.  Only the eigenvalues are computed here.  Both
+    The eigenvalues are those of ``sym = 0.5 * (S + S.T)`` for
+    ``S = W^{1/2} K W^{1/2}``, the square-root-of-weights similarity transform
+    of ``K_ij = kernel(x_i, x_j)``, and only they are computed here.  Both
     quadrature rules are symmetric about ``x = 1/2``, so for a kernel with
-    ``K(1-x, 1-y) = K(x, y)``, such as :func:`green_kernel`, the matrix
-    commutes with the index reversal and its spectrum is that of two
-    half-size symmetric problems, about a quarter of the dense work, formed
-    in turn in one reused half-size buffer: the solve holds ``sym``, that
-    buffer and LAPACK's copy of it, a traced peak of 1.27 n^2 doubles at
-    2000 nodes (see :func:`_eigvalsh`).  Any
-    other kernel gets one ``np.linalg.eigvalsh`` of the whole matrix.  The
-    eigenvalues may differ from ``np.linalg.eigh``'s in the last bits.  The
-    eigenvectors come from one ``eigh`` when :attr:`EigenSystem.eigenvectors`
-    is first read, with the node values recovered as ``u / sqrt(w)``, which
-    makes them weight-orthonormal.
+    ``K(1-x, 1-y) = K(x, y)``, such as :func:`green_kernel`, ``sym`` commutes
+    with the index reversal and its spectrum is that of two half-size
+    symmetric problems, about a quarter of the dense work.  Those are formed
+    straight from kernel blocks and no n x n array exists: the solve holds
+    two half-size buffers and LAPACK's copy of one, a traced peak of 0.60
+    n^2 doubles at 2000 nodes (see :func:`_split_eigvalsh`).  Any other
+    kernel, found so once the split's blocks are all in, gets one
+    ``np.linalg.eigvalsh`` of ``sym``, built band by band.  A misshapen or
+    non-finite kernel block is refused as it is built, asymmetry once every
+    block is in.  The eigenvalues may differ from ``np.linalg.eigh``'s in the
+    last bits.  :attr:`EigenSystem.sym` is built by the band builder when
+    first read, and the eigenvectors come from one ``eigh`` of it when
+    :attr:`EigenSystem.eigenvectors` is first read, with the node values
+    recovered as ``u / sqrt(w)``, which makes them weight-orthonormal.
 
     Parameters
     ----------
     kernel : callable
         Symmetric, elementwise ``kernel(x, y)`` (it sees blocks, not the
         whole grid); it may return the shape of ``x`` or ``y`` alone when it
-        depends on only one of them.
+        depends on only one of them.  The returned system keeps it.
     n_nodes : int
         Number of quadrature nodes; a Python or numpy integer.
     rule : str
@@ -685,32 +771,14 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """
     nodes, weights = _quadrature_rule(n_nodes, rule)
     n = nodes.size
-    sqrt_w = np.sqrt(weights)
-    sym = np.empty((n, n))
-    asym, scale = 0.0, 1.0
-    for i in range(0, n, _SYMMETRIZE_ROWS):
-        j = min(i + _SYMMETRIZE_ROWS, n)
-        rows, cols, shape = nodes[i:j, None], nodes[None, i:], (j - i, n - i)
-        upper, upper_max = _kernel_block(kernel(rows, cols), shape)  # K[i:j, i:]
-        lower, lower_max = _kernel_block(kernel(cols, rows), shape)  # K[i:, i:j].T
-        scale = max(scale, upper_max, lower_max)
-        asym = max(asym, float(np.abs(upper - lower).max()))
-        # S = W^{1/2} K W^{1/2} as (sqrt_w_r K_rc) sqrt_w_c, then 0.5 * (S + S.T),
-        # with the float operations of building S whole and symmetrizing it
-        band = sqrt_w[i:j, None] * upper
-        band *= sqrt_w[None, i:]
-        mirror = sqrt_w[None, i:] * lower
-        mirror *= sqrt_w[i:j, None]
-        band += mirror
-        band *= 0.5
-        sym[i:j, i:] = band
-        sym[i:, i:j] = band.T  # 0.5 * (x + y) == 0.5 * (y + x), so the diagonal block agrees
-    if asym > 1e-12 * scale:
-        raise ValidationError("kernel is not symmetric to 1e-12")
+    blocks = _SymBlocks(kernel, nodes, weights)
     try:
-        vals = _eigvalsh(sym)[::-1]
+        vals = _split_eigvalsh(blocks)
+        if vals is None:
+            vals = np.linalg.eigvalsh(_symmetrized(blocks))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
+    vals = vals[::-1]
 
     top = max(1.0, float(vals[0]))
     psd_tol = 64.0 * n * np.finfo(float).eps * top
@@ -718,7 +786,7 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
         raise NumericError(
             f"operator has a negative eigenvalue {vals[-1]:.3e} beyond round-off; "
             "only positive semi-definite kernels are supported")
-    return EigenSystem(np.maximum(vals, 0.0), nodes, weights, rule, sym)
+    return EigenSystem(np.maximum(vals, 0.0), nodes, weights, rule, kernel)
 
 
 def green_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -276,7 +276,8 @@ def test_posterior_two_sided_center_mode():
     chan = GaussianChannel(m, constant_rule(1.0), constant_rule(1.0), 0.3, k_max=8)
     est = posterior_estimate(chan, data)
     ref = truncated_solution(m, data, 0.3).f_star
-    np.testing.assert_allclose(est.entries, ref.entries, rtol=1e-15)
+    np.testing.assert_allclose(est.entries[2:], ref.entries[2:], rtol=1e-15)
+    assert not est.entries[:2].any()  # the channel holds k >= 1: no component below the center
     assert est.entry(0) == 3.0  # center mode kept at lambda_0 = 1
     assert est.entry(2) == 0.0  # lambda_2 = 0.25 < 0.3: dropped
 
@@ -442,10 +443,11 @@ def _ones_channel(eps):
     (lambda: total_information(_ones_channel(0.0)), "requires epsilon > 0"),
     (lambda: posterior_estimate(_ones_channel(0.1), CoefficientVector(
         poisson_model(0.5, 1.0, k_max=4), np.ones(3))), "data uses a different model"),
-    # lambda_k = e^(-k^2) is 0 from k = 28, and every component is in I
+    # lambda_k = e^(-k^2) is subnormal at k = 27, so 1 / lambda_27 overflows, and every
+    # component is in I
     (lambda: posterior_estimate(
         GaussianChannel(_HEAT40, inverse_spectrum_rule(_HEAT40), constant_rule(1.0), 0.1),
-        CoefficientVector(_HEAT40, np.ones(81))), "g_-40 / lambda_-40 is not a finite float"),
+        CoefficientVector(_HEAT40, np.ones(81))), "g_27 / lambda_27 is not a finite float"),
 ], ids=["negative-tail", "power-at-0", "gaussian-overflow", "component-0",
         "noise-free-total", "posterior-other-model", "posterior-infinite-prior"])
 def test_channel_refusals(call, message):

@@ -74,7 +74,9 @@ def test_channel_invariants(model, rho, nu, neg_log10_eps):
     est = posterior_estimate(chan, data)
     dropped = set(part.N)
     for k, v in zip(data.indices, est.entries):
-        if k != 0:
-            assert (v == 0.0) == (abs(int(k)) in dropped)
+        if k < 0:
+            assert v == 0.0  # the channel's components are k >= 1
+        elif k > 0:
+            assert (v == 0.0) == (int(k) in dropped)
         elif 1 not in dropped:
             assert v == K + 1.0  # lambda_0 = 1 >= lambda_1: the center follows component 1

@@ -230,12 +230,35 @@ def test_float_consumers_refuse_an_eigenvalue_that_underflows_on_I():
     # the forward map never divides by lambda_k, so it answers: eta_k = 0 from k = 28
     eta = simulate_channel(chan, xi, stream).components()
     assert (eta == chan.arrays()[0] * xi.components()).all() and not eta[27:].any()
-    # the inversions divide by lambda_k on I, and refuse where it is 0
-    with pytest.raises(ValidationError, match="g_-40 / lambda_-40 is not a finite float"):
+    # the inversions divide by lambda_k on I, and refuse where the quotient is no
+    # float: 1 / lambda_27 overflows (lambda_27 = e^-729 is subnormal)
+    with pytest.raises(ValidationError, match="g_27 / lambda_27 is not a finite float"):
         posterior_estimate(chan, CoefficientVector(chan.model, np.ones(81)))
     with pytest.raises(ValidationError, match="lambda_28 underflows"):
         posterior_density_params(chan, 28, 0.5)
     assert posterior_density_params(chan, 1, 0.5).var2 == 0.0
+
+
+def test_posterior_estimate_reads_only_the_labels_a_two_sided_channel_holds():
+    # noise-free heat: the channel's components are k = 1..k_max, and the draws
+    # leave the labels -k_max..0 at 0, where lambda_-k is 0 from k = 28 as well
+    chan = GaussianChannel(heat_model(1.0, 2.0, 1.0, k_max=40), geometric_rule(1.0, 0.5),
+                           constant_rule(1.0), 0.0)
+    stream = TrialStream(1, 0)
+    eta = simulate_channel(chan, synthesize_solution(chan, stream), stream)
+    # the refusal names the first label that holds an observation over a lambda of 0
+    with pytest.raises(ValidationError, match="g_28 / lambda_28 is not a finite float"):
+        posterior_estimate(chan, eta)
+    chan = GaussianChannel(heat_model(1.0, 2.0, 1.0, k_max=20), geometric_rule(1.0, 0.5),
+                           constant_rule(1.0), 0.0)
+    xi = synthesize_solution(chan, stream)
+    estimate = posterior_estimate(chan, simulate_channel(chan, xi, stream))
+    assert not estimate.entries[:21].any()  # the center holds no observation either
+    np.testing.assert_allclose(estimate.components(), xi.components(), rtol=1e-14)
+    # an entry below the center is zeroed, whatever it holds
+    estimate = posterior_estimate(chan, CoefficientVector(chan.model, np.ones(41)))
+    assert not estimate.entries[:20].any() and estimate.entries[20] == 1.0
+    assert (estimate.components() == 1.0 / chan.arrays()[0]).all()
 
 
 # rho_k = 1e150 puts components 28..32 in I although lambda_k is 0 in float, and
@@ -343,7 +366,8 @@ def test_the_inversions_answer_at_a_level_with_no_float():
     heat = heat_model(1.0, 2.0, 1.0, k_max=8)
     chan = GaussianChannel(heat, constant_rule(1.0), constant_rule(1.0), NoiseLevel(1100.0))
     estimate = posterior_estimate(chan, CoefficientVector(heat, np.ones(17)))
-    assert (estimate.entries == 1.0 / heat.eigenvalues(np.abs(np.arange(-8, 9)))).all()
+    assert (estimate.entries[8:] == 1.0 / heat.eigenvalues(np.arange(0, 9))).all()
+    assert not estimate.entries[:8].any()  # no component sits below the center
 
 
 @pytest.mark.parametrize("L, center", [(1100.5, 1.0), (1100.0, 1.0), (1099.5, 0.0)])
@@ -363,9 +387,9 @@ def test_the_inversions_accept_a_noise_rule_infinite_on_N():
     chan = GaussianChannel(heat, constant_rule(1.0), inverse_spectrum_rule(heat), 0.1)
     assert partition_IN(chan).k_I == 1 and np.isinf(chan.arrays()[2][26:]).all()
     estimate = posterior_estimate(chan, CoefficientVector(heat, np.ones(81)))
-    lam = heat.eigenvalues(np.array([1, 0, 1]))
-    assert (estimate.entries[39:42] == 1.0 / lam).all() and not estimate.entries[42:].any()
-    assert not estimate.entries[:39].any()
+    lam = heat.eigenvalues(np.array([0, 1]))
+    assert (estimate.entries[40:42] == 1.0 / lam).all() and not estimate.entries[42:].any()
+    assert not estimate.entries[:40].any()
     params = posterior_density_params(chan, 1, 0.5)
     assert params.var1 == 1.0 and params.var2 == pytest.approx((0.1 * math.e ** 2) ** 2)
     # the noise eps nu_k z_k that simulate_channel forms is infinite from k = 27

@@ -27,7 +27,7 @@ from fredinfo import (
     rule_to_json,
     tabulated_model,
 )
-from fredinfo.spectra import _eigvalsh, _quadrature_rule
+from fredinfo.spectra import _quadrature_rule
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +502,15 @@ def _split_by_blocks(sym):
 @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
 @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 128, 129, 257, 999, 1000])
 def test_nystrom_split_in_one_buffer_matches_block_formula(monkeypatch, n, rule):
-    """The split solve that reuses one half-size buffer gives the block
-    formula's eigenvalues bit for bit, about the band edges of the reflection
-    check and at odd n, where the buffer holds the bordered even problem."""
-    sym = nystrom_decompose(green_kernel, n_nodes=n, rule=rule).sym
+    """The split solve formed band by band from kernel blocks gives the block
+    formula's eigenvalues on the whole ``sym`` bit for bit, about the band
+    edges and at odd n, where the even problem is bordered."""
     sizes = _eigvalsh_sizes(monkeypatch)
-    vals = _eigvalsh(sym)
-    assert sizes == [n // 2, n - n // 2]
+    sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
+    assert sizes[-2:] == [n // 2, n - n // 2]
     monkeypatch.undo()
-    np.testing.assert_array_equal(vals, _split_by_blocks(sym))
+    np.testing.assert_array_equal(sys.eigenvalues,
+                                  np.maximum(_split_by_blocks(sys.sym)[::-1], 0.0))
 
 
 # (n, i, j): n = 300 and 301 put a 150-row half in three bands of the
@@ -529,15 +529,25 @@ _UNMIRRORED = {
 
 @pytest.mark.parametrize("n, i, j", list(_UNMIRRORED.values()), ids=list(_UNMIRRORED))
 def test_nystrom_split_needs_every_block_mirrored(monkeypatch, n, i, j):
-    """A matrix off reflection symmetry by 64 eps max|sym| in one entry (and
-    its transpose), past the split's tolerance of 8, goes to the dense solver."""
-    sym = nystrom_decompose(green_kernel, n_nodes=n).sym.copy()
-    sym[i, j] = sym[j, i] = sym[i, j] + 64.0 * np.finfo(float).eps * sym.max()
+    """A kernel perturbed at (x_i, x_j) and (x_j, x_i), so that ``sym[i, j]``
+    leaves reflection symmetry by 64 eps max|sym|, past the split's tolerance
+    of 8, goes to one dense eigvalsh of the whole ``sym``."""
+    nodes, weights = _quadrature_rule(n, "trapezoid")
+    base = nystrom_decompose(green_kernel, n_nodes=n).sym
+    shift = 64.0 * np.finfo(float).eps * base.max()
+    bump = 1.25 * shift / math.sqrt(weights[i] * weights[j])
+
+    def kernel(x, y):
+        at = ((x == nodes[i]) & (y == nodes[j])) | ((x == nodes[j]) & (y == nodes[i]))
+        return green_kernel(x, y) + np.where(at, bump, 0.0)
+
     sizes = _eigvalsh_sizes(monkeypatch)
-    vals = _eigvalsh(sym)
+    sys = nystrom_decompose(kernel, n_nodes=n)
     assert sizes == [n]
     monkeypatch.undo()
-    np.testing.assert_array_equal(vals, np.linalg.eigvalsh(sym))
+    assert sys.sym[i, j] - base[i, j] >= 64.0 * np.finfo(float).eps * sys.sym.max()
+    np.testing.assert_array_equal(sys.eigenvalues,
+                                  np.maximum(np.linalg.eigvalsh(sys.sym)[::-1], 0.0))
 
 
 @pytest.mark.parametrize("n", [1000, 1999])
@@ -594,18 +604,28 @@ def test_nystrom_non_finite_last_band_outranks_asymmetric_first_band():
         nystrom_decompose(skewed, n_nodes=129)
 
 
-@pytest.mark.parametrize("n", [999, 1000])
-def test_nystrom_holds_one_matrix_at_a_time(n):
-    """Only ``sym`` is n x n: the traced peak of an n-node Green system
-    stays under 1.5 n^2 doubles, the split solver's one half-size buffer
-    included (bordered at odd n)."""
+@pytest.mark.parametrize("n", [999, 1000, 2000])
+def test_nystrom_split_holds_no_n_by_n_array(n):
+    """The split solve forms no n x n array: the traced peak of an n-node
+    Green system stays under 0.8 n^2 doubles, its two half-size buffers
+    included (one bordered at odd n)."""
     tracemalloc.start()
     try:
         nystrom_decompose(green_kernel, n_nodes=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n * n * 8
+    assert peak <= 0.8 * n * n * 8
+
+
+def test_nystrom_richardson_step_reaches_the_green_spectrum():
+    """The trapezoid eigenvalues expand in even powers of h, so one
+    Richardson step over 1001 and 2001 nodes removes the h^2 term and lands
+    within 1e-9 of the paper's 1/(k^2 pi^2) for k <= 8."""
+    coarse = nystrom_decompose(green_kernel, n_nodes=1001).eigenvalues[:8]
+    fine = nystrom_decompose(green_kernel, n_nodes=2001).eigenvalues[:8]
+    exact = 1.0 / (np.arange(1, 9) * math.pi) ** 2
+    assert (np.abs((4.0 * fine - coarse) / 3.0 - exact) / exact).max() <= 1e-9
 
 
 @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
