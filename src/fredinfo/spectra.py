@@ -293,6 +293,12 @@ def _check_k_max(k_max: int) -> None:
         raise ValidationError(f"k_max must be a positive integer, got {k_max!r}")
 
 
+def _require_int(value, name: str) -> None:
+    """Refuse a bool or anything but a Python or numpy integer as ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class _Family:
     """One spectral family.  The formulas take the model's ``params``, then
@@ -526,10 +532,12 @@ class EigenSystem:
     Eigenvalues are sorted non-increasing and are non-negative (tiny negative
     round-off is clamped to zero).  They are those of the symmetrised matrix
     ``sym``: from two half-size ``eigvalsh`` problems formed straight from
-    kernel blocks when ``sym`` is reflection-symmetric, else from one
-    ``eigvalsh`` of ``sym`` (see :func:`nystrom_decompose`).  Either way they
-    may differ in the last bits from the eigenvalues that ``np.linalg.eigh``
-    reports for it.
+    kernel blocks into the two triangles of one ``(p + 1) x p`` buffer,
+    ``p = ceil(n / 2)``, when ``sym`` is reflection-symmetric (with LAPACK's
+    copy of one problem, 0.35 n^2 doubles traced at 2000 nodes), else from
+    one ``eigvalsh`` of ``sym`` (see :func:`nystrom_decompose`).  Either way
+    they may differ in the last bits from the eigenvalues that
+    ``np.linalg.eigh`` reports for it.
 
     The system keeps its ``kernel``, and ``sym`` is built from it band by band
     on first read, with the bits of the matrix the solve read.
@@ -546,6 +554,8 @@ class EigenSystem:
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     def eigenvalue(self, k: int) -> float:
+        """The k-th largest eigenvalue, for a Python or numpy integer ``k``."""
+        _require_int(k, "k")
         if not 1 <= k <= self.eigenvalues.size:
             raise ValidationError(f"eigensystem holds {self.eigenvalues.size} modes")
         return float(self.eigenvalues[k - 1])
@@ -569,8 +579,7 @@ class EigenSystem:
 
 
 def _quadrature_rule(n_nodes: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer)):
-        raise ValidationError(f"n_nodes must be an integer, got {n_nodes!r}")
+    _require_int(n_nodes, "n_nodes")
     if n_nodes < 2:
         raise ValidationError(f"n_nodes must be >= 2, got {n_nodes}")
     if rule == "trapezoid":
@@ -670,57 +679,64 @@ def _split_eigvalsh(blocks: _SymBlocks) -> np.ndarray | None:
     odd modes and ``A + F`` the even ones, bordered for odd ``n`` by the
     middle row and column, its off-diagonal part times ``sqrt(2)``.
 
-    No n x n array is formed.  One band of ``_SYMMETRIZE_ROWS`` rows at a
-    time, the kernel blocks give the upper part of ``A``'s rows, the same part
-    of the mirrored block ``J D J`` (``D`` the trailing block) they are
-    checked against, and ``F``'s rows; for odd ``n`` also the middle row.  So
-    every element pair of ``sym`` is built once, and ``A`` and ``F`` are
-    filled into two ``(m + n % 2)^2`` buffers.  The split is taken only when
-    ``A`` matches ``J D J``, ``F`` matches ``F.T`` and the middle row its
+    ``eigvalsh`` reads only a lower triangle, so both problems share one
+    ``(p + 1) x p`` buffer, ``p = m + n % 2``, as LAPACK's rectangular full
+    packed format does (Gustavson et al., ACM TOMS 37(2), 2010): ``A + F``
+    is the lower triangle of ``buf[1:]`` and ``A - F`` the upper triangle of
+    ``buf[:m, :m]``, solved as its transpose.  One band of
+    ``_SYMMETRIZE_ROWS`` rows at a time, the kernel blocks give the lower
+    part of ``A``'s rows, the same part of the mirrored block ``J D J``
+    (``D`` the trailing block) they are checked against, the same part of
+    ``F``'s rows and the strip of ``F``'s columns above them that their
+    transpose is checked against; for odd ``n`` also the middle row.  So
+    every element pair of ``sym`` is built once.  The split is taken only
+    when ``A`` matches ``J D J``, ``F`` matches ``F.T`` and the middle row its
     reverse to within ``_REFLECTION_ULPS * eps * max|sym|`` (the quadrature
     nodes mirror each other only to rounding: the Green kernel's gap is under
-    3 of those units at up to 2000 nodes).  The buffers then become ``A + F``
-    and ``A - F`` in place, band by band; ``A - F`` is solved and freed before
-    ``A + F``, so the traced peak of a 2000-node Green system is about
-    0.60 n^2 doubles, LAPACK's copy of each problem not counted.
+    3 of those units at up to 2000 nodes).  The solve holds the buffer and
+    LAPACK's copy of one problem: the traced peak of a 2000-node Green system
+    is about 0.35 n^2 doubles.
     """
     n = blocks.nodes.size
-    m = n // 2
-    even = np.empty((m + n % 2, m + n % 2))  # A, then A + F (bordered for odd n)
-    odd = np.empty((m, m))                   # F, then A - F
-    A = even[:m, :m]
+    m, p = n // 2, n - n // 2
+    buf = np.empty((p + 1, p))
+    lower = np.tri(_SYMMETRIZE_ROWS, dtype=bool)
     top = gap = 0.0
     for i in range(0, m, _SYMMETRIZE_ROWS):
         j = min(i + _SYMMETRIZE_ROWS, m)
-        rows, cols = np.arange(i, j), np.arange(i, m)
-        a = blocks(rows, cols)                     # sym[i:j, i:m]
-        mirrored = blocks(n - 1 - rows, n - 1 - cols)  # (J D J)[i:j, i:m]
-        odd[i:j] = blocks(n - 1 - rows, slice(m))  # F[i:j]
-        A[i:j, i:] = a
-        A[i:, i:j] = a.T
-        top = max(top, _abs_max(a), _abs_max(mirrored), _abs_max(odd[i:j]))
+        rows, cols = np.arange(i, j), np.arange(j)
+        a = blocks(rows, cols)                         # A[i:j, :j]
+        mirrored = blocks(n - 1 - rows, n - 1 - cols)  # (J D J)[i:j, :j]
+        top = max(top, _abs_max(a), _abs_max(mirrored))
         mirrored -= a
         gap = max(gap, _abs_max(mirrored))
+        del mirrored
+        f = blocks(n - 1 - rows, slice(j))             # F[i:j, :j]
+        top = max(top, _abs_max(f))
+        diag = f[:, i:]
+        gap = max(gap, _abs_max(diag - diag.T))
+        if i:
+            strip = blocks(n - 1 - cols[:i], slice(i, j))  # F[:i, i:j], against F[i:j, :i]
+            top = max(top, _abs_max(strip))
+            strip -= f[:, :i].T
+            gap = max(gap, _abs_max(strip))
+            del strip
+            np.add(a[:, :i], f[:, :i], out=buf[i + 1:j + 1, :i])  # A + F, below the diagonal
+            np.subtract(a[:, :i], f[:, :i], out=buf[:i, i:j].T)   # A - F, above it
+        mask = lower[:j - i, :j - i]  # the diagonal block's lower triangle, for each problem
+        np.copyto(buf[i + 1:j + 1, i:j], a[:, i:] + diag, where=mask)
+        np.copyto(buf[i:j, i:j].T, a[:, i:] - diag, where=mask)
     if n % 2:
         middle = blocks(slice(m, m + 1), slice(None))[0]  # sym[m, :]
         top = max(top, _abs_max(middle))
         gap = max(gap, _abs_max(middle[:m] - middle[n - m:][::-1]))
+        np.multiply(math.sqrt(2.0), middle[:m], out=buf[m + 1, :m])
+        buf[m + 1, m] = middle[m]
     blocks.require_symmetric()
-    for i in range(0, m, _SYMMETRIZE_ROWS):
-        gap = max(gap, _abs_max(odd[i:i + _SYMMETRIZE_ROWS] - odd[:, i:i + _SYMMETRIZE_ROWS].T))
     if gap > _REFLECTION_ULPS * np.finfo(float).eps * top:
         return None
-    for i in range(0, m, _SYMMETRIZE_ROWS):
-        a, f = A[i:i + _SYMMETRIZE_ROWS], odd[i:i + _SYMMETRIZE_ROWS]
-        total = a + f
-        np.subtract(a, f, out=f)
-        a[...] = total
-    if n % 2:
-        np.multiply(math.sqrt(2.0), middle[:m], out=even[:m, m])
-        even[m, :m] = even[:m, m]
-        even[m, m] = middle[m]
-    odd = np.linalg.eigvalsh(odd)  # frees A - F before A + F is solved
-    vals = np.concatenate([odd, np.linalg.eigvalsh(even)])
+    # eigvalsh reads the lower triangle: of buf[:m, :m].T that is A - F, of buf[1:] A + F
+    vals = np.concatenate([np.linalg.eigvalsh(buf[:m, :m].T), np.linalg.eigvalsh(buf[1:])])
     vals.sort()
     return vals
 
@@ -738,8 +754,9 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     with the index reversal and its spectrum is that of two half-size
     symmetric problems, about a quarter of the dense work.  Those are formed
     straight from kernel blocks and no n x n array exists: the solve holds
-    two half-size buffers and LAPACK's copy of one, a traced peak of 0.60
-    n^2 doubles at 2000 nodes (see :func:`_split_eigvalsh`).  Any other
+    one ``(p + 1) x p`` buffer, ``p = ceil(n / 2)``, with each problem in
+    one of its triangles, and LAPACK's copy of one problem, a traced peak of
+    0.35 n^2 doubles at 2000 nodes (see :func:`_split_eigvalsh`).  Any other
     kernel, found so once the split's blocks are all in, gets one
     ``np.linalg.eigvalsh`` of ``sym``, built band by band.  A misshapen or
     non-finite kernel block is refused as it is built, asymmetry once every
