@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import InconclusiveError, UnsupportedError, ValidationError
 from .metric import _lower
-from .spectra import (CoefficientVector, SpectrumModel, _lookup, entry_from_json,
-                      entry_to_json, model_from_json, model_to_json)
+from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _lookup,
+                      entry_from_json, entry_to_json, model_from_json, model_to_json)
 from .truncation import NoiseLevel, k0
 
 __all__ = [
@@ -328,9 +328,9 @@ class _Basis:
 
     def __init__(self, model: SpectrumModel, rho: VarianceRule, nu: VarianceRule,
                  k_max: int | None):
+        if k_max is not None:
+            _check_k_max(k_max)
         km = model.k_max if k_max is None else int(k_max)
-        if km < 1:
-            raise ValidationError(f"k_max must be >= 1, got {k_max!r}")
         length = model.spectrum_length
         if length is not None and km > length:
             raise ValidationError(
@@ -778,6 +778,8 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
     A level without a float is compared on its exponent and reported as ``pow2:-N``.
     """
     level = NoiseLevel.of(epsilon)
+    if k_max is not None:
+        _check_k_max(k_max)
     km = model.k_max if k_max is None else int(k_max)
     cut = k0(model, level)
     # the comparison only ever sums the first k0 components, so the channel

@@ -39,7 +39,7 @@ from . import metric
 from .channel import (GaussianChannel, VarianceRule, _Basis, _Rows, rule_from_json,
                       rule_to_json)
 from .errors import ValidationError
-from .spectra import (CoefficientVector, SpectrumModel, csv_text, decoding,
+from .spectra import (CoefficientVector, SpectrumModel, _require_int, csv_text, decoding,
                       model_from_json, model_to_json, refuse_unknown)
 from .truncation import NoiseLevel, _noise_grid
 
@@ -282,8 +282,7 @@ class ExperimentConfig:
             if name == "k_max" and value is None:
                 continue
             # refused, not truncated: a float, bool or string is no count or seed
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"config {name} must be an integer, got {value!r}")
+            _require_int(value, f"config {name}")
         if self.trials < 0:
             raise ValidationError("trials must be >= 0")
         if self.trials and self.rho is None:

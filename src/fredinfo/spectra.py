@@ -111,18 +111,14 @@ class SpectrumModel:
         ``k >= 1``.  Tabulated models report the group size (1 unless ties
         were explicitly allowed).
         """
-        if self.two_sided:
-            if k == 0:
-                return 1
-            self._check_index(k)
-            return 2
         self._check_index(k)
+        if self.two_sided:
+            return 1 if k == 0 else 2
         groups = FAMILIES[self.kind].groups
         return 1 if groups is None else int(groups(self.params)[k - 1])
 
     def _check_index(self, k: int) -> None:
-        if not isinstance(k, (int, np.integer)):
-            raise ValidationError(f"index k must be an integer, got {k!r}")
+        _require_int(k, "index k")
         if self.two_sided:
             return  # any integer addresses a mode via |k|
         if k < 1:
@@ -289,7 +285,8 @@ def _grouped_table(values: Iterable[float], counts: Iterable[int], allow_ties: b
 
 
 def _check_k_max(k_max: int) -> None:
-    if not isinstance(k_max, (int, np.integer)) or k_max < 1:
+    _require_int(k_max, "k_max")
+    if k_max < 1:
         raise ValidationError(f"k_max must be a positive integer, got {k_max!r}")
 
 
@@ -533,9 +530,8 @@ class EigenSystem:
     round-off is clamped to zero).  They are those of the symmetrised matrix
     ``sym``: from two half-size ``eigvalsh`` problems formed straight from
     kernel blocks into the two triangles of one ``(p + 1) x p`` buffer,
-    ``p = ceil(n / 2)``, when ``sym`` is reflection-symmetric (with LAPACK's
-    copy of one problem, 0.35 n^2 doubles traced at 2000 nodes), else from
-    one ``eigvalsh`` of ``sym`` (see :func:`nystrom_decompose`).  Either way
+    ``p = ceil(n / 2)``, when ``sym`` is reflection-symmetric, else from one
+    ``eigvalsh`` of ``sym`` (see :func:`nystrom_decompose`).  Either way
     they may differ in the last bits from the eigenvalues that
     ``np.linalg.eigh`` reports for it.
 
@@ -550,7 +546,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    rule: str
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     def eigenvalue(self, k: int) -> float:
@@ -578,20 +573,16 @@ class EigenSystem:
         return funcs
 
 
-def _quadrature_rule(n_nodes: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid rule's nodes and weights on ``[0, 1]``."""
     _require_int(n_nodes, "n_nodes")
     if n_nodes < 2:
         raise ValidationError(f"n_nodes must be >= 2, got {n_nodes}")
-    if rule == "trapezoid":
-        x = np.linspace(0.0, 1.0, n_nodes)
-        h = x[1] - x[0]
-        w = np.full(n_nodes, h)
-        w[0] = w[-1] = h / 2.0
-        return x, w
-    if rule == "gauss_legendre":
-        t, w = np.polynomial.legendre.leggauss(n_nodes)
-        return (t + 1.0) / 2.0, w / 2.0
-    raise ValidationError(f"unknown quadrature rule {rule!r}")
+    x = np.linspace(0.0, 1.0, n_nodes)
+    h = x[1] - x[0]
+    w = np.full(n_nodes, h)
+    w[0] = w[-1] = h / 2.0
+    return x, w
 
 
 _SYMMETRIZE_ROWS = 64  # rows per band of the Nystrom builds and reflection check
@@ -742,21 +733,20 @@ def _split_eigvalsh(blocks: _SymBlocks) -> np.ndarray | None:
 
 
 def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      n_nodes: int = 2000,
-                      rule: str = "trapezoid") -> EigenSystem:
+                      n_nodes: int = 2000) -> EigenSystem:
     """Numerically diagonalize a symmetric kernel on ``[0, 1]``.
 
-    The eigenvalues are those of ``sym = 0.5 * (S + S.T)`` for
+    The kernel is sampled on the trapezoid rule's ``n_nodes`` equispaced
+    nodes.  The eigenvalues are those of ``sym = 0.5 * (S + S.T)`` for
     ``S = W^{1/2} K W^{1/2}``, the square-root-of-weights similarity transform
-    of ``K_ij = kernel(x_i, x_j)``, and only they are computed here.  Both
-    quadrature rules are symmetric about ``x = 1/2``, so for a kernel with
+    of ``K_ij = kernel(x_i, x_j)``, and only they are computed here.  The
+    trapezoid nodes are symmetric about ``x = 1/2``, so for a kernel with
     ``K(1-x, 1-y) = K(x, y)``, such as :func:`green_kernel`, ``sym`` commutes
     with the index reversal and its spectrum is that of two half-size
     symmetric problems, about a quarter of the dense work.  Those are formed
     straight from kernel blocks and no n x n array exists: the solve holds
     one ``(p + 1) x p`` buffer, ``p = ceil(n / 2)``, with each problem in
-    one of its triangles, and LAPACK's copy of one problem, a traced peak of
-    0.35 n^2 doubles at 2000 nodes (see :func:`_split_eigvalsh`).  Any other
+    one of its triangles (see :func:`_split_eigvalsh`).  Any other
     kernel, found so once the split's blocks are all in, gets one
     ``np.linalg.eigvalsh`` of ``sym``, built band by band.  A misshapen or
     non-finite kernel block is refused as it is built, asymmetry once every
@@ -774,19 +764,17 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
         depends on only one of them.  The returned system keeps it.
     n_nodes : int
         Number of quadrature nodes; a Python or numpy integer.
-    rule : str
-        ``"trapezoid"``, or ``"gauss_legendre"``: about 4x the time (its nodes: ``leggauss``).
 
     Raises
     ------
     ValidationError
-        Non-symmetric, non-finite or misshapen kernel, bad rule, or a node
-        count that is no integer or is below 2.
+        Non-symmetric, non-finite or misshapen kernel, or a node count that
+        is no integer or is below 2.
     NumericError
         Eigen-solver failure, or a spectrum that is negative beyond
         round-off (the supported operators are positive semi-definite).
     """
-    nodes, weights = _quadrature_rule(n_nodes, rule)
+    nodes, weights = _quadrature_rule(n_nodes)
     n = nodes.size
     blocks = _SymBlocks(kernel, nodes, weights)
     try:
@@ -803,7 +791,7 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
         raise NumericError(
             f"operator has a negative eigenvalue {vals[-1]:.3e} beyond round-off; "
             "only positive semi-definite kernels are supported")
-    return EigenSystem(np.maximum(vals, 0.0), nodes, weights, rule, kernel)
+    return EigenSystem(np.maximum(vals, 0.0), nodes, weights, kernel)
 
 
 def green_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -70,7 +70,7 @@ def worked_channel(eps=2.0 ** -4):
 
 def test_criterion_01_nystrom_reproduces_kernel_spectrum():
     start = time.perf_counter()
-    system = nystrom_decompose(green_kernel, n_nodes=2000, rule="trapezoid")
+    system = nystrom_decompose(green_kernel, n_nodes=2000)
     elapsed = time.perf_counter() - start
     worst = 0.0
     for k in range(1, 9):

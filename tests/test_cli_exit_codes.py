@@ -186,6 +186,27 @@ def test_extremal_reads_k_max(capsys):
     assert code == 0 and json.loads(out)["k_I"] == 1
 
 
+@pytest.mark.parametrize("k_max", ["0", "-3"])
+def test_extremal_k_max_below_1_exits_2(capsys, k_max):
+    # refused as the channel path refuses it, not answered as --k-max 1
+    code, out, err = run(capsys, "prob-info", "--model", "green", "--epsilon", "0.01",
+                         "--extremal", "alpha", "--k-max", k_max)
+    assert (code, out) == (2, "")
+    assert err == f"error: k_max must be a positive integer, got {k_max}\n"
+
+
+def test_simulate_bool_k_max_exits_2(capsys, tmp_path):
+    # a JSON true is no component count: refused, not run on 1 and echoed to .meta.json
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"kind": "green", "k_max": True},
+                                  "epsilon_grid": [0.1]}))
+    out_base = tmp_path / "run"
+    code, out, err = run(capsys, "simulate", "--config", str(config), "--out", str(out_base))
+    assert (code, out) == (2, "")
+    assert err == "error: k_max must be an integer, got True\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("argv", [
     ("eigens", "--k-hi", "3"),
     ("capacity", "--epsilon", "0.1", "--sided", "total"),

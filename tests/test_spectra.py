@@ -327,14 +327,14 @@ def test_forward_apply_scales_by_profile():
 
 def test_nystrom_green_kernel_oracle():
     """The string kernel's eigenvalues are 1/(k pi)^2 — an independent oracle."""
-    sys = nystrom_decompose(green_kernel, n_nodes=400, rule="trapezoid")
+    sys = nystrom_decompose(green_kernel, n_nodes=400)
     for k in range(1, 9):
         exact = 1.0 / (k * k * math.pi ** 2)
         assert abs(sys.eigenvalue(k) - exact) / exact < 1e-3
 
 
 def test_nystrom_green_eigenfunctions_match_sines():
-    sys = nystrom_decompose(green_kernel, n_nodes=400, rule="trapezoid")
+    sys = nystrom_decompose(green_kernel, n_nodes=400)
     x = sys.nodes
     for k in (1, 2, 3):
         ref = math.sqrt(2.0) * np.sin(k * math.pi * x)
@@ -343,14 +343,8 @@ def test_nystrom_green_eigenfunctions_match_sines():
         assert err < 5e-3
 
 
-def test_nystrom_gauss_legendre_agrees():
-    sys = nystrom_decompose(green_kernel, n_nodes=200, rule="gauss_legendre")
-    exact = 1.0 / math.pi ** 2
-    assert abs(sys.eigenvalue(1) - exact) / exact < 1e-4
-
-
 def test_nystrom_weight_orthonormality():
-    sys = nystrom_decompose(green_kernel, n_nodes=150, rule="trapezoid")
+    sys = nystrom_decompose(green_kernel, n_nodes=150)
     V = sys.eigenvectors[:, :6]
     gram = (V * sys.weights[:, None]).T @ V
     np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
@@ -384,8 +378,7 @@ def test_nystrom_deterministic_sign():
 
 
 def _eigvalsh_sizes(monkeypatch):
-    """Record the order of every matrix passed to ``np.linalg.eigvalsh`` (the
-    Gauss-Legendre rule makes one call of its own first)."""
+    """Record the order of every matrix passed to ``np.linalg.eigvalsh``."""
     sizes, dense = [], np.linalg.eigvalsh
 
     def recorded(a):
@@ -408,7 +401,7 @@ def test_nystrom_green_trapezoid_matches_exact_discrete_spectrum(monkeypatch, n)
     the 64-row bands of the build, at even and odd n, so a value read from the
     wrong triangle of the shared buffer shows."""
     sizes = _eigvalsh_sizes(monkeypatch)
-    sys = nystrom_decompose(green_kernel, n_nodes=n, rule="trapezoid")
+    sys = nystrom_decompose(green_kernel, n_nodes=n)
     assert sizes == [n // 2, n - n // 2]
     monkeypatch.undo()
     solved = {"split": sys.eigenvalues}
@@ -425,17 +418,13 @@ def test_nystrom_green_trapezoid_matches_exact_discrete_spectrum(monkeypatch, n)
         assert rel.max() <= 5e-11, path
 
 
-def _nystrom_by_eigh(kernel, n_nodes, rule="trapezoid"):
+def _nystrom_by_eigh(kernel, n_nodes):
     """The full-eigh path: meshgrid kernel matrix, eigh, per-column sign loop.
     Returns the sorted eigenvalues (unclamped), the node values of the
     eigenvectors and the symmetrised matrix."""
-    if rule == "trapezoid":
-        nodes = np.linspace(0.0, 1.0, n_nodes)
-        weights = np.full(n_nodes, nodes[1])
-        weights[[0, -1]] /= 2.0
-    else:
-        t, w = np.polynomial.legendre.leggauss(n_nodes)
-        nodes, weights = (t + 1.0) / 2.0, w / 2.0
+    nodes = np.linspace(0.0, 1.0, n_nodes)
+    weights = np.full(n_nodes, nodes[1])
+    weights[[0, -1]] /= 2.0
     X, Y = np.meshgrid(nodes, nodes, indexing="ij")
     Kmat = np.asarray(kernel(X, Y), dtype=float)
     sqrt_w = np.sqrt(weights)
@@ -451,38 +440,47 @@ def _nystrom_by_eigh(kernel, n_nodes, rule="trapezoid"):
     return vals[order], funcs, sym
 
 
-_BAND_EDGES = [(n, rule) for n in (63, 64, 65, 127, 129)  # about the 64-row bands of the build
-               for rule in ("trapezoid", "gauss_legendre")]
+_BAND_EDGES = [63, 64, 65, 127, 129]  # about the 64-row bands of the build
 
 
-@pytest.mark.parametrize("n, rule", [(120, "trapezoid"), (121, "trapezoid"),
-                                     (400, "trapezoid"), (200, "gauss_legendre"),
-                                     (201, "gauss_legendre")] + _BAND_EDGES)
-def test_nystrom_eigenvalues_match_full_eigh(n, rule):
+def _exp_abs_kernel(x, y):
+    return np.exp(-np.abs(x - y))
+
+
+# Both are reflection-symmetric, so both take the split solve.  The Green kernel
+# is 0 on the end nodes, which zeroes the first and last rows of sym; exp(-|x-y|)
+# is not, so only it shows a wrong value in the first row or column of a block.
+_REFLECTED = pytest.mark.parametrize("kernel", [green_kernel, _exp_abs_kernel],
+                                     ids=["green", "exp-abs"])
+
+
+@_REFLECTED
+@pytest.mark.parametrize("n", [120, 121, 400] + _BAND_EDGES)
+def test_nystrom_eigenvalues_match_full_eigh(kernel, n):
     """Eigenvalues from the half-size problems agree with the full eigh of the
     same matrix, and the lazily computed eigenvectors are that eigh's, column
     for column; the banded build gives the whole matrix's ``sym`` bit for bit,
     also one row short of, at and past a band's edge."""
-    sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
-    vals, funcs, sym = _nystrom_by_eigh(green_kernel, n, rule)
+    sys = nystrom_decompose(kernel, n_nodes=n)
+    vals, funcs, sym = _nystrom_by_eigh(kernel, n)
     eps_lam = np.finfo(float).eps * vals[0]
     np.testing.assert_array_equal(sys.sym, sym)
     assert np.abs(sys.eigenvalues - np.maximum(vals, 0.0)).max() <= 8.0 * eps_lam
-    distinct = vals > 1e3 * eps_lam  # the trapezoid rule's two zero modes may come in any order
+    distinct = vals > 1e3 * eps_lam  # the Green kernel's two zero modes may come in any order
     np.testing.assert_array_equal(sys.eigenvectors[:, distinct], funcs[:, distinct])
 
 
-@pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+@_REFLECTED
 @pytest.mark.parametrize("n", [2, 3])
-def test_nystrom_smallest_grids_split(monkeypatch, n, rule):
+def test_nystrom_smallest_grids_split(monkeypatch, kernel, n):
     """Two and three nodes: a 1 x 1 odd problem and a 1 x 1 or bordered
     2 x 2 even one, agreeing with the dense solver."""
     sizes = _eigvalsh_sizes(monkeypatch)
-    sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
-    assert sizes[-2:] == [1, n - 1]
+    sys = nystrom_decompose(kernel, n_nodes=n)
+    assert sizes == [1, n - 1]
     dense = np.maximum(np.linalg.eigh(sys.sym)[0][::-1], 0.0)
     assert np.abs(sys.eigenvalues - dense).max() <= 8.0 * np.finfo(float).eps * dense[0]
-    if rule == "trapezoid":  # K vanishes on the end points: only K(1/2, 1/2) survives
+    if kernel is green_kernel:  # K vanishes on the end points: only K(1/2, 1/2) survives
         np.testing.assert_array_equal(sys.eigenvalues, [sys.sym[1, 1], 0.0, 0.0][:n])
 
 
@@ -510,15 +508,15 @@ def _split_by_blocks(sym):
     return np.sort(np.concatenate([np.linalg.eigvalsh(A - F), np.linalg.eigvalsh(even)]))
 
 
-@pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+@_REFLECTED
 @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 128, 129, 257, 999, 1000])
-def test_nystrom_split_in_one_buffer_matches_block_formula(monkeypatch, n, rule):
+def test_nystrom_split_in_one_buffer_matches_block_formula(monkeypatch, kernel, n):
     """The split solve formed band by band from kernel blocks gives the block
     formula's eigenvalues on the whole ``sym`` bit for bit, about the band
     edges and at odd n, where the even problem is bordered."""
     sizes = _eigvalsh_sizes(monkeypatch)
-    sys = nystrom_decompose(green_kernel, n_nodes=n, rule=rule)
-    assert sizes[-2:] == [n // 2, n - n // 2]
+    sys = nystrom_decompose(kernel, n_nodes=n)
+    assert sizes == [n // 2, n - n // 2]
     monkeypatch.undo()
     np.testing.assert_array_equal(sys.eigenvalues,
                                   np.maximum(_split_by_blocks(sys.sym)[::-1], 0.0))
@@ -545,7 +543,7 @@ def test_nystrom_split_needs_every_block_mirrored(monkeypatch, n, i, j):
     """A kernel perturbed at (x_i, x_j) and (x_j, x_i), so that ``sym[i, j]``
     leaves reflection symmetry by 64 eps max|sym|, past the split's tolerance
     of 8, goes to one dense eigvalsh of the whole ``sym``."""
-    nodes, weights = _quadrature_rule(n, "trapezoid")
+    nodes, weights = _quadrature_rule(n)
     base = nystrom_decompose(green_kernel, n_nodes=n).sym
     shift = 64.0 * np.finfo(float).eps * base.max()
     bump = 1.25 * shift / math.sqrt(weights[i] * weights[j])
@@ -563,19 +561,9 @@ def test_nystrom_split_needs_every_block_mirrored(monkeypatch, n, i, j):
                                   np.maximum(np.linalg.eigvalsh(sys.sym)[::-1], 0.0))
 
 
-@pytest.mark.parametrize("n", [1000, 1999])
-def test_nystrom_gauss_legendre_split_matches_dense_solver(n):
-    """Gauss-Legendre nodes are symmetric about 1/2 only to rounding, within the
-    split's tolerance.  The two solvers round differently: the largest gap seen
-    over 1000..2000 nodes was 26.5 eps lambda_1 (at n = 1999), and the bound is 64."""
-    sys = nystrom_decompose(green_kernel, n_nodes=n, rule="gauss_legendre")
-    dense = np.maximum(np.linalg.eigvalsh(sys.sym)[::-1], 0.0)
-    assert np.abs(sys.eigenvalues - dense).max() <= 64.0 * np.finfo(float).eps * dense[0]
-
-
 @pytest.mark.parametrize("n", [150, 1000])
 def test_nystrom_lazy_eigenvectors_pair_with_eigenvalues(n):
-    sys = nystrom_decompose(green_kernel, n_nodes=n, rule="trapezoid")
+    sys = nystrom_decompose(green_kernel, n_nodes=n)
     U = sys.eigenvectors * np.sqrt(sys.weights)[:, None]  # Euclidean-orthonormal
     residual = np.linalg.norm(sys.sym @ U - U * sys.eigenvalues[None, :], axis=0)
     assert residual.max() <= 64.0 * np.finfo(float).eps * sys.eigenvalues[0]
@@ -583,16 +571,16 @@ def test_nystrom_lazy_eigenvectors_pair_with_eigenvalues(n):
     np.testing.assert_allclose(gram, np.eye(n), atol=1e-12)
 
 
-@pytest.mark.parametrize("n, rule", [(60, "trapezoid")] + _BAND_EDGES)
+@pytest.mark.parametrize("n", [60] + _BAND_EDGES)
 @pytest.mark.parametrize("kernel", [lambda x, y: np.ones_like(x),
                                     lambda x, y: np.ones_like(y),
                                     lambda x, y: np.exp(x + y)],
                          ids=["ones-x", "ones-y", "exp-sum"])
-def test_nystrom_one_sided_kernel_broadcasts(kernel, n, rule):
+def test_nystrom_one_sided_kernel_broadcasts(kernel, n):
     """A kernel returning only x's (or y's) shape, or a rank-one kernel without
     the reflection symmetry, gives the meshgrid system."""
-    sys = nystrom_decompose(kernel, n_nodes=n, rule=rule)
-    vals, funcs, sym = _nystrom_by_eigh(kernel, n, rule)
+    sys = nystrom_decompose(kernel, n_nodes=n)
+    vals, funcs, sym = _nystrom_by_eigh(kernel, n)
     np.testing.assert_array_equal(sys.sym, sym)
     eps_lam = np.finfo(float).eps * vals[0]
     assert np.abs(sys.eigenvalues - np.maximum(vals, 0.0)).max() <= 8.0 * eps_lam
@@ -641,14 +629,14 @@ def test_nystrom_richardson_step_reaches_the_green_spectrum():
     assert (np.abs((4.0 * fine - coarse) / 3.0 - exact) / exact).max() <= 1e-9
 
 
-@pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
-def test_green_kernel_matches_branch_form(rule):
+@pytest.mark.parametrize("n_nodes", [65, 100])  # dyadic nodes i/64, and i/99
+def test_green_kernel_matches_branch_form(n_nodes):
     """``(1 - max) * min`` is each branch's product, commuted where x < y."""
     def branches(x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         return np.where(y <= x, (1.0 - x) * y, x * (1.0 - y))
 
-    nodes = _quadrature_rule(65, rule)[0]
+    nodes = _quadrature_rule(n_nodes)[0]
     points = np.concatenate([[0.0, 0.5, 1.0], nodes])
     X, Y = points[:, None], points[None, :]  # the diagonal and the end points included
     np.testing.assert_array_equal(green_kernel(X, Y), branches(X, Y))
@@ -690,13 +678,16 @@ def test_nystrom_rejects_kernel_of_wrong_shape():
     (lambda: nystrom_decompose(green_kernel, n_nodes=2.5), "n_nodes must be an integer"),
     (lambda: nystrom_decompose(green_kernel, n_nodes=8.0), "n_nodes must be an integer"),
     (lambda: nystrom_decompose(green_kernel, n_nodes=True), "n_nodes must be an integer"),
-    (lambda: nystrom_decompose(green_kernel, n_nodes=8, rule="simpson"), "simpson"),
     (lambda: nystrom_decompose(lambda x, y: np.full(np.broadcast(x, y).shape, math.nan),
                                n_nodes=8), "non-finite"),
+    (lambda: green_model().eigenvalue(True), "index k must be an integer, got True"),
+    (lambda: green_model().multiplicity(True), "index k must be an integer, got True"),
+    (lambda: poisson_model(0.5, 1.0).multiplicity(False), "index k must be an integer, got False"),
+    (lambda: poisson_model(0.5, 1.0, k_max=True), "k_max must be an integer, got True"),
 ], ids=["fractional-index", "empty-vector", "nan-vector", "past-table", "two-bases",
         "mode-0", "fractional-mode", "float-mode", "string-mode", "none-mode", "bool-mode",
-        "one-node", "fractional-nodes", "float-nodes", "bool-nodes",
-        "unknown-rule", "nan-kernel"])
+        "one-node", "fractional-nodes", "float-nodes", "bool-nodes", "nan-kernel",
+        "bool-index", "bool-multiplicity", "bool-center-multiplicity", "bool-k-max"])
 def test_spectra_refusals(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
