@@ -283,6 +283,8 @@ class ExperimentConfig:
                 continue
             # refused, not truncated: a float, bool or string is no count or seed
             _require_int(value, f"config {name}")
+        if self.k_max is not None and self.k_max < 1:
+            raise ValidationError(f"config k_max must be a positive integer, got {self.k_max}")
         if self.trials < 0:
             raise ValidationError("trials must be >= 0")
         if self.trials and self.rho is None:

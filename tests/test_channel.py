@@ -455,14 +455,18 @@ def _ones_channel(eps):
      "k_max must be an integer, got True"),
     (lambda: GaussianChannel(_G4, constant_rule(1.0), constant_rule(1.0), 0.1, k_max=0),
      "k_max must be a positive integer, got 0"),
+    (lambda: GaussianChannel(_G4, constant_rule(1.0), constant_rule(1.0), 0.1, k_max=-3),
+     "k_max must be a positive integer, got -3"),
     # refused, not raised to 1
     (lambda: extremal_comparison(_G4, 0.1, "alpha", k_max=0),
      "k_max must be a positive integer, got 0"),
     (lambda: extremal_comparison(_G4, 0.1, "beta", k_max=2.5), "k_max must be an integer, got 2.5"),
+    (lambda: extremal_comparison(_G4, 0.1, "alpha", k_max=True),
+     "k_max must be an integer, got True"),
 ], ids=["negative-tail", "power-at-0", "gaussian-overflow", "component-0",
         "noise-free-total", "posterior-other-model", "posterior-infinite-prior",
-        "fractional-k-max", "bool-k-max", "k-max-0", "extremal-k-max-0",
-        "extremal-fractional-k-max"])
+        "fractional-k-max", "bool-k-max", "k-max-0", "negative-k-max", "extremal-k-max-0",
+        "extremal-fractional-k-max", "extremal-bool-k-max"])
 def test_channel_refusals(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()

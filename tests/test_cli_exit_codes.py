@@ -207,6 +207,21 @@ def test_simulate_bool_k_max_exits_2(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("config_obj, message", [
+    ({"model": {"kind": "green", "k_max": 0}}, "k_max must be a positive integer, got 0"),
+    ({"model": {"kind": "green"}, "k_max": 0}, "config k_max must be a positive integer, got 0"),
+    ({"model": {"kind": "green"}, "k_max": True}, "config k_max must be an integer, got True"),
+], ids=["model-k-max-0", "config-k-max-0", "config-bool-k-max"])
+def test_simulate_k_max_not_a_count_exits_2(capsys, tmp_path, config_obj, message):
+    # without a channel the config's k_max is never read, and still refused
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**config_obj, "epsilon_grid": [0.1]}))
+    code, out, err = run(capsys, "simulate", "--config", str(config),
+                         "--out", str(tmp_path / "run"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("argv", [
     ("eigens", "--k-hi", "3"),
     ("capacity", "--epsilon", "0.1", "--sided", "total"),

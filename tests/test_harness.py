@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -363,10 +364,19 @@ def test_config_from_json_rejects_malformed(obj):
 
 
 @pytest.mark.parametrize("field", [{"seed": 1.5}, {"trials": 2.5}, {"k_max": 3.9},
-                                   {"seed": True}, {"trials": "2"}])
+                                   {"seed": True}, {"trials": "2"}, {"trials": True},
+                                   {"k_max": True}])
 def test_config_refuses_non_integer_counts(field):
     with pytest.raises(ValidationError, match="must be an integer"):
         make_config(**field)
+
+
+@pytest.mark.parametrize("k_max", [0, -2])
+def test_config_refuses_k_max_below_1(k_max):
+    # refused, as the channel refuses it, not stored and echoed to .meta.json
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"config k_max must be a positive integer, got {k_max}")):
+        make_config(k_max=k_max, rho=None, nu=None, trials=0)
 
 
 # ---------------------------------------------------------------------------

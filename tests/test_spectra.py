@@ -561,9 +561,10 @@ def test_nystrom_split_needs_every_block_mirrored(monkeypatch, n, i, j):
                                   np.maximum(np.linalg.eigvalsh(sys.sym)[::-1], 0.0))
 
 
+@_REFLECTED
 @pytest.mark.parametrize("n", [150, 1000])
-def test_nystrom_lazy_eigenvectors_pair_with_eigenvalues(n):
-    sys = nystrom_decompose(green_kernel, n_nodes=n)
+def test_nystrom_lazy_eigenvectors_pair_with_eigenvalues(kernel, n):
+    sys = nystrom_decompose(kernel, n_nodes=n)
     U = sys.eigenvectors * np.sqrt(sys.weights)[:, None]  # Euclidean-orthonormal
     residual = np.linalg.norm(sys.sym @ U - U * sys.eigenvalues[None, :], axis=0)
     assert residual.max() <= 64.0 * np.finfo(float).eps * sys.eigenvalues[0]
@@ -684,10 +685,13 @@ def test_nystrom_rejects_kernel_of_wrong_shape():
     (lambda: green_model().multiplicity(True), "index k must be an integer, got True"),
     (lambda: poisson_model(0.5, 1.0).multiplicity(False), "index k must be an integer, got False"),
     (lambda: poisson_model(0.5, 1.0, k_max=True), "k_max must be an integer, got True"),
+    (lambda: poisson_model(0.5, 1.0, k_max=2.5), "k_max must be an integer, got 2.5"),
+    (lambda: green_model(k_max=0), "k_max must be a positive integer, got 0"),
 ], ids=["fractional-index", "empty-vector", "nan-vector", "past-table", "two-bases",
         "mode-0", "fractional-mode", "float-mode", "string-mode", "none-mode", "bool-mode",
         "one-node", "fractional-nodes", "float-nodes", "bool-nodes", "nan-kernel",
-        "bool-index", "bool-multiplicity", "bool-center-multiplicity", "bool-k-max"])
+        "bool-index", "bool-multiplicity", "bool-center-multiplicity", "bool-k-max",
+        "fractional-k-max", "k-max-0"])
 def test_spectra_refusals(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
