@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InconclusiveError, UnsupportedError, ValidationError
 from .metric import _lower
-from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _lookup,
+from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _lookup, _require_real,
                       entry_from_json, entry_to_json, model_from_json, model_to_json)
 from .truncation import NoiseLevel, k0
 
@@ -123,7 +123,7 @@ class VarianceRule:
 
 
 def _positive(name: str, v: float) -> float:
-    v = float(v)
+    v = _require_real(v, name)
     if not (v > 0) or not math.isfinite(v):
         raise ValidationError(f"{name} must be positive and finite, got {v!r}")
     return v
@@ -328,9 +328,7 @@ class _Basis:
 
     def __init__(self, model: SpectrumModel, rho: VarianceRule, nu: VarianceRule,
                  k_max: int | None):
-        if k_max is not None:
-            _check_k_max(k_max)
-        km = model.k_max if k_max is None else int(k_max)
+        km = model.k_max if k_max is None else _check_k_max(k_max)
         length = model.spectrum_length
         if length is not None and km > length:
             raise ValidationError(
@@ -778,9 +776,7 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
     A level without a float is compared on its exponent and reported as ``pow2:-N``.
     """
     level = NoiseLevel.of(epsilon)
-    if k_max is not None:
-        _check_k_max(k_max)
-    km = model.k_max if k_max is None else int(k_max)
+    km = model.k_max if k_max is None else _check_k_max(k_max)
     cut = k0(model, level)
     # the comparison only ever sums the first k0 components, so the channel
     # need not extend past them (deep tails may underflow the spectrum)

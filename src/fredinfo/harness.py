@@ -27,7 +27,6 @@ faults, so a run ends on the first fault met row by row.
 from __future__ import annotations
 
 import datetime as _dt
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -282,7 +281,7 @@ class ExperimentConfig:
             if name == "k_max" and value is None:
                 continue
             # refused, not truncated: a float, bool or string is no count or seed
-            _require_int(value, f"config {name}")
+            setattr(self, name, _require_int(value, f"config {name}"))
         if self.k_max is not None and self.k_max < 1:
             raise ValidationError(f"config k_max must be a positive integer, got {self.k_max}")
         if self.trials < 0:
@@ -335,6 +334,10 @@ class ExperimentConfig:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
+        # imported here: OpenSSL's binding costs about 3.6 MB of RSS, and only
+        # sweep metadata needs it
+        import hashlib
+
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 

@@ -206,10 +206,11 @@ class SpectrumModel:
 
 def poisson_model(a: float, b: float, k_max: int = DEFAULT_K_MAX) -> SpectrumModel:
     """Geometric spectrum ``(a/b)^|k|`` of the annulus-to-boundary map."""
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
+    a, b = _require_real(a, "a"), _require_real(b, "b")
     if not (0 < a < b) or not math.isfinite(a) or not math.isfinite(b):
         raise ValidationError(f"poisson model needs 0 < a < b, got a={a}, b={b}")
-    return SpectrumModel("poisson", {"a": float(a), "b": float(b)}, k_max)
+    return SpectrumModel("poisson", {"a": a, "b": b}, k_max)
 
 
 def heat_model(D: float, a: float, b: float, k_max: int = DEFAULT_K_MAX) -> SpectrumModel:
@@ -219,13 +220,14 @@ def heat_model(D: float, a: float, b: float, k_max: int = DEFAULT_K_MAX) -> Spec
     The decay rate ``D (a-b)`` must be a positive finite float, so that the
     spectrum decreases and ``lambda_0 = exp(-0)`` is 1.
     """
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
+    D, a, b = _require_real(D, "D"), _require_real(a, "a"), _require_real(b, "b")
     if not (D > 0 and math.isfinite(D)):
         raise ValidationError(f"heat model needs D > 0, got D={D}")
     if not (a > b) or not math.isfinite(a) or not math.isfinite(b):
         raise ValidationError(f"heat model needs a > b, got a={a}, b={b}")
-    params = {"D": float(D), "a": float(a), "b": float(b)}
-    rate = params["D"] * (params["a"] - params["b"])  # as the formulas form it
+    params = {"D": D, "a": a, "b": b}
+    rate = D * (a - b)  # as the formulas form it
     if not (0.0 < rate < math.inf):
         raise ValidationError(
             f"heat model needs a positive finite decay rate D*(a-b), got {rate!r}")
@@ -234,7 +236,7 @@ def heat_model(D: float, a: float, b: float, k_max: int = DEFAULT_K_MAX) -> Spec
 
 def green_model(k_max: int = DEFAULT_K_MAX) -> SpectrumModel:
     """Power-law spectrum ``1/(k^2 pi^2)`` of the string Green kernel."""
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
     return SpectrumModel("green", {}, k_max)
 
 
@@ -274,9 +276,7 @@ def _grouped_table(values: Iterable[float], counts: Iterable[int], allow_ties: b
             raise ValidationError("tabulated values must be decreasing")
         grouped.append(v)
         mults.append(count)
-    if k_max is None:
-        k_max = len(grouped)
-    _check_k_max(k_max)
+    k_max = _check_k_max(len(grouped) if k_max is None else k_max)
     return SpectrumModel(
         "tabulated",
         {"values": tuple(grouped), "multiplicities": tuple(mults)},
@@ -284,16 +284,28 @@ def _grouped_table(values: Iterable[float], counts: Iterable[int], allow_ties: b
     )
 
 
-def _check_k_max(k_max: int) -> None:
-    _require_int(k_max, "k_max")
+def _check_k_max(k_max: int) -> int:
+    """``k_max`` as a Python int, refused unless it is an integer >= 1."""
+    k_max = _require_int(k_max, "k_max")
     if k_max < 1:
         raise ValidationError(f"k_max must be a positive integer, got {k_max!r}")
+    return k_max
 
 
-def _require_int(value, name: str) -> None:
-    """Refuse a bool or anything but a Python or numpy integer as ``name``."""
+def _require_int(value, name: str) -> int:
+    """``value`` as a Python int, so it stores and writes to JSON as one; a
+    bool or anything but a Python or numpy integer is refused as ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_real(value, name: str) -> float:
+    """``value`` as a float; a bool, a string, None or anything but a Python
+    or numpy integer or float is refused as ``name``, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InconclusiveError, PreconditionError, ValidationError
-from .spectra import FAMILIES, CoefficientVector, SpectrumModel, forward_apply
+from .spectra import FAMILIES, CoefficientVector, SpectrumModel, _require_real, forward_apply
 
 __all__ = [
     "NoiseLevel",
@@ -65,7 +65,8 @@ class NoiseLevel:
     _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        L, eps = float(self.log2_inv_eps) + 0.0, self.epsilon  # + 0.0: eps = 1 gives 0.0
+        L = _require_real(self.log2_inv_eps, "log2_inv_eps") + 0.0  # + 0.0: eps = 1 gives 0.0
+        eps = None if self.epsilon is None else _require_real(self.epsilon, "epsilon")
         if eps is None:
             if not math.isfinite(L):
                 raise ValidationError(f"log2_inv_eps must be finite, got {L!r}")
@@ -83,7 +84,7 @@ class NoiseLevel:
         is returned unchanged, a float is validated and wrapped."""
         if isinstance(epsilon, NoiseLevel):
             return epsilon
-        eps = float(epsilon)
+        eps = _require_real(epsilon, "epsilon")
         return cls(-math.log2(eps) if eps > 0.0 else math.nan, eps)
 
     @property

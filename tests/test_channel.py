@@ -463,10 +463,16 @@ def _ones_channel(eps):
     (lambda: extremal_comparison(_G4, 0.1, "beta", k_max=2.5), "k_max must be an integer, got 2.5"),
     (lambda: extremal_comparison(_G4, 0.1, "alpha", k_max=True),
      "k_max must be an integer, got True"),
+    # a rule parameter is refused, not read as 2.0 or 1.0
+    (lambda: constant_rule("2"), "c must be a real number, got '2'"),
+    (lambda: constant_rule(True), "c must be a real number, got True"),
+    (lambda: rule_from_json({"kind": "constant", "c": "2"}), "c must be a real number, got '2'"),
+    (lambda: geometric_rule(1.0, None), "q must be a real number, got None"),
 ], ids=["negative-tail", "power-at-0", "gaussian-overflow", "component-0",
         "noise-free-total", "posterior-other-model", "posterior-infinite-prior",
         "fractional-k-max", "bool-k-max", "k-max-0", "negative-k-max", "extremal-k-max-0",
-        "extremal-fractional-k-max", "extremal-bool-k-max"])
+        "extremal-fractional-k-max", "extremal-bool-k-max", "string-rule", "bool-rule",
+        "string-rule-json", "none-rule-ratio"])
 def test_channel_refusals(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()

@@ -222,6 +222,22 @@ def test_simulate_k_max_not_a_count_exits_2(capsys, tmp_path, config_obj, messag
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"epsilon_grid": [True, 0.5]}, "epsilon must be a real number, got True"),
+    ({"epsilon_grid": ["0.5"]}, "epsilon must be a real number, got '0.5'"),
+    ({"log2_inv_eps_grid": [True, 3]}, "log2_inv_eps must be a real number, got True"),
+    ({"log2_inv_eps_grid": ["3"]}, "log2_inv_eps must be a real number, got '3'"),
+], ids=["bool-eps", "string-eps", "bool-exponent", "string-exponent"])
+def test_simulate_noise_grid_not_real_exits_2(capsys, tmp_path, grid, message):
+    # a JSON true or string is no noise level: refused, not run as 1.0 or 0.5
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"kind": "green"}, **grid}))
+    code, out, err = run(capsys, "simulate", "--config", str(config),
+                         "--out", str(tmp_path / "run"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("argv", [
     ("eigens", "--k-hi", "3"),
     ("capacity", "--epsilon", "0.1", "--sided", "total"),

@@ -335,6 +335,43 @@ def test_config_hash_tracks_content():
     assert make_config(trials=11).config_hash() != make_config().config_hash()
 
 
+def test_config_hash_is_a_fixed_sha256_digest():
+    # a literal: a change to the hashing would otherwise move every .meta.json unseen
+    assert make_config().config_hash() == (
+        "80740a29e15c77cc753a9bfa7c8d62bc46ee025f3440e033415a5863e765201c")
+
+
+def test_only_sweep_metadata_loads_hashlib(tmp_path):
+    """OpenSSL's binding ``_hashlib`` costs about 3.6 MB of RSS: a fresh
+    interpreter loads it for ``simulate``'s ``config_hash`` and for no other
+    command, nor for a Nyström solve."""
+    config = tmp_path / "config.json"
+    config.write_text(make_config().canonical_json())
+    code = "\n".join([
+        "import sys",
+        "from fredinfo import green_kernel, nystrom_decompose",
+        "from fredinfo.cli import main",
+        "for argv in (['table', '--format', 'csv'],",
+        "             ['capacity', '--model', 'poisson:a=0.5,b=1', '--epsilon', 'pow2:-1024'],",
+        "             ['truncate', '--model', 'green', '--epsilon', '0.01'],",
+        "             ['prob-info', '--model', 'green', '--epsilon', '0.01',",
+        "              '--rho', 'constant:1', '--nu', 'constant:1'],",
+        "             ['eigens', '--model', 'green', '--k-hi', '3'],",
+        "             ['metric-info', '--packing-axes', '1,0.5', '--epsilon', '0.4',",
+        "              '--step', '0.1']):",
+        "    assert main(argv) == 0, argv",
+        "nystrom_decompose(green_kernel, 300)",
+        "print('hashlib loaded:', '_hashlib' in sys.modules)",
+        f"assert main(['simulate', '--config', {str(config)!r},",
+        f"             '--out', {str(tmp_path / 'run')!r}]) == 0",
+        "print('hashlib loaded:', '_hashlib' in sys.modules)"])
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fredinfo.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert [line for line in out.splitlines() if line.startswith("hashlib loaded:")] == [
+        "hashlib loaded: False", "hashlib loaded: True"]
+
+
 @pytest.mark.parametrize("obj", [
     "nope",
     {},
@@ -357,6 +394,11 @@ def test_config_hash_tracks_content():
     {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "seed": True},
     {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "seed": "7"},
     {"model": {"kind": "poisson", "a": 0.5, "b": 1.0}, "epsilon_grid": [0.5], "trails": 100},
+    # a grid of what is no real number is refused, not coerced
+    {"model": {"kind": "green"}, "epsilon_grid": [True, 0.5]},
+    {"model": {"kind": "green"}, "epsilon_grid": ["0.5"]},
+    {"model": {"kind": "green"}, "log2_inv_eps_grid": [True, 3]},
+    {"model": {"kind": "green"}, "log2_inv_eps_grid": ["3"]},
 ])
 def test_config_from_json_rejects_malformed(obj):
     with pytest.raises(ValidationError):
@@ -369,6 +411,22 @@ def test_config_from_json_rejects_malformed(obj):
 def test_config_refuses_non_integer_counts(field):
     with pytest.raises(ValidationError, match="must be an integer"):
         make_config(**field)
+
+
+def test_numpy_integer_counts_write_as_python_ints(tmp_path):
+    # stored as numpy scalars, the counts would fail the metadata's JSON writer
+    paths = []
+    for count in (int, np.int64):
+        config = ExperimentConfig(model=green_model(k_max=count(16)), epsilon_grid=(0.1, 0.01),
+                                  rho=constant_rule(1.0), nu=constant_rule(1.0),
+                                  trials=count(3), seed=count(5), k_max=count(8))
+        assert all(type(value) is int for value in (config.trials, config.seed, config.k_max))
+        paths.append(convergence_sweep(config).write(str(tmp_path / count.__name__)))
+    (csv_int, meta_int), (csv_np, meta_np) = paths
+    with open(csv_int, "rb") as a, open(csv_np, "rb") as b:
+        assert a.read() == b.read()
+    with open(meta_int) as a, open(meta_np) as b:
+        assert json.load(a)["config_hash"] == json.load(b)["config_hash"]
 
 
 @pytest.mark.parametrize("k_max", [0, -2])

@@ -687,11 +687,19 @@ def test_nystrom_rejects_kernel_of_wrong_shape():
     (lambda: poisson_model(0.5, 1.0, k_max=True), "k_max must be an integer, got True"),
     (lambda: poisson_model(0.5, 1.0, k_max=2.5), "k_max must be an integer, got 2.5"),
     (lambda: green_model(k_max=0), "k_max must be a positive integer, got 0"),
+    # refused, not read as 0.5 or as b = 1.0
+    (lambda: model_from_json({"kind": "poisson", "a": "0.5", "b": 1}),
+     "a must be a real number, got '0.5'"),
+    (lambda: model_from_json({"kind": "poisson", "a": 0.5, "b": True}),
+     "b must be a real number, got True"),
+    (lambda: heat_model(None, 2.0, 1.0), "D must be a real number, got None"),
+    (lambda: heat_model(1.0, 2.0, "1"), "b must be a real number, got '1'"),
 ], ids=["fractional-index", "empty-vector", "nan-vector", "past-table", "two-bases",
         "mode-0", "fractional-mode", "float-mode", "string-mode", "none-mode", "bool-mode",
         "one-node", "fractional-nodes", "float-nodes", "bool-nodes", "nan-kernel",
         "bool-index", "bool-multiplicity", "bool-center-multiplicity", "bool-k-max",
-        "fractional-k-max", "k-max-0"])
+        "fractional-k-max", "k-max-0", "string-poisson-a", "bool-poisson-b",
+        "none-heat-D", "string-heat-b"])
 def test_spectra_refusals(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
@@ -708,10 +716,16 @@ def test_spectra_refusals(call, message):
     green_model(),
     tabulated_model([0.9, 0.4, 0.1]),
     tabulated_model([0.9, 0.9, 0.1], allow_ties=True),
+    # a numpy-integer k_max is stored as a Python int
+    poisson_model(0.5, 1.0, k_max=np.int64(4)),
+    heat_model(2.0, 3.0, 1.0, k_max=np.int32(8)),
+    green_model(k_max=np.uint16(16)),
+    tabulated_model([0.9, 0.4, 0.1], k_max=np.int64(2)),
 ])
 def test_model_json_round_trip(model):
     j = model_to_json(model)
     json.dumps(j)  # must be serializable as-is
+    assert type(model.k_max) is int
     assert model_from_json(j) == model
 
 

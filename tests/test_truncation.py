@@ -1,6 +1,7 @@
 """Cutoff rules, the truncated estimator and its error bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,27 @@ def test_k0_rejects_bad_noise_levels():
         k0(m, -0.5)
     with pytest.raises(ValidationError):
         k0(m, 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: k0(green_model(), True), "epsilon must be a real number, got True"),  # not eps = 1
+    (lambda: k0(green_model(), np.True_), "epsilon must be a real number, got"),
+    (lambda: k0(green_model(), "0.1"), "epsilon must be a real number, got '0.1'"),
+    (lambda: k0(green_model(), None), "epsilon must be a real number, got None"),
+    (lambda: NoiseLevel("3"), "log2_inv_eps must be a real number, got '3'"),
+    (lambda: NoiseLevel(True), "log2_inv_eps must be a real number, got True"),
+    (lambda: NoiseLevel(3.0, True), "epsilon must be a real number, got True"),
+], ids=["bool-eps", "numpy-bool-eps", "string-eps", "none-eps", "string-exponent",
+        "bool-exponent", "bool-float"])
+def test_noise_levels_refuse_what_is_no_real_number(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
+
+
+def test_noise_levels_accept_numpy_numbers():
+    assert k0(poisson_model(0.5, 1.0), np.float64(0.1)) == 3
+    assert k0(poisson_model(0.5, 1.0), np.float32(0.25)) == 2
+    assert NoiseLevel(np.int64(3)) == NoiseLevel(3.0) == NoiseLevel.of(np.int8(1) / 8)
 
 
 def test_k0_past_2_to_the_53_is_inconclusive():
