@@ -19,14 +19,13 @@ while ``lambda_k >= eps``.
 from .errors import (FredinfoError, InconclusiveError, NumericError,
                      PreconditionError, UnsupportedError, ValidationError)
 from .spectra import (DEFAULT_K_MAX, CoefficientVector, EigenSystem,
-                      SpectrumModel, export_spectrum_csv, forward_apply,
+                      SpectrumModel, forward_apply,
                       green_kernel, green_model, heat_model, model_from_json,
                       model_to_json, nystrom_decompose, poisson_model,
                       tabulated_model)
 from .truncation import (BoundCheck, Lemma1Report, NoiseLevel,
-                         TruncationReport, WeakConvergencePoint, generalized_k0, k0,
-                         k0_closed_form, lemma1_check, truncated_solution,
-                         weak_convergence_probe)
+                         TruncationReport, k0, k0_closed_form, lemma1_check,
+                         truncated_solution)
 from .metric import (CapacityBounds, FitDiagnostics, GrowthEstimate,
                      capacity_interval, entropy_lower_bound,
                      entropy_upper_bound, greedy_packing_count, growth_orders,
@@ -42,8 +41,7 @@ from .channel import (ComponentInfo, ExtremalComparison, GaussianChannel,
 from .harness import (ExperimentConfig, ExperimentResult, MonteCarloResult,
                       SummaryRow, TrialStream, convergence_sweep,
                       monte_carlo_mse, reproduce_summary_table,
-                      simulate_channel, summary_table_csv,
-                      synthesize_solution)
+                      simulate_channel, synthesize_solution)
 
 __version__ = "0.1.0"
 
@@ -56,11 +54,10 @@ __all__ = [
     "SpectrumModel", "CoefficientVector", "EigenSystem", "DEFAULT_K_MAX",
     "poisson_model", "heat_model", "green_model", "tabulated_model",
     "forward_apply", "nystrom_decompose", "green_kernel",
-    "export_spectrum_csv", "model_to_json", "model_from_json",
+    "model_to_json", "model_from_json",
     # truncation
-    "NoiseLevel", "k0", "k0_closed_form", "generalized_k0", "TruncationReport",
+    "NoiseLevel", "k0", "k0_closed_form", "TruncationReport",
     "truncated_solution", "BoundCheck", "Lemma1Report", "lemma1_check",
-    "WeakConvergencePoint", "weak_convergence_probe",
     # metric
     "entropy_lower_bound", "entropy_upper_bound", "CapacityBounds",
     "capacity_interval", "max_message_length_log2", "FitDiagnostics",
@@ -77,5 +74,5 @@ __all__ = [
     "TrialStream", "synthesize_solution", "simulate_channel",
     "MonteCarloResult", "monte_carlo_mse", "ExperimentConfig",
     "ExperimentResult", "convergence_sweep", "SummaryRow",
-    "reproduce_summary_table", "summary_table_csv",
+    "reproduce_summary_table",
 ]

@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import InconclusiveError, UnsupportedError, ValidationError
 from .metric import _lower
-from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _lookup, _require_real,
-                      entry_from_json, entry_to_json, model_from_json, model_to_json)
+from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _lookup, _require_int,
+                      _require_list, _require_real, entry_from_json, entry_to_json,
+                      model_from_json, model_to_json)
 from .truncation import NoiseLevel, k0
 
 __all__ = [
@@ -93,7 +94,7 @@ class VarianceRule:
     # -- values -------------------------------------------------------------
 
     def value(self, k: int) -> float:
-        return float(self.values(np.asarray([k]))[0])
+        return float(self.values(np.asarray([_require_int(k, "k")]))[0])
 
     def values(self, ks: np.ndarray) -> np.ndarray:
         return RULES[self.kind].values(self.params, np.asarray(ks, dtype=np.int64))
@@ -114,7 +115,7 @@ class VarianceRule:
 
     def sum_sq_tail(self, m: int) -> float:
         """``sum_{k>m} sigma_k^2`` in closed form (m >= 0)."""
-        if m < 0:
+        if _require_int(m, "tail start") < 0:
             raise ValidationError("tail start must be >= 0")
         if not self.is_trace_class:
             raise UnsupportedError(
@@ -154,13 +155,12 @@ def inverse_spectrum_rule(model: SpectrumModel, delta0: float = 1e-9) -> Varianc
 
 
 def custom_rule(values: Sequence[float], tail_sum_sq: float | None = None) -> VarianceRule:
-    vals = tuple(float(v) for v in values)
+    vals = tuple(_positive("custom rule value", v)
+                 for v in _require_list(values, "custom rule values"))
     if not vals:
         raise ValidationError("custom rule needs at least one value")
-    if any(not (v > 0) or not math.isfinite(v) for v in vals):
-        raise ValidationError("custom rule values must be positive and finite")
     if tail_sum_sq is not None:
-        tail_sum_sq = float(tail_sum_sq)
+        tail_sum_sq = _require_real(tail_sum_sq, "tail_sum_sq")
         if tail_sum_sq < 0 or not math.isfinite(tail_sum_sq):
             raise ValidationError("declared tail must be a finite non-negative float")
     return VarianceRule("custom", {"values": vals, "tail_sum_sq": tail_sum_sq})
@@ -515,7 +515,9 @@ class GaussianChannel:
     inverted_risk: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        level = None if self.epsilon == 0.0 else NoiseLevel.of(self.epsilon)  # 0: noise-free
+        eps = self.epsilon if isinstance(self.epsilon, NoiseLevel) else _require_real(
+            self.epsilon, "epsilon")
+        level = None if eps == 0.0 else NoiseLevel.of(eps)  # 0: noise-free
         rows = _Rows(_Basis(self.model, self.rho, self.nu, self.k_max), [level])
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "epsilon", rows.epsilon[0])
@@ -533,7 +535,7 @@ class GaussianChannel:
         return self._rows.basis.labels  # type: ignore[attr-defined]
 
     def _index(self, k: int) -> int:
-        if not 1 <= k <= self.k_max:
+        if not 1 <= _require_int(k, "component index") <= self.k_max:
             raise ValidationError(f"component index must lie in 1..{self.k_max}")
         return k - 1
 
@@ -671,11 +673,11 @@ def posterior_density_params(channel: GaussianChannel, k: int,
     ``g_k`` gives ``N(g_k / lambda_k, (eps nu_k / lambda_k)^2)``, the smaller
     variance exactly on I.  A parameter that is not a finite float is refused.
     """
-    i = channel._index(k)
+    i, g = channel._index(k), _require_real(g_k, "g_k")
     lam, rho, _ = (float(values[i]) for values in channel.arrays())
     if lam == 0.0:
         raise ValidationError(f"posterior_density_params: lambda_{k} underflows to zero")
-    params = PosteriorParams(0.0, rho * rho, float(g_k) / lam, float(channel.inverted_risk[i]))
+    params = PosteriorParams(0.0, rho * rho, g / lam, float(channel.inverted_risk[i]))
     if not math.isfinite(params.var1):
         raise ValidationError(f"posterior_density_params: rho_{k}^2 overflows floats")
     if not (math.isfinite(params.mean2) and math.isfinite(params.var2)):

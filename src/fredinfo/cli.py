@@ -213,9 +213,9 @@ def _cmd_metric_info(args) -> int:
             raise ValidationError("--packing-axes needs --epsilon and --step")
         axes = _floats(args.packing_axes, "--packing-axes")
         eps = parse_epsilon(args.epsilon).require_epsilon("packing counts")
-        count = greedy_packing_count(axes, eps, float(args.step))
+        count = greedy_packing_count(axes, eps, args.step)
         _emit(args.format, {"semi_axes": axes, "epsilon": eps,
-                            "grid_step": float(args.step), "count": count},
+                            "grid_step": args.step, "count": count},
               ("epsilon", "grid_step", "count"))
         return 0
     _refuse_unread(args, ["--epsilon", "--step"], "is read only with --packing-axes")

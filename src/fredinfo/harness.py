@@ -30,7 +30,6 @@ import datetime as _dt
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +37,8 @@ from . import metric
 from .channel import (GaussianChannel, VarianceRule, _Basis, _Rows, rule_from_json,
                       rule_to_json)
 from .errors import ValidationError
-from .spectra import (CoefficientVector, SpectrumModel, _require_int, csv_text, decoding,
-                      model_from_json, model_to_json, refuse_unknown)
+from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _require_int, csv_text,
+                      decoding, model_from_json, model_to_json, refuse_unknown)
 from .truncation import NoiseLevel, _noise_grid
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "convergence_sweep",
     "SummaryRow",
     "reproduce_summary_table",
-    "summary_table_csv",
     "SWEEP_COLUMNS",
     "STREAM_SCHEME",
 ]
@@ -87,9 +85,12 @@ def _stream(seed: int, trial: int, role: int,
     return gen
 
 
-def _check_stream(seed: int, trial: int) -> None:
+def _check_stream(seed: int, trial: int) -> tuple[int, int]:
+    """``(seed, trial)`` as Python ints, refused unless ``0 <= seed < 2**128``, ``trial >= 0``."""
+    seed, trial = _require_int(seed, "seed"), _require_int(trial, "trial")
     if not 0 <= seed < _SEED_LIMIT or trial < 0:
         raise ValidationError("seed must lie in [0, 2**128) and trial must be >= 0")
+    return seed, trial
 
 
 @dataclass(frozen=True)
@@ -100,13 +101,15 @@ class TrialStream:
     trial: int
 
     def __post_init__(self):
-        _check_stream(self.seed, self.trial)
+        seed, trial = _check_stream(self.seed, self.trial)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "trial", trial)
 
     def prior_normals(self, k_max: int) -> np.ndarray:
-        return _stream(self.seed, self.trial, 0).standard_normal(k_max)
+        return _stream(self.seed, self.trial, 0).standard_normal(_check_k_max(k_max))
 
     def noise_normals(self, k_max: int) -> np.ndarray:
-        return _stream(self.seed, self.trial, 1).standard_normal(k_max)
+        return _stream(self.seed, self.trial, 1).standard_normal(_check_k_max(k_max))
 
 
 def synthesize_solution(channel: GaussianChannel, stream: TrialStream) -> CoefficientVector:
@@ -151,7 +154,7 @@ class MonteCarloResult:
 def _trial_block(seed: int, trials: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Prior and noise normals of trials ``0 .. trials-1``, one row per trial,
     drawn by one generator re-keyed to each stream in turn."""
-    _check_stream(seed, 0)
+    seed, _ = _check_stream(seed, 0)
     prior = np.empty((trials, k_max))
     noise = np.empty((trials, k_max))
     gen = None
@@ -225,7 +228,7 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
     is an unbiased estimate of the closed-form risk.  The standard error is
     reported from two trials up.
     """
-    if trials < 1:
+    if _require_int(trials, "trials") < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     rows = channel._rows
     rows.basis.energies("monte_carlo_mse")
@@ -478,8 +481,3 @@ def reproduce_summary_table() -> list[SummaryRow]:
             d_c_target=d_target,
             within_5pct=abs(d_est - d_target) <= 0.05 * d_target))
     return rows
-
-
-def summary_table_csv(rows: Sequence[SummaryRow]) -> str:
-    names = [f.name for f in fields(SummaryRow)]
-    return csv_text(names, ([getattr(r, name) for name in names] for r in rows))

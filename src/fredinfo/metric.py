@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (NumericError, PreconditionError, UnsupportedError,
                      ValidationError)
-from .spectra import FAMILIES, SpectrumModel
+from .spectra import FAMILIES, SpectrumModel, _require_list, _require_real
 from .truncation import NoiseLevel, _cutoffs, _noise_grid
 
 __all__ = [
@@ -313,15 +313,15 @@ def greedy_packing_count(semi_axes: Sequence[float], epsilon: float,
     side.  A level or a live semi-axis whose square leaves float range is
     refused (:class:`NumericError`): the float tests cannot resolve it there.
     """
-    axes = [float(a) for a in semi_axes]
+    axes = [_require_real(a, "semi-axis") for a in _require_list(semi_axes, "semi_axes")]
     if not axes:
         raise ValidationError("need at least one semi-axis")
     if any(a < 0 or not math.isfinite(a) for a in axes):
         raise ValidationError("semi-axes must be non-negative and finite")
-    eps = float(epsilon)
+    eps = _require_real(epsilon, "epsilon")
     if not (eps > 0) or not math.isfinite(eps):
         raise ValidationError("epsilon must be positive")
-    h = float(grid_step)
+    h = _require_real(grid_step, "grid_step")
     if not (0 < h <= eps / 4.0):
         raise ValidationError("grid_step must satisfy 0 < grid_step <= epsilon/4")
 

@@ -55,7 +55,6 @@ __all__ = [
     "green_kernel",
     "csv_text",
     "spectrum_rows",
-    "export_spectrum_csv",
     "model_to_json",
     "model_from_json",
 ]
@@ -183,7 +182,7 @@ class SpectrumModel:
         """
         self._check_index(k)
         lo, hi = self.domain
-        if not (lo - 1e-12 <= x <= hi + 1e-12):
+        if not (lo - 1e-12 <= _require_real(x, "x") <= hi + 1e-12):
             raise ValidationError(
                 f"x={x!r} outside the eigenfunction domain [{lo}, {hi}]")
         if self.two_sided:
@@ -252,11 +251,11 @@ def tabulated_model(values: Sequence[float], allow_ties: bool = False,
     return _grouped_table(values, itertools.repeat(1), allow_ties, k_max)
 
 
-def _grouped_table(values: Iterable[float], counts: Iterable[int], allow_ties: bool,
+def _grouped_table(values: Sequence[float], counts: Iterable[int], allow_ties: bool,
                    k_max: int | None) -> SpectrumModel:
     """The tabulated model holding ``values[i]`` ``counts[i]`` times; equal
     neighbours merge into one index whose multiplicity is their total count."""
-    vals = [float(v) for v in values]
+    vals = [_require_real(v, "tabulated value") for v in _require_list(values, "tabulated values")]
     if not vals:
         raise ValidationError("tabulated model needs at least one value")
     for v in vals:
@@ -306,6 +305,14 @@ def _require_real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _require_list(values, name: str) -> list:
+    """``values`` as a list; anything but a list, tuple or numpy array is refused
+    as ``name``, so a number or a string is not read as a sequence."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValidationError(f"{name} must be a list, got {values!r}")
+    return list(values)
 
 
 @dataclass(frozen=True)
@@ -413,9 +420,10 @@ class CoefficientVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.atleast_1d(np.asarray(self.entries))
-        if self.entries.ndim != 1 or self.entries.size == 0:
-            raise ValidationError("entries must be a non-empty 1-d sequence")
+        with decoding("coefficient entries"):  # a ragged nesting of lists
+            self.entries = np.atleast_1d(np.asarray(self.entries))
+        if self.entries.ndim != 1 or not self.entries.size or self.entries.dtype.kind not in "iufc":
+            raise ValidationError("entries must be a non-empty 1-d sequence of numbers")
         if not np.all(np.isfinite(self.entries)):
             raise ValidationError("entries must be finite")
         if self.model.two_sided:
@@ -445,6 +453,7 @@ class CoefficientVector:
         return np.arange(1, self.K + 1)
 
     def entry(self, k: int) -> complex | float:
+        _require_int(k, "index k")
         if self.model.two_sided:
             if abs(k) > self.K:
                 raise ValidationError(f"index {k} outside stored range +-{self.K}")
@@ -458,7 +467,8 @@ class CoefficientVector:
         """Per-component values ``v_1..v_K`` as a vector of ``model``: two-sided
         models hold ``v_k`` at index ``+k`` and zeros at the center and below it,
         a labeling convention for the sequence-form channel, not a symmetry."""
-        values = np.asarray(values)
+        with decoding("coefficient entries"):  # a ragged nesting of lists
+            values = np.asarray(values)
         if not model.two_sided:
             return cls(model, values)
         entries = np.zeros(2 * values.size + 1, dtype=values.dtype)
@@ -471,7 +481,7 @@ class CoefficientVector:
 
     def resized(self, K: int) -> "CoefficientVector":
         """The vector cut or zero-padded to the index range ``K``."""
-        d = K - self.K
+        d = _require_int(K, "K") - self.K
         head = abs(d) if self.model.two_sided else 0  # a two-sided range changes at both ends
         if d >= 0:
             return CoefficientVector(self.model, np.pad(self.entries, (head, d)))
@@ -506,15 +516,18 @@ class CoefficientVector:
 
     @classmethod
     def from_json(cls, obj: dict, model: SpectrumModel | None = None) -> "CoefficientVector":
+        if not isinstance(obj, dict):
+            raise ValidationError("coefficient vector JSON must be an object")
         with decoding("coefficient vector JSON"):
             if model is None:
                 model = model_from_json(obj["model"])
-            raw = obj["entries"]
+            raw = _require_list(obj["entries"], "coefficient entries")
             refuse_unknown(obj, {"model", "complex", "entries"}, "coefficient vector JSON")
+            real = functools.partial(_require_real, name="coefficient entry")
             if obj.get("complex"):
-                entries = np.asarray([complex(re, im) for re, im in raw])
+                entries = np.asarray([complex(real(re), real(im)) for re, im in raw])
             else:
-                entries = np.asarray([float(v) for v in raw])
+                entries = np.asarray([real(v) for v in raw])
         return cls(model, entries)
 
 
@@ -836,17 +849,11 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 def spectrum_rows(model: SpectrumModel, k_hi: int) -> list[dict]:
     """Rows ``{k, lambda, multiplicity}`` of the spectrum prefix ``k = 1..k_hi``; a
     tabulated model refuses a ``k_hi`` past its table."""
-    if k_hi < 1:
+    if _require_int(k_hi, "k_hi") < 1:
         raise ValidationError(f"k_hi must be >= 1, got {k_hi}")
     ks = np.arange(1, k_hi + 1)
     return [{"k": k, "lambda": lam, "multiplicity": model.multiplicity(k)}
             for k, lam in zip(ks.tolist(), model.eigenvalues(ks).tolist())]
-
-
-def export_spectrum_csv(model: SpectrumModel, k_hi: int) -> str:
-    """CSV of the spectrum prefix with columns ``k,lambda,multiplicity``."""
-    return csv_text(("k", "lambda", "multiplicity"),
-                    (row.values() for row in spectrum_rows(model, k_hi)))
 
 
 model_to_json = SpectrumModel.to_json

@@ -21,25 +21,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InconclusiveError, PreconditionError, ValidationError
-from .spectra import FAMILIES, CoefficientVector, SpectrumModel, _require_real, forward_apply
+from .spectra import (FAMILIES, CoefficientVector, SpectrumModel, _require_list, _require_real,
+                      forward_apply)
 
 __all__ = [
     "NoiseLevel",
     "k0",
     "k0_closed_form",
-    "generalized_k0",
     "TruncationReport",
     "truncated_solution",
     "BoundCheck",
     "Lemma1Report",
     "lemma1_check",
-    "WeakConvergencePoint",
-    "weak_convergence_probe",
 ]
 
 _TOP = 1 << 53  # k0 refuses a cutoff this large: indices past it are not exact in floats
@@ -134,7 +132,7 @@ def _noise_grid(grid: Sequence[float | NoiseLevel], what: str) -> list[NoiseLeve
     """The levels of the grid ``what``, which must decrease strictly: compared as
     floats when every level has one (neighbouring floats can share a ``log2``),
     else as exponents."""
-    levels = [NoiseLevel.of(e) for e in grid]
+    levels = [NoiseLevel.of(e) for e in _require_list(grid, what)]
     if all(level.epsilon is not None for level in levels):
         keys = [-level.epsilon for level in levels]
     else:
@@ -238,42 +236,6 @@ def k0_closed_form(model: SpectrumModel, epsilon: float | NoiseLevel) -> int:
     return closed(model.params, level.log2_inv_eps, level.epsilon)
 
 
-def generalized_k0(model: SpectrumModel,
-                   beta: Callable[[int], float] | Sequence[float],
-                   epsilon: float) -> int:
-    """Largest k with ``lambda_k >= eps * beta_k`` for a positive sequence beta.
-
-    The scan runs over ``k = 1..K_max`` (or the length of ``beta`` when a
-    finite sequence is shorter) and must see the condition fail before the
-    end — otherwise the answer cannot be certified and an
-    :class:`InconclusiveError` is raised rather than silently truncating.
-    """
-    eps = NoiseLevel.of(epsilon).require_epsilon("generalized_k0")
-    limit = model.k_max
-    if model.spectrum_length is not None:
-        limit = min(limit, model.spectrum_length)
-    if not callable(beta):
-        seq = [float(v) for v in beta]
-        if not seq:
-            raise ValidationError("beta sequence is empty")
-        limit = min(limit, len(seq))
-        beta_fn = lambda k: seq[k - 1]
-    else:
-        beta_fn = beta
-
-    ks = np.arange(1, limit + 1)
-    betas = np.asarray([float(beta_fn(int(k))) for k in ks])
-    if not np.all(np.isfinite(betas)) or np.any(betas <= 0):
-        raise ValidationError("beta must be positive and finite on 1..K_max")
-    ok = model.eigenvalues(ks) >= eps * betas
-    last = int(ks[ok][-1]) if ok.any() else 0
-    if last == limit:
-        raise InconclusiveError(
-            f"lambda_k >= eps*beta_k still holds at k={limit}; no crossing "
-            "found within K_max")
-    return last
-
-
 # ---------------------------------------------------------------------------
 # Truncated solutions
 # ---------------------------------------------------------------------------
@@ -360,18 +322,6 @@ class Lemma1Report:
         return self.residual_y.holds and self.distance_x.holds and self.combined.holds
 
 
-def _data_misfit(model: SpectrumModel, f: CoefficientVector, data: CoefficientVector,
-                 eps: float) -> float:
-    """``||A f - data||``; the noisy-data precondition ``<= eps`` is enforced
-    (PreconditionError carrying the measured norms)."""
-    misfit = float(np.linalg.norm(forward_apply(model, f).entries - data.entries))
-    if misfit > eps * _SLACK:
-        raise PreconditionError(
-            f"data misfit ||Af - g|| = {misfit:.6g} exceeds eps = {eps:.6g}",
-            data_misfit=misfit, f_norm=f.norm())
-    return misfit
-
-
 def lemma1_check(model: SpectrumModel, f: CoefficientVector,
                  data: CoefficientVector, epsilon: float) -> Lemma1Report:
     """Verify the a-priori truncation bounds on one (f, data, eps) triple.
@@ -390,8 +340,12 @@ def lemma1_check(model: SpectrumModel, f: CoefficientVector,
     if f.K != data.K:
         raise ValidationError("lemma1_check: f and data must cover the same indices")
 
-    misfit = _data_misfit(model, f, data, eps)
+    misfit = float(np.linalg.norm(forward_apply(model, f).entries - data.entries))
     f_norm = f.norm()
+    if misfit > eps * _SLACK:
+        raise PreconditionError(
+            f"data misfit ||Af - g|| = {misfit:.6g} exceeds eps = {eps:.6g}",
+            data_misfit=misfit, f_norm=f_norm)
     if f_norm > _SLACK:
         raise PreconditionError(
             f"||f|| = {f_norm:.6g} exceeds 1", data_misfit=misfit, f_norm=f_norm)
@@ -408,54 +362,3 @@ def lemma1_check(model: SpectrumModel, f: CoefficientVector,
         data_misfit=misfit,
         f_norm=f_norm,
     )
-
-
-# ---------------------------------------------------------------------------
-# Weak convergence probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WeakConvergencePoint:
-    epsilon: float
-    value: float      # |(f - f*, v)|
-    majorant: float   # 2 eps sqrt(sum |v_k|^2 / (lambda_k^2 + eps^2))
-
-
-def weak_convergence_probe(model: SpectrumModel, f: CoefficientVector,
-                           v: CoefficientVector,
-                           epsilons: Sequence[float],
-                           datas: Sequence[CoefficientVector]) -> list[WeakConvergencePoint]:
-    """Track ``|(f - f*, v)|`` along a decreasing noise grid.
-
-    Each grid level must come with a data vector satisfying the noisy-model
-    preconditions at that level; the probe evaluates the pairing against the
-    test vector ``v`` (``||v|| <= 1``) together with its closed-form majorant,
-    which the pairing never exceeds.
-    """
-    if f.model != model or v.model != model:
-        raise ValidationError("weak_convergence_probe: vectors use a different model")
-    if v.K != f.K:
-        raise ValidationError("f and v must cover the same indices")
-    if len(epsilons) != len(datas):
-        raise ValidationError("need one data vector per epsilon")
-    if len(epsilons) < 2:
-        raise ValidationError("need at least two grid points")
-    eps_arr = [level.require_epsilon("weak_convergence_probe")
-               for level in _noise_grid(epsilons, "epsilons")]
-    if v.norm() > _SLACK:
-        raise ValidationError(f"test vector norm {v.norm():.6g} exceeds 1")
-
-    lam = v.eigenvalue_profile()
-    out = []
-    for eps, data in zip(eps_arr, datas):
-        if data.model != model or data.K != f.K:
-            raise ValidationError("data vectors must match the model and index range of f")
-        _data_misfit(model, f, data, eps)
-        f_star = truncated_solution(model, data, eps).f_star
-        diff = f.entries - f_star.entries
-        value = abs(complex(np.vdot(v.entries, diff)))
-        majorant = 2.0 * eps * math.sqrt(
-            float(np.sum(np.abs(v.entries) ** 2 / (lam ** 2 + eps ** 2))))
-        out.append(WeakConvergencePoint(eps, float(value), majorant))
-    return out

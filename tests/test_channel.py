@@ -468,11 +468,24 @@ def _ones_channel(eps):
     (lambda: constant_rule(True), "c must be a real number, got True"),
     (lambda: rule_from_json({"kind": "constant", "c": "2"}), "c must be a real number, got '2'"),
     (lambda: geometric_rule(1.0, None), "q must be a real number, got None"),
+    (lambda: custom_rule([True]), "custom rule value must be a real number, got True"),
+    (lambda: custom_rule([1.0], tail_sum_sq="0"), "tail_sum_sq must be a real number, got '0'"),
+    (lambda: custom_rule(1.0), "custom rule values must be a list, got 1.0"),
+    # refused, not read as noise-free
+    (lambda: GaussianChannel(_G4, constant_rule(1.0), constant_rule(1.0), False),
+     "epsilon must be a real number, got False"),
+    (lambda: component_information(_ones_channel(0.1), 1.5),
+     "component index must be an integer, got 1.5"),
+    (lambda: posterior_density_params(_ones_channel(0.1), 1, None),
+     "g_k must be a real number, got None"),
+    (lambda: geometric_rule(1.0, 0.5).value(2.5), "k must be an integer, got 2.5"),
 ], ids=["negative-tail", "power-at-0", "gaussian-overflow", "component-0",
         "noise-free-total", "posterior-other-model", "posterior-infinite-prior",
         "fractional-k-max", "bool-k-max", "k-max-0", "negative-k-max", "extremal-k-max-0",
         "extremal-fractional-k-max", "extremal-bool-k-max", "string-rule", "bool-rule",
-        "string-rule-json", "none-rule-ratio"])
+        "string-rule-json", "none-rule-ratio", "bool-custom-value", "string-custom-tail",
+        "number-for-custom-values", "bool-noise-free", "fractional-component",
+        "none-observation", "fractional-rule-index"])
 def test_channel_refusals(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()

@@ -156,6 +156,17 @@ def test_eigens_csv_from_model_json(capsys, tmp_path):
     assert lines[0] == "k,lambda,multiplicity"
     assert lines[1] == "1,0.5,1"
     assert len(lines) == 7
+    # a prefix past the table is refused, not padded
+    code, out, err = run(capsys, "eigens", "--model-json", path,
+                         "--k-hi", "7", "--format", "csv")
+    assert code == 2 and out == "" and "6 values" in err
+
+
+def test_eigens_csv_two_sided_multiplicity(capsys):
+    code, out, _ = run(capsys, "eigens", "--model", "poisson:a=0.5,b=1",
+                       "--k-hi", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["k,lambda,multiplicity", "1,0.5,2", "2,0.25,2", "3,0.125,2"]
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +602,10 @@ def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("model,decay,")
+    assert lines[0].startswith("model,decay,logL_exponent")
     assert len(lines) == 4
+    assert [line.split(",")[0] for line in lines[1:]] == ["poisson", "heat", "green"]
+    assert all(line.endswith(",True") for line in lines[1:])
 
 
 # ---------------------------------------------------------------------------

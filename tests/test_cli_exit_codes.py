@@ -71,8 +71,16 @@ def test_malformed_number_list_exits_2(capsys, flag, argv):
 def test_tabulated_model_json_with_text_value_exits_2(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"kind": "tabulated", "values": [0.5, "x"]}))
-    code, _, err = run(capsys, "eigens", "--model-json", str(path), "--k-hi", "1")
-    assert code == 2 and "malformed model JSON" in err
+    code, out, err = run(capsys, "eigens", "--model-json", str(path), "--k-hi", "1")
+    assert (code, out, err) == (2, "", "error: tabulated value must be a real number, got 'x'\n")
+
+
+def test_tabulated_model_json_with_bool_value_exits_2(capsys, tmp_path):
+    # refused, not read as 1.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "tabulated", "values": [True]}))
+    code, out, err = run(capsys, "eigens", "--model-json", str(path), "--k-hi", "1")
+    assert (code, out, err) == (2, "", "error: tabulated value must be a real number, got True\n")
 
 
 def test_invalid_json_file_exits_2(capsys, tmp_path):
@@ -126,6 +134,18 @@ def test_truncate_data_for_another_model_exits_2(capsys, tmp_path):
                          "--epsilon", "0.1", "--data", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: vector in {path} was written for a different model\n"
+
+
+def test_vector_json_with_entries_not_real_exits_2(capsys, tmp_path):
+    # refused, not read as [1.0, 0.5]
+    path = tmp_path / "data.json"
+    obj = CoefficientVector(green_model(), np.ones(2)).to_json()
+    obj["entries"] = [True, "0.5"]
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "truncate", "--model", "green", "--epsilon", "0.01",
+                         "--data", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient entry must be a real number, got True\n"
 
 
 def test_vector_json_with_unknown_field_exits_2(capsys, tmp_path):

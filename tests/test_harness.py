@@ -30,7 +30,6 @@ from fredinfo import (
     poisson_model,
     reproduce_summary_table,
     simulate_channel,
-    summary_table_csv,
     synthesize_solution,
     tabulated_model,
 )
@@ -563,13 +562,3 @@ def test_summary_table_reads_its_exponents_from_growth_orders():
     assert rows["green"].logL_exponent == green.lambda_hat
     assert [rows[name].d_c_estimate for name in ("poisson", "heat", "green")] == [
         poisson.d_c_exp, heat.d_c_exp, green.d_c]
-
-
-def test_summary_table_csv_layout():
-    rows = reproduce_summary_table()
-    text = summary_table_csv(rows)
-    lines = text.splitlines()
-    assert lines[0].startswith("model,decay,logL_exponent")
-    assert len(lines) == 4
-    assert lines[1].startswith("poisson,") and lines[3].startswith("green,")
-    assert all(line.endswith("True") for line in lines[1:])

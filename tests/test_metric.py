@@ -426,6 +426,13 @@ def test_packing_validation():
         greedy_packing_count([-1.0], 0.5, 0.1)
     with pytest.raises(UnsupportedError):
         greedy_packing_count([1.0, 1.0, 1.0, 1.0], 0.5, 0.1)
+    # refused, not read as a float
+    with pytest.raises(ValidationError, match="semi-axis must be a real number, got 'a'"):
+        greedy_packing_count([1, "a"], 1, 0.1)
+    with pytest.raises(ValidationError, match="grid_step must be a real number, got None"):
+        greedy_packing_count([1], 1, None)
+    with pytest.raises(ValidationError, match="epsilon must be a real number, got True"):
+        greedy_packing_count([1], True, 0.1)
 
 
 def test_packing_candidate_cap():

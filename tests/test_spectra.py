@@ -13,7 +13,6 @@ from fredinfo import (
     NumericError,
     UnsupportedError,
     ValidationError,
-    export_spectrum_csv,
     forward_apply,
     green_kernel,
     green_model,
@@ -694,12 +693,30 @@ def test_nystrom_rejects_kernel_of_wrong_shape():
      "b must be a real number, got True"),
     (lambda: heat_model(None, 2.0, 1.0), "D must be a real number, got None"),
     (lambda: heat_model(1.0, 2.0, "1"), "b must be a real number, got '1'"),
+    # a table value is refused, not read as 0.5 or 1.0
+    (lambda: tabulated_model(["a"]), "tabulated value must be a real number, got 'a'"),
+    (lambda: tabulated_model(["0.5"]), "tabulated value must be a real number, got '0.5'"),
+    (lambda: tabulated_model([True]), "tabulated value must be a real number, got True"),
+    (lambda: tabulated_model(0.5), "tabulated values must be a list, got 0.5"),
+    (lambda: CoefficientVector(green_model(), ["0.5"]), "sequence of numbers"),
+    (lambda: CoefficientVector(green_model(), [[0.5], 0.25]), "malformed coefficient entries"),
+    (lambda: CoefficientVector.from_json({"model": {"kind": "green"}, "entries": [True, 0.5]}),
+     "coefficient entry must be a real number, got True"),
+    (lambda: CoefficientVector.from_json({"model": {"kind": "poisson", "a": 0.5, "b": 1},
+                                          "complex": True, "entries": [[0.5, "0"]]}),
+     "coefficient entry must be a real number, got '0'"),
+    (lambda: CoefficientVector.from_json(3.0), "coefficient vector JSON must be an object"),
+    (lambda: poisson_model(0.5, 1.0).eigenfunction_value(1, "0.5"),
+     "x must be a real number, got '0.5'"),
 ], ids=["fractional-index", "empty-vector", "nan-vector", "past-table", "two-bases",
         "mode-0", "fractional-mode", "float-mode", "string-mode", "none-mode", "bool-mode",
         "one-node", "fractional-nodes", "float-nodes", "bool-nodes", "nan-kernel",
         "bool-index", "bool-multiplicity", "bool-center-multiplicity", "bool-k-max",
         "fractional-k-max", "k-max-0", "string-poisson-a", "bool-poisson-b",
-        "none-heat-D", "string-heat-b"])
+        "none-heat-D", "string-heat-b", "text-table-value", "string-table-value",
+        "bool-table-value", "number-for-table", "string-entries", "ragged-entries",
+        "bool-json-entry", "string-json-imaginary-part", "number-for-vector-json",
+        "string-eigenfunction-point"])
 def test_spectra_refusals(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
@@ -790,14 +807,3 @@ def test_vector_json_round_trip_real_and_complex():
                        match=r"coefficient vector JSON has unknown fields \['complx'\]"):
         CoefficientVector.from_json({"model": model_to_json(m), "entries": [1.0, 2.0],
                                      "complx": True})
-
-
-def test_export_spectrum_csv():
-    m = poisson_model(0.5, 1.0)
-    text = export_spectrum_csv(m, 3)
-    lines = text.strip().split("\n")
-    assert lines[0] == "k,lambda,multiplicity"
-    assert lines[1] == "1,0.5,2"
-    assert len(lines) == 4
-    with pytest.raises(ValidationError):
-        export_spectrum_csv(tabulated_model([0.5]), 2)

@@ -13,7 +13,6 @@ from fredinfo import (
     PreconditionError,
     ValidationError,
     forward_apply,
-    generalized_k0,
     green_model,
     heat_model,
     k0,
@@ -22,7 +21,6 @@ from fredinfo import (
     poisson_model,
     tabulated_model,
     truncated_solution,
-    weak_convergence_probe,
 )
 from scan_oracle import k0_scan
 
@@ -130,46 +128,6 @@ def test_closed_form_matches_enumeration(model):
 def test_closed_form_no_rule_for_tabulated():
     with pytest.raises(ValidationError):
         k0_closed_form(tabulated_model([0.5]), 0.1)
-
-
-# ---------------------------------------------------------------------------
-# generalized cutoff
-# ---------------------------------------------------------------------------
-
-
-def test_generalized_k0_constant_beta_reduces_to_k0():
-    m = green_model()
-    assert generalized_k0(m, lambda k: 1.0, 1e-3) == k0(m, 1e-3)
-
-
-def test_generalized_k0_linear_beta():
-    # 1/(k^2 pi^2) >= eps * k  <=>  k^3 <= 1/(pi^2 eps)
-    m = green_model()
-    assert generalized_k0(m, lambda k: float(k), 1e-3) == 4
-
-
-def test_generalized_k0_sequence_and_edge_cases():
-    m = green_model()
-    assert generalized_k0(m, [1.0] * 64, 1e-3) == 10
-    # beta so large that nothing qualifies
-    assert generalized_k0(m, lambda k: 2.0 * m.eigenvalue(k) / 1e-3, 1e-3) == 0
-    with pytest.raises(ValidationError):
-        generalized_k0(m, [], 1e-3)
-    with pytest.raises(ValidationError):
-        generalized_k0(m, lambda k: -1.0, 1e-3)
-
-
-def test_generalized_k0_without_crossing_is_inconclusive():
-    m = green_model(k_max=8)
-    with pytest.raises(InconclusiveError):
-        generalized_k0(m, lambda k: 1e-6, 1e-3)  # holds through k_max
-
-
-def test_generalized_k0_stops_at_the_end_of_a_table():
-    m = tabulated_model([0.5, 0.25], k_max=5)  # k_max past the table's two values
-    assert generalized_k0(m, [1.0] * 10, 0.3) == 1
-    with pytest.raises(InconclusiveError, match="k=2"):
-        generalized_k0(m, [1.0] * 10, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -288,44 +246,29 @@ def test_lemma1_shape_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Weak convergence probe
+# Weak convergence
 # ---------------------------------------------------------------------------
 
 
 def test_weak_convergence_majorant_and_decay():
+    # against a test vector ||v|| <= 1 the pairing |(f - f*, v)| never exceeds
+    # 2 eps sqrt(sum |v_k|^2 / (lambda_k^2 + eps^2)), and it vanishes with the noise
     rng = np.random.default_rng(11)
     m = green_model()
     dim = 24
     f = CoefficientVector(m, _ball_point(rng, dim, 1.0))
     v = CoefficientVector(m, _ball_point(rng, dim, 1.0))
-    epsilons = [10.0 ** (-p) for p in range(1, 7)]
-    datas = []
-    for eps in epsilons:
-        noise = _ball_point(rng, dim, eps)
-        datas.append(CoefficientVector(m, forward_apply(m, f).entries + noise))
-    points = weak_convergence_probe(m, f, v, epsilons, datas)
-    assert len(points) == len(epsilons)
-    for pt in points:
-        assert pt.value <= pt.majorant * (1 + 1e-9)
-    # the pairing vanishes with the noise level
-    assert points[-1].value < points[0].majorant
-    assert points[-1].value < 1e-3
-
-
-def test_weak_convergence_validation():
-    m = green_model()
-    f = CoefficientVector(m, np.asarray([0.5, 0.1]))
-    v = CoefficientVector(m, np.asarray([0.5, 0.1]))
-    good = forward_apply(m, f)
-    with pytest.raises(ValidationError):
-        weak_convergence_probe(m, f, v, [0.1], [good])          # one point
-    with pytest.raises(ValidationError):
-        weak_convergence_probe(m, f, v, [0.1, 0.2], [good, good])  # not decreasing
-    with pytest.raises(ValidationError):
-        weak_convergence_probe(m, f, v, [0.1, 0.05], [good])    # length mismatch
-    big_v = CoefficientVector(m, np.asarray([2.0, 0.0]))
-    with pytest.raises(ValidationError):
-        weak_convergence_probe(m, f, big_v, [0.1, 0.05], [good, good])
+    lam = v.eigenvalue_profile()
+    values, majorants = [], []
+    for eps in [10.0 ** (-p) for p in range(1, 7)]:
+        data = CoefficientVector(m, forward_apply(m, f).entries + _ball_point(rng, dim, eps))
+        f_star = truncated_solution(m, data, eps).f_star
+        values.append(abs(np.vdot(v.entries, f.entries - f_star.entries)))
+        majorants.append(2.0 * eps * math.sqrt(np.sum(v.entries ** 2 / (lam ** 2 + eps ** 2))))
+    for value, majorant in zip(values, majorants):
+        assert value <= majorant * (1 + 1e-9)
+    assert values[-1] < majorants[0]
+    assert values[-1] < 1e-3
 
 
 _G = green_model()
@@ -335,13 +278,7 @@ _G8 = green_model(k_max=8)
 
 @pytest.mark.parametrize("call, message", [
     (lambda: lemma1_check(_G8, _F, forward_apply(_G, _F), 0.5), "different model"),
-    (lambda: weak_convergence_probe(_G8, _F, _F, [0.1, 0.05], [_F, _F]), "different model"),
-    (lambda: weak_convergence_probe(_G, _F, CoefficientVector(_G, [0.5]), [0.1, 0.05],
-                                    [_F, _F]), "same indices"),
-    (lambda: weak_convergence_probe(_G, _F, _F, [0.1, 0.05],
-                                    [forward_apply(_G, _F), CoefficientVector(_G8, [0.1, 0.0])]),
-     "model and index range"),
-], ids=["lemma1-model", "probe-model", "probe-test-vector-range", "probe-data-model"])
+], ids=["lemma1-model"])
 def test_bound_checks_refuse_vectors_of_another_model_or_range(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
