@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import InconclusiveError, UnsupportedError, ValidationError
 from .metric import _lower
-from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _lookup, _require_int,
-                      _require_list, _require_real, entry_from_json, entry_to_json,
-                      model_from_json, model_to_json)
+from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _check_size, _lookup,
+                      _require_int, _require_list, _require_real, entry_from_json,
+                      entry_to_json, model_from_json, model_to_json)
 from .truncation import NoiseLevel, k0
 
 __all__ = [
@@ -84,7 +84,8 @@ class VarianceRule:
       (the first omitted term already bounds the remainder below float
       resolution at the summation depth used; refused past 2**22 terms).
     * ``inverse_spectrum``: ``(1 + delta0/k) / lambda_k`` for a model —
-      grows, never summable.
+      grows, never summable; ``delta0`` only breaks the ties of the flat
+      ratios for a channel on this rule (``--rho inverse_spectrum``).
     * ``custom``: explicit per-k values; summable only with a declared tail.
     """
 
@@ -334,7 +335,7 @@ class _Basis:
             raise ValidationError(
                 f"k_max={km} exceeds the tabulated spectrum length {length}")
 
-        ks = np.arange(1, km + 1)
+        ks = np.arange(1, _check_size(km, "k_max") + 1)
         with np.errstate(all="ignore"):
             log2_rho = rho.log2_values(ks)
             log2_ratio = model.log2_eigenvalues(ks) + log2_rho - nu.log2_values(ks)
@@ -442,24 +443,20 @@ class _Rows:
         return int(sizes[i])
 
     @cached_property
-    def _terms(self) -> np.ndarray:
-        """The exact and leading-order information terms, ``(2, rows, k_max)``."""
-        return np.stack((self.J_nats, self.log2_snr * _LN2))
-
-    @cached_property
     def _information(self) -> np.ndarray:
-        return _ordered_sums(self._terms, self.informative)
+        """The exact and leading-order sums over I, ``(2, rows)``, each added one
+        term at a time in index order.  Adding 0.0 changes no partial sum but the
+        sign of a zero, which the final ``+ 0.0`` clears, so each sum has the bits
+        of adding the selected entries alone, starting from 0.0."""
+        terms = np.where(self.informative, (self.J_nats, self.log2_snr * _LN2), 0.0)
+        with np.errstate(over="ignore"):  # a sum past the float range reads inf
+            return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
-    def information(self, i: int, first: int | None = None) -> TotalInformation:
-        """Exact and leading-order information at row ``i``, summed over I in
-        index order, or over the ``first`` leading components of the order."""
+    def information(self, i: int) -> TotalInformation:
+        """Exact and leading-order information at row ``i``, summed over I in index order."""
         if self.levels[i] is None:
             raise ValidationError("total information requires epsilon > 0")
-        if first is None:
-            exact, approx = self._information[:, i]
-        else:
-            exact, approx = _ordered_sums(self._terms[:, i, self.basis.order],
-                                          np.arange(self.basis.k_max) < first)
+        exact, approx = self._information[:, i]
         return TotalInformation(exact_nats=float(exact), approx_nats=float(approx))
 
     @cached_property
@@ -538,15 +535,6 @@ class GaussianChannel:
         if not 1 <= _require_int(k, "component index") <= self.k_max:
             raise ValidationError(f"component index must lie in 1..{self.k_max}")
         return k - 1
-
-
-def _ordered_sums(values: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Sums of ``values`` over ``member`` along the last axis, added one term at
-    a time in axis order.  Adding 0.0 changes no partial sum but the sign of a
-    zero, which the final ``+ 0.0`` clears, so each sum has the bits of adding
-    the selected entries alone, starting from 0.0."""
-    with np.errstate(over="ignore"):  # a sum past the float range reads inf
-        return np.cumsum(np.where(member, values, 0.0), axis=-1)[..., -1] + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -769,28 +757,28 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
     spectral cutoff and the leading-order information equals the metric
     lower bound converted to nats.
 
-    ``case="beta"`` (rho_k = (1 + 1e-9/k) / lambda_k, nu = 1): the
-    signal-to-noise ratio is flat, every component looks informative, so the
-    sum is capped at ``k0(eps)`` components (in the rearranged order) and the
-    leading-order information is ``k0 ln(1/eps)``.  The prior is not trace
-    class, so risk and budget counts are disabled for this case.  A channel
-    that stops at ``k_max < k0(eps)`` compares on its components, as the note says.
-    A level without a float is compared on its exponent and reported as ``pow2:-N``.
+    ``case="beta"`` (rho_k = 1 / lambda_k, nu = 1): every ratio is ``1/eps``,
+    every component is informative, so the sum is capped at ``n = k0(eps)``
+    equal terms, in closed form with no channel: ``approx = n ln(1/eps)``, the
+    reference's own expression, and ``exact = n (ln(1/eps) + log1p(eps^2)/2)``.
+    (``inverse_spectrum_rule``'s ``delta0`` breaks such ties only for a channel
+    on that rule.)  The prior is not trace class, so risk and budget counts are
+    disabled for this case.  A comparison that stops at ``k_max < k0(eps)`` sums
+    ``n = k_max`` components, as the note says.  A level without a float is
+    compared on its exponent (``eps^2 = 0``) and reported as ``pow2:-N``.
     """
     level = NoiseLevel.of(epsilon)
     km = model.k_max if k_max is None else _check_k_max(k_max)
     cut = k0(model, level)
-    # the comparison only ever sums the first k0 components, so the channel
-    # need not extend past them (deep tails may underflow the spectrum)
-    km = max(min(km, cut), 1)
     n = min(km, cut)  # the components both sides are summed over
     truncated = (f", truncated at k_max = {n} < k0 = {cut}: k_I, the sums and the "
                  f"reference cover the first {n} components only")
 
     if case == "alpha":
+        # the channel need not extend past k0 (deep tails may underflow the spectrum)
         chan = GaussianChannel(model, constant_rule(1.0), constant_rule(1.0),
-                               level, k_max=km)
-        k_I = partition_IN(chan).k_I
+                               level, k_max=max(n, 1))
+        k_I = chan._rows.k_I(0)
         info = total_information(chan)
         reference = _lower(model, level, n) * math.log(2.0)
         note = "matched prior/noise" + (
@@ -800,13 +788,11 @@ def extremal_comparison(model: SpectrumModel, epsilon: float | NoiseLevel, case:
     elif case == "beta":
         if not level.log2_inv_eps > 0.0:
             raise ValidationError("case beta needs epsilon < 1")
-        chan = GaussianChannel(model, inverse_spectrum_rule(model),
-                               constant_rule(1.0), level, k_max=km)
-        k_I = min(cut, chan.k_max)
-        info = chan._rows.information(0, first=k_I)
-        # ln(1/eps) from the float where there is one, so those levels keep their bytes
-        reference = n * (math.log(1.0 / level.epsilon) if level.epsilon is not None
-                         else level.log2_inv_eps * math.log(2.0))
+        eps = level.epsilon or 0.0  # no float: eps^2 = 0, as it underflows
+        # ln(1/eps) from the float 1/eps where it is finite, so those levels keep their bytes
+        log_inv = math.log(1.0 / eps) if eps > 2.0 ** -1024 else level.log2_inv_eps * _LN2
+        k_I, reference = n, n * log_inv
+        info = TotalInformation(n * (log_inv + 0.5 * math.log1p(eps * eps)), reference)
         note = "flat signal-to-noise" + (
             truncated if n < cut else ": every component is informative, sum capped at "
             "k0 components") + "; prior is not trace class, so mse/k_alpha are disabled"

@@ -26,9 +26,8 @@ import os
 import sys
 
 from . import __version__
-from .channel import (RULES, GaussianChannel, component_information,
-                      extremal_comparison, k_alpha, mse_closed_form, partition_IN,
-                      rule_from_json, total_information)
+from .channel import (RULES, GaussianChannel, component_information, extremal_comparison,
+                      k_alpha, mse_closed_form, rule_from_json, total_information)
 from .errors import NumericError, ValidationError
 from .harness import ExperimentConfig, convergence_sweep, reproduce_summary_table
 from .metric import (_SIDED, capacity_interval, greedy_packing_count, growth_orders,
@@ -249,13 +248,12 @@ def _cmd_prob_info(args) -> int:
     rho = parse_rule(args.rho, model)
     nu = parse_rule(args.nu, model)
     chan = GaussianChannel(model, rho, nu, level, k_max=args.k_max)
-    part = partition_IN(chan)
     info = total_information(chan)
     trace = rho.is_trace_class
     summary = {
         "epsilon": level.reported,
         "k_max": chan.k_max,
-        "k_I": part.k_I,
+        "k_I": chan._rows.k_I(0),  # partition_IN's count, without its label tuples
         "k_alpha": k_alpha(chan) if trace else None,
         "mse": mse_closed_form(chan) if trace else None,
         "exact_nats": info.exact_nats,

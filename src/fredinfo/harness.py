@@ -37,8 +37,8 @@ from . import metric
 from .channel import (GaussianChannel, VarianceRule, _Basis, _Rows, rule_from_json,
                       rule_to_json)
 from .errors import ValidationError
-from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _require_int, csv_text,
-                      decoding, model_from_json, model_to_json, refuse_unknown)
+from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _check_size, _require_int,
+                      csv_text, decoding, model_from_json, model_to_json, refuse_unknown)
 from .truncation import NoiseLevel, _noise_grid
 
 __all__ = [
@@ -87,7 +87,7 @@ def _stream(seed: int, trial: int, role: int,
 
 def _check_stream(seed: int, trial: int) -> tuple[int, int]:
     """``(seed, trial)`` as Python ints, refused unless ``0 <= seed < 2**128``, ``trial >= 0``."""
-    seed, trial = _require_int(seed, "seed"), _require_int(trial, "trial")
+    seed, trial = _require_int(seed, "seed", _SEED_LIMIT), _require_int(trial, "trial")
     if not 0 <= seed < _SEED_LIMIT or trial < 0:
         raise ValidationError("seed must lie in [0, 2**128) and trial must be >= 0")
     return seed, trial
@@ -106,10 +106,12 @@ class TrialStream:
         object.__setattr__(self, "trial", trial)
 
     def prior_normals(self, k_max: int) -> np.ndarray:
-        return _stream(self.seed, self.trial, 0).standard_normal(_check_k_max(k_max))
+        size = _check_size(_check_k_max(k_max), "k_max")
+        return _stream(self.seed, self.trial, 0).standard_normal(size)
 
     def noise_normals(self, k_max: int) -> np.ndarray:
-        return _stream(self.seed, self.trial, 1).standard_normal(_check_k_max(k_max))
+        size = _check_size(_check_k_max(k_max), "k_max")
+        return _stream(self.seed, self.trial, 1).standard_normal(size)
 
 
 def synthesize_solution(channel: GaussianChannel, stream: TrialStream) -> CoefficientVector:
@@ -155,6 +157,7 @@ def _trial_block(seed: int, trials: int, k_max: int) -> tuple[np.ndarray, np.nda
     """Prior and noise normals of trials ``0 .. trials-1``, one row per trial,
     drawn by one generator re-keyed to each stream in turn."""
     seed, _ = _check_stream(seed, 0)
+    _check_size(trials * k_max, "trials x k_max")
     prior = np.empty((trials, k_max))
     noise = np.empty((trials, k_max))
     gen = None
@@ -279,14 +282,11 @@ class ExperimentConfig:
             raise ValidationError("the noise grid is empty")
         if (self.rho is None) != (self.nu is None):
             raise ValidationError("rho and nu must be given together")
-        for name in ("trials", "seed", "k_max"):
-            value = getattr(self, name)
-            if name == "k_max" and value is None:
-                continue
-            # refused, not truncated: a float, bool or string is no count or seed
-            setattr(self, name, _require_int(value, f"config {name}"))
-        if self.k_max is not None and self.k_max < 1:
-            raise ValidationError(f"config k_max must be a positive integer, got {self.k_max}")
+        # refused, not truncated: a float, bool or string is no count or seed
+        self.trials = _require_int(self.trials, "config trials")
+        self.seed = _require_int(self.seed, "config seed", _SEED_LIMIT)
+        if self.k_max is not None:
+            self.k_max = _check_k_max(self.k_max, "config k_max")
         if self.trials < 0:
             raise ValidationError("trials must be >= 0")
         if self.trials and self.rho is None:

@@ -248,6 +248,8 @@ def tabulated_model(values: Sequence[float], allow_ties: bool = False,
     index carrying a multiplicity — a bookkeeping extension that the
     strict-decrease theory does not cover, so it is off by default.
     """
+    if not isinstance(allow_ties, (bool, np.bool_)):
+        raise ValidationError(f"allow_ties must be True or False, got {allow_ties!r}")
     return _grouped_table(values, itertools.repeat(1), allow_ties, k_max)
 
 
@@ -283,20 +285,32 @@ def _grouped_table(values: Sequence[float], counts: Iterable[int], allow_ties: b
     )
 
 
-def _check_k_max(k_max: int) -> int:
-    """``k_max`` as a Python int, refused unless it is an integer >= 1."""
-    k_max = _require_int(k_max, "k_max")
+def _check_k_max(k_max: int, name: str = "k_max") -> int:
+    """``k_max`` as a Python int, refused as ``name`` unless it is an integer >= 1."""
+    k_max = _require_int(k_max, name)
     if k_max < 1:
-        raise ValidationError(f"k_max must be a positive integer, got {k_max!r}")
+        raise ValidationError(f"{name} must be a positive integer, got {k_max!r}")
     return k_max
 
 
-def _require_int(value, name: str) -> int:
-    """``value`` as a Python int, so it stores and writes to JSON as one; a
-    bool or anything but a Python or numpy integer is refused as ``name``."""
+def _require_int(value, name: str, limit: int = 1 << 63) -> int:
+    """``value`` as a Python int (it stores and writes to JSON as one); a bool, a non-integer
+    or an integer of magnitude ``limit`` or more (default: past int64) is refused as ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if not -limit < value < limit:
+        raise ValidationError(f"{name} must be an integer of magnitude below "
+                              f"2**{limit.bit_length() - 1}, got {value!r}")
     return int(value)
+
+
+def _check_size(size: int, name: str) -> int:
+    """``size``, refused as a failed allocation is, not with numpy's bare ValueError,
+    when numpy cannot address that many entries of 64 bytes (a basis takes 40)."""
+    if size > (most := np.iinfo(np.intp).max // 64):
+        raise NumericError(f"{name} = {size} sizes an array past what numpy can "
+                           f"address ({most} entries)")
+    return size
 
 
 def _require_real(value, name: str) -> float:
@@ -420,8 +434,7 @@ class CoefficientVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        with decoding("coefficient entries"):  # a ragged nesting of lists
-            self.entries = np.atleast_1d(np.asarray(self.entries))
+        self.entries = np.atleast_1d(_entries(self.entries))
         if self.entries.ndim != 1 or not self.entries.size or self.entries.dtype.kind not in "iufc":
             raise ValidationError("entries must be a non-empty 1-d sequence of numbers")
         if not np.all(np.isfinite(self.entries)):
@@ -467,8 +480,7 @@ class CoefficientVector:
         """Per-component values ``v_1..v_K`` as a vector of ``model``: two-sided
         models hold ``v_k`` at index ``+k`` and zeros at the center and below it,
         a labeling convention for the sequence-form channel, not a symmetry."""
-        with decoding("coefficient entries"):  # a ragged nesting of lists
-            values = np.asarray(values)
+        values = _entries(values)
         if not model.two_sided:
             return cls(model, values)
         entries = np.zeros(2 * values.size + 1, dtype=values.dtype)
@@ -481,7 +493,7 @@ class CoefficientVector:
 
     def resized(self, K: int) -> "CoefficientVector":
         """The vector cut or zero-padded to the index range ``K``."""
-        d = _require_int(K, "K") - self.K
+        d = _check_size(_require_int(K, "K"), "K") - self.K
         head = abs(d) if self.model.two_sided else 0  # a two-sided range changes at both ends
         if d >= 0:
             return CoefficientVector(self.model, np.pad(self.entries, (head, d)))
@@ -529,6 +541,14 @@ class CoefficientVector:
             else:
                 entries = np.asarray([real(v) for v in raw])
         return cls(model, entries)
+
+
+def _entries(values) -> np.ndarray:
+    """``values`` as an array; a bool in a list is refused, not read as 0 or 1."""
+    if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise ValidationError(f"coefficient entries must be numbers, got {values!r}")
+    with decoding("coefficient entries"):  # a ragged nesting of lists
+        return np.asarray(values)
 
 
 def forward_apply(model: SpectrumModel, f: CoefficientVector) -> CoefficientVector:
@@ -600,9 +620,9 @@ class EigenSystem:
 
 def _quadrature_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The trapezoid rule's nodes and weights on ``[0, 1]``."""
-    _require_int(n_nodes, "n_nodes")
-    if n_nodes < 2:
+    if _require_int(n_nodes, "n_nodes") < 2:
         raise ValidationError(f"n_nodes must be >= 2, got {n_nodes}")
+    _check_size(n_nodes * n_nodes, "n_nodes squared")  # the kernel matrix
     x = np.linspace(0.0, 1.0, n_nodes)
     h = x[1] - x[0]
     w = np.full(n_nodes, h)
@@ -821,8 +841,10 @@ def nystrom_decompose(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def green_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """String Green kernel: ``(1-x) y`` for ``y <= x``, ``x (1-y)`` for ``x <= y``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":  # not parsed from strings
+        raise ValidationError("green_kernel points must be real numbers")
+    x, y = x.astype(float, copy=False), y.astype(float, copy=False)
     return (1.0 - np.maximum(x, y)) * np.minimum(x, y)  # each branch's product, commuted
 
 
@@ -851,7 +873,7 @@ def spectrum_rows(model: SpectrumModel, k_hi: int) -> list[dict]:
     tabulated model refuses a ``k_hi`` past its table."""
     if _require_int(k_hi, "k_hi") < 1:
         raise ValidationError(f"k_hi must be >= 1, got {k_hi}")
-    ks = np.arange(1, k_hi + 1)
+    ks = np.arange(1, _check_size(k_hi, "k_hi") + 1)
     return [{"k": k, "lambda": lam, "multiplicity": model.multiplicity(k)}
             for k, lam in zip(ks.tolist(), model.eigenvalues(ks).tolist())]
 

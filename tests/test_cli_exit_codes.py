@@ -172,6 +172,24 @@ def test_size_past_memory_exits_3(capsys, argv):
     assert err.startswith("numeric failure: Unable to allocate") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, count, code, err", [
+    ("--k-hi", 2 ** 60, 3, "numeric failure: k_hi = 1152921504606846976 sizes an array past "
+     "what numpy can address (144115188075855871 entries)\n"),
+    ("--k-max", 2 ** 60, 3, "numeric failure: k_max = 1152921504606846976 sizes an array past "
+     "what numpy can address (144115188075855871 entries)\n"),
+    ("--k-hi", 2 ** 63, 2,
+     "error: k_hi must be an integer of magnitude below 2**63, got 9223372036854775808\n"),
+    ("--k-max", 2 ** 63, 2,
+     "error: k_max must be an integer of magnitude below 2**63, got 9223372036854775808\n"),
+], ids=["eigens-2**60", "prob-info-2**60", "eigens-2**63", "prob-info-2**63"])
+def test_count_past_what_numpy_can_address(capsys, flag, count, code, err):
+    # refused before numpy's bare ValueError, or an empty answer where 2**63 wraps
+    argv = (("eigens", "--model", "green") if flag == "--k-hi" else
+            ("prob-info", "--model", "green", "--epsilon", "0.1", "--rho", "constant:1",
+             "--nu", "constant:1"))
+    assert run(capsys, *argv, flag, str(count)) == (code, "", err)
+
+
 @pytest.mark.parametrize("argv, flags", [
     (("truncate", "--model", "green", "--epsilon", "0.1", "--reference", "missing.json"),
      ("--reference", "--data")),

@@ -33,13 +33,22 @@ CAPPED_GAUSSIAN = ["prob-info", "--model", "green", "--epsilon", "0.1",
 SUBNORMAL_CHANNEL = ["prob-info", "--model", "green", "--epsilon", "5e-324",
                      "--rho", "constant:0.5", "--nu", "constant:0.5", "--format", "json"]
 
+# beta where a channel on the prior (1 + 1e-9/k) / lambda_k ties its flat ratios
+FLAT_PAST_THE_TIES = ["prob-info", "--model", "green", "--epsilon", "1e-8", "--extremal", "beta",
+                      "--k-max", "3000", "--format", "json"]
+FLAT_WITHOUT_A_FLOAT = ["prob-info", "--model", "poisson:a=0.5,b=1", "--epsilon", "pow2:-2000",
+                        "--extremal", "beta", "--k-max", "3000", "--format", "csv"]
+
 
 def _quiet_main(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    """The exit code and stdout of ``main(argv)``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:  # argparse rejects the argv itself
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +199,14 @@ def argvs(draw):
     if command == "capacity" and draw(st.booleans()):
         argv += ["--sided", "total"]
     if command == "prob-info":
-        if draw(st.booleans()):
+        extremal = draw(st.booleans())
+        if extremal:
             argv += ["--extremal", draw(st.sampled_from(["alpha", "beta"]))]
         else:
             argv += ["--rho", draw(specs(RULES, ",")), "--nu", draw(specs(RULES, ","))]
         if draw(st.booleans()):
-            argv += ["--k-max", str(draw(st.sampled_from([0, 1, 4, 16])))]
+            counts = st.integers(0, 3000) if extremal else st.sampled_from([0, 1, 4, 16])
+            argv += ["--k-max", str(draw(counts))]
     return argv + ["--format", draw(st.sampled_from(["json", "csv"]))]
 
 
@@ -203,5 +214,17 @@ def argvs(draw):
 @given(argvs())
 @example(CAPPED_GAUSSIAN)
 @example(SUBNORMAL_CHANNEL)
+@example(FLAT_PAST_THE_TIES)
+@example(FLAT_WITHOUT_A_FLOAT)
 def test_cli_grammar_exits_0_2_or_3(argv):
-    assert _quiet_main(argv) in (0, 2, 3)
+    code, out = _quiet_main(argv)
+    assert code in (0, 2, 3)
+    if code == 0 and "beta" in argv:
+        # the closed form: approx is the reference's expression, exact adds a term >= 0
+        if argv[-1] == "json":
+            obj = json.loads(out)
+        else:
+            header, row = (line.split(",") for line in out.splitlines())
+            obj = {key: float(value) for key, value in zip(header, row) if key.endswith("_nats")}
+        assert obj["approx_nats"] == obj["reference_nats"]
+        assert obj["exact_nats"] >= obj["approx_nats"]

@@ -192,12 +192,13 @@ def test_a_subnormal_component_leaves_the_others_decided_on_the_floats():
     assert (part.k_I, part.ordering) == (2, (1, 2, 3, 4))
 
 
-def test_flat_ratios_are_ordered_on_the_floats(capsys):
+def test_flat_ratios_are_ordered_on_the_floats():
     # rho_k = (1 + 1e-9/k) / lambda_k: the ratios 1 + 1e-9/k are distinct
     # floats, but their log2 sums -k + (k + 1.4e-9/k) collapse into ties
-    assert main(["prob-info", "--model", "poisson:a=0.5,b=1", "--epsilon", "1e-300",
-                 "--extremal", "beta"]) == 0
-    assert json.loads(capsys.readouterr().out)["k_I"] == 256
+    model = poisson_model(0.5, 1.0)
+    chan = GaussianChannel(model, inverse_spectrum_rule(model), constant_rule(1.0), 1e-300)
+    part = partition_IN(chan)
+    assert part.k_I == 256 and part.ordering == tuple(range(1, 257))
 
 
 # ---------------------------------------------------------------------------

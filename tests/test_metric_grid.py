@@ -205,7 +205,8 @@ def test_truncated_extremal_comparison_sums_the_same_components(case):
     cmp = extremal_comparison(green_model(), 1e-6, case)  # k_max 256 < k0 = 318
     assert (cmp.k0, cmp.k_I) == (318, 256)
     assert "truncated at k_max = 256 < k0 = 318" in cmp.note
-    # beta's prior (1 + 1e-9/k) / lambda_k adds about 1e-9 ln(k) per component
+    # alpha sums per component what its reference takes in closed form; beta's
+    # approx and reference are one expression
     assert cmp.approx_nats == pytest.approx(cmp.reference_nats, rel=1e-9)
     full = extremal_comparison(green_model(k_max=cmp.k0), 1e-6, case)
     assert full.k_I == full.k0 and "truncated" not in full.note

@@ -6,12 +6,13 @@ import math
 import pkgutil
 
 import numpy as np
+import pytest
 
 import fredinfo
 from fredinfo import (CoefficientVector, EigenSystem, ExperimentConfig, FredinfoError,
-                      GaussianChannel, NoiseLevel, SpectrumModel, TrialStream, VarianceRule,
-                      capacity_interval, component_information, constant_rule, custom_rule,
-                      entropy_lower_bound, entropy_upper_bound, extremal_comparison,
+                      GaussianChannel, NoiseLevel, NumericError, SpectrumModel, TrialStream,
+                      VarianceRule, capacity_interval, component_information, constant_rule,
+                      custom_rule, entropy_lower_bound, entropy_upper_bound, extremal_comparison,
                       forward_apply, gaussian_rule, geometric_rule, greedy_packing_count,
                       green_kernel, green_model, growth_orders, heat_model,
                       inverse_spectrum_rule, k0, k0_closed_form, lemma1_check,
@@ -43,66 +44,64 @@ _CONFIG = {"model": {"kind": "green", "k_max": 8}, "epsilon_grid": [1e-2, 1e-3],
            "rho": {"kind": "geometric", "c": 1.0, "q": 0.5},
            "nu": {"kind": "constant", "c": 1.0}, "trials": 2, "seed": 3, "k_max": 8}
 
-# (callable, positional arguments, keyword arguments, slots that size an array).
-# A count past 2**63 in a slot that sizes an array, or indexes one as int64,
-# still ends in numpy's bare ValueError or OverflowError (CHANGES.md, FOUND:
-# counts past 2**63), so 2**200 is not drawn there.
+# (callable, positional arguments, keyword arguments)
 CALLS = [
-    (poisson_model, [0.5, 1.0], {"k_max": 4}, ()),
-    (heat_model, [1.0, 2.0, 1.0], {"k_max": 4}, ()),
-    (green_model, [], {"k_max": 4}, ()),
-    (tabulated_model, [[0.5, 0.25]], {"allow_ties": False, "k_max": 2}, ()),
-    (model_from_json, [{"kind": "poisson", "a": 0.5, "b": 1.0, "k_max": 4}], {}, ()),
+    (poisson_model, [0.5, 1.0], {"k_max": 4}),
+    (heat_model, [1.0, 2.0, 1.0], {"k_max": 4}),
+    (green_model, [], {"k_max": 4}),
+    (tabulated_model, [[0.5, 0.25]], {"allow_ties": False, "k_max": 2}),
+    (model_from_json, [{"kind": "poisson", "a": 0.5, "b": 1.0, "k_max": 4}], {}),
     (model_from_json, [{"kind": "tabulated", "values": [0.5, 0.25],
-                        "multiplicities": [1, 2], "k_max": 2}], {}, ()),
-    (CoefficientVector, [_M, [0.5, 0.25]], {}, ()),
-    (CoefficientVector.from_components, [_P, [0.5, 0.25]], {}, ()),
+                        "multiplicities": [1, 2], "k_max": 2}], {}),
+    (CoefficientVector, [_M, [0.5, 0.25]], {}),
+    (CoefficientVector.from_components, [_P, [0.5, 0.25]], {}),
     (CoefficientVector.from_json, [{"model": {"kind": "green", "k_max": 8},
-                                    "entries": [0.5, 0.25]}], {}, ()),
+                                    "entries": [0.5, 0.25]}], {}),
     (CoefficientVector.from_json, [{"model": {"kind": "poisson", "a": 0.5, "b": 1.0},
                                     "complex": True,
-                                    "entries": [[0.5, 0.0], [1.0, 0.5], [0.0, 0.0]]}], {}, ()),
-    (_F.entry, [2], {}, ()),
-    (_F.resized, [4], {}, (0,)),
-    (_M.eigenvalue, [2], {}, (0,)),
-    (_M.multiplicity, [2], {}, ()),
-    (_P.eigenfunction_value, [2, 0.5], {}, ()),
-    (spectrum_rows, [_P, 3], {}, (1,)),
-    (nystrom_decompose, [green_kernel, 8], {}, (1,)),
-    (nystrom_decompose(green_kernel, 8).eigenvalue, [2], {}, ()),
-    (NoiseLevel, [3.0], {"epsilon": 0.125}, ()),
-    (NoiseLevel.of, [0.1], {}, ()),
-    (k0, [_M, 1e-3], {}, ()),
-    (k0_closed_form, [_M, 1e-3], {}, ()),
-    (truncated_solution, [_M, forward_apply(_M, _F), 0.1], {}, ()),
-    (lemma1_check, [_M, _F, forward_apply(_M, _F), 0.1], {}, ()),
-    (entropy_lower_bound, [_P, 0.01], {"sided": "total"}, ()),
-    (entropy_upper_bound, [_P, 0.01], {"sided": "total"}, ()),
-    (capacity_interval, [_P, 0.01], {"sided": "total"}, ()),
-    (max_message_length_log2, [_P, 0.01], {"sided": "total"}, ()),
-    (growth_orders, [_M, [10.0 ** -p for p in range(2, 11)]], {}, ()),
-    (greedy_packing_count, [[1.0, 0.5], 0.4, 0.1], {}, ()),
-    (constant_rule, [1.0], {}, ()),
-    (geometric_rule, [1.0, 0.5], {}, ()),
-    (power_rule, [1.0, 1.0], {}, ()),
-    (gaussian_rule, [1.0, 0.5], {}, ()),
-    (inverse_spectrum_rule, [_M, 1e-9], {}, ()),
-    (custom_rule, [[1.0, 0.5]], {"tail_sum_sq": 0.1}, ()),
-    (rule_from_json, [{"kind": "custom", "values": [1.0, 0.5], "tail_sum_sq": 0.1}], {}, ()),
+                                    "entries": [[0.5, 0.0], [1.0, 0.5], [0.0, 0.0]]}], {}),
+    (_F.entry, [2], {}),
+    (_F.resized, [4], {}),
+    (_M.eigenvalue, [2], {}),
+    (_M.multiplicity, [2], {}),
+    (_P.eigenfunction_value, [2, 0.5], {}),
+    (spectrum_rows, [_P, 3], {}),
+    (nystrom_decompose, [green_kernel, 8], {}),
+    (nystrom_decompose(green_kernel, 8).eigenvalue, [2], {}),
+    (NoiseLevel, [3.0], {"epsilon": 0.125}),
+    (NoiseLevel.of, [0.1], {}),
+    (k0, [_M, 1e-3], {}),
+    (k0_closed_form, [_M, 1e-3], {}),
+    (truncated_solution, [_M, forward_apply(_M, _F), 0.1], {}),
+    (lemma1_check, [_M, _F, forward_apply(_M, _F), 0.1], {}),
+    (entropy_lower_bound, [_P, 0.01], {"sided": "total"}),
+    (entropy_upper_bound, [_P, 0.01], {"sided": "total"}),
+    (capacity_interval, [_P, 0.01], {"sided": "total"}),
+    (max_message_length_log2, [_P, 0.01], {"sided": "total"}),
+    (growth_orders, [_M, [10.0 ** -p for p in range(2, 11)]], {}),
+    (greedy_packing_count, [[1.0, 0.5], 0.4, 0.1], {}),
+    (constant_rule, [1.0], {}),
+    (geometric_rule, [1.0, 0.5], {}),
+    (power_rule, [1.0, 1.0], {}),
+    (gaussian_rule, [1.0, 0.5], {}),
+    (inverse_spectrum_rule, [_M, 1e-9], {}),
+    (custom_rule, [[1.0, 0.5]], {"tail_sum_sq": 0.1}),
+    (rule_from_json, [{"kind": "custom", "values": [1.0, 0.5], "tail_sum_sq": 0.1}], {}),
     (rule_from_json, [{"kind": "inverse_spectrum", "delta0": 1e-9,
-                       "model": {"kind": "green"}}], {}, ()),
-    (_GEO.value, [2], {}, (0,)),
-    (_GEO.sum_sq_tail, [2], {}, ()),
-    (GaussianChannel, [_M, _GEO, _ONE, 1e-3], {"k_max": 8}, ("k_max",)),
-    (component_information, [_CHANNEL, 2], {}, ()),
-    (posterior_density_params, [_CHANNEL, 2, 0.01], {}, ()),
-    (extremal_comparison, [_M, 1e-3, "alpha"], {"k_max": 8}, ()),
-    (TrialStream, [1, 0], {}, ()),
-    (TrialStream(1, 0).prior_normals, [4], {}, (0,)),
-    (monte_carlo_mse, [_CHANNEL, 4, 7], {}, (1,)),
-    (ExperimentConfig.from_json, [_CONFIG], {}, ()),
+                       "model": {"kind": "green"}}], {}),
+    (_GEO.value, [2], {}),
+    (_GEO.sum_sq_tail, [2], {}),
+    (GaussianChannel, [_M, _GEO, _ONE, 1e-3], {"k_max": 8}),
+    (component_information, [_CHANNEL, 2], {}),
+    (posterior_density_params, [_CHANNEL, 2, 0.01], {}),
+    (extremal_comparison, [_M, 1e-3, "alpha"], {"k_max": 8}),
+    (extremal_comparison, [_M, 1e-3, "beta"], {"k_max": 8}),
+    (TrialStream, [1, 0], {}),
+    (TrialStream(1, 0).prior_normals, [4], {}),
+    (monte_carlo_mse, [_CHANNEL, 4, 7], {}),
+    (ExperimentConfig.from_json, [_CONFIG], {}),
     (ExperimentConfig, [_M], {"epsilon_grid": (1e-2, 1e-3), "rho": _GEO, "nu": _ONE,
-                              "trials": 2, "seed": 3, "k_max": 8, "sided": "total"}, ()),
+                              "trials": 2, "seed": 3, "k_max": 8, "sided": "total"}),
 ]
 
 # Objects are not drawn over: a None, number or string in a model, vector, rule,
@@ -136,14 +135,12 @@ def _put(value, path, hostile):
 
 def test_hostile_values_are_answered_or_refused():
     faults = []
-    for call, args, kwargs, sizes in CALLS:
+    for call, args, kwargs in CALLS:
         call(*args, **kwargs)  # the valid call answers
         slots = [*enumerate(args), *kwargs.items()]
         for slot, valid in slots:
             for path in _paths(valid):
                 for hostile in HOSTILE:
-                    if slot in sizes and not path and hostile is _HUGE:
-                        continue
                     a, kw = list(args), dict(kwargs)
                     (a if isinstance(slot, int) else kw)[slot] = _put(valid, path, hostile)
                     try:
@@ -153,3 +150,17 @@ def test_hostile_values_are_answered_or_refused():
                     except Exception as exc:  # any other type is the fault
                         faults.append((call.__qualname__, slot, path, hostile, repr(exc)))
     assert not faults, "\n".join(map(str, faults))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _F.resized(2 ** 60),
+    lambda: spectrum_rows(_P, 2 ** 60),
+    lambda: nystrom_decompose(green_kernel, 2 ** 40),  # a 2**80-entry kernel matrix
+    lambda: GaussianChannel(_M, _GEO, _ONE, 1e-3, k_max=2 ** 60),
+    lambda: TrialStream(1, 0).noise_normals(2 ** 60),
+    lambda: monte_carlo_mse(_CHANNEL, 2 ** 57, 7),  # trials x k_max = 2**60
+], ids=["resized", "spectrum-rows", "nystrom", "channel", "normals", "monte-carlo"])
+def test_sizes_past_what_numpy_can_address_are_numeric_errors(call):
+    # refused before numpy's bare ValueError, with the exit code of a MemoryError
+    with pytest.raises(NumericError, match="past what numpy can address"):
+        call()

@@ -708,6 +708,17 @@ def test_nystrom_rejects_kernel_of_wrong_shape():
     (lambda: CoefficientVector.from_json(3.0), "coefficient vector JSON must be an object"),
     (lambda: poisson_model(0.5, 1.0).eigenfunction_value(1, "0.5"),
      "x must be a real number, got '0.5'"),
+    # refused, not read as True, 0.25 or 1.0
+    (lambda: tabulated_model([0.5, 0.25], allow_ties="no"),
+     "allow_ties must be True or False, got 'no'"),
+    (lambda: green_kernel("0.5", 0.5), "green_kernel points must be real numbers"),
+    (lambda: CoefficientVector(green_model(), [0.5, True]),
+     "coefficient entries must be numbers, got [0.5, True]"),
+    # past int64, where numpy would wrap or overflow the index
+    (lambda: green_model().eigenvalue(2 ** 63),
+     "index k must be an integer of magnitude below 2**63, got 9223372036854775808"),
+    (lambda: poisson_model(0.5, 1.0).eigenvalue(-2 ** 63),
+     "index k must be an integer of magnitude below 2**63, got -9223372036854775808"),
 ], ids=["fractional-index", "empty-vector", "nan-vector", "past-table", "two-bases",
         "mode-0", "fractional-mode", "float-mode", "string-mode", "none-mode", "bool-mode",
         "one-node", "fractional-nodes", "float-nodes", "bool-nodes", "nan-kernel",
@@ -716,7 +727,8 @@ def test_nystrom_rejects_kernel_of_wrong_shape():
         "none-heat-D", "string-heat-b", "text-table-value", "string-table-value",
         "bool-table-value", "number-for-table", "string-entries", "ragged-entries",
         "bool-json-entry", "string-json-imaginary-part", "number-for-vector-json",
-        "string-eigenfunction-point"])
+        "string-eigenfunction-point", "string-allow-ties", "string-kernel-point",
+        "bool-entry", "index-past-int64", "two-sided-index-past-int64"])
 def test_spectra_refusals(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()

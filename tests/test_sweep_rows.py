@@ -17,16 +17,17 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fredinfo import (ExperimentConfig, GaussianChannel, ValidationError, constant_rule,
-                      convergence_sweep, custom_rule, extremal_comparison, gaussian_rule,
-                      geometric_rule, green_model, heat_model, inverse_spectrum_rule, k0,
-                      k_alpha, monte_carlo_mse, mse_closed_form, partition_IN, poisson_model,
-                      power_rule, total_information)
+from fredinfo import (ExperimentConfig, GaussianChannel, NoiseLevel, ValidationError,
+                      constant_rule, convergence_sweep, custom_rule, extremal_comparison,
+                      gaussian_rule, geometric_rule, green_model, heat_model,
+                      inverse_spectrum_rule, k0, k_alpha, monte_carlo_mse, mse_closed_form,
+                      partition_IN, poisson_model, power_rule, total_information)
 from fredinfo import harness
 from fredinfo.channel import _LN2, _Basis, _Rows
 from fredinfo.cli import main as cli_main
@@ -290,17 +291,67 @@ def test_sweep_rows_equal_the_row_at_a_time_kernels(config, levels_per_slab, spa
         assert _outcome(_sweep_rows, config) == _outcome(_reference_rows, config)
 
 
+def _check_beta_closed_form(got, level: NoiseLevel, n: int) -> None:
+    """``approx = n ln(1/eps)`` and ``exact = n (1/2) ln(1 + eps^-2)`` against
+    mpmath at 50 digits: within 4 ulps, plus ``n 2^-53`` where the level has a
+    float, for ``ln(1/eps)`` read from the rounded float ``1/eps``."""
+    assert got.k_I == n
+    assert got.approx_nats.hex() == got.reference_nats.hex()
+    assert got.exact_nats >= got.approx_nats
+    with mpmath.workdps(50):
+        eps = mpmath.mpf(2) ** -mpmath.mpf(level.log2_inv_eps)
+        if level.epsilon is not None:
+            eps = mpmath.mpf(level.epsilon)
+        slack = 0.0 if level.epsilon is None else n * 2.0 ** -53
+        for value, want in ((got.approx_nats, n * mpmath.log(1 / eps)),
+                            (got.exact_nats, n * mpmath.log1p(eps ** -2) / 2)):
+            assert abs(mpmath.mpf(value) - want) <= 4 * math.ulp(value) + slack, (value, want)
+
+
 @PROFILE
 @given(models(), st.floats(1e-12, 0.9))
-def test_extremal_beta_sum_equals_the_row_at_a_time_sum(model, eps):
-    """The beta case sums the first k0 components of the order, as it did by index."""
-    cut = k0(model, eps)
-    chan = GaussianChannel(model, inverse_spectrum_rule(model), constant_rule(1.0), eps,
-                           k_max=max(min(model.k_max, cut), 1))
-    index = chan.ordering[:min(cut, chan.k_max)] - 1
+def test_extremal_beta_is_the_closed_form_of_the_flat_channel(model, eps):
+    """The beta case against mpmath, and against the channel it stands for: a
+    prior ``(1 + 1e-9/k) / lambda_k`` adds at most ``ln(1 + 1e-9/k)`` to
+    component k, so that channel's sums over its first ``n`` components lie
+    above the closed form by at most ``1e-9 H_n <= 1e-9 (1 + ln n)``, plus the
+    channel's rounding: each term adds ``log2 lambda_k``, ``log2 rho_k`` and
+    ``log2(1/eps)``, each at most ``2 log2(1/eps)`` on ``1..k0``, which stays
+    within 4 ulps of the sum over the at most 24 components drawn here."""
     got = extremal_comparison(model, eps, "beta")
-    assert got.exact_nats.hex() == _sum_from_zero(chan.J_nats[index]).hex()
-    assert got.approx_nats.hex() == _sum_from_zero(chan.log2_snr[index] * _LN2).hex()
+    n = min(model.k_max, k0(model, eps))
+    _check_beta_closed_form(got, NoiseLevel.of(eps), n)
+    chan = GaussianChannel(model, inverse_spectrum_rule(model), constant_rule(1.0), eps,
+                           k_max=max(n, 1))
+    index = chan.ordering[:n] - 1
+    bound = 1e-9 * (1.0 + math.log(max(n, 1)))
+    for value, terms in ((got.exact_nats, chan.J_nats[index]),
+                         (got.approx_nats, chan.log2_snr[index] * _LN2)):
+        assert 0.0 <= _sum_from_zero(terms) - value <= bound + 4 * math.ulp(value)
+
+
+@pytest.mark.parametrize("model, epsilon, k_max", [
+    (green_model(), 1e-8, 100000),
+    (poisson_model(0.5, 1.0), NoiseLevel(2000.0), 5000),
+    (poisson_model(0.5, 1.0), NoiseLevel(4096.0), 5000),
+], ids=["green-1e-8", "poisson-pow2-2000", "poisson-pow2-4096"])
+def test_extremal_beta_answers_past_the_float_ties(model, epsilon, k_max):
+    """At these cutoffs the flat ratios ``1 + 1e-9/k`` of ``inverse_spectrum_rule``
+    tie in floats, so a channel on that prior refuses them; the closed form
+    sums every component up to ``min(k_max, k0)``."""
+    level = NoiseLevel.of(epsilon)
+    got = extremal_comparison(model, level, "beta", k_max=k_max)
+    assert got.k0 == k0(model, level) >= 2000
+    _check_beta_closed_form(got, level, min(k_max, got.k0))
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-310])
+def test_extremal_beta_where_one_over_eps_overflows(eps):
+    """Below 2^-1024 the float 1/eps is infinite: ln(1/eps) is read from the exponent."""
+    level = NoiseLevel.of(eps)
+    got = extremal_comparison(poisson_model(0.5, 1.0), level, "beta")
+    assert math.isinf(1.0 / eps) and math.isfinite(got.reference_nats)
+    _check_beta_closed_form(got, level, 256)
 
 
 def _sweep_peak_bytes(levels: int) -> int:

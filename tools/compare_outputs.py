@@ -24,9 +24,9 @@ metric-only sweeps through the grid kernel's branches the benchmark configs
 never reach (a tabulated spectrum, subnormal floats, the two-sided total on
 exponents across ``|L| = 1022``, a refused green cutoff), the extremal
 comparisons of a channel that stops before ``k0`` and at a level with no
-float, and every ``closed_sweep`` and ``mc_sweep`` config of seeds 1 and
-90217, read from the parent tree's
-``benchmarks/workloads.py``.  One subprocess per tree imports that tree's
+float, the flat ``beta`` comparison past ``k0 = 2000``, and every
+``closed_sweep`` and ``mc_sweep`` config of seeds 1 and 90217, read from the
+parent tree's ``benchmarks/workloads.py``.  One subprocess per tree imports that tree's
 package and runs every op through ``fredinfo.cli.main``, from its own
 directory under OUT_DIR, so relative output paths print alike on both sides.
 Each op runs with the warning filter reset, so a warning prints for every op
@@ -163,6 +163,11 @@ LEVEL_COMMANDS = [
 ] + [  # 2^-1050 has no float: the comparison answers on the exponent
     ["prob-info", "--model", "poisson:a=0.5,b=1", "--epsilon", "pow2:-1050", "--extremal", case]
     for case in ("alpha", "beta")
+] + [  # beta past k0 = 2000, where a channel on the prior (1 + 1e-9/k) / lambda_k ties
+    ["prob-info", "--model", model, "--epsilon", eps, "--extremal", "beta", "--k-max", k_max]
+    for model, eps, k_max in (("green", "1e-8", "100000"), ("green", "1e-12", "318309"),
+                              ("poisson:a=0.5,b=1", "pow2:-2000", "5000"),
+                              ("poisson:a=0.5,b=1", "pow2:-4096", "5000"))
 ]
 
 # Each flag that the chosen mode does not read.
