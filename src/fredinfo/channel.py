@@ -10,9 +10,10 @@ Everything in this module is a per-component sum over the one-sided index
 the informative set ``I = {k : lambda_k rho_k >= eps nu_k}`` — exactly the
 components whose squared correlation reaches 1/2, i.e. whose information
 ``J_k = -(1/2) ln(1 - r_k^2)`` reaches ``(1/2) ln 2`` — and its complement
-``N``.  Sums are evaluated in the order of strictly decreasing signal-to-noise
-ratio ``lambda_k rho_k / nu_k`` (ties are rejected); for every monotone family
-in scope this is the natural order.
+``N``.  The information and risk sums run in index order.  Only ``k_alpha``
+accumulates, and ``ordering`` lists, the components in the rearranged order of
+strictly decreasing signal-to-noise ratio ``lambda_k rho_k / nu_k`` (ties are
+rejected); for every monotone family in scope this is the index order.
 
 Internal units are nats; conversion to bits happens at reporting boundaries.
 """
@@ -28,9 +29,9 @@ import numpy as np
 
 from .errors import InconclusiveError, UnsupportedError, ValidationError
 from .metric import _lower
-from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _check_size, _lookup,
-                      _require_int, _require_list, _require_real, entry_from_json,
-                      entry_to_json, model_from_json, model_to_json)
+from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _check_size,
+                      _inverse_on, _lookup, _require_int, _require_list, _require_real,
+                      entry_from_json, entry_to_json, model_from_json, model_to_json)
 from .truncation import NoiseLevel, k0
 
 __all__ = [
@@ -41,6 +42,8 @@ __all__ = [
     "gaussian_rule",
     "inverse_spectrum_rule",
     "custom_rule",
+    "rule_to_json",
+    "rule_from_json",
     "GaussianChannel",
     "ComponentInfo",
     "component_information",
@@ -319,16 +322,18 @@ def rule_from_json(obj: dict) -> VarianceRule:
 # ---------------------------------------------------------------------------
 
 
-class _Basis:
-    """The level-independent part of a channel over ``k = 1..k_max``.
+class _Rows:
+    """A channel over ``k = 1..k_max`` at several levels, one row per level
+    (None: noise-free), and the row kernels of the channel quantities.
 
-    Holds the eigenvalue and rule arrays and the components' order by
-    decreasing ``lambda_k rho_k / nu_k``, checked once for every level that
-    uses them (:class:`_Rows`).  The prior's energy sums are formed on first use.
+    The eigenvalue and rule arrays and the components' order by decreasing
+    ``lambda_k rho_k / nu_k`` are formed and checked once for all rows; the
+    prior's energy sums on first use.  A :class:`GaussianChannel` is one row;
+    a sweep evaluates its whole grid as rows, through the same kernels.
     """
 
     def __init__(self, model: SpectrumModel, rho: VarianceRule, nu: VarianceRule,
-                 k_max: int | None):
+                 k_max: int | None, levels: Sequence[NoiseLevel | None]):
         km = model.k_max if k_max is None else _check_k_max(k_max)
         length = model.spectrum_length
         if length is not None and km > length:
@@ -357,11 +362,25 @@ class _Basis:
             raise ValidationError(
                 "signal-to-noise ratios lambda_k rho_k / nu_k must be pairwise "
                 "distinct; tie detected")
-        self.model, self.rho, self.nu, self.k_max = model, rho, nu, km
-        self.log2_rho, self.log2_ratio = log2_rho, log2_ratio
-        self.arrays = (lam, rho_k, nu_k)
-        self.signal, self.normal = signal, normal
+        self.rho, self.k_max, self.arrays = rho, km, (lam, rho_k, nu_k)
         self.order, self.labels = order, order + 1  # 0-based, and as component labels
+
+        self.levels = list(levels)
+        # per row: the level's float, None outside float range, 0.0 noise-free
+        self.epsilon = [level.epsilon if level is not None else 0.0 for level in self.levels]
+        L = np.array([[level.log2_inv_eps if level is not None else math.inf]
+                      for level in self.levels])
+        eps = np.array([[math.nan if e is None else e] for e in self.epsilon])
+        with np.errstate(all="ignore"):
+            t = log2_ratio + L
+            # J_k = (1/2) ln(1 + 2^(2t)) = max(t, 0) ln 2 + (1/2) log1p(2^(-2|t|))
+            self.J_nats = np.maximum(t, 0.0) * _LN2 + 0.5 * np.log1p(np.exp2(-2.0 * np.abs(t)))
+            # (eps nu_k / lambda_k)^2 = rho_k^2 2^(-2t): at most rho_k^2 on I
+            self.inverted_risk = np.exp2(2.0 * (log2_rho - t))
+            # at a level with a float, a component whose floats are all normal
+            # is placed in I by comparing floats; any other by log2_snr >= 0
+            self.informative = np.where(normal & ~np.isnan(eps), signal >= eps * nu_k, t >= 0.0)
+        self.log2_snr = t
 
     @cached_property
     def _squares(self) -> np.ndarray:
@@ -395,41 +414,13 @@ class _Basis:
         """The prior energy beyond ``k_max``: ``sum_{k > k_max} rho_k^2``."""
         return self.rho.sum_sq_tail(self.k_max)
 
-
-class _Rows:
-    """A basis's level-dependent arrays at several levels, one row per level
-    (None: noise-free), and the row kernels of the channel quantities.
-
-    A :class:`GaussianChannel` is one row; a sweep evaluates its whole grid
-    as rows of one basis, through the same kernels.
-    """
-
-    def __init__(self, basis: _Basis, levels: Sequence[NoiseLevel | None]):
-        self.basis, self.levels = basis, list(levels)
-        # per row: the level's float, None outside float range, 0.0 noise-free
-        self.epsilon = [level.epsilon if level is not None else 0.0 for level in self.levels]
-        L = np.array([[level.log2_inv_eps if level is not None else math.inf]
-                      for level in self.levels])
-        eps = np.array([[math.nan if e is None else e] for e in self.epsilon])
-        with np.errstate(all="ignore"):
-            t = basis.log2_ratio + L
-            # J_k = (1/2) ln(1 + 2^(2t)) = max(t, 0) ln 2 + (1/2) log1p(2^(-2|t|))
-            self.J_nats = np.maximum(t, 0.0) * _LN2 + 0.5 * np.log1p(np.exp2(-2.0 * np.abs(t)))
-            # (eps nu_k / lambda_k)^2 = rho_k^2 2^(-2t): at most rho_k^2 on I
-            self.inverted_risk = np.exp2(2.0 * (basis.log2_rho - t))
-            # at a level with a float, a component whose floats are all normal
-            # is placed in I by comparing floats; any other by log2_snr >= 0
-            self.informative = np.where(basis.normal & ~np.isnan(eps),
-                                        basis.signal >= eps * basis.arrays[2], t >= 0.0)
-        self.log2_snr = t
-
     # The kernels below are evaluated for all rows on first use; each call still
     # runs its own checks for its row, so a fault ends a sweep at that row.
 
     @cached_property
     def _segments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per row: the size of I, and whether I leads the order."""
-        ordered = self.informative[:, self.basis.order]
+        ordered = self.informative[:, self.order]
         # I leads the order when no component of N comes before one of I
         return (self.informative.sum(axis=1),
                 ~(ordered[:, 1:] & ~ordered[:, :-1]).any(axis=1))
@@ -461,29 +452,34 @@ class _Rows:
 
     @cached_property
     def _k_alpha(self) -> np.ndarray:
-        energies, order = self.basis.energies("k_alpha"), self.basis.order
+        energies, order = self.energies("k_alpha"), self.order
         # a term or prefix past the float range is past gamma too
         with np.errstate(over="ignore"):
             prefix = np.cumsum(energies[order] + self.inverted_risk[:, order], axis=1)
-        return (prefix <= self.basis.gamma * (1.0 + 1e-12)).sum(axis=1)
+        return (prefix <= self.gamma * (1.0 + 1e-12)).sum(axis=1)
 
     def k_alpha(self, i: int) -> int:
-        self.basis.energies("k_alpha")
-        self.basis.gamma  # both checked for every row, in this order
+        self.energies("k_alpha")
+        self.gamma  # both checked for every row, in this order
         return int(self._k_alpha[i])
 
     def mse(self, i: int) -> float:
         # one row at a time: these sums are numpy's pairwise sums over the
         # selected entries, which a masked sum over all rows would reorder
-        energies = self.basis.energies("mse_closed_form")
+        energies = self.energies("mse_closed_form")
         member = self.informative[i]
         with np.errstate(over="ignore"):
-            dropped = float(np.sum(energies[~member])) + self.basis.tail
+            dropped = float(np.sum(energies[~member])) + self.tail
             inverted = float(np.sum(self.inverted_risk[i][member]))
         risk = dropped + inverted
         if not math.isfinite(risk):
             raise ValidationError("mse_closed_form: the risk overflows floats")
         return risk
+
+
+def _row_0(name: str, doc: str) -> property:
+    """A read-only view of a channel's own row of the rows' array ``name``."""
+    return property(lambda channel: getattr(channel._rows, name)[0], doc=doc)
 
 
 @dataclass(frozen=True)
@@ -505,31 +501,30 @@ class GaussianChannel:
     epsilon: float | NoiseLevel | None
     k_max: int | None = None
     level: NoiseLevel | None = field(init=False, repr=False)  # None at eps = 0
-    # decided once here, read by every consumer (k = 1..k_max)
-    log2_snr: np.ndarray = field(init=False, repr=False, compare=False)
-    informative: np.ndarray = field(init=False, repr=False, compare=False)  # I
-    J_nats: np.ndarray = field(init=False, repr=False, compare=False)
-    inverted_risk: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eps = self.epsilon if isinstance(self.epsilon, NoiseLevel) else _require_real(
             self.epsilon, "epsilon")
         level = None if eps == 0.0 else NoiseLevel.of(eps)  # 0: noise-free
-        rows = _Rows(_Basis(self.model, self.rho, self.nu, self.k_max), [level])
+        rows = _Rows(self.model, self.rho, self.nu, self.k_max, [level])
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "epsilon", rows.epsilon[0])
-        object.__setattr__(self, "k_max", rows.basis.k_max)
-        for name in ("log2_snr", "informative", "J_nats", "inverted_risk"):
-            object.__setattr__(self, name, getattr(rows, name)[0])
+        object.__setattr__(self, "k_max", rows.k_max)
         object.__setattr__(self, "_rows", rows)  # this channel is row 0
 
+    # decided once by the rows, read by every consumer (k = 1..k_max)
+    log2_snr = _row_0("log2_snr", "log2 (lambda_k rho_k / (eps nu_k))")
+    informative = _row_0("informative", "Membership in I")
+    J_nats = _row_0("J_nats", "Information per component, in nats")
+    inverted_risk = _row_0("inverted_risk", "(eps nu_k / lambda_k)^2, from log2_snr")
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._rows.basis.arrays  # type: ignore[attr-defined]
+        return self._rows.arrays  # type: ignore[attr-defined]
 
     @property
     def ordering(self) -> np.ndarray:
         """Component labels sorted by strictly decreasing lambda rho / nu."""
-        return self._rows.basis.labels  # type: ignore[attr-defined]
+        return self._rows.labels  # type: ignore[attr-defined]
 
     def _index(self, k: int) -> int:
         if not 1 <= _require_int(k, "component index") <= self.k_max:
@@ -617,7 +612,6 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
         raise ValidationError(
             f"data reaches index {data.K} beyond the channel's k_max={channel.k_max}")
     ks = data.indices
-    lam = data.eigenvalue_profile()
     pos = ks >= 1
     center = ks == 0
     member = center.copy()  # the center mode is in I when noise-free; k < 0 never is
@@ -632,15 +626,7 @@ def posterior_estimate(channel: GaussianChannel, data: CoefficientVector) -> Coe
             one = np.ones(1, dtype=np.int64)
             log2_ratio = channel.rho.log2_values(one)[0] - channel.nu.log2_values(one)[0]
             member[center] = log2_ratio + level.log2_inv_eps >= 0.0
-    # divide only on I: lambda_k may underflow to 0 on N
-    zeros = np.zeros(lam.shape, np.result_type(data.entries, lam))  # integer data: float
-    with np.errstate(all="ignore"):
-        entries = np.divide(data.entries, lam, out=zeros, where=member)
-    bad = np.flatnonzero(~np.isfinite(entries))
-    if bad.size:
-        k = data.indices[bad[0]]
-        raise ValidationError(f"posterior_estimate: g_{k} / lambda_{k} is not a finite float")
-    return CoefficientVector(channel.model, entries)
+    return _inverse_on(data, data.eigenvalue_profile(), member, "posterior_estimate")
 
 
 @dataclass

@@ -5,6 +5,9 @@ kept distinct from numeric failures (solver breakdowns, inconclusive scans)
 because the command line maps the two classes to different exit codes.
 """
 
+__all__ = ["FredinfoError", "ValidationError", "PreconditionError", "UnsupportedError",
+           "NumericError", "InconclusiveError"]
+
 
 class FredinfoError(Exception):
     """Base class for all package-specific errors."""

@@ -13,12 +13,13 @@ repeated runs of the same config are byte-identical apart from timestamps,
 which live only in the metadata sidecar, never in the CSV body.
 
 A sweep certifies the cutoffs of all its levels (and their quarters) in one
-pass for the metric columns, builds the channel's level-independent part
-once, forms the level-dependent arrays of all its levels together, and draws
-one trial block for that sweep; nothing is remembered between sweeps.  The
-row kernels (``k_I``, the information sums, ``k_alpha``) are evaluated for
-all rows at once, and the Monte-Carlo columns of all levels, with or without
-a float, are scored together on the trial block, in slabs of bounded size.
+pass, then reads each row's metric columns from ``capacity_interval`` and
+``max_message_length_log2``, as the ``capacity`` command does.  It builds one
+channel for all its levels (:class:`channel._Rows`) and draws one trial block
+for that sweep; nothing is remembered between sweeps.  The row kernels
+(``k_I``, the information sums, ``k_alpha``) are evaluated for all rows at
+once, and the Monte-Carlo columns of all levels, with or without a float,
+are scored together on the trial block, in slabs of bounded size.
 The single-level functions read the same kernels, so each row equals them bit
 for bit.  The loop still takes one row at a time and each row raises its own
 faults, so a run ends on the first fault met row by row.
@@ -34,12 +35,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import metric
-from .channel import (GaussianChannel, VarianceRule, _Basis, _Rows, rule_from_json,
-                      rule_to_json)
+from .channel import GaussianChannel, VarianceRule, _Rows, rule_from_json, rule_to_json
 from .errors import ValidationError
 from .spectra import (CoefficientVector, SpectrumModel, _check_k_max, _check_size, _require_int,
                       csv_text, decoding, model_from_json, model_to_json, refuse_unknown)
-from .truncation import NoiseLevel, _noise_grid
+from .truncation import NoiseLevel, _cutoffs, _noise_grid
 
 __all__ = [
     "TrialStream",
@@ -52,8 +52,6 @@ __all__ = [
     "convergence_sweep",
     "SummaryRow",
     "reproduce_summary_table",
-    "SWEEP_COLUMNS",
-    "STREAM_SCHEME",
 ]
 
 _KEY_SALT = 0x9E3779B97F4A7C15  # fixed odd constant, documented for reproducibility
@@ -186,7 +184,7 @@ def _monte_carlo(rows: _Rows, xi: np.ndarray,
     memory stays O(trials x k_max).  A row whose squared error overflows
     floats maps to None; :func:`_scored` raises when that row is read.
     """
-    tail = rows.basis.tail
+    tail = rows.tail
     trials, k_max = xi.shape
     step = max(1, _SLAB // (trials * k_max))
     results: list[MonteCarloResult | None] = []
@@ -234,10 +232,10 @@ def monte_carlo_mse(channel: GaussianChannel, trials: int, seed: int) -> MonteCa
     if _require_int(trials, "trials") < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     rows = channel._rows
-    rows.basis.energies("monte_carlo_mse")
-    rows.basis.tail  # an uncertified tail fails before any draw
+    rows.energies("monte_carlo_mse")
+    rows.tail  # an uncertified tail fails before any draw
     prior, noise = _trial_block(seed, trials, channel.k_max)
-    return _scored(_monte_carlo(rows, rows.basis.arrays[1] * prior, noise), 0)
+    return _scored(_monte_carlo(rows, rows.arrays[1] * prior, noise), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +378,20 @@ def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
     """
     rows: list[dict] = []
     chan = mc = None
-    grid = metric._grid(config.model, config.levels, config.sided)  # refusals raise at their row
-    for i, (level, (cut, bounds)) in enumerate(zip(config.levels, grid)):
-        row = {"epsilon": level.reported, "k0": cut, "lower_bits": bounds.lower_bits,
-               "upper_bits": bounds.upper_bits,  # logL_max: read through the public function
-               "logL_max": metric.max_message_length_log2(config.model, level,
-                                                          sided=config.sided)}
+    model, levels = config.model, config.levels
+    # one certification pass; the levels remember the cutoffs, and a refused
+    # one raises when its row reads it
+    _cutoffs(model, [*levels, *(level.quarter for level in levels)])
+    for i, level in enumerate(levels):
+        bounds = metric.capacity_interval(model, level, sided=config.sided)
+        row = {"epsilon": level.reported, "k0": level.cutoff(model),
+               "lower_bits": bounds.lower_bits, "upper_bits": bounds.upper_bits,
+               "logL_max": metric.max_message_length_log2(model, level, sided=config.sided)}
         rows.append(row)
         if config.rho is None:
             continue
         if chan is None:  # a channel fault follows row 0's metric columns
-            chan = _Rows(_Basis(config.model, config.rho, config.nu, config.k_max),
-                         config.levels)
+            chan = _Rows(model, config.rho, config.nu, config.k_max, levels)
         row["k_I"] = chan.k_I(i)
         info = chan.information(i)
         row["exact_nats"] = info.exact_nats
@@ -401,8 +401,8 @@ def convergence_sweep(config: ExperimentConfig) -> ExperimentResult:
             row["mse_closed"] = chan.mse(i)
             if config.trials >= 1:
                 if mc is None:  # one trial block scores every level
-                    prior, noise = _trial_block(config.seed, config.trials, chan.basis.k_max)
-                    mc = _monte_carlo(chan, chan.basis.arrays[1] * prior, noise)
+                    prior, noise = _trial_block(config.seed, config.trials, chan.k_max)
+                    mc = _monte_carlo(chan, chan.arrays[1] * prior, noise)
                 result = _scored(mc, i)
                 row["mse_mc_mean"] = result.mean
                 row["mse_mc_stderr"] = result.stderr

@@ -14,8 +14,8 @@ For a noise level ``eps`` the recoverable-information interval is::
 with entropy <= capacity sandwiched between them.  ``sided="total"`` applies
 the same formulas to the multiplicity-expanded axis list of two-sided models
 (center axis ``lambda_0 = 1`` included); one-sided models are unaffected.
-A sweep's metric columns come from ``_grid``: one certification pass over the
-levels and their quarters, then each level's bounds as ``capacity_interval``.
+A sweep certifies the cutoffs of its levels and their quarters in one pass
+(``truncation._cutoffs``) and reads each row from ``capacity_interval``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,18 +118,6 @@ class CapacityBounds:
         return asdict(self)
 
 
-def _bounds(model: SpectrumModel, level: NoiseLevel, sided: str,
-            cut: int, cut_q: int) -> CapacityBounds:
-    """The bounds at ``level`` from the one-sided cutoffs at it and at its quarter."""
-    factor, center = _sides(model, level, sided)
-    factor_q, center_q = _sides(model, level.quarter, sided)
-    m = factor_q * cut_q + center_q
-    upper = (m * (level.log2_inv_eps + _LOG2_6 + 0.5 * math.log2(m))
-             if cut_q >= 1 and level.below(model, 4.0) else None)
-    return CapacityBounds(level.epsilon, level.log2_inv_eps, factor * cut + center, m,
-                          _lower(model, level, cut, factor, center), upper, sided)
-
-
 def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel, *,
                       sided: str = "one_sided") -> CapacityBounds:
     """Both entropy bounds plus the cutoffs they rest on.
@@ -138,26 +126,17 @@ def capacity_interval(model: SpectrumModel, epsilon: float | NoiseLevel, *,
     weighted when ``sided="total"``.  When the upper bound's precondition
     fails, ``upper_bits`` is ``None`` rather than an error so sweeps can
     cover coarse noise levels.  Each of ``k0(eps)`` and ``k0(eps/4)`` is
-    computed once (the level remembers its cutoffs), and the bounds are
-    derived as :func:`_grid` derives each level's.
+    computed once (the level remembers its cutoffs).
     """
     level = NoiseLevel.of(epsilon)
-    return _bounds(model, level, sided, level.cutoff(model), level.quarter.cutoff(model))
-
-
-def _grid(model: SpectrumModel, levels: Sequence[NoiseLevel],
-          sided: str) -> Iterator[tuple[int, CapacityBounds]]:
-    """Each level's one-sided cutoff and :func:`capacity_interval`, a level per step.
-
-    The first step certifies the cutoffs of all levels and their quarters in one
-    pass (:func:`truncation._cutoffs`, which remembers them).  A refused cutoff
-    raises (:meth:`NoiseLevel.cutoff`) at its own level's step, not before.
-    """
-    cuts = _cutoffs(model, [*levels, *(level.quarter for level in levels)])
-    for level, cut, cut_q in zip(levels, cuts, cuts[len(levels):]):
-        cut = level.cutoff(model) if cut is None else cut
-        cut_q = level.quarter.cutoff(model) if cut_q is None else cut_q
-        yield cut, _bounds(model, level, sided, cut, cut_q)
+    cut, cut_q = level.cutoff(model), level.quarter.cutoff(model)
+    factor, center = _sides(model, level, sided)
+    factor_q, center_q = _sides(model, level.quarter, sided)
+    m = factor_q * cut_q + center_q
+    upper = (m * (level.log2_inv_eps + _LOG2_6 + 0.5 * math.log2(m))
+             if cut_q >= 1 and level.below(model, 4.0) else None)
+    return CapacityBounds(level.epsilon, level.log2_inv_eps, factor * cut + center, m,
+                          _lower(model, level, cut, factor, center), upper, sided)
 
 
 def max_message_length_log2(model: SpectrumModel, epsilon: float | NoiseLevel, *,

@@ -53,8 +53,6 @@ __all__ = [
     "EigenSystem",
     "nystrom_decompose",
     "green_kernel",
-    "csv_text",
-    "spectrum_rows",
     "model_to_json",
     "model_from_json",
 ]
@@ -536,7 +534,11 @@ class CoefficientVector:
             raw = _require_list(obj["entries"], "coefficient entries")
             refuse_unknown(obj, {"model", "complex", "entries"}, "coefficient vector JSON")
             real = functools.partial(_require_real, name="coefficient entry")
-            if obj.get("complex"):
+            is_complex = obj.get("complex", False)
+            if not isinstance(is_complex, bool):
+                raise ValidationError(
+                    f"coefficient vector JSON: complex must be a boolean, got {is_complex!r}")
+            if is_complex:
                 entries = np.asarray([complex(real(re), real(im)) for re, im in raw])
             else:
                 entries = np.asarray([real(v) for v in raw])
@@ -560,6 +562,21 @@ def forward_apply(model: SpectrumModel, f: CoefficientVector) -> CoefficientVect
     if f.model != model:
         raise ValidationError("forward_apply: vector was built for a different model")
     return CoefficientVector(model, f.entries * f.eigenvalue_profile())
+
+
+def _inverse_on(data: CoefficientVector, lam: np.ndarray, mask: np.ndarray,
+                what: str) -> CoefficientVector:
+    """``g_k / lambda_|k|`` where ``mask`` holds, 0 elsewhere (``lambda`` may
+    underflow to 0 there), given ``lam = data.eigenvalue_profile()``; a quotient
+    that is not a finite float is refused."""
+    zeros = np.zeros(lam.shape, np.result_type(data.entries, lam))  # integer data: float
+    with np.errstate(all="ignore"):
+        entries = np.divide(data.entries, lam, out=zeros, where=mask)
+    bad = np.flatnonzero(~np.isfinite(entries))
+    if bad.size:
+        k = data.indices[bad[0]]
+        raise ValidationError(f"{what}: g_{k} / lambda_{k} is not a finite float")
+    return CoefficientVector(data.model, entries)
 
 
 # ---------------------------------------------------------------------------

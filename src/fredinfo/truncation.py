@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconclusiveError, PreconditionError, ValidationError
-from .spectra import (FAMILIES, CoefficientVector, SpectrumModel, _require_list, _require_real,
-                      forward_apply)
+from .spectra import (FAMILIES, CoefficientVector, SpectrumModel, _inverse_on, _require_list,
+                      _require_real, forward_apply)
 
 __all__ = [
     "NoiseLevel",
@@ -268,10 +268,10 @@ def truncated_solution(model: SpectrumModel, data: CoefficientVector,
                        reference: CoefficientVector | None = None) -> TruncationReport:
     """Spectral-cutoff estimator ``f*`` from noisy data coefficients.
 
-    Entries with ``lambda_|k| >= eps`` are inverted (``g_k / lambda_k``), the
-    rest are zeroed.  The reported ``k0`` counts the inverted ``k >= 1``: the
-    cutoff capped at the data's own index range (coefficients the data does
-    not carry cannot be inverted).  When ``reference`` is supplied the report
+    Entries with ``lambda_|k| >= eps`` are inverted (``g_k / lambda_k``, refused
+    where not a finite float), the rest are zeroed.  The reported ``k0``
+    counts the inverted ``k >= 1``: the cutoff capped at the data's own index
+    range (coefficients the data does not carry cannot be inverted).  When ``reference`` is supplied the report
     carries the distance diagnostics used by the error bounds.
     """
     eps = NoiseLevel.of(epsilon).require_epsilon("truncated_solution")
@@ -279,10 +279,7 @@ def truncated_solution(model: SpectrumModel, data: CoefficientVector,
         raise ValidationError("truncated_solution: data uses a different model")
     lam = data.eigenvalue_profile()
     keep = lam >= eps  # NoiseLevel.kept's test, on the level's float
-    # divide only where kept: lambda_k may underflow to 0 past the cutoff
-    zeros = np.zeros(lam.shape, np.result_type(data.entries, lam))  # integer data: float
-    entries = np.divide(data.entries, lam, out=zeros, where=keep)
-    f_star = CoefficientVector(model, entries)
+    f_star = _inverse_on(data, lam, keep, "truncated_solution")
     cut = int(np.count_nonzero(keep[data.indices >= 1]))
     report = TruncationReport(epsilon=eps, k0=cut, f_star=f_star)
     if reference is not None:

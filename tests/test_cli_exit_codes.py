@@ -148,6 +148,28 @@ def test_vector_json_with_entries_not_real_exits_2(capsys, tmp_path):
     assert err == "error: coefficient entry must be a real number, got True\n"
 
 
+def test_vector_json_with_a_string_complex_flag_exits_2(capsys, tmp_path):
+    # refused, not read by truthiness as the complex vector [0.5, 0.25 + 1j]
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"model": {"kind": "green"}, "complex": "no",
+                                "entries": [[0.5, 0.0], [0.25, 1.0]]}))
+    code, out, err = run(capsys, "truncate", "--model", "green", "--epsilon", "0.1",
+                         "--data", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient vector JSON: complex must be a boolean, got 'no'\n"
+
+
+def test_truncate_data_whose_quotient_overflows_exits_2(capsys, tmp_path):
+    # 1e308 / lambda_1 (about 0.101) overflows; no numpy warning precedes the
+    # error, or the RuntimeWarning filter would turn it into a failure
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"model": {"kind": "green"}, "entries": [1e308, 1e308]}))
+    code, out, err = run(capsys, "truncate", "--model", "green", "--epsilon", "0.1",
+                         "--data", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: truncated_solution: g_1 / lambda_1 is not a finite float\n"
+
+
 def test_vector_json_with_unknown_field_exits_2(capsys, tmp_path):
     # a misspelt "complex" is refused, not read as a real vector
     path = tmp_path / "data.json"

@@ -1,18 +1,21 @@
-"""The sweep's metric kernel against a per-level oracle, and the paper's
+"""The sweep's metric rows against a per-level oracle, and the paper's
 comparison of the metric and the probabilistic information as a sandwich.
 
-``metric._grid`` certifies the cutoffs of a whole grid (levels and quarters)
-in one pass and derives each row.  Its oracle is the per-level route it
-replaced in sweeps: a scalar ``k0`` (the closed form certified at two points,
+A sweep certifies the cutoffs of a whole grid (levels and quarters) in one
+pass (``truncation._cutoffs``) and reads each row from ``capacity_interval``,
+the remembered cutoff and ``max_message_length_log2``.  Its oracle is the
+per-level route: a scalar ``k0`` (the closed form certified at two points,
 else the boundary search) at each level and at its quarter, and the bound
 expressions of ``capacity_interval`` and ``max_message_length_log2``, kept
 here.  Closed forms are also patched to be off by one or to raise, so the
-kernel's search path answers too.
+batch pass's search path answers too.
 """
 
 import dataclasses
 import json
 import math
+import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,11 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredinfo.truncation as truncation
-from fredinfo import (GaussianChannel, InconclusiveError, NoiseLevel, capacity_interval,
-                      constant_rule, extremal_comparison, geometric_rule, green_model,
-                      heat_model, k0, max_message_length_log2, partition_IN, poisson_model,
-                      tabulated_model, total_information)
-from fredinfo import metric
+from fredinfo import (ExperimentConfig, GaussianChannel, InconclusiveError, NoiseLevel,
+                      capacity_interval, constant_rule, convergence_sweep, extremal_comparison,
+                      geometric_rule, green_model, heat_model, k0, max_message_length_log2,
+                      partition_IN, poisson_model, tabulated_model, total_information)
+from fredinfo import harness
 from fredinfo.cli import main
 from fredinfo.spectra import FAMILIES
 
@@ -121,6 +124,17 @@ def _patched(kind, how):
     return dataclasses.replace(family, k0_closed_form=wrong)
 
 
+def _sweep_metric_rows(model, levels, sided):
+    """Each row's ``(k0, k0_eps, k0_eps_over_4, lower_bits, upper_bits,
+    logL_max)``, formed as :func:`convergence_sweep` forms them: one
+    certification pass over the levels and their quarters, then per row."""
+    truncation._cutoffs(model, [*levels, *(level.quarter for level in levels)])
+    for level in levels:
+        bounds = capacity_interval(model, level, sided=sided)
+        yield (level.cutoff(model), bounds.k0_eps, bounds.k0_eps_over_4, bounds.lower_bits,
+               bounds.upper_bits, max_message_length_log2(model, level, sided=sided))
+
+
 @PROFILE
 @given(grid_models(), st.lists(grid_levels(), min_size=1, max_size=5),
        st.sampled_from(["one_sided", "total"]), st.sampled_from([0, 1, -1, "raise"]))
@@ -129,26 +143,47 @@ def test_grid_rows_equal_the_per_level_oracle(model, levels, sided, how):
     if how and original.k0_closed_form is not None:
         FAMILIES[model.kind] = _patched(model.kind, how)
     try:
-        rows = metric._grid(model, levels, sided)
+        rows = _sweep_metric_rows(model, levels, sided)
         for level in levels:
             try:
                 want = _oracle_row(model, level, sided)
-            except InconclusiveError:  # the kernel refuses at this row, not before
+            except InconclusiveError:  # the sweep refuses at this row, not before
                 with pytest.raises(InconclusiveError, match="2\\*\\*53"):
                     next(rows)
                 return
-            cut, bounds = next(rows)
-            logl = max_message_length_log2(model, level, sided=sided)
-            got = (cut, bounds.k0_eps, bounds.k0_eps_over_4, bounds.lower_bits,
-                   bounds.upper_bits, logl)
-            assert repr(got) == repr(want), (model, level, sided, how)
+            assert repr(next(rows)) == repr(want), (model, level, sided, how)
     finally:
         FAMILIES[model.kind] = original
 
 
-def test_metric_only_sweep_ends_on_a_refused_green_cutoff(tmp_path, capsys):
+@pytest.mark.parametrize("config", [
+    dict(model=green_model(), epsilon_grid=(0.5, 1e-3, 1e-9, 1e-30)),
+    dict(model=poisson_model(0.5, 1.0), log2_inv_eps_grid=(-1100.0, 0.5, 1022.0, 1023.0, 2000.0),
+         sided="total"),
+    dict(model=tabulated_model([2.0 ** -e for e in range(1, 12)]), epsilon_grid=(0.0625, 1e-9)),
+    dict(model=heat_model(0.1, 2.0, 1.0), epsilon_grid=(1e-300, 5e-324), sided="total"),
+], ids=["green", "poisson-total-exponents", "tabulated", "heat-subnormal"])
+def test_a_sweep_certifies_once_and_reads_capacity_interval(config):
+    """The sweep makes the one certification pass over its levels and their
+    quarters, and its metric columns are those of :func:`_sweep_metric_rows`."""
+    config = ExperimentConfig(**config)
+    with mock.patch.object(harness, "_cutoffs", wraps=truncation._cutoffs) as batch:
+        rows = convergence_sweep(config).rows
+    (_, levels), = [call.args for call in batch.call_args_list]
+    want_levels = [*config.levels, *(level.quarter for level in config.levels)]
+    assert len(levels) == len(want_levels) and all(map(operator.is_, levels, want_levels))
+    fresh = [NoiseLevel(level.log2_inv_eps, level.epsilon) for level in config.levels]
+    want = [(cut, lower, upper, logl) for cut, _, _, lower, upper, logl
+            in _sweep_metric_rows(config.model, fresh, config.sided)]
+    got = [(row["k0"], row["lower_bits"], row["upper_bits"], row["logL_max"]) for row in rows]
+    assert repr(got) == repr(want)
+
+
+# at 2e-33 the cutoff answers (7117625434171771) and only its quarter's refuses
+@pytest.mark.parametrize("last", [1e-34, 2e-33], ids=["level", "quarter"])
+def test_metric_only_sweep_ends_on_a_refused_green_cutoff(tmp_path, capsys, last):
     config = tmp_path / "green.json"
-    config.write_text(json.dumps({"model": {"kind": "green"}, "epsilon_grid": [1e-3, 1e-34]}))
+    config.write_text(json.dumps({"model": {"kind": "green"}, "epsilon_grid": [1e-3, last]}))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
     assert capsys.readouterr().err == (
         "numeric failure: k0 is at least 2**53, past which indices are not exact in "

@@ -32,6 +32,16 @@ def test_every_exported_name_resolves():
         assert not missing, (info.name, missing)
 
 
+def test_the_package_exports_exactly_the_modules_public_names():
+    """``fredinfo.__all__`` is ``__version__`` plus each layer's ``__all__``, once each."""
+    layers = ("errors", "spectra", "truncation", "metric", "channel", "harness")
+    names = [name for layer in layers
+             for name in importlib.import_module(f"fredinfo.{layer}").__all__]
+    assert len(set(names)) == len(names)
+    assert len(set(fredinfo.__all__)) == len(fredinfo.__all__) == 1 + len(names)
+    assert set(fredinfo.__all__) == {"__version__", *names}
+
+
 _HUGE = 2 ** 200
 HOSTILE = (None, "0.5", True, False, np.bool_(True), [], [0.5], math.nan, math.inf, -math.inf,
            2.5, _HUGE, -1, 0, np.float64(0.5), np.int64(3), np.float32(math.nan))

@@ -706,6 +706,13 @@ def test_nystrom_rejects_kernel_of_wrong_shape():
                                           "complex": True, "entries": [[0.5, "0"]]}),
      "coefficient entry must be a real number, got '0'"),
     (lambda: CoefficientVector.from_json(3.0), "coefficient vector JSON must be an object"),
+    # the flag is refused, not read by truthiness as a complex vector
+    (lambda: CoefficientVector.from_json({"model": {"kind": "green"}, "complex": "no",
+                                          "entries": [[0.5, 0.0], [0.25, 1.0]]}),
+     "coefficient vector JSON: complex must be a boolean, got 'no'"),
+    (lambda: CoefficientVector.from_json({"model": {"kind": "green"}, "complex": 0,
+                                          "entries": [0.5, 0.25]}),
+     "coefficient vector JSON: complex must be a boolean, got 0"),
     (lambda: poisson_model(0.5, 1.0).eigenfunction_value(1, "0.5"),
      "x must be a real number, got '0.5'"),
     # refused, not read as True, 0.25 or 1.0
@@ -727,6 +734,7 @@ def test_nystrom_rejects_kernel_of_wrong_shape():
         "none-heat-D", "string-heat-b", "text-table-value", "string-table-value",
         "bool-table-value", "number-for-table", "string-entries", "ragged-entries",
         "bool-json-entry", "string-json-imaginary-part", "number-for-vector-json",
+        "string-complex-flag", "number-complex-flag",
         "string-eigenfunction-point", "string-allow-ties", "string-kernel-point",
         "bool-entry", "index-past-int64", "two-sided-index-past-int64"])
 def test_spectra_refusals(call, message):

@@ -1,10 +1,10 @@
 """A sweep's rows against the single-level API, and the order of its faults.
 
-``convergence_sweep`` evaluates every level of its grid on one channel basis
-and one trial block.  Each row's channel and Monte-Carlo columns must equal,
-bit for bit, the public functions on ``GaussianChannel(model, rho, nu, level,
-k_max)``, and a config with faults in several places must end on the fault
-that a row-by-row evaluation meets first.  The profile is derandomized, so
+``convergence_sweep`` evaluates every level of its grid as the rows of one
+channel and on one trial block.  Each row's channel and Monte-Carlo columns
+must equal, bit for bit, the public functions on ``GaussianChannel(model, rho,
+nu, level, k_max)``, and a config with faults in several places must end on
+the fault that a row-by-row evaluation meets first.  The profile is derandomized, so
 every run checks the same cases.
 """
 
@@ -29,7 +29,7 @@ from fredinfo import (ExperimentConfig, GaussianChannel, NoiseLevel, ValidationE
                       inverse_spectrum_rule, k0, k_alpha, monte_carlo_mse, mse_closed_form,
                       partition_IN, poisson_model, power_rule, total_information)
 from fredinfo import harness
-from fredinfo.channel import _LN2, _Basis, _Rows
+from fredinfo.channel import _LN2, _Rows
 from fredinfo.cli import main as cli_main
 
 PROFILE = settings.get_profile("fredinfo")
@@ -230,9 +230,8 @@ def _reference_rows(config: ExperimentConfig) -> list[dict]:
     the risk, one trial at a time: on I a trial's squared error is
     ``inverted_risk_k z_k^2``, on N ``xi_k^2`` (``tests/test_log_channel.py``
     checks that form against the exact error), summed by ``np.sum``."""
-    chan = _Rows(_Basis(config.model, config.rho, config.nu, config.k_max), config.levels)
-    basis = chan.basis
-    order, trials = basis.order, config.trials
+    chan = _Rows(config.model, config.rho, config.nu, config.k_max, config.levels)
+    order, trials = chan.order, config.trials
     xi = noise = None
     rows = []
     for i in range(len(config.levels)):
@@ -246,7 +245,7 @@ def _reference_rows(config: ExperimentConfig) -> list[dict]:
         rows.append(row)
         if not config.rho.is_trace_class:
             continue
-        energies, gamma = basis.energies("k_alpha"), basis.gamma
+        energies, gamma = chan.energies("k_alpha"), chan.gamma
         with np.errstate(over="ignore"):
             prefix = np.cumsum(energies[order] + chan.inverted_risk[i][order])
         ok = prefix <= gamma * (1.0 + 1e-12)
@@ -255,9 +254,9 @@ def _reference_rows(config: ExperimentConfig) -> list[dict]:
         if trials < 1:
             continue
         if xi is None:
-            prior, noise = harness._trial_block(config.seed, trials, basis.k_max)
-            xi = basis.arrays[1] * prior
-        tail = basis.tail
+            prior, noise = harness._trial_block(config.seed, trials, chan.k_max)
+            xi = chan.arrays[1] * prior
+        tail = chan.tail
         with np.errstate(over="ignore"):
             stats = np.fromiter(
                 (np.sum(np.where(member, chan.inverted_risk[i] * (z * z), x * x)) + tail

@@ -194,6 +194,19 @@ def test_truncated_solution_rejects_model_mismatch():
         truncated_solution(poisson_model(0.5, 1.0), f, 0.1)
 
 
+@pytest.mark.parametrize("model, entries, bad", [
+    (green_model(), [1e308, 1e308], 1),  # lambda_1 = 1/pi^2 is kept at 0.1
+    (poisson_model(0.5, 1.0), [1e308, 0.0, 0.0], -1),  # lambda_|-1| = 1/2 is kept
+], ids=["green", "poisson-two-sided"])
+def test_truncated_solution_refuses_a_quotient_that_overflows(model, entries, bad):
+    """``g_k / lambda_k`` past the float range is refused with no numpy warning
+    (the RuntimeWarning filter would turn one into a failure)."""
+    data = CoefficientVector(model, entries)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"truncated_solution: g_{bad} / lambda_{bad} is not a finite float")):
+        truncated_solution(model, data, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # Lemma-1 bounds
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 
 Each tree is a checkout holding ``src/fredinfo`` and ``benchmarks/``.  The ops
 are the README examples and the benchmark's ``cli_cold`` commands, each in both
-output formats, a few inputs that must fail, ``capacity`` at the levels where
+output formats, a few inputs that must fail (among them ``capacity`` where only
+the quarter level's cutoff refuses, ``truncate --data`` whose quotient overflows
+and a vector whose ``complex`` flag is a string), ``capacity`` at the levels where
 the two-sided total's center axis enters or leaves a count, ``truncate`` with
 a reference of another length than the data, the cutoff commands and a
 ``simulate`` sweep at three levels that sit on an eigenvalue, ``prob-info``
@@ -22,7 +24,8 @@ has a noise term that ``eta_k / lambda_k - xi_k`` cancels in floats, and a heat
 sweep scores components of I whose ``lambda_k`` underflows to 0),
 metric-only sweeps through the grid kernel's branches the benchmark configs
 never reach (a tabulated spectrum, subnormal floats, the two-sided total on
-exponents across ``|L| = 1022``, a refused green cutoff), the extremal
+exponents across ``|L| = 1022``, a green cutoff refused at the level or only
+at its quarter), the extremal
 comparisons of a channel that stops before ``k0`` and at a level with no
 float, the flat ``beta`` comparison past ``k0 = 2000``, and every
 ``closed_sweep`` and ``mc_sweep`` config of seeds 1 and 90217, read from the
@@ -88,6 +91,10 @@ ERROR_COMMANDS = [
     ["capacity", "--model", "green", "--epsilon", "pow2:-1024"],  # exit 3: k0 passes 2^53
     ["capacity", "--model", "green", "--epsilon", "pow2:-2100"],  # the closed form overflows
     ["capacity", "--model", "poisson:a=0.5,b=1", "--epsilon", "pow2:-1e16"],
+    ["capacity", "--model", "green", "--epsilon", "2e-33"],  # exit 3: only k0(eps/4) refuses
+    # g_1 / lambda_1 overflows; a "complex" flag that is a string, not a boolean
+    ["truncate", "--model", "green", "--epsilon", "0.1", "--data", "{overflow}"],
+    ["truncate", "--model", "green", "--epsilon", "0.1", "--data", "{complex_no}"],
 ]
 
 # The two-sided total counts the center axis lambda_0 = 1 when eps <= 1, and
@@ -269,7 +276,9 @@ CHANNEL_SWEEP_COMMANDS = [["simulate", "--config", "{" + name + "}", "--out", f"
 # Metric-only sweeps through the grid kernel's branches the benchmark configs
 # never reach: a tabulated spectrum (its cutoffs count the table), a subnormal
 # float whose quarter takes the exponent form, the two-sided total on exponents
-# of both signs across |L| = 1022, and a green cutoff that refuses at row 1.
+# of both signs across |L| = 1022, and a green cutoff that refuses at row 1,
+# once at the level and once only at its quarter (k0(2e-33) is 7117625434171771,
+# k0(5e-34) passes 2^53).
 _DYADIC = "tabulated_dyadic"  # its model is the benchmark's DYADIC_MODEL
 METRIC_SWEEPS = {
     "subnormal": {"model": {"kind": "poisson", "a": 0.5, "b": 1},
@@ -278,6 +287,7 @@ METRIC_SWEEPS = {
                            "log2_inv_eps_grid": [-1100, -1, 0.5, 1022, 1023, 1100],
                            "sided": "total"},
     "green_refusal": {"model": {"kind": "green"}, "epsilon_grid": [1e-3, 1e-34]},
+    "green_quarter_refusal": {"model": {"kind": "green"}, "epsilon_grid": [1e-3, 2e-33]},
 }
 METRIC_SWEEP_COMMANDS = [["simulate", "--config", "{" + name + "}", "--out", f"metric/{name}"]
                          for name in (_DYADIC, *METRIC_SWEEPS)]
@@ -308,6 +318,9 @@ def _inputs(workloads, inputs: str) -> dict:
              "truth_narrow": {"model": _POISSON, "complex": False, "entries": _TRUTH_NARROW},
              "green3": {"model": {"kind": "green", "k_max": 256}, "complex": False,
                         "entries": [1.0, 0.5, 0.25]},
+             "overflow": {"model": {"kind": "green"}, "entries": [1e308, 1e308]},
+             "complex_no": {"model": {"kind": "green"}, "complex": "no",
+                            "entries": [[0.5, 0.0], [0.25, 1.0]]},
              _DYADIC: {"model": workloads.DYADIC_MODEL, "epsilon_grid": [0.0625, 1e-9]},
              **CHANNEL_SWEEPS, **METRIC_SWEEPS}
     for name, (model, L) in EIGEN_LEVELS.items():
